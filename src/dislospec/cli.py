@@ -24,9 +24,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 from .core import (
@@ -278,7 +276,7 @@ def _spectrum_rows_for(cfg: RunConfig, n: int, l: int, k: float, t: float) -> li
         return row
 
     if cfg.scenario == "coulomb" and n == 1:
-        # Classify closed-form failures before scanning.
+        # Classify closed-form failures before solving.
         eff = effective_angular_momentum(l, k, geom, coup)
         try:
             energy_ground_coulomb(cfg.m, cfg.b, coulomb_eta(eff, cfg.b), k)
@@ -335,17 +333,14 @@ def _spectrum_rows_for(cfg: RunConfig, n: int, l: int, k: float, t: float) -> li
 
 
 def cmd_spectrum(cfg: RunConfig, out: io.TextIOBase, err: io.TextIOBase) -> int:
-    tasks = [
-        (n, l, k, t)
+    rows = [
+        row
         for n in cfg.n
         for l in cfg.l
         for k in cfg.k
         for t in cfg.flux
+        for row in _spectrum_rows_for(cfg, n, l, k, t)
     ]
-    workers = min(8, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        chunks = list(pool.map(lambda a: _spectrum_rows_for(cfg, *a), tasks))
-    rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r["n"], r["l"], r["k"], r["flux"], r["root_index"]))
 
     columns = SPECTRUM_COLUMNS + (ORACLE_COLUMNS if cfg.oracle else [])
@@ -415,10 +410,13 @@ def _current_row(cfg: RunConfig, n: int, l: int, k: float, t: float) -> dict:
 def cmd_current(cfg: RunConfig, out: io.TextIOBase, err: io.TextIOBase) -> int:
     if cfg.scenario != "ab":
         raise UsageError("current requires --scenario ab")
-    tasks = [(n, l, k, t) for n in cfg.n for l in cfg.l for k in cfg.k for t in cfg.flux]
-    workers = min(8, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda a: _current_row(cfg, *a), tasks))
+    rows = [
+        _current_row(cfg, n, l, k, t)
+        for n in cfg.n
+        for l in cfg.l
+        for k in cfg.k
+        for t in cfg.flux
+    ]
     rows.sort(key=lambda r: (r["n"], r["l"], r["k"], r["flux"]))
     emit(rows, CURRENT_COLUMNS, cfg.format, out)
     return EXIT_OK

@@ -34,9 +34,6 @@ from .errors import LambdaMismatch
 
 DEFAULT_N_MAX = 64
 
-# |a_{n+1}| <= TRUNCATION_TOL * max|a_j| declares the series truncated.
-TRUNCATION_TOL = 1e-10
-
 # lam must sit within this distance of 2n before truncation_residual is meaningful.
 LAMBDA_TOL = 1e-8
 
@@ -151,9 +148,3 @@ def truncation_residual(params: HeunParams, n: int) -> float:
             "fix the energy relation before testing truncation"
         )
     return float(build_coefficients(params, n_max=n + 1).coeffs[n + 1])
-
-
-def is_truncated(coeffs: SeriesCoefficients, n: int) -> bool:
-    """Whether |a_{n+1}| is below TRUNCATION_TOL relative to the head of the series."""
-    head = float(np.max(np.abs(coeffs.coeffs[: n + 1])))
-    return abs(float(coeffs.coeffs[n + 1])) <= TRUNCATION_TOL * head

@@ -10,10 +10,36 @@ hold.  The first fixes the energy in terms of the slope,
     E = +- sqrt(2 nu (n + s + 1) + k^2),      s = |effective momentum|,
 
 and the second quantizes the slope nu itself.  For n = 1 both free and
-Coulomb cases have closed forms; for general n the slope constraint is
-root-found by a bracket scan in alpha = 2m/sqrt(nu) (the constraint is a
-low-degree polynomial in alpha in the free case, and remains smooth in the
-Coulomb case where the signed energy feeds back through mu).
+Coulomb cases have closed forms.  For general n, write alpha = 2m/sqrt(nu).
+At lam = 2n rows j = 0..n of the recurrence read
+
+    alpha d_j a_j = (j+1)(j+1+2s) a_{j+1} + (2n-2j+2) a_{j-1} + mu a_j,
+
+with d_j = j + s + 1/2 and a_{-1} = a_{n+1} = 0.  So a_{n+1}(alpha) = 0 says
+alpha is an eigenvalue of a tridiagonal matrix (Golub-Welsch).  Its
+off-diagonal products are positive, so a diagonal similarity makes it the
+symmetric Jacobi matrix S(mu) = S_0 + mu D^{-1}, and one tridiagonal
+eigensolve returns all n + 1 roots.
+
+On the energy relation mu = 2bE/sqrt(nu) = c sqrt(A + B alpha^2), with
+c = +-2b (the sign of E), A = 2(n+s+1) and B = k^2/(4m^2).  It is constant
+unless b and k are both nonzero.  Otherwise each root is a fixed point
+alpha = lambda_i(mu(alpha)).  Hellmann-Feynman gives
+d lambda_i/d mu = v^T D^{-1} v <= 1/d_0 for the unit eigenvector v, so
+kappa = |c| sqrt(B)/d_0 bounds the slope of lambda_i(mu(alpha)):
+
+* kappa < 1: every eigen-branch crosses alpha exactly once, and Newton
+  started from the k = 0 eigenvalues finds each crossing;
+* kappa >= 1: a branch may cross several times or not at all.  Substituting
+  alpha = r(w - 1/w)/2 with r = sqrt(A/B) makes mu = c sqrt(A)(w + 1/w)/2,
+  and the condition becomes the quadratic eigenproblem
+
+      [w^2 (c sqrt(A) - r D) + 2w T + (c sqrt(A) + r D)] a = 0,
+
+  solved as a 2(n+1) companion pencil.  Its real roots w > 1 are the
+  alpha > 0 roots, which Newton then polishes.  The pencil is used only
+  here, where r <= |c| sqrt(A)/d_0: as k -> 0 its roots crowd at w = 1 and
+  lose their digits.
 """
 
 from __future__ import annotations
@@ -22,7 +48,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.linalg import eig, eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .core import (
     AB_FLUX,
@@ -30,7 +56,6 @@ from .core import (
     FREE,
     Couplings,
     DefectGeometry,
-    HeunParams,
     MassProfile,
     QuantumNumbers,
     coulomb_eta,
@@ -38,20 +63,21 @@ from .core import (
     heun_params,
 )
 from .errors import DegenerateDenominator, NonPositiveSlope, NoRealSolution, NoRoots
-from .heun import (
-    DEFAULT_N_MAX,
-    RadialWavefunction,
-    build_coefficients,
-    truncation_residual,
-)
+from .heun import DEFAULT_N_MAX, RadialWavefunction, build_coefficients
 
 # Quadratic branch formula degenerates when its denominator is this close to 0.
 DEGENERATE_TOL = 1e-12
 
-# Default bracket scan window and resolution for the slope constraint in alpha.
+# Default window in alpha; roots outside it are dropped after the solve.
 ALPHA_MIN = 0.01
 ALPHA_MAX = 50.0
-ALPHA_STEP = 0.01
+
+# Newton polish of an alpha-dependent-mu root: step cap and relative stop.
+NEWTON_MAX_STEPS = 8
+NEWTON_RTOL = 1e-14
+
+# A pencil eigenvalue w with |Im w| <= REAL_TOL * |w| counts as real.
+REAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -182,46 +208,51 @@ def _classify(coup: Couplings) -> str:
     return FREE
 
 
-def _branch_residual(
-    alpha: float,
-    n: int,
-    eff_abs: float,
-    mass_m: float,
-    k: float,
-    b: float,
-    sign: int,
-) -> float:
-    """Truncation residual a_{n+1} along one signed-energy branch at given alpha."""
-    nu = 4.0 * mass_m * mass_m / (alpha * alpha)
-    e_pair = energy_from_lambda(nu, n, eff_abs, k)
-    e = e_pair[0] if sign >= 0 else e_pair[1]
-    params = heun_params(MassProfile(mass_m, nu), e, k, b, eff_abs)
-    return truncation_residual(params, n)
+def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list[float]:
+    """Every real root of a_{n+1}(alpha) = 0 at mu = c sqrt(A + B alpha^2), ascending."""
+    j = np.arange(n, dtype=float)
+    d = np.arange(n + 1, dtype=float) + s + 0.5
+    sup = (j + 1.0) * (j + 1.0 + 2.0 * s)  # T[j, j+1]
+    sub = 2.0 * (n - j)  # T[j+1, j]
+    off = np.sqrt(sup * sub / (d[:-1] * d[1:]))  # off-diagonal of S ~ D^{-1} T
 
+    def polish(alpha: float, index: int | None = None) -> float:
+        """Newton on lambda_i(mu(alpha)) - alpha; index None follows the
+        eigenvalue nearest alpha.  Hellmann-Feynman gives the exact
+        derivative d lambda/d mu = v^T D^{-1} v from the unit eigenvector v."""
+        for _ in range(NEWTON_MAX_STEPS):
+            root = math.sqrt(big_a + big_b * alpha * alpha)
+            lam, vec = eigh_tridiagonal(c * root / d, off)
+            i = int(np.argmin(np.abs(lam - alpha))) if index is None else index
+            slope = float(vec[:, i] ** 2 @ (1.0 / d)) * c * big_b * alpha / root - 1.0
+            step = (lam[i] - alpha) / slope
+            alpha -= step
+            if abs(step) <= NEWTON_RTOL * abs(alpha):
+                break
+        return alpha
 
-def _scan_alpha_roots(
-    f, alpha_min: float, alpha_max: float, alpha_step: float
-) -> list[float]:
-    """Bracket scan plus brentq polish; returns ascending distinct roots."""
-    roots: list[float] = []
-    n_steps = int(math.ceil((alpha_max - alpha_min) / alpha_step))
-    x0 = alpha_min
-    f0 = f(x0)
-    for i in range(1, n_steps + 1):
-        x1 = min(alpha_min + i * alpha_step, alpha_max)
-        f1 = f(x1)
-        if f0 == 0.0:
-            roots.append(x0)
-        elif f0 * f1 < 0.0:
-            roots.append(brentq(f, x0, x1, xtol=1e-15, rtol=8.9e-16))
-        x0, f0 = x1, f1
-    if f0 == 0.0:
-        roots.append(x0)
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or abs(r - deduped[-1]) > 1e-9 * max(1.0, abs(r)):
-            deduped.append(r)
-    return deduped
+    lam0 = eigvalsh_tridiagonal(c * math.sqrt(big_a) / d, off)
+    if c == 0.0 or big_b == 0.0:  # constant mu
+        return list(lam0)
+    if abs(c) * math.sqrt(big_b) < d[0]:  # kappa < 1: one root per eigen-branch
+        return [polish(a, i) for i, a in enumerate(lam0)]
+
+    r = math.sqrt(big_a / big_b)
+    ca = c * math.sqrt(big_a)
+    eye, zero = np.eye(n + 1), np.zeros((n + 1, n + 1))
+    t = np.diag(sup, 1) + np.diag(sub, -1)
+    # Companion linearization of the quadratic in w on the vector [a; w a].
+    pencil_a = np.block([[zero, eye], [-(ca * eye + r * np.diag(d)), -2.0 * t]])
+    pencil_b = np.block([[eye, zero], [zero, ca * eye - r * np.diag(d)]])
+    ws = eig(pencil_a, pencil_b, right=False)
+    real_w = [
+        w.real
+        for w in ws
+        if np.isfinite(w) and abs(w.imag) <= REAL_TOL * abs(w) and w.real > 1.0
+    ]
+    roots = sorted(polish(0.5 * r * (w - 1.0 / w)) for w in real_w)
+    # A near-double root can come back as a conjugate pair that polishes to one alpha.
+    return [a for i, a in enumerate(roots) if i == 0 or a - roots[i - 1] > 1e-9 * max(1.0, a)]
 
 
 def solve_general_n(
@@ -232,16 +263,18 @@ def solve_general_n(
     *,
     alpha_min: float = ALPHA_MIN,
     alpha_max: float = ALPHA_MAX,
-    alpha_step: float = ALPHA_STEP,
     n_max: int = DEFAULT_N_MAX,
 ) -> list[SpectrumPoint]:
     """All bound states of radial index qn.n for the configured scenario.
 
-    Every nu > 0 satisfying the slope constraint is returned, sorted
-    ascending in nu (the physics does not single one out for n >= 2).  The
-    Coulomb scenario solves the +E and -E branches separately since the
-    constraint sees the sign of E through mu; free and flux scenarios are
-    sign-blind and carry the full +-E pair per root.
+    The slope constraint is solved as an eigenproblem in alpha = 2m/sqrt(nu)
+    (see the module docstring), which returns every root at once; the roots
+    in [alpha_min, alpha_max] are kept.  Each kept root runs the recurrence
+    once, and a relative a_{n+1} above 1e-12 raises NoRoots.  The nu > 0
+    states are returned sorted ascending in nu (the physics does not single
+    one out for n >= 2).  The Coulomb scenario solves the +E and -E branches
+    separately since the constraint sees the sign of E through mu; free and
+    flux scenarios are sign-blind and carry the full +-E pair per root.
     """
     if not mass_m > 0.0:
         raise ValueError(f"mass must be positive, got {mass_m}")
@@ -255,14 +288,14 @@ def solve_general_n(
         eff_abs = abs(eff)
         branch_signs = (None,)
 
+    big_a = 2.0 * (n + eff_abs + 1.0)
+    big_b = qn.k * qn.k / (4.0 * mass_m * mass_m)
     points: list[SpectrumPoint] = []
     for sign in branch_signs:
-        mu_sign = 1 if sign is None else sign
-
-        def f(alpha: float) -> float:
-            return _branch_residual(alpha, n, eff_abs, mass_m, qn.k, coup.b, mu_sign)
-
-        for alpha_root in _scan_alpha_roots(f, alpha_min, alpha_max, alpha_step):
+        c = 2.0 * coup.b * (1 if sign is None else sign)
+        for alpha_root in _alpha_roots(n, eff_abs, c, big_a, big_b):
+            if not (alpha_root > 0.0 and alpha_min <= alpha_root <= alpha_max):
+                continue
             nu = 4.0 * mass_m * mass_m / (alpha_root * alpha_root)
             e_pair = energy_from_lambda(nu, n, eff_abs, qn.k)
             if sign is None:
@@ -304,7 +337,7 @@ def solve_general_n(
     if not points:
         raise NoRoots(
             f"no nu > 0 root of the order-{n} truncation condition in the "
-            f"alpha window ({alpha_min}, {alpha_max}] at step {alpha_step}"
+            f"alpha window ({alpha_min}, {alpha_max}]"
         )
     points.sort(key=lambda p: (p.nu_solved, -(p.branch or 0)))
     return points

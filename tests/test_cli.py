@@ -324,6 +324,20 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0].startswith("scenario,")
 
+    def test_import_leaves_scipy_optimize_out(self):
+        # The slope solve needs only scipy.linalg; scipy.optimize would add ~0.3 s of import.
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, dislospec.cli; print('scipy.optimize' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_bad_flag_exits_usage(self):
         proc = subprocess.run(
             [sys.executable, "-m", "dislospec", "spectrum", "--format", "xml"],

@@ -70,6 +70,41 @@ def coulomb_ground_oracle(m, b, eta, k):
     return sorted(out)
 
 
+def scan_residual(alpha, n, s, m, k, b, sign):
+    """a_{n+1} at lam = 2n along one signed-energy branch, by the recurrence
+    of the heun module docstring in plain floats."""
+    nu = 4.0 * m * m / (alpha * alpha)
+    mu = 2.0 * b * sign * math.sqrt(2.0 * nu * (n + s + 1.0) + k * k) / math.sqrt(nu)
+    tau = 0.5 * alpha * (2.0 * s + 1.0) - mu
+    a0, a1 = 1.0, tau / (1.0 + 2.0 * s)
+    for j in range(n):
+        denom = (j + 2.0) * (j + 2.0 + 2.0 * s)
+        a0, a1 = a1, ((alpha * (j + 1.0) + tau) * a1 - (2.0 * n - 2.0 * j) * a0) / denom
+    return a1
+
+
+def scan_alpha_roots(f, lo=0.01, hi=50.0, step=0.01):
+    """The bracket scan plus brentq polish that solve_general_n used before
+    its eigen-solve, frozen as an oracle; ascending distinct roots."""
+    roots = []
+    x0, f0 = lo, f(lo)
+    for i in range(1, int(math.ceil((hi - lo) / step)) + 1):
+        x1 = min(lo + i * step, hi)
+        f1 = f(x1)
+        if f0 == 0.0:
+            roots.append(x0)
+        elif f0 * f1 < 0.0:
+            roots.append(brentq(f, x0, x1, xtol=1e-15, rtol=8.9e-16))
+        x0, f0 = x1, f1
+    if f0 == 0.0:
+        roots.append(x0)
+    deduped = []
+    for r in roots:
+        if not deduped or abs(r - deduped[-1]) > 1e-9 * max(1.0, abs(r)):
+            deduped.append(r)
+    return deduped
+
+
 class TestEnergyFromLambda:
     def test_ground_case(self):
         assert energy_from_lambda(1.5, 1, 0.0, 0.0) == pytest.approx(
@@ -191,6 +226,50 @@ class TestGroundCoulombClosedForms:
         assert len(good) == 2
         with pytest.raises(NoRealSolution):
             energy_ground_coulomb(m, b, eta, 6.0)
+
+
+SCAN_CELLS = (
+    [("free", n, l, k, 0.0, 0.0) for n in (1, 3, 5, 8) for l in (0, 2) for k in (0.0, 0.7)]
+    + [("ab", n, l, k, 0.0, 0.3) for n in (2, 4, 8) for l in (-1, 1) for k in (0.0, 0.7)]
+    + [
+        ("coulomb", n, 0, k, b, 0.0)
+        for n in (1, 2, 4, 8)
+        for k in (0.0, 1e-3, 0.7)
+        for b in (0.1, -0.1)
+    ]
+    # At k this small the w-pencil's roots crowd at w = 1; the solver must not use it.
+    + [("coulomb", n, 0, 1e-8, b, 0.0) for n in (4, 8) for b in (0.1, -0.1)]
+    # |c| sqrt(B) / d_0 >= 1 here, so the solver takes its companion-pencil path;
+    # n = 1 has no root on either branch.
+    + [("coulomb", n, 0, 3.0, b, 0.0) for n in (1, 2, 5) for b in (1.5, -1.5)]
+)
+
+
+@pytest.mark.parametrize("scenario,n,l,k,b,t", SCAN_CELLS)
+def test_eigen_solve_matches_frozen_scan(scenario, n, l, k, b, t):
+    eff = l - 0.25 * k + t
+    s = coulomb_eta(eff, b) if b else abs(eff)
+    wants = {
+        sign: sorted(
+            4.0 / a**2
+            for a in scan_alpha_roots(lambda a: scan_residual(a, n, s, 1.0, k, b, sign or 1))
+        )
+        for sign in ((1, -1) if b else (None,))
+    }
+    qn = QuantumNumbers(n, l, k)
+    geom = DefectGeometry(chi=0.25)
+    coup = Couplings(b=b, q=1.0, phi_B=t * 2 * math.pi)
+    if not any(wants.values()):
+        with pytest.raises(NoRoots):
+            solve_general_n(qn, 1.0, geom, coup)
+        return
+    pts = solve_general_n(qn, 1.0, geom, coup)
+    assert {p.scenario for p in pts} == {scenario}
+    for sign, want in wants.items():
+        got = [p.nu_solved for p in pts if p.branch == sign]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * w
 
 
 class TestSolveGeneralN:
