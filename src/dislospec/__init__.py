@@ -35,7 +35,6 @@ from .heun import (
     truncation_residual,
 )
 from .observables import (
-    CurrentPoint,
     persistent_current_ground,
     persistent_current_numeric,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "COULOMB",
     "FREE",
     "Couplings",
-    "CurrentPoint",
     "DefectGeometry",
     "DegenerateDenominator",
     "DislospecError",

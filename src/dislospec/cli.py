@@ -6,8 +6,8 @@ Three subcommands:
   energies, optionally with oracle columns.
 * current  - persistent current per flux point, analytic (lowest state)
   against the numeric flux derivative.
-* verify   - runs the invariant suite at the configured parameters and
-  reports pass/fail per check.
+* verify   - solves the n = 1 states at the configured parameters once and
+  runs a table of invariant checks on them, one PASS/FAIL/SKIP line each.
 
 Flux is configured as the dimensionless ratio q*Phi_B/(2 pi) everywhere.
 Energies are reported in units of m unless --absolute is given; slopes are
@@ -15,17 +15,20 @@ always raw.  Output is deterministic: identical configuration yields
 byte-identical CSV or JSON.
 
 Exit codes: 0 success, 1 usage error, 2 solver error, 3 verification failure.
+A zero q, a non-finite number or an unusable --config/--out path is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
 
 from .core import (
     COULOMB,
@@ -162,7 +165,7 @@ def parse_flux(text: str) -> tuple[float, ...]:
     return (float(text),)
 
 
-def _normalize(value, parser):
+def _normalize(parser, value):
     """Accept either the flag string form or native JSON scalars/lists."""
     if isinstance(value, str):
         return parser(value)
@@ -173,49 +176,54 @@ def _normalize(value, parser):
     raise UsageError(f"cannot interpret config value {value!r}")
 
 
+def _flag(value) -> bool:
+    if not isinstance(value, bool):  # bool("false") is True: take only JSON true/false
+        raise UsageError(f"oracle and absolute must be true or false, got {value!r}")
+    return value
+
+
+# RunConfig field -> converter, applied alike to flag values and config-file values.
+_CONVERTERS = {
+    **dict.fromkeys(("scenario", "format", "branch", "out"), lambda value: value),
+    **dict.fromkeys(("m", "chi", "b", "q", "detune_nu"), float),
+    **dict.fromkeys(("oracle", "absolute"), _flag),
+    "flux": partial(_normalize, parse_flux),
+    "l": partial(_normalize, parse_int_range),
+    "k": partial(_normalize, parse_float_list),
+    "n": partial(_normalize, parse_int_range),
+}
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     file_values: dict = {}
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_values = json.load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                file_values = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot read config file {args.config!r}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise UsageError("config file must hold a JSON object")
         unknown = set(file_values) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
 
+    # Flags win over the config file, which wins over the RunConfig defaults.
     cfg = RunConfig()
-
-    def pick(name: str, conv=None, parser=None):
-        cli_val = getattr(args, name, None)
-        if cli_val is not None:
-            return parser(cli_val) if parser else cli_val
-        if name in file_values:
-            v = file_values[name]
-            if parser:
-                return _normalize(v, parser)
-            return conv(v) if conv else v
-        return getattr(cfg, name)
-
     try:
-        cfg.scenario = pick("scenario")
-        cfg.m = float(pick("m", conv=float))
-        cfg.chi = float(pick("chi", conv=float))
-        cfg.b = float(pick("b", conv=float))
-        cfg.q = float(pick("q", conv=float))
-        cfg.flux = pick("flux", parser=parse_flux)
-        cfg.l = pick("l", parser=parse_int_range)
-        cfg.k = pick("k", parser=parse_float_list)
-        cfg.n = pick("n", parser=parse_int_range)
-        cfg.format = pick("format")
-        cfg.oracle = bool(pick("oracle"))
-        cfg.absolute = bool(pick("absolute"))
-        cfg.branch = pick("branch")
-        cfg.out = pick("out")
-        cfg.detune_nu = float(pick("detune_nu", conv=float))
-    except (ValueError, TypeError) as exc:
+        for f in fields(RunConfig):
+            value = getattr(args, f.name, None)
+            if value is None:
+                if f.name not in file_values:
+                    continue
+                value = file_values[f.name]
+            setattr(cfg, f.name, _CONVERTERS[f.name](value))
+    except (ValueError, TypeError, OverflowError) as exc:
         raise UsageError(str(exc)) from exc
 
+    numbers = (cfg.m, cfg.chi, cfg.b, cfg.q, cfg.detune_nu, *cfg.flux, *cfg.k)
+    if not all(math.isfinite(x) for x in numbers):
+        raise UsageError("numeric values must be finite")
     if cfg.scenario not in ("free", "coulomb", "ab"):
         raise UsageError(f"unknown scenario {cfg.scenario!r}")
     if cfg.format not in ("csv", "json"):
@@ -224,13 +232,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"branch must be plus or minus, got {cfg.branch!r}")
     if not cfg.m > 0.0:
         raise UsageError(f"mass must be positive, got {cfg.m}")
+    if cfg.q == 0.0:
+        raise UsageError("charge q must be nonzero")
     if any(nn < 1 for nn in cfg.n):
         raise UsageError("radial index n must be >= 1")
-    if cfg.scenario == "free":
-        if cfg.b != 0.0 or any(t != 0.0 for t in cfg.flux):
-            raise UsageError("scenario 'free' requires b = 0 and zero flux")
-    if cfg.scenario == "ab" and cfg.q == 0.0:
-        raise UsageError("scenario 'ab' requires a nonzero charge q")
+    if cfg.scenario == "free" and (cfg.b != 0.0 or any(t != 0.0 for t in cfg.flux)):
+        raise UsageError("scenario 'free' requires b = 0 and zero flux")
     return cfg
 
 
@@ -247,15 +254,33 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _energy_scale(cfg: RunConfig) -> float:
-    return 1.0 if cfg.absolute else cfg.m
+def _ode_residual(pt, m: float, b: float, detune_nu: float = 0.0) -> float:
+    """ODE residual of a solved state; detune_nu scales its slope by 1 + detune_nu."""
+    nu = pt.nu_solved * (1.0 + detune_nu)
+    params = heun_params(MassProfile(m, nu), pt.energies[0], pt.qn.k, b, pt.eff_abs)
+    wf = pt.wavefunction
+    if detune_nu:
+        coeffs = build_coefficients(params, n_max=max(pt.qn.n, 1))
+        wf = RadialWavefunction(coeffs, params.alpha, pt.eff_abs, pt.qn.n)
+    grid = RadialGrid(0.01, 8.0 * max(1.0, math.sqrt(pt.qn.n + pt.eff_abs)), 2000)
+    return ode_residual(wf, params, grid)
+
+
+def _fd_match(pt, m: float) -> float:
+    """Relative distance from E^2 of a non-Coulomb state to the nearest FD eigenvalue."""
+    mass = MassProfile(m, pt.nu_solved)
+    target = pt.energies[0] * pt.energies[0]
+    grid = default_fd_grid(mass, pt.qn.n, pt.eff_abs)
+    eigs = fd_eigensolve_free(mass, pt.eff_abs, pt.qn.k, grid)
+    nearest = min(eigs, key=lambda x: abs(x - target))
+    return abs(nearest - target) / abs(target)
 
 
 def _spectrum_rows_for(cfg: RunConfig, n: int, l: int, k: float, t: float) -> list[dict]:
     qn = QuantumNumbers(n=n, l=l, k=k)
     coup = _couplings(cfg, t)
     geom = DefectGeometry(chi=cfg.chi)
-    scale = _energy_scale(cfg)
+    scale = 1.0 if cfg.absolute else cfg.m
     base = {"n": n, "l": l, "k": k, "flux": t}
 
     def error_row(status: str) -> dict:
@@ -270,10 +295,9 @@ def _spectrum_rows_for(cfg: RunConfig, n: int, l: int, k: float, t: float) -> li
             e_minus=None,
             truncation_residual=None,
             status=status,
+            ode_residual=None,
+            fd_match=None,
         )
-        if cfg.oracle:
-            row["ode_residual"] = None
-            row["fd_match"] = None
         return row
 
     if cfg.scenario == "coulomb" and n == 1:
@@ -313,22 +337,8 @@ def _spectrum_rows_for(cfg: RunConfig, n: int, l: int, k: float, t: float) -> li
             status="OK",
         )
         if cfg.oracle:
-            e_ref = pt.energies[0]
-            params = heun_params(
-                MassProfile(cfg.m, pt.nu_solved), e_ref, k, cfg.b, pt.eff_abs
-            )
-            grid = RadialGrid(0.01, 8.0 * max(1.0, math.sqrt(n + pt.eff_abs)), 2000)
-            row["ode_residual"] = ode_residual(pt.wavefunction, params, grid)
-            if pt.scenario == COULOMB:
-                row["fd_match"] = None
-            else:
-                mass = MassProfile(cfg.m, pt.nu_solved)
-                target = e_ref * e_ref
-                eigs = fd_eigensolve_free(
-                    mass, pt.eff_abs, k, default_fd_grid(mass, n, pt.eff_abs)
-                )
-                nearest = min(eigs, key=lambda x: abs(x - target))
-                row["fd_match"] = abs(nearest - target) / abs(target)
+            row["ode_residual"] = _ode_residual(pt, cfg.m, cfg.b)
+            row["fd_match"] = None if pt.scenario == COULOMB else _fd_match(pt, cfg.m)
         rows.append(row)
     return rows
 
@@ -357,10 +367,28 @@ def cmd_spectrum(cfg: RunConfig, out: io.TextIOBase, err: io.TextIOBase) -> int:
     return EXIT_OK
 
 
-def _current_row(cfg: RunConfig, n: int, l: int, k: float, t: float) -> dict:
+def _numeric_current(cfg: RunConfig, n: int, l: int, k: float, t: float, branch: int) -> float:
+    """Central-difference current of the lowest (n, l, k) state on one branch at flux ratio t."""
     geom = DefectGeometry(chi=cfg.chi)
+
+    def energy_at(phi_B: float) -> float:
+        coup = Couplings(b=0.0, q=cfg.q, phi_B=phi_B)
+        eff = effective_angular_momentum(l, k, geom, coup)
+        if n == 1:
+            pair = energy_ground_free(cfg.m, eff, k)
+        else:
+            qn = QuantumNumbers(n=n, l=l, k=k)
+            pair = solve_general_n(qn, cfg.m, geom, coup)[0].energies
+        return pair[0] if branch > 0 else pair[1]
+
+    # The step is a distance in phi_B, so it takes |q|; the sign of q only flips the axis.
+    step = CURRENT_STEP_T * TWO_PI / abs(cfg.q)
+    return persistent_current_numeric(energy_at, t * TWO_PI / cfg.q, step)
+
+
+def _current_row(cfg: RunConfig, n: int, l: int, k: float, t: float) -> dict:
     branch = 1 if cfg.branch == "plus" else -1
-    sigma = effective_angular_momentum(l, k, geom, _couplings(cfg, t))
+    sigma = effective_angular_momentum(l, k, DefectGeometry(chi=cfg.chi), _couplings(cfg, t))
     row = {
         "n": n,
         "l": l,
@@ -382,28 +410,13 @@ def _current_row(cfg: RunConfig, n: int, l: int, k: float, t: float) -> dict:
         except UndefinedAtZeroFlux:
             row["status"] = "UNDEFINED"
 
-    def energy_at(phi_B: float) -> float:
-        coup = Couplings(b=0.0, q=cfg.q, phi_B=phi_B)
-        eff = effective_angular_momentum(l, k, geom, coup)
-        if n == 1:
-            pair = energy_ground_free(cfg.m, eff, k)
-        else:
-            pts = solve_general_n(
-                QuantumNumbers(n=n, l=l, k=k), cfg.m, geom, coup
-            )
-            pair = pts[0].energies
-        return pair[0] if branch > 0 else pair[1]
-
-    step = CURRENT_STEP_T * TWO_PI / cfg.q
     try:
-        row["current_numeric"] = persistent_current_numeric(
-            energy_at, t * TWO_PI / cfg.q, step
-        )
+        row["current_numeric"] = _numeric_current(cfg, n, l, k, t, branch)
     except KinkDetected:
         row["status"] = "KINK"
         return row
 
-    if row["current_analytic"] is not None and row["current_numeric"] is not None:
+    if row["current_analytic"] is not None:
         row["abs_discrepancy"] = abs(row["current_analytic"] - row["current_numeric"])
     return row
 
@@ -423,222 +436,192 @@ def cmd_current(cfg: RunConfig, out: io.TextIOBase, err: io.TextIOBase) -> int:
     return EXIT_OK
 
 
-def _verify_checks(cfg: RunConfig) -> list[dict]:
+@dataclass
+class _Population:
+    """verify's n = 1 states, solved once, and what solving them measured."""
+
+    cfg: RunConfig
+    geom: DefectGeometry
+    coulomb: bool
+    cells: list  # (l, k, t, effective momentum) for every configured cell
+    points: list
+    closed_form_error: float = 0.0
+    skipped: int = 0  # Coulomb cells with no real closed form, hence not solved
+
+
+def _solve_population(cfg: RunConfig) -> _Population:
     geom = DefectGeometry(chi=cfg.chi)
-    checks: list[dict] = []
-
-    def add(name: str, status: str, measured, threshold, note: str = "") -> None:
-        checks.append(
-            {
-                "name": name,
-                "status": status,
-                "measured": measured,
-                "threshold": threshold,
-                "note": note,
-            }
-        )
-
-    def gate(name: str, measured: float, threshold: float, note: str = "") -> None:
-        add(name, "PASS" if measured < threshold else "FAIL", measured, threshold, note)
-
-    cells = [(l, k, t) for l in cfg.l for k in cfg.k for t in cfg.flux]
-
-    # Closed-form composition: the two ground-state routes must agree.
-    worst = 0.0
-    for l, k, t in cells:
-        eff = effective_angular_momentum(l, k, geom, _couplings(cfg, t))
-        e_closed = energy_ground_free(cfg.m, eff, k)[0]
-        e_comp = energy_from_lambda(nu_ground_free(cfg.m, eff), 1, abs(eff), k)[0]
-        worst = max(worst, abs(e_comp - e_closed) / abs(e_closed))
-    gate("energy_composition", worst, 1e-12)
-
-    # Solver vs closed forms at n = 1.
-    points = []
-    worst = 0.0
-    skipped = 0
-    for l, k, t in cells:
-        coup = _couplings(cfg, t)
-        qn = QuantumNumbers(n=1, l=l, k=k)
-        eff = effective_angular_momentum(l, k, geom, coup)
-        if cfg.scenario == "coulomb" and cfg.b != 0.0:
-            eta = coulomb_eta(eff, cfg.b)
+    cells = [
+        (l, k, t, effective_angular_momentum(l, k, geom, _couplings(cfg, t)))
+        for l in cfg.l
+        for k in cfg.k
+        for t in cfg.flux
+    ]
+    pop = _Population(cfg, geom, cfg.scenario == "coulomb" and cfg.b != 0.0, cells, [])
+    for l, k, t, eff in cells:
+        if pop.coulomb:
             try:
-                closed = energy_ground_coulomb(cfg.m, cfg.b, eta, k)
+                want = sorted(energy_ground_coulomb(cfg.m, cfg.b, coulomb_eta(eff, cfg.b), k))
             except (NoRealSolution, DegenerateDenominator):
-                skipped += 1
+                pop.skipped += 1
                 continue
-            pts = solve_general_n(qn, cfg.m, geom, coup)
+        pts = solve_general_n(QuantumNumbers(n=1, l=l, k=k), cfg.m, geom, _couplings(cfg, t))
+        if pop.coulomb:
             got = sorted(e for p in pts for e in p.energies)
-            want = sorted(closed)
-            for g, w in zip(got, want):
-                worst = max(worst, abs(g - w) / abs(w))
+            errors = [abs(g - w) / abs(w) for g, w in zip(got, want)]
         else:
-            pts = solve_general_n(qn, cfg.m, geom, coup)
             nu_want = nu_ground_free(cfg.m, eff)
-            e_want = energy_ground_free(cfg.m, eff, k)
-            worst = max(worst, abs(pts[0].nu_solved - nu_want) / nu_want)
-            worst = max(worst, abs(pts[0].energies[0] - e_want[0]) / e_want[0])
-        points.extend(pts)
-    gate(
-        "closed_form_agreement",
-        worst,
-        1e-10,
-        note=f"{skipped} cell(s) without real closed form" if skipped else "",
-    )
+            e_want = energy_ground_free(cfg.m, eff, k)[0]
+            nu_error = abs(pts[0].nu_solved - nu_want) / nu_want
+            errors = [nu_error, abs(pts[0].energies[0] - e_want) / e_want]
+        pop.closed_form_error = max([pop.closed_form_error, *errors])
+        pop.points.extend(pts)
+    return pop
 
-    # Coulomb fixed point: E -> nu -> energy relation -> E.
-    if cfg.scenario == "coulomb" and cfg.b != 0.0:
-        worst = 0.0
-        for pt in points:
-            e = pt.energies[0]
-            nu = nu_ground_coulomb(cfg.m, cfg.b, pt.eff_abs, e)
-            back = energy_from_lambda(nu, 1, pt.eff_abs, pt.qn.k)
-            e_back = back[0] if e > 0 else back[1]
-            worst = max(worst, abs(e_back - e) / abs(e))
-        gate("coulomb_fixed_point", worst, 1e-10)
-    else:
-        add("coulomb_fixed_point", "SKIP", None, 1e-10, "no Coulomb coupling configured")
 
-    # Termination cascade on every solved point.
+def _check_energy_composition(pop: _Population):
+    # The two ground-state routes, closed form and lam = 2n relation, must agree.
     worst = 0.0
-    for pt in points:
+    for _, k, _, eff in pop.cells:
+        e_closed = energy_ground_free(pop.cfg.m, eff, k)[0]
+        e_comp = energy_from_lambda(nu_ground_free(pop.cfg.m, eff), 1, abs(eff), k)[0]
+        worst = max(worst, abs(e_comp - e_closed) / abs(e_closed))
+    return worst, 1e-12, ""
+
+
+def _check_closed_form_agreement(pop: _Population):
+    note = f"{pop.skipped} cell(s) without real closed form" if pop.skipped else ""
+    return pop.closed_form_error, 1e-10, note
+
+
+def _check_coulomb_fixed_point(pop: _Population):
+    # E -> nu -> energy relation -> E.
+    if not pop.coulomb:
+        return None, 1e-10, "no Coulomb coupling configured"
+    worst = 0.0
+    for pt in pop.points:
+        e = pt.energies[0]
+        nu = nu_ground_coulomb(pop.cfg.m, pop.cfg.b, pt.eff_abs, e)
+        back = energy_from_lambda(nu, 1, pt.eff_abs, pt.qn.k)
+        e_back = back[0] if e > 0 else back[1]
+        worst = max(worst, abs(e_back - e) / abs(e))
+    return worst, 1e-10, ""
+
+
+def _check_truncation_cascade(pop: _Population):
+    worst = 0.0
+    for pt in pop.points:
         a = pt.wavefunction.coefficients.coeffs
         head = max(abs(a[: pt.qn.n + 1]).max(), 1e-300)
         tail = abs(a[pt.qn.n + 1 :]).max()
         worst = max(worst, tail / head)
-    gate("truncation_cascade", worst, 1e-10)
+    return worst, 1e-10, ""
 
-    # ODE residual, optionally with an injected slope detuning.
+
+def _check_ode_residual(pop: _Population):
+    detune = pop.cfg.detune_nu
     worst = 0.0
-    for pt in points:
-        nu = pt.nu_solved * (1.0 + cfg.detune_nu)
-        e_ref = pt.energies[0]
-        params = heun_params(MassProfile(cfg.m, nu), e_ref, pt.qn.k, cfg.b, pt.eff_abs)
-        if cfg.detune_nu:
-            coeffs = build_coefficients(params, n_max=max(pt.qn.n, 1))
-            wf = RadialWavefunction(coeffs, params.alpha, pt.eff_abs, pt.qn.n)
-        else:
-            wf = pt.wavefunction
-        grid = RadialGrid(0.01, 8.0 * max(1.0, math.sqrt(pt.qn.n + pt.eff_abs)), 2000)
-        worst = max(worst, ode_residual(wf, params, grid))
-    gate(
-        "ode_residual",
-        worst,
-        1e-8,
-        note=f"detune_nu={cfg.detune_nu}" if cfg.detune_nu else "",
-    )
+    for pt in pop.points:
+        worst = max(worst, _ode_residual(pt, pop.cfg.m, pop.cfg.b, detune))
+    return worst, 1e-8, f"detune_nu={detune}" if detune else ""
 
-    # Finite-difference eigenvalue cross-check on the eligible points.
-    eligible = [p for p in points if p.scenario != COULOMB and p.eff_abs >= FD_CHECK_MIN_EFF]
-    ineligible = len(points) - len(eligible)
-    if eligible:
-        worst = 0.0
-        for pt in eligible:
-            mass = MassProfile(cfg.m, pt.nu_solved)
-            target = pt.energies[0] ** 2
-            eigs = fd_eigensolve_free(
-                mass, pt.eff_abs, pt.qn.k, default_fd_grid(mass, pt.qn.n, pt.eff_abs)
-            )
-            nearest = min(eigs, key=lambda x: abs(x - target))
-            worst = max(worst, abs(nearest - target) / target)
-        gate(
-            "fd_match",
-            worst,
-            1e-3,
-            note=f"{ineligible} point(s) skipped (|eff| < {FD_CHECK_MIN_EFF})"
-            if ineligible
-            else "",
-        )
-    else:
-        add(
-            "fd_match",
-            "SKIP",
-            None,
-            1e-3,
+
+def _check_fd_match(pop: _Population):
+    eligible = [
+        p for p in pop.points if p.scenario != COULOMB and p.eff_abs >= FD_CHECK_MIN_EFF
+    ]
+    if not eligible:
+        return None, 1e-3, (
             "no eligible points: the check covers "
-            f"|eff| >= {FD_CHECK_MIN_EFF} in non-Coulomb scenarios",
+            f"|eff| >= {FD_CHECK_MIN_EFF} in non-Coulomb scenarios"
         )
+    worst = 0.0
+    for pt in eligible:
+        worst = max(worst, _fd_match(pt, pop.cfg.m))
+    ineligible = len(pop.points) - len(eligible)
+    note = f"{ineligible} point(s) skipped (|eff| < {FD_CHECK_MIN_EFF})" if ineligible else ""
+    return worst, 1e-3, note
 
+
+def _check_minkowski_reduction(pop: _Population):
     # k = 0 spectra must not depend on the torsion parameter at all.
-    k0 = [(l, t) for l in cfg.l for t in cfg.flux]
-    mism = 0
-    for l, t in k0:
-        coup = _couplings(cfg, t)
-        qn = QuantumNumbers(n=1, l=l, k=0.0)
-        a = solve_general_n(qn, cfg.m, geom, coup)
-        b_ = solve_general_n(qn, cfg.m, DefectGeometry(chi=cfg.chi + 0.5), coup)
-        for pa, pb in zip(a, b_):
-            if pa.nu_solved != pb.nu_solved or pa.energies != pb.energies:
-                mism += 1
-    add(
-        "minkowski_reduction",
-        "PASS" if mism == 0 else "FAIL",
-        float(mism),
-        0.5,
-        "k=0 spectra compared bitwise across torsion values",
-    )
+    cfg = pop.cfg
+    mismatches = 0
+    for l in cfg.l:
+        for t in cfg.flux:
+            coup = _couplings(cfg, t)
+            qn = QuantumNumbers(n=1, l=l, k=0.0)
+            a = solve_general_n(qn, cfg.m, pop.geom, coup)
+            b = solve_general_n(qn, cfg.m, DefectGeometry(chi=cfg.chi + 0.5), coup)
+            for pa, pb in zip(a, b):
+                if pa.nu_solved != pb.nu_solved or pa.energies != pb.energies:
+                    mismatches += 1
+    return float(mismatches), 0.5, "k=0 spectra compared bitwise across torsion values"
 
-    # Flux-scenario checks.
-    if cfg.scenario == "ab":
-        worst = 0.0
-        for l, k, t in cells:
-            e1 = energy_ground_free(
-                cfg.m,
-                effective_angular_momentum(l, k, geom, _couplings(cfg, t + 1.0)),
-                k,
-            )[0]
-            e2 = energy_ground_free(
-                cfg.m,
-                effective_angular_momentum(l + 1, k, geom, _couplings(cfg, t)),
-                k,
-            )[0]
-            worst = max(worst, abs(e1 - e2))
-        gate("flux_periodicity", worst, 1e-12)
 
-        worst = 0.0
-        used = 0
-        for l, k, t in cells:
-            sigma = effective_angular_momentum(l, k, geom, _couplings(cfg, t))
-            if abs(sigma) <= 10.0 * CURRENT_STEP_T:
-                continue
-            used += 1
-            analytic = persistent_current_ground(cfg.m, k, sigma, cfg.q, 1)
+def _check_flux_periodicity(pop: _Population):
+    # One flux quantum reproduces the l + 1 ground state.
+    cfg = pop.cfg
+    if cfg.scenario != "ab":
+        return None, 1e-12, "flux scenario not configured"
+    worst = 0.0
+    for l, k, t, _ in pop.cells:
+        shifted = effective_angular_momentum(l, k, pop.geom, _couplings(cfg, t + 1.0))
+        raised = effective_angular_momentum(l + 1, k, pop.geom, _couplings(cfg, t))
+        e1 = energy_ground_free(cfg.m, shifted, k)[0]
+        e2 = energy_ground_free(cfg.m, raised, k)[0]
+        worst = max(worst, abs(e1 - e2))
+    return worst, 1e-12, ""
 
-            def energy_at(phi_B: float, l=l, k=k) -> float:
-                coup = Couplings(b=0.0, q=cfg.q, phi_B=phi_B)
-                return energy_ground_free(
-                    cfg.m, effective_angular_momentum(l, k, geom, coup), k
-                )[0]
 
-            numeric = persistent_current_numeric(
-                energy_at, t * TWO_PI / cfg.q, CURRENT_STEP_T * TWO_PI / cfg.q
-            )
-            worst = max(worst, abs(numeric - analytic) / abs(analytic))
-        if used:
-            gate("current_agreement", worst, 1e-8, note=f"{used} flux point(s)")
-        else:
-            add("current_agreement", "SKIP", None, 1e-8, "all flux points sit on the kink")
-    else:
-        add("flux_periodicity", "SKIP", None, 1e-12, "flux scenario not configured")
-        add("current_agreement", "SKIP", None, 1e-8, "flux scenario not configured")
+def _check_current_agreement(pop: _Population):
+    cfg = pop.cfg
+    if cfg.scenario != "ab":
+        return None, 1e-8, "flux scenario not configured"
+    worst = 0.0
+    used = 0
+    for l, k, t, sigma in pop.cells:
+        if abs(sigma) <= 10.0 * CURRENT_STEP_T:
+            continue
+        used += 1
+        analytic = persistent_current_ground(cfg.m, k, sigma, cfg.q, 1)
+        numeric = _numeric_current(cfg, 1, l, k, t, 1)
+        worst = max(worst, abs(numeric - analytic) / abs(analytic))
+    if not used:
+        return None, 1e-8, "all flux points sit on the kink"
+    return worst, 1e-8, f"{used} flux point(s)"
 
-    return checks
+
+# verify's checks in print order.  Each returns (measured, threshold, note);
+# measured None means SKIP, otherwise the check passes when measured < threshold.
+_VERIFY_CHECKS = [
+    ("energy_composition", _check_energy_composition),
+    ("closed_form_agreement", _check_closed_form_agreement),
+    ("coulomb_fixed_point", _check_coulomb_fixed_point),
+    ("truncation_cascade", _check_truncation_cascade),
+    ("ode_residual", _check_ode_residual),
+    ("fd_match", _check_fd_match),
+    ("minkowski_reduction", _check_minkowski_reduction),
+    ("flux_periodicity", _check_flux_periodicity),
+    ("current_agreement", _check_current_agreement),
+]
 
 
 def cmd_verify(cfg: RunConfig, out: io.TextIOBase, err: io.TextIOBase) -> int:
-    checks = _verify_checks(cfg)
-    width = max(len(c["name"]) for c in checks)
-    for c in checks:
-        measured = "-" if c["measured"] is None else "%.3e" % c["measured"]
-        line = f"{c['status']:<4} {c['name']:<{width}} measured={measured} threshold={c['threshold']:.1e}"
-        if c["note"]:
-            line += f"  ({c['note']})"
-        print(line, file=out)
-    n_pass = sum(1 for c in checks if c["status"] == "PASS")
-    n_fail = sum(1 for c in checks if c["status"] == "FAIL")
-    n_skip = sum(1 for c in checks if c["status"] == "SKIP")
-    print(f"{n_pass} passed, {n_fail} failed, {n_skip} skipped", file=out)
-    return EXIT_OK if n_fail == 0 else EXIT_VERIFY
+    pop = _solve_population(cfg)
+    # Every check runs before anything prints, so a solver error leaves no partial table.
+    results = [(name, *check(pop)) for name, check in _VERIFY_CHECKS]
+    width = max(len(name) for name, _ in _VERIFY_CHECKS)
+    statuses = []
+    for name, measured, threshold, note in results:
+        status = "SKIP" if measured is None else "PASS" if measured < threshold else "FAIL"
+        statuses.append(status)
+        shown = "-" if measured is None else "%.3e" % measured
+        line = f"{status:<4} {name:<{width}} measured={shown} threshold={threshold:.1e}"
+        print(line + (f"  ({note})" if note else ""), file=out)
+    counts = [statuses.count(s) for s in ("PASS", "FAIL", "SKIP")]
+    print("%d passed, %d failed, %d skipped" % tuple(counts), file=out)
+    return EXIT_OK if "FAIL" not in statuses else EXIT_VERIFY
 
 
 def emit(rows: list[dict], columns: list[str], fmt: str, out: io.TextIOBase) -> None:
@@ -705,30 +688,26 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         cfg = build_config(args)
-    except UsageError as exc:
-        print(f"dislospec: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    sink = open(cfg.out, "w", encoding="utf-8", newline="") if cfg.out else sys.stdout
-    try:
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg, sink, sys.stderr)
-        if args.command == "current":
-            return cmd_current(cfg, sink, sys.stderr)
-        return cmd_verify(cfg, sink, sys.stderr)
-    except UsageError as exc:
+        sink = contextlib.nullcontext(sys.stdout)
+        if cfg.out:
+            sink = open(cfg.out, "w", encoding="utf-8", newline="")
+        with sink as out:
+            if args.command == "spectrum":
+                return cmd_spectrum(cfg, out, sys.stderr)
+            if args.command == "current":
+                return cmd_current(cfg, out, sys.stderr)
+            return cmd_verify(cfg, out, sys.stderr)
+    # The commands do no I/O but their output, so an OSError means the
+    # output cannot be opened or written, which is a usage error like a bad flag.
+    except (UsageError, OSError) as exc:
         print(f"dislospec: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NoRoots, NoRealSolution, DegenerateDenominator) as exc:
         print(f"dislospec: solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    finally:
-        if cfg.out:
-            sink.close()
 
 
 if __name__ == "__main__":

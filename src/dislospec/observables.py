@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
-from .core import TWO_PI, QuantumNumbers
+from .core import TWO_PI
 from .errors import KinkDetected, UndefinedAtZeroFlux
 
 ZERO_SIGMA_TOL = 1e-14
@@ -27,16 +26,6 @@ DEFAULT_FLUX_STEP = TWO_PI * 1e-5
 # One-sided slopes across the stencil differing by more than this relative
 # jump are treated as a kink.
 KINK_SLOPE_JUMP = 0.02
-
-
-@dataclass(frozen=True)
-class CurrentPoint:
-    """Current carried by one state at one flux value, finite wherever sigma != 0."""
-
-    qn: QuantumNumbers
-    phi_B: float
-    current: float
-    branch: int
 
 
 def persistent_current_ground(

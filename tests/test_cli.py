@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -312,6 +313,92 @@ class TestConfigAndOutput:
         assert run_cli(capsys, *args, "--out", str(f1))[0] == EXIT_OK
         assert run_cli(capsys, *args, "--out", str(f2))[0] == EXIT_OK
         assert f1.read_bytes() == f2.read_bytes()
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize("scenario", ["free", "coulomb", "ab"])
+    def test_zero_charge_is_usage_error(self, capsys, scenario):
+        code, _, err = run_cli(capsys, "spectrum", "--scenario", scenario, "--q", "0")
+        assert code == EXIT_USAGE
+        assert "q must be nonzero" in err
+
+    @pytest.mark.parametrize("q", ["-1", "-2.5"])
+    def test_negative_charge_current(self, capsys, q):
+        args = ["--scenario", "ab", "--flux", "0.3", "--l", "0", "--k", "0", "--q", q]
+        code, out, _ = run_cli(capsys, "current", *args)
+        assert code == EXIT_OK
+        row = read_csv(out)[0]
+        assert row["status"] == "OK"
+        assert float(row["abs_discrepancy"]) < 1e-8 * abs(float(row["current_analytic"]))
+        code, out, _ = run_cli(capsys, "verify", *args)
+        assert code == EXIT_OK
+        assert "PASS current_agreement" in out
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--k", "nan"),
+            ("--k", "inf"),
+            ("--flux", "nan"),
+            ("--flux", "0:inf:0.5"),
+            ("--chi", "inf"),
+            ("--m", "inf"),
+        ],
+    )
+    def test_non_finite_value_is_usage_error(self, capsys, flag, value):
+        code, _, err = run_cli(capsys, "spectrum", "--scenario", "ab", "--l", "0", flag, value)
+        assert code == EXIT_USAGE
+        assert "dislospec: error:" in err
+
+    def test_non_finite_config_value_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"b": Infinity}')
+        code, _, _ = run_cli(capsys, "spectrum", "--scenario", "coulomb", "--config", str(cfg))
+        assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("text", [None, "{not json", "\xff"])
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.json"
+        if text is not None:
+            cfg.write_bytes(text.encode("latin-1"))
+        assert main(["spectrum", "--config", str(cfg)]) == EXIT_USAGE
+        assert "dislospec: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            ".",
+            "missing/rows.csv",
+            pytest.param(
+                "/dev/full",
+                marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+            ),
+        ],
+    )
+    def test_unusable_out_is_usage_error(self, tmp_path, capsys, target):
+        out = tmp_path / target  # an absolute target replaces tmp_path
+        assert main(["spectrum", "--l", "0", "--k", "0", "--out", str(out)]) == EXIT_USAGE
+        assert "dislospec: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_config_flags_must_be_json_booleans(self, capsys, tmp_path, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"l": "0", "k": [0], "oracle": value}))
+        code, _, err = run_cli(capsys, "spectrum", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert "true or false" in err
+        cfg.write_text(json.dumps({"l": "0", "k": [0], "absolute": value}))
+        assert run_cli(capsys, "spectrum", "--config", str(cfg))[0] == EXIT_USAGE
+
+    def test_config_flags_take_json_booleans(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"l": "0", "k": [0], "oracle": False, "absolute": True}))
+        code, out, _ = run_cli(capsys, "spectrum", "--config", str(cfg))
+        assert code == EXIT_OK
+        assert "fd_match" not in out.splitlines()[0]
+        cfg.write_text(json.dumps({"l": "0", "k": [0], "oracle": True}))
+        code, out, _ = run_cli(capsys, "spectrum", "--config", str(cfg))
+        assert out.splitlines()[0].endswith("ode_residual,fd_match")
 
 
 class TestEntryPoint:

@@ -5,10 +5,8 @@ import pytest
 
 from dislospec import (
     Couplings,
-    CurrentPoint,
     DefectGeometry,
     KinkDetected,
-    QuantumNumbers,
     UndefinedAtZeroFlux,
     effective_angular_momentum,
     energy_ground_free,
@@ -131,10 +129,3 @@ class TestNumericDerivative:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             persistent_current_numeric(lambda phi: 1.0, 0.0, 0.0)
-
-
-class TestCurrentPoint:
-    def test_carries_fields(self):
-        pt = CurrentPoint(QuantumNumbers(1, 0, 0.0), 0.5 * TWO_PI, -0.226, 1)
-        assert pt.qn.n == 1
-        assert pt.branch == 1
