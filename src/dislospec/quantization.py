@@ -263,16 +263,15 @@ def solve_general_n(
     *,
     alpha_min: float = ALPHA_MIN,
     alpha_max: float = ALPHA_MAX,
-    n_max: int = DEFAULT_N_MAX,
 ) -> list[SpectrumPoint]:
     """All bound states of radial index qn.n for the configured scenario.
 
     The slope constraint is solved as an eigenproblem in alpha = 2m/sqrt(nu)
     (see the module docstring), which returns every root at once; the roots
     in [alpha_min, alpha_max] are kept.  Each kept root runs the recurrence
-    once, and a relative a_{n+1} above 1e-12 raises NoRoots.  The nu > 0
-    states are returned sorted ascending in nu (the physics does not single
-    one out for n >= 2).  The Coulomb scenario solves the +E and -E branches
+    once, and a relative a_{n+1} above 1e-12, or NaN, raises NoRoots.  The
+    nu > 0 states are returned sorted ascending in nu (the physics does not
+    single one out for n >= 2).  The Coulomb scenario solves the +E and -E branches
     separately since the constraint sees the sign of E through mu; free and
     flux scenarios are sign-blind and carry the full +-E pair per root.
     """
@@ -305,12 +304,12 @@ def solve_general_n(
                 e_for_mu = e_pair[0] if sign > 0 else e_pair[1]
                 energies = (e_for_mu,)
             params = heun_params(MassProfile(mass_m, nu), e_for_mu, qn.k, coup.b, eff_abs)
-            coeffs = build_coefficients(params, n_max=max(n_max, n + 1))
+            coeffs = build_coefficients(params, n_max=max(DEFAULT_N_MAX, n + 1))
             head = float(np.max(np.abs(coeffs.coeffs[: n + 1])))
             trunc_rel = abs(float(coeffs.coeffs[n + 1])) / head
-            if trunc_rel > 1e-12:
+            if not trunc_rel <= 1e-12:  # a NaN residual fails too
                 raise NoRoots(
-                    f"root polish failed at alpha={alpha_root!r}: "
+                    f"root polish failed at alpha={float(alpha_root)!r}: "
                     f"relative truncation residual {trunc_rel:.3e}"
                 )
             wf = RadialWavefunction(

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import sys
 
 import pytest
 
+from dislospec import cli
 from dislospec.cli import (
     EXIT_OK,
     EXIT_SOLVER,
@@ -19,6 +21,9 @@ from dislospec.cli import (
     parse_int_range,
     parse_float_list,
 )
+from dislospec.core import MassProfile, heun_params
+from dislospec.heun import RadialWavefunction, build_coefficients
+from dislospec.quantization import solve_general_n
 
 
 def run_cli(capsys, *argv):
@@ -146,6 +151,15 @@ class TestSpectrum:
             assert float(row["ode_residual"]) < 1e-8
             assert row["fd_match"] == ""
 
+    def test_nan_truncation_residual_is_no_roots(self, capsys):
+        # k = 1e160 overflows E to inf and the truncation residual to NaN.
+        code, out, err = run_cli(
+            capsys, "spectrum", "--scenario", "free", "--l", "0", "--k", "1e160"
+        )
+        assert code == EXIT_SOLVER
+        assert read_csv(out)[0]["status"] == "NO_ROOTS"
+        assert "NO_ROOTS" in err
+
     def test_free_with_coulomb_coupling_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--scenario", "free", "--b", "0.1")
         assert code == EXIT_USAGE
@@ -219,13 +233,42 @@ class TestVerify:
         assert "failed" in out
         assert "FAIL" not in out
 
-    def test_detuned_slope_fails(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--scenario", "free", "--detune-nu", "0.01"
-        )
+    def test_detuned_slope_fails(self, capsys, monkeypatch):
+        # Give each solved state the polynomial of a 1% detuned slope, as
+        # acceptance criterion 3 does.  The series keeps the solver's length
+        # so that the truncation cascade still has a tail to measure.
+        def detuned_solve(qn, m, geom, coup):
+            points = []
+            for pt in solve_general_n(qn, m, geom, coup):
+                mass = MassProfile(m, pt.nu_solved * 1.01)
+                params = heun_params(mass, pt.energies[0], qn.k, coup.b, pt.eff_abs)
+                coeffs = build_coefficients(params, n_max=pt.wavefunction.coefficients.n_max)
+                wf = RadialWavefunction(coeffs, params.alpha, pt.eff_abs, qn.n)
+                points.append(dataclasses.replace(pt, wavefunction=wf))
+            return points
+
+        monkeypatch.setattr(cli, "solve_general_n", detuned_solve)
+        code, out, _ = run_cli(capsys, "verify", "--scenario", "free")
         assert code == EXIT_VERIFY
         assert "FAIL" in out
-        assert "ode_residual" in out
+        assert "FAIL ode_residual" in out
+
+    def test_nan_measurement_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ode_residual", lambda *args: math.nan)
+        code, out, _ = run_cli(capsys, "verify", "--scenario", "free")
+        assert code == EXIT_VERIFY
+        line = next(x for x in out.splitlines() if " ode_residual " in x)
+        assert line.startswith("FAIL ode_residual")
+        assert "measured=nan" in line
+
+    def test_nan_truncation_residual_is_solver_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--scenario", "free", "--m", "1e155", "--l", "0", "--k", "1"
+        )
+        assert code == EXIT_SOLVER
+        assert out == ""
+        assert "dislospec: solver error:" in err
+        assert "np.float64" not in err
 
     def test_flux_scenario_runs_current_checks(self, capsys):
         code, out, _ = run_cli(
@@ -389,6 +432,45 @@ class TestRejectedInput:
         assert "true or false" in err
         cfg.write_text(json.dumps({"l": "0", "k": [0], "absolute": value}))
         assert run_cli(capsys, "spectrum", "--config", str(cfg))[0] == EXIT_USAGE
+
+    @pytest.mark.parametrize("values", [{"out": 1}, {"out": True}, {"scenario": ["free"]}])
+    def test_config_strings_must_be_json_strings(self, tmp_path, values):
+        # A child process: an integer out would name this process's fd 1.
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"l": "0", "k": [0], **values}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dislospec", "spectrum", "--config", str(cfg)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert "must be strings" in proc.stderr
+
+    def test_detune_nu_is_not_an_option(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--detune-nu", "0.01"])
+        assert exc.value.code == EXIT_USAGE
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"detune_nu": 0.01}))
+        code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert "unknown config keys" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "spectrum --scenario free --m 1e-200 --l 0 --k 1",
+            "spectrum --scenario coulomb --b 1e200 --l 0 --k 0",
+            "spectrum --scenario coulomb --b 1e-300 --l 0 --k 1",
+            "current --scenario ab --m 1e-162 --l 0 --k 0 --flux 0.5",
+        ],
+    )
+    def test_arithmetic_failure_is_solver_error(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv.split())
+        assert code == EXIT_SOLVER
+        assert "dislospec: solver error:" in err
+        assert "Traceback" not in err
 
     def test_config_flags_take_json_booleans(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
