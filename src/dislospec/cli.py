@@ -6,8 +6,9 @@ Three subcommands:
   energies, optionally with oracle columns.
 * current  - persistent current per flux point, analytic (lowest state)
   against the central flux derivative of the solved spectrum.
-* verify   - solves the n = 1 states at the configured parameters once and
-  runs a table of invariant checks on them, one PASS/FAIL/SKIP line each.
+* verify   - solves the states of every configured n and cell once and runs
+  a table of invariant checks on them, one PASS/FAIL/SKIP line each.  The
+  closed-form, Coulomb fixed-point and current checks cover n = 1 only.
 
 Flux is configured as the dimensionless ratio q*Phi_B/(2 pi) everywhere.
 Energies are reported in units of m unless --absolute is given; slopes are
@@ -29,8 +30,9 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -246,6 +248,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError("radial index n must be >= 1")
     if cfg.scenario == "free" and (cfg.b != 0.0 or any(t != 0.0 for t in cfg.flux)):
         raise UsageError("scenario 'free' requires b = 0 and zero flux")
+    if cfg.scenario == "ab" and cfg.b != 0.0:  # the flux current and closed forms take b = 0
+        raise UsageError("scenario 'ab' requires b = 0")
     return cfg
 
 
@@ -279,44 +283,36 @@ def _fd_match(pt, m: float) -> float:
     return abs(nearest - target) / abs(target)
 
 
-def _spectrum_rows_for(cfg: RunConfig, n: int, l: int, k: float, t: float) -> list[dict]:
-    qn = QuantumNumbers(n=n, l=l, k=k)
-    coup = _couplings(cfg, t)
+def _solve_cell(cfg: RunConfig, n: int, l: int, k: float, t: float) -> list:
+    """Every solved state of one (n, l, k, flux) cell.  A Coulomb n = 1 cell whose
+    closed form has no real branch raises NoRealSolution or DegenerateDenominator
+    before any solve; the solver raises NoRoots."""
     geom = DefectGeometry(chi=cfg.chi)
+    coup = _couplings(cfg, t)
+    if cfg.scenario == "coulomb" and n == 1:
+        eff = effective_angular_momentum(l, k, geom, coup)
+        energy_ground_coulomb(cfg.m, cfg.b, coulomb_eta(eff, cfg.b), k)
+    return solve_general_n(QuantumNumbers(n=n, l=l, k=k), cfg.m, geom, coup)
+
+
+# The status row of a cell with no solved state, by the exception that says why.
+_NO_STATE_STATUS = {
+    NoRealSolution: "NO_REAL_SOLUTION",
+    DegenerateDenominator: "DEGENERATE_DENOMINATOR",
+    NoRoots: "NO_ROOTS",
+}
+
+
+def _spectrum_rows_for(cfg: RunConfig, n: int, l: int, k: float, t: float) -> list[dict]:
     scale = 1.0 if cfg.absolute else cfg.m
     base = {"n": n, "l": l, "k": k, "flux": t}
-
-    def error_row(status: str) -> dict:
-        row = dict(base)
-        row.update(
-            scenario=cfg.scenario,
-            root_index=0,
-            branch="",
-            eff_momentum=effective_angular_momentum(l, k, geom, coup),
-            nu_solved=None,
-            e_plus=None,
-            e_minus=None,
-            truncation_residual=None,
-            status=status,
-            ode_residual=None,
-            fd_match=None,
-        )
-        return row
-
-    if cfg.scenario == "coulomb" and n == 1:
-        # Classify closed-form failures before solving.
-        eff = effective_angular_momentum(l, k, geom, coup)
-        try:
-            energy_ground_coulomb(cfg.m, cfg.b, coulomb_eta(eff, cfg.b), k)
-        except NoRealSolution:
-            return [error_row("NO_REAL_SOLUTION")]
-        except DegenerateDenominator:
-            return [error_row("DEGENERATE_DENOMINATOR")]
-
     try:
-        points = solve_general_n(qn, cfg.m, geom, coup)
-    except NoRoots:
-        return [error_row("NO_ROOTS")]
+        points = _solve_cell(cfg, n, l, k, t)
+    except tuple(_NO_STATE_STATUS) as exc:
+        eff = effective_angular_momentum(l, k, DefectGeometry(chi=cfg.chi), _couplings(cfg, t))
+        row = dict(base, scenario=cfg.scenario, root_index=0, branch="", eff_momentum=eff)
+        blank = ("nu_solved", "e_plus", "e_minus", "truncation_residual", *ORACLE_COLUMNS)
+        return [dict(row, status=_NO_STATE_STATUS[type(exc)], **dict.fromkeys(blank))]
 
     rows = []
     for idx, pt in enumerate(points):
@@ -347,14 +343,8 @@ def _spectrum_rows_for(cfg: RunConfig, n: int, l: int, k: float, t: float) -> li
 
 
 def cmd_spectrum(cfg: RunConfig, out: io.TextIOBase, err: io.TextIOBase) -> int:
-    rows = [
-        row
-        for n in cfg.n
-        for l in cfg.l
-        for k in cfg.k
-        for t in cfg.flux
-        for row in _spectrum_rows_for(cfg, n, l, k, t)
-    ]
+    cells = product(cfg.n, cfg.l, cfg.k, cfg.flux)
+    rows = [row for cell in cells for row in _spectrum_rows_for(cfg, *cell)]
     rows.sort(key=lambda r: (r["n"], r["l"], r["k"], r["flux"], r["root_index"]))
 
     columns = SPECTRUM_COLUMNS + (ORACLE_COLUMNS if cfg.oracle else [])
@@ -423,13 +413,7 @@ def _current_row(cfg: RunConfig, n: int, l: int, k: float, t: float) -> dict:
 def cmd_current(cfg: RunConfig, out: io.TextIOBase, err: io.TextIOBase) -> int:
     if cfg.scenario != "ab":
         raise UsageError("current requires --scenario ab")
-    rows = [
-        _current_row(cfg, n, l, k, t)
-        for n in cfg.n
-        for l in cfg.l
-        for k in cfg.k
-        for t in cfg.flux
-    ]
+    rows = [_current_row(cfg, *cell) for cell in product(cfg.n, cfg.l, cfg.k, cfg.flux)]
     rows.sort(key=lambda r: (r["n"], r["l"], r["k"], r["flux"]))
     emit(rows, CURRENT_COLUMNS, cfg.format, out)
     return EXIT_OK
@@ -437,44 +421,37 @@ def cmd_current(cfg: RunConfig, out: io.TextIOBase, err: io.TextIOBase) -> int:
 
 @dataclass
 class _Population:
-    """verify's n = 1 states, solved once, and what solving them measured."""
+    """verify's states for every configured n and cell, solved once."""
 
     cfg: RunConfig
     geom: DefectGeometry
     coulomb: bool
     cells: list  # (l, k, t, effective momentum) for every configured cell
-    points: list
-    closed_form_errors: list = field(default_factory=list)
-    skipped: int = 0  # Coulomb cells with no real closed form, hence not solved
+    solved: dict  # n -> [(cell, states)] for every configured n
+    skipped: int = 0  # Coulomb n = 1 cells with no real closed form, hence not solved
+
+    @property
+    def points(self) -> list:
+        return [pt for by_cell in self.solved.values() for _, pts in by_cell for pt in pts]
+
+
+# The note of a check that covers only n = 1, where the closed forms hold.
+_NO_GROUND = "n = 1 not configured; the closed forms cover n = 1 only"
 
 
 def _solve_population(cfg: RunConfig) -> _Population:
     geom = DefectGeometry(chi=cfg.chi)
     cells = [
         (l, k, t, effective_angular_momentum(l, k, geom, _couplings(cfg, t)))
-        for l in cfg.l
-        for k in cfg.k
-        for t in cfg.flux
+        for l, k, t in product(cfg.l, cfg.k, cfg.flux)
     ]
-    pop = _Population(cfg, geom, cfg.scenario == "coulomb" and cfg.b != 0.0, cells, [])
-    for l, k, t, eff in cells:
-        if pop.coulomb:
-            try:
-                want = sorted(energy_ground_coulomb(cfg.m, cfg.b, coulomb_eta(eff, cfg.b), k))
-            except (NoRealSolution, DegenerateDenominator):
-                pop.skipped += 1
-                continue
-        pts = solve_general_n(QuantumNumbers(n=1, l=l, k=k), cfg.m, geom, _couplings(cfg, t))
-        if pop.coulomb:
-            got = sorted(e for p in pts for e in p.energies)
-            errors = [abs(g - w) / abs(w) for g, w in zip(got, want)]
-        else:
-            nu_want = nu_ground_free(cfg.m, eff)
-            e_want = energy_ground_free(cfg.m, eff, k)[0]
-            nu_error = abs(pts[0].nu_solved - nu_want) / nu_want
-            errors = [nu_error, abs(pts[0].energies[0] - e_want) / e_want]
-        pop.closed_form_errors.extend(errors)
-        pop.points.extend(pts)
+    coulomb = cfg.scenario == "coulomb" and cfg.b != 0.0
+    pop = _Population(cfg, geom, coulomb, cells, {n: [] for n in cfg.n})
+    for n, cell in product(cfg.n, cells):
+        try:
+            pop.solved[n].append((cell, _solve_cell(cfg, n, *cell[:3])))
+        except (NoRealSolution, DegenerateDenominator):
+            pop.skipped += 1
     return pop
 
 
@@ -489,16 +466,32 @@ def _check_energy_composition(pop: _Population):
 
 
 def _check_closed_form_agreement(pop: _Population):
+    cfg = pop.cfg
+    if 1 not in cfg.n:
+        return None, 1e-10, _NO_GROUND
+    errors = []
+    for (_, k, _, eff), pts in pop.solved[1]:
+        if pop.coulomb:
+            want = sorted(energy_ground_coulomb(cfg.m, cfg.b, coulomb_eta(eff, cfg.b), k))
+            got = sorted(e for p in pts for e in p.energies)
+            errors.extend(abs(g - w) / abs(w) for g, w in zip(got, want))
+        else:
+            nu_want = nu_ground_free(cfg.m, eff)
+            e_want = energy_ground_free(cfg.m, eff, k)[0]
+            errors.append(abs(pts[0].nu_solved - nu_want) / nu_want)
+            errors.append(abs(pts[0].energies[0] - e_want) / e_want)
     note = f"{pop.skipped} cell(s) without real closed form" if pop.skipped else ""
-    return pop.closed_form_errors, 1e-10, note
+    return errors, 1e-10, note
 
 
 def _check_coulomb_fixed_point(pop: _Population):
     # E -> nu -> energy relation -> E.
     if not pop.coulomb:
         return None, 1e-10, "no Coulomb coupling configured"
+    if 1 not in pop.cfg.n:
+        return None, 1e-10, _NO_GROUND
     errors = []
-    for pt in pop.points:
+    for pt in (p for _, pts in pop.solved[1] for p in pts):
         e = pt.energies[0]
         nu = nu_ground_coulomb(pop.cfg.m, pop.cfg.b, pt.eff_abs, e)
         back = energy_from_lambda(nu, 1, pt.eff_abs, pt.qn.k)
@@ -538,30 +531,29 @@ def _check_minkowski_reduction(pop: _Population):
     # k = 0 spectra must not depend on the torsion parameter at all.
     cfg = pop.cfg
     mismatches = 0
-    for l in cfg.l:
-        for t in cfg.flux:
-            coup = _couplings(cfg, t)
-            qn = QuantumNumbers(n=1, l=l, k=0.0)
-            a = solve_general_n(qn, cfg.m, pop.geom, coup)
-            b = solve_general_n(qn, cfg.m, DefectGeometry(chi=cfg.chi + 0.5), coup)
-            for pa, pb in zip(a, b):
-                if pa.nu_solved != pb.nu_solved or pa.energies != pb.energies:
-                    mismatches += 1
+    for n, l, t in product(cfg.n, cfg.l, cfg.flux):
+        coup = _couplings(cfg, t)
+        qn = QuantumNumbers(n=n, l=l, k=0.0)
+        a = solve_general_n(qn, cfg.m, pop.geom, coup)
+        b = solve_general_n(qn, cfg.m, DefectGeometry(chi=cfg.chi + 0.5), coup)
+        for pa, pb in zip(a, b):
+            if pa.nu_solved != pb.nu_solved or pa.energies != pb.energies:
+                mismatches += 1
     return [float(mismatches)], 0.5, "k=0 spectra compared bitwise across torsion values"
 
 
 def _check_flux_periodicity(pop: _Population):
-    # One flux quantum reproduces the l + 1 ground state.
+    # One flux quantum reproduces the l + 1 spectrum, root by root.
     cfg = pop.cfg
     if cfg.scenario != "ab":
         return None, 1e-12, "flux scenario not configured"
     gaps = []
-    for l, k, t, _ in pop.cells:
-        shifted = effective_angular_momentum(l, k, pop.geom, _couplings(cfg, t + 1.0))
-        raised = effective_angular_momentum(l + 1, k, pop.geom, _couplings(cfg, t))
-        e1 = energy_ground_free(cfg.m, shifted, k)[0]
-        e2 = energy_ground_free(cfg.m, raised, k)[0]
-        gaps.append(abs(e1 - e2))
+    for n, (l, k, t, _) in product(cfg.n, pop.cells):
+        shifted = _solve_cell(cfg, n, l, k, t + 1.0)
+        raised = _solve_cell(cfg, n, l + 1, k, t)
+        if len(shifted) != len(raised):
+            gaps.append(math.inf)
+        gaps.extend(abs(a.nu_solved - b.nu_solved) / b.nu_solved for a, b in zip(shifted, raised))
     return gaps, 1e-12, ""
 
 
@@ -569,13 +561,15 @@ def _check_current_agreement(pop: _Population):
     cfg = pop.cfg
     if cfg.scenario != "ab":
         return None, 1e-8, "flux scenario not configured"
+    if 1 not in cfg.n:
+        return None, 1e-8, _NO_GROUND
     errors = []
     for l, k, t, sigma in pop.cells:
         if abs(sigma) <= 10.0 * CURRENT_STEP_T:
             continue
-        analytic = persistent_current_ground(cfg.m, k, sigma, cfg.q, 1)
-        numeric = _numeric_current(cfg, 1, l, k, t, 1)
-        errors.append(abs(numeric - analytic) / abs(analytic))
+        row = _current_row(cfg, 1, l, k, t)
+        disc = row["abs_discrepancy"]  # None on a KINK row, which reads NaN and fails
+        errors.append(math.nan if disc is None else disc / abs(row["current_analytic"]))
     if not errors:
         return None, 1e-8, "all flux points sit on the kink"
     return errors, 1e-8, f"{len(errors)} flux point(s)"

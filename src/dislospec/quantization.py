@@ -229,11 +229,11 @@ def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list
             alpha -= step
             if abs(step) <= NEWTON_RTOL * abs(alpha):
                 break
-        return alpha
+        return float(alpha)
 
     lam0 = eigvalsh_tridiagonal(c * math.sqrt(big_a) / d, off)
     if c == 0.0 or big_b == 0.0:  # constant mu
-        return list(lam0)
+        return lam0.tolist()
     if abs(c) * math.sqrt(big_b) < d[0]:  # kappa < 1: one root per eigen-branch
         return [polish(a, i) for i, a in enumerate(lam0)]
 
@@ -309,7 +309,7 @@ def solve_general_n(
             trunc_rel = abs(float(coeffs.coeffs[n + 1])) / head
             if not trunc_rel <= 1e-12:  # a NaN residual fails too
                 raise NoRoots(
-                    f"root polish failed at alpha={float(alpha_root)!r}: "
+                    f"root polish failed at alpha={alpha_root!r}: "
                     f"relative truncation residual {trunc_rel:.3e}"
                 )
             wf = RadialWavefunction(

@@ -287,6 +287,76 @@ class TestVerify:
         assert "coulomb_fixed_point" in out
         assert "FAIL" not in out
 
+    def test_detuned_excited_states_fail(self, capsys, monkeypatch):
+        # Detune only the n >= 2 states, which an n = 1-only suite never solves.
+        def detuned_solve(qn, m, geom, coup):
+            points = solve_general_n(qn, m, geom, coup)
+            return points if qn.n < 2 else [_detuned(pt, m, coup) for pt in points]
+
+        monkeypatch.setattr(cli, "solve_general_n", detuned_solve)
+        code, out, _ = run_cli(capsys, "verify", "--scenario", "free", "--n", "1..2")
+        assert code == EXIT_VERIFY
+        assert "FAIL ode_residual" in out
+
+    @pytest.mark.parametrize(
+        "perturb,measured",
+        [
+            (lambda pts: [dataclasses.replace(p, nu_solved=p.nu_solved * (1 + 1e-9)) for p in pts],
+             "1.000e-09"),
+            (lambda pts: pts[:-1], "inf"),  # a lost root is an infinite gap
+        ],
+        ids=["slope", "lost_root"],
+    )
+    def test_shifted_flux_quantum_fails_periodicity(self, capsys, monkeypatch, perturb, measured):
+        # Perturb the spectrum at one flux quantum and above only.
+        def shifted_solve(qn, m, geom, coup):
+            points = solve_general_n(qn, m, geom, coup)
+            return points if coup.phi_B < 2.0 * math.pi / coup.q else perturb(points)
+
+        monkeypatch.setattr(cli, "solve_general_n", shifted_solve)
+        code, out, _ = run_cli(
+            capsys, "verify", "--scenario", "ab", "--flux", "0.3", "--l", "0..1", "--k", "0"
+        )
+        assert code == EXIT_VERIFY
+        assert f"FAIL flux_periodicity      measured={measured} " in out
+
+    @pytest.mark.parametrize(
+        "argv,check",
+        [
+            ("--scenario free --n 2..3", "closed_form_agreement"),
+            ("--scenario coulomb --b 0.1 --n 2", "coulomb_fixed_point"),
+            ("--scenario ab --flux 0.3 --n 2", "current_agreement"),
+        ],
+    )
+    def test_ground_state_checks_skip_without_n1(self, capsys, argv, check):
+        code, out, _ = run_cli(capsys, "verify", *argv.split())
+        assert code == EXIT_OK
+        line = next(x for x in out.splitlines() if f" {check} " in x)
+        assert line.startswith(f"SKIP {check}")
+        assert line.endswith("(n = 1 not configured; the closed forms cover n = 1 only)")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "--scenario free",
+            "--scenario coulomb --b 0.1 --k 0,0.7",
+            "--scenario ab --flux 0.3 --l 0..1 --k 0,0.7",
+        ],
+    )
+    def test_every_configured_n_passes(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "verify", *argv.split(), "--n", "1..3")
+        assert code == EXIT_OK
+        assert "FAIL" not in out
+
+
+def _detuned(pt, m, coup):
+    """pt with the polynomial of a 1% detuned slope, at the solver's series length."""
+    mass = MassProfile(m, pt.nu_solved * 1.01)
+    params = heun_params(mass, pt.energies[0], pt.qn.k, coup.b, pt.eff_abs)
+    coeffs = build_coefficients(params, n_max=pt.wavefunction.coefficients.n_max)
+    wf = RadialWavefunction(coeffs, params.alpha, pt.eff_abs, pt.qn.n)
+    return dataclasses.replace(pt, wavefunction=wf)
+
 
 class TestConfigAndOutput:
     def test_config_file(self, capsys, tmp_path):
@@ -471,6 +541,20 @@ class TestRejectedInput:
         assert code == EXIT_SOLVER
         assert "dislospec: solver error:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "spectrum --scenario ab --b 0.5 --flux 0.3",
+            "current --scenario ab --b 0.5 --flux 0.3 --l 0 --k 0",
+            "verify --scenario ab --b 0.5 --flux 0.3",
+        ],
+    )
+    def test_flux_scenario_with_coulomb_coupling_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "scenario 'ab' requires b = 0" in err
 
     def test_config_flags_take_json_booleans(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

@@ -371,6 +371,17 @@ class TestSolveGeneralN:
             )
             assert abs(truncation_residual(params, p.qn.n)) < 1e-10
 
+    @pytest.mark.parametrize(
+        "n,k,b",
+        [(2, 0.0, 0.0), (1, 0.7, 0.1), (2, 3.0, 1.5)],  # constant mu, Newton, pencil
+    )
+    def test_slopes_are_python_floats(self, n, k, b):
+        pts = solve_general_n(QuantumNumbers(n, 1, k), 1.0, FLAT, Couplings(b=b, q=1.0))
+        assert pts
+        for pt in pts:
+            # np.float64 subclasses float, so only the exact type tells them apart.
+            assert type(pt.nu_solved) is float
+
     def test_no_roots_reports_window(self):
         with pytest.raises(NoRoots, match=r"0\.05"):
             solve_general_n(
