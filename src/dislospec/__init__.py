@@ -18,7 +18,6 @@ from .core import (
 from .errors import (
     DegenerateDenominator,
     DislospecError,
-    GridTooCoarse,
     KinkDetected,
     LambdaMismatch,
     NonPositiveSlope,
@@ -65,7 +64,6 @@ __all__ = [
     "DefectGeometry",
     "DegenerateDenominator",
     "DislospecError",
-    "GridTooCoarse",
     "HeunParams",
     "KinkDetected",
     "LambdaMismatch",

@@ -3,7 +3,8 @@
 Three subcommands:
 
 * spectrum - one row per (n, l, k, flux, root); bound-state slopes and
-  energies, optionally with oracle columns.
+  energies, optionally with oracle columns.  fd_match compares a
+  non-Coulomb state with the finite-difference level at its root_index.
 * current  - persistent current per flux point, analytic (lowest state)
   against the central flux derivative of the solved spectrum.
 * verify   - solves the states of every configured n and cell once and runs
@@ -102,12 +103,6 @@ CURRENT_COLUMNS = [
 # Flux-ratio step used by the numeric current derivative.
 CURRENT_STEP_T = 1e-5
 
-# verify's finite-difference check covers points with |eff| at or above
-# this.  The oracle is regular at the origin and accurate at every |eff|;
-# the rule stays only because the benchmark checker (bench/check.py,
-# FD_MIN_EFF) expects these PASS/SKIP lines, and goes with that file.
-FD_CHECK_MIN_EFF = 1.0
-
 
 class UsageError(Exception):
     pass
@@ -170,14 +165,21 @@ def parse_flux(text: str) -> tuple[float, ...]:
 
 
 def _normalize(parser, value):
-    """Accept either the flag string form or native JSON scalars/lists."""
+    """Accept either the flag string form or native JSON scalars/lists; a list
+    concatenates what its elements parse to."""
     if isinstance(value, str):
         return parser(value)
     if isinstance(value, (int, float)):
         return parser(str(value))
-    if isinstance(value, (list, tuple)):
-        return parser(",".join(str(v) for v in value))
+    if isinstance(value, (list, tuple)) and value:
+        return tuple(x for v in value for x in parser(str(v)))
     raise UsageError(f"cannot interpret config value {value!r}")
+
+
+def _number(value) -> float:
+    if isinstance(value, bool):  # float(True) is 1.0: take only JSON numbers
+        raise UsageError(f"m, chi, b and q must be numbers, got {value!r}")
+    return float(value)
 
 
 def _text(value) -> str:
@@ -195,7 +197,7 @@ def _flag(value) -> bool:
 # RunConfig field -> converter, applied alike to flag values and config-file values.
 _CONVERTERS = {
     **dict.fromkeys(("scenario", "format", "branch", "out"), _text),
-    **dict.fromkeys(("m", "chi", "b", "q"), float),
+    **dict.fromkeys(("m", "chi", "b", "q"), _number),
     **dict.fromkeys(("oracle", "absolute"), _flag),
     "flux": partial(_normalize, parse_flux),
     "l": partial(_normalize, parse_int_range),
@@ -273,14 +275,17 @@ def _ode_residual(pt) -> float:
     return ode_residual(wf, wf.coefficients.params, grid)
 
 
-def _fd_match(pt, m: float) -> float:
-    """Relative distance from E^2 of a non-Coulomb state to the nearest FD eigenvalue."""
+def _fd_match(pt, m: float, index: int) -> float:
+    """Relative distance from E^2 of a non-Coulomb state to FD level number index.
+
+    index is the state's position in its cell's ascending-nu list.  At a fixed
+    slope, root i of the cell has i nodes, so by Sturm oscillation it is level
+    i of the Hamiltonian that slope defines (Pryce 1993)."""
     mass = MassProfile(m, pt.nu_solved)
     target = pt.energies[0] * pt.energies[0]
     grid = default_fd_grid(mass, pt.qn.n, pt.eff_abs)
-    eigs = fd_eigensolve_free(mass, pt.eff_abs, pt.qn.k, grid)
-    nearest = min(eigs, key=lambda x: abs(x - target))
-    return abs(nearest - target) / abs(target)
+    level = fd_eigensolve_free(mass, pt.eff_abs, pt.qn.k, grid, n_eigs=index + 1)[index]
+    return abs(level - target) / abs(target)
 
 
 def _solve_cell(cfg: RunConfig, n: int, l: int, k: float, t: float) -> list:
@@ -337,7 +342,7 @@ def _spectrum_rows_for(cfg: RunConfig, n: int, l: int, k: float, t: float) -> li
         )
         if cfg.oracle:
             row["ode_residual"] = _ode_residual(pt)
-            row["fd_match"] = None if pt.scenario == COULOMB else _fd_match(pt, cfg.m)
+            row["fd_match"] = None if pt.scenario == COULOMB else _fd_match(pt, cfg.m, idx)
         rows.append(row)
     return rows
 
@@ -474,12 +479,12 @@ def _check_closed_form_agreement(pop: _Population):
         if pop.coulomb:
             want = sorted(energy_ground_coulomb(cfg.m, cfg.b, coulomb_eta(eff, cfg.b), k))
             got = sorted(e for p in pts for e in p.energies)
-            errors.extend(abs(g - w) / abs(w) for g, w in zip(got, want))
         else:
-            nu_want = nu_ground_free(cfg.m, eff)
-            e_want = energy_ground_free(cfg.m, eff, k)[0]
-            errors.append(abs(pts[0].nu_solved - nu_want) / nu_want)
-            errors.append(abs(pts[0].energies[0] - e_want) / e_want)
+            want = [nu_ground_free(cfg.m, eff), energy_ground_free(cfg.m, eff, k)[0]]
+            got = [x for p in pts for x in (p.nu_solved, p.energies[0])]
+        if len(got) != len(want):  # a lost or extra state
+            errors.append(math.inf)
+        errors.extend(abs(g - w) / abs(w) for g, w in zip(got, want))
     note = f"{pop.skipped} cell(s) without real closed form" if pop.skipped else ""
     return errors, 1e-10, note
 
@@ -514,17 +519,15 @@ def _check_ode_residual(pop: _Population):
 
 
 def _check_fd_match(pop: _Population):
-    eligible = [
-        p for p in pop.points if p.scenario != COULOMB and p.eff_abs >= FD_CHECK_MIN_EFF
+    if pop.coulomb:
+        return None, 1e-3, "the finite-difference oracle has no Coulomb term"
+    errors = [
+        _fd_match(pt, pop.cfg.m, index)
+        for by_cell in pop.solved.values()
+        for _, pts in by_cell
+        for index, pt in enumerate(pts)
     ]
-    if not eligible:
-        return None, 1e-3, (
-            "no eligible points: the check covers "
-            f"|eff| >= {FD_CHECK_MIN_EFF} in non-Coulomb scenarios"
-        )
-    ineligible = len(pop.points) - len(eligible)
-    note = f"{ineligible} point(s) skipped (|eff| < {FD_CHECK_MIN_EFF})" if ineligible else ""
-    return [_fd_match(pt, pop.cfg.m) for pt in eligible], 1e-3, note
+    return errors, 1e-3, ""
 
 
 def _check_minkowski_reduction(pop: _Population):
@@ -536,6 +539,7 @@ def _check_minkowski_reduction(pop: _Population):
         qn = QuantumNumbers(n=n, l=l, k=0.0)
         a = solve_general_n(qn, cfg.m, pop.geom, coup)
         b = solve_general_n(qn, cfg.m, DefectGeometry(chi=cfg.chi + 0.5), coup)
+        mismatches += len(a) != len(b)
         for pa, pb in zip(a, b):
             if pa.nu_solved != pb.nu_solved or pa.energies != pb.energies:
                 mismatches += 1

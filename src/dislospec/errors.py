@@ -25,10 +25,6 @@ class NoRoots(DislospecError):
     """No positive-slope root of the truncation condition in the search window."""
 
 
-class GridTooCoarse(DislospecError):
-    """Refining the radial grid moved the matched eigenvalue by more than the tolerance."""
-
-
 class UndefinedAtZeroFlux(DislospecError):
     """The analytic current carries sign(sigma), undefined where sigma vanishes."""
 

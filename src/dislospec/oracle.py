@@ -9,8 +9,9 @@ Three cross-checks that share no code with the series solver:
   as a vertex-centred finite-volume Sturm-Liouville problem, regular at the
   origin, and returns the lowest eigenvalues in E^2 of the symmetrized
   tridiagonal matrix, so a quantized analytic energy can be matched against
-  a discretization that never saw the series ansatz.  It uses only the
-  equation's exponent at rho = 0, not the solution's form.
+  the level at its own index in a discretization that never saw the series
+  ansatz.  It uses only the equation's exponent at rho = 0, not the
+  solution's form.
 * normalization integrates |R|^2 xi dxi to confirm square-integrability.
 """
 
@@ -22,7 +23,6 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .core import HeunParams, MassProfile
-from .errors import GridTooCoarse
 from .heun import RadialWavefunction
 
 DEFAULT_FD_POINTS = 4000
@@ -123,9 +123,6 @@ def fd_eigensolve_free(
     k: float,
     grid: RadialGrid,
     n_eigs: int = 6,
-    *,
-    target_e2: float | None = None,
-    match_rtol: float = 1e-3,
 ) -> list[float]:
     """Lowest n_eigs values of E^2 from a second-order finite-volume
     discretization of the dimensionful radial equation.
@@ -154,49 +151,32 @@ def fd_eigensolve_free(
     the flux through a midpoint is p(midpoint) (w_{i+1} - w_i)/h, and the
     outer grid edge is a Dirichlet wall.  The resulting pencil A w = W M w
     with diagonal M is symmetrized as M^{-1/2} A M^{-1/2}.
-
-    If target_e2 is given, the eigenvalue nearest to it is re-solved with
-    doubled n_points; GridTooCoarse is raised when that shifts the match by
-    more than match_rtol * |target_e2|.
     """
     mass.require_confining()
     s = eff_abs
     sigma = min(s, FD_FACTORED_MOMENTUM_MAX)
     q = 2.0 * sigma + 2.0  # p = rho^(q - 1)
 
-    def lowest(n_points: int) -> np.ndarray:
-        rho = np.linspace(grid.xi_min, grid.xi_max, n_points)
-        h = rho[1] - rho[0]
-        face = 0.5 * (rho[:-1] + rho[1:])
-        # Node i (every node but the outer one) owns [edges[i], edges[i+1]].
-        edges = np.concatenate(([0.0], face))
+    rho = grid.points()
+    h = rho[1] - rho[0]
+    face = 0.5 * (rho[:-1] + rho[1:])
+    # Node i (every node but the outer one) owns [edges[i], edges[i+1]].
+    edges = np.concatenate(([0.0], face))
 
-        def moment(j: float) -> np.ndarray:
-            """Integral of rho^j p over each control volume."""
-            e = edges ** (q + j)
-            return (e[1:] - e[:-1]) / (q + j)
+    def moment(j: float) -> np.ndarray:
+        """Integral of rho^j p over each control volume."""
+        e = edges ** (q + j)
+        return (e[1:] - e[:-1]) / (q + j)
 
-        weight = moment(0.0)
-        pot = 2.0 * mass.m * mass.nu * moment(1.0) + mass.nu**2 * moment(2.0)
-        if s > sigma:
-            pot += (s * s - sigma * sigma) * moment(-2.0)
-        flux = face ** (q - 1.0) / h
-        diag = (np.concatenate(([0.0], flux[:-1])) + flux + pot) / weight
-        off = -flux[:-1] / np.sqrt(weight[:-1] * weight[1:])
-        w = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, n_eigs - 1))
-        return w + mass.m**2 + k * k
-
-    e2 = lowest(grid.n_points)
-    if target_e2 is not None:
-        matched = e2[np.argmin(np.abs(e2 - target_e2))]
-        refined = lowest(2 * grid.n_points - 1)
-        matched_fine = refined[np.argmin(np.abs(refined - target_e2))]
-        if abs(matched_fine - matched) > match_rtol * abs(target_e2):
-            raise GridTooCoarse(
-                f"matched eigenvalue moved {abs(matched_fine - matched):.3e} "
-                f"on refinement, above {match_rtol:.1e} * |{target_e2}|"
-            )
-    return [float(x) for x in e2]
+    weight = moment(0.0)
+    pot = 2.0 * mass.m * mass.nu * moment(1.0) + mass.nu**2 * moment(2.0)
+    if s > sigma:
+        pot += (s * s - sigma * sigma) * moment(-2.0)
+    flux = face ** (q - 1.0) / h
+    diag = (np.concatenate(([0.0], flux[:-1])) + flux + pot) / weight
+    off = -flux[:-1] / np.sqrt(weight[:-1] * weight[1:])
+    w = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, n_eigs - 1))
+    return [float(x) for x in w + mass.m**2 + k * k]
 
 
 def normalization(wf: RadialWavefunction, grid: RadialGrid) -> float:

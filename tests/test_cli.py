@@ -151,6 +151,17 @@ class TestSpectrum:
             assert float(row["ode_residual"]) < 1e-8
             assert row["fd_match"] == ""
 
+    def test_oracle_matches_each_root_at_its_own_level(self, capsys):
+        # Roots 6 and 7 have no partner among the lowest six FD levels.
+        code, out, _ = run_cli(
+            capsys, "spectrum", "--scenario", "free", "--l", "0", "--k", "0", "--n", "16",
+            "--oracle",
+        )
+        assert code == EXIT_OK
+        rows = read_csv(out)
+        assert [r["root_index"] for r in rows[6:]] == ["6", "7"]
+        assert all(float(r["fd_match"]) < 1e-3 for r in rows)
+
     def test_nan_truncation_residual_is_no_roots(self, capsys):
         # k = 1e160 overflows E to inf and the truncation residual to NaN.
         code, out, err = run_cli(
@@ -348,6 +359,64 @@ class TestVerify:
         assert code == EXIT_OK
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "--scenario free --l 0 --k 0",  # |eff| < 1 only
+            "--scenario free --l 1..2 --k 0,0.7 --n 1..16",  # roots past the sixth level
+        ],
+    )
+    def test_fd_match_covers_every_free_state(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "verify", *argv.split())
+        assert code == EXIT_OK
+        line = next(x for x in out.splitlines() if " fd_match " in x)
+        assert line.startswith("PASS fd_match ")
+        # The discretization error is never exactly zero, so 0 means no state was compared.
+        assert 0.0 < float(line.split("measured=")[1].split()[0]) < 1e-3
+
+    def test_lost_lowest_root_fails_fd_match(self, capsys, monkeypatch):
+        # Every later root then sits one FD level above its list position.
+        def lossy_solve(qn, m, geom, coup):
+            points = solve_general_n(qn, m, geom, coup)
+            return points[1:] if len(points) > 1 else points
+
+        monkeypatch.setattr(cli, "solve_general_n", lossy_solve)
+        code, out, _ = run_cli(
+            capsys, "verify", "--scenario", "free", "--n", "1..3", "--k", "0,0.7"
+        )
+        assert code == EXIT_VERIFY
+        assert "FAIL fd_match " in out
+
+    @pytest.mark.parametrize(
+        "argv,mutate,line",
+        [
+            (
+                "--scenario coulomb --b 0.1 --l 0..1 --k 0,0.7",
+                lambda qn, geom, pts: [p for p in pts if p.branch < 0],
+                "FAIL closed_form_agreement measured=inf ",
+            ),
+            (
+                "--scenario free",
+                lambda qn, geom, pts: pts + pts[:1] if qn.n == 1 else pts,
+                "FAIL closed_form_agreement measured=inf ",
+            ),
+            (
+                "--scenario free --l 0 --n 3",
+                lambda qn, geom, pts: pts[:-1] if geom.chi else pts,
+                "FAIL minkowski_reduction   measured=1.000e+00 ",
+            ),
+        ],
+        ids=["coulomb_lost_branch", "free_extra_state", "minkowski_lost_root"],
+    )
+    def test_lost_or_extra_state_fails(self, capsys, monkeypatch, argv, mutate, line):
+        def mutated_solve(qn, m, geom, coup):
+            return mutate(qn, geom, solve_general_n(qn, m, geom, coup))
+
+        monkeypatch.setattr(cli, "solve_general_n", mutated_solve)
+        code, out, _ = run_cli(capsys, "verify", *argv.split())
+        assert code == EXIT_VERIFY
+        assert line in out
+
 
 def _detuned(pt, m, coup):
     """pt with the polynomial of a 1% detuned slope, at the solver's series length."""
@@ -368,6 +437,18 @@ class TestConfigAndOutput:
         assert len(rows) == 1
         assert rows[0]["l"] == "1"
         assert float(rows[0]["nu_solved"]) == pytest.approx(4.0 * 2.5, rel=1e-10)
+
+    def test_config_lists_concatenate_their_elements(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(
+            {"scenario": "ab", "l": [0, "2..3"], "k": [0], "n": [1, 2], "flux": [0.25, "0.5:1:0.5"]}
+        ))
+        code, out, _ = run_cli(capsys, "spectrum", "--config", str(cfg))
+        assert code == EXIT_OK
+        rows = read_csv(out)
+        assert sorted({int(r["l"]) for r in rows}) == [0, 2, 3]
+        assert sorted({int(r["n"]) for r in rows}) == [1, 2]
+        assert sorted({float(r["flux"]) for r in rows}) == [0.25, 0.5, 1.0]
 
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -502,6 +583,15 @@ class TestRejectedInput:
         assert "true or false" in err
         cfg.write_text(json.dumps({"l": "0", "k": [0], "absolute": value}))
         assert run_cli(capsys, "spectrum", "--config", str(cfg))[0] == EXIT_USAGE
+
+    @pytest.mark.parametrize("key", ["m", "chi", "b", "q"])
+    def test_config_numbers_must_not_be_json_booleans(self, capsys, tmp_path, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"l": "0", "k": [0], key: True}))
+        code, out, err = run_cli(capsys, "spectrum", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "must be numbers" in err
 
     @pytest.mark.parametrize("values", [{"out": 1}, {"out": True}, {"scenario": ["free"]}])
     def test_config_strings_must_be_json_strings(self, tmp_path, values):

@@ -6,7 +6,6 @@ import pytest
 from dislospec import (
     Couplings,
     DefectGeometry,
-    GridTooCoarse,
     HeunParams,
     MassProfile,
     NonPositiveSlope,
@@ -169,18 +168,6 @@ class TestFdEigensolver:
         )
         assert len(eigs) == 4
         assert eigs == sorted(eigs)
-
-    def test_coarse_grid_raises_when_refinement_moves_match(self):
-        with pytest.raises(GridTooCoarse):
-            fd_eigensolve_free(
-                MassProfile(1.0, 2.5), 1.0, 0.0, RadialGrid(1e-3, 10.0, 60), target_e2=15.0
-            )
-
-    def test_adequate_grid_passes_refinement_guard(self):
-        eigs = fd_eigensolve_free(
-            MassProfile(1.0, 2.5), 1.0, 0.0, RadialGrid(1e-3, 10.0, 4000), target_e2=15.0
-        )
-        assert min(eigs, key=lambda x: abs(x - 15.0)) == pytest.approx(15.0, rel=1e-4)
 
     def test_default_grid_scales_with_state(self):
         mass = MassProfile(1.0, 2.5)
