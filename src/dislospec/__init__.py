@@ -18,7 +18,6 @@ from .core import (
 from .errors import (
     DegenerateDenominator,
     DislospecError,
-    KinkDetected,
     LambdaMismatch,
     NonPositiveSlope,
     NoRealSolution,
@@ -65,7 +64,6 @@ __all__ = [
     "DegenerateDenominator",
     "DislospecError",
     "HeunParams",
-    "KinkDetected",
     "LambdaMismatch",
     "MassProfile",
     "NoRealSolution",

@@ -6,7 +6,8 @@ Three subcommands:
   energies, optionally with oracle columns.  fd_match compares a
   non-Coulomb state with the finite-difference level at its root_index.
 * current  - persistent current per flux point, analytic (lowest state)
-  against the central flux derivative of the solved spectrum.
+  against the central flux derivative of the solved spectrum.  A row whose
+  difference stencil reaches sigma = 0 reads KINK and carries no current.
 * verify   - solves the states of every configured n and cell once and runs
   a table of invariant checks on them, one PASS/FAIL/SKIP line each.  The
   closed-form, Coulomb fixed-point and current checks cover n = 1 only.
@@ -50,10 +51,8 @@ from .core import (
 from .errors import (
     DegenerateDenominator,
     DislospecError,
-    KinkDetected,
     NoRealSolution,
     NoRoots,
-    UndefinedAtZeroFlux,
 )
 from .observables import persistent_current_ground, persistent_current_numeric
 from .oracle import RadialGrid, default_fd_grid, fd_eigensolve_free, ode_residual
@@ -100,7 +99,9 @@ CURRENT_COLUMNS = [
     "status",
 ]
 
-# Flux-ratio step used by the numeric current derivative.
+# Flux-ratio step used by the numeric current derivative.  sigma moves with the
+# flux ratio at unit rate, so the stencil reaches the |sigma| kink exactly when
+# |sigma| <= CURRENT_STEP_T.
 CURRENT_STEP_T = 1e-5
 
 
@@ -260,6 +261,11 @@ def _couplings(cfg: RunConfig, t: float) -> Couplings:
     return Couplings(b=cfg.b, q=cfg.q, phi_B=t * TWO_PI / cfg.q)
 
 
+def _json_value(value):
+    # RFC 8259 has no NaN or Infinity, so a non-finite float is written as null.
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -383,6 +389,7 @@ def _numeric_current(cfg: RunConfig, n: int, l: int, k: float, t: float, branch:
 def _current_row(cfg: RunConfig, n: int, l: int, k: float, t: float) -> dict:
     branch = 1 if cfg.branch == "plus" else -1
     sigma = effective_angular_momentum(l, k, DefectGeometry(chi=cfg.chi), _couplings(cfg, t))
+    kink = abs(sigma) <= CURRENT_STEP_T
     row = {
         "n": n,
         "l": l,
@@ -393,23 +400,14 @@ def _current_row(cfg: RunConfig, n: int, l: int, k: float, t: float) -> dict:
         "current_analytic": None,
         "current_numeric": None,
         "abs_discrepancy": None,
-        "status": "OK",
+        "status": "KINK" if kink else "OK",
     }
-
-    if n == 1:
-        try:
-            row["current_analytic"] = persistent_current_ground(
-                cfg.m, k, sigma, cfg.q, branch
-            )
-        except UndefinedAtZeroFlux:
-            row["status"] = "UNDEFINED"
-
-    try:
-        row["current_numeric"] = _numeric_current(cfg, n, l, k, t, branch)
-    except KinkDetected:
-        row["status"] = "KINK"
+    if kink:
         return row
 
+    if n == 1:
+        row["current_analytic"] = persistent_current_ground(cfg.m, k, sigma, cfg.q, branch)
+    row["current_numeric"] = _numeric_current(cfg, n, l, k, t, branch)
     if row["current_analytic"] is not None:
         row["abs_discrepancy"] = abs(row["current_analytic"] - row["current_numeric"])
     return row
@@ -567,13 +565,10 @@ def _check_current_agreement(pop: _Population):
         return None, 1e-8, "flux scenario not configured"
     if 1 not in cfg.n:
         return None, 1e-8, _NO_GROUND
-    errors = []
-    for l, k, t, sigma in pop.cells:
-        if abs(sigma) <= 10.0 * CURRENT_STEP_T:
-            continue
-        row = _current_row(cfg, 1, l, k, t)
-        disc = row["abs_discrepancy"]  # None on a KINK row, which reads NaN and fails
-        errors.append(math.nan if disc is None else disc / abs(row["current_analytic"]))
+    rows = [_current_row(cfg, 1, l, k, t) for l, k, t, _ in pop.cells]
+    errors = [
+        r["abs_discrepancy"] / abs(r["current_analytic"]) for r in rows if r["status"] == "OK"
+    ]
     if not errors:
         return None, 1e-8, "all flux points sit on the kink"
     return errors, 1e-8, f"{len(errors)} flux point(s)"
@@ -621,8 +616,8 @@ def emit(rows: list[dict], columns: list[str], fmt: str, out: io.TextIOBase) -> 
         for row in rows:
             writer.writerow([_fmt(row[c]) for c in columns])
     else:
-        payload = [{c: row[c] for c in columns} for row in rows]
-        out.write(json.dumps(payload, indent=2))
+        payload = [{c: _json_value(row[c]) for c in columns} for row in rows]
+        out.write(json.dumps(payload, indent=2, allow_nan=False))
         out.write("\n")
 
 
@@ -644,26 +639,28 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--l", help="angular momentum value or lo..hi range (default 0..2)")
         p.add_argument("--k", help="comma list of wavenumbers (default 0)")
         p.add_argument("--n", help="radial index value or lo..hi range (default 1)")
-        p.add_argument("--format", choices=["csv", "json"])
-        p.add_argument(
-            "--oracle",
-            action="store_const",
-            const=True,
-            help="add ode_residual and fd_match columns",
-        )
-        p.add_argument(
-            "--absolute",
-            action="store_const",
-            const=True,
-            help="report energies in absolute units instead of units of m",
-        )
         p.add_argument("--out", help="output path (default stdout)")
 
+    # Each subcommand takes only the flags it reads; verify prints a fixed text table.
     p_spec = sub.add_parser("spectrum", help="tabulate bound-state slopes and energies")
     add_common(p_spec)
+    p_spec.add_argument("--format", choices=["csv", "json"])
+    p_spec.add_argument(
+        "--oracle",
+        action="store_const",
+        const=True,
+        help="add ode_residual and fd_match columns",
+    )
+    p_spec.add_argument(
+        "--absolute",
+        action="store_const",
+        const=True,
+        help="report energies in absolute units instead of units of m",
+    )
 
     p_cur = sub.add_parser("current", help="persistent current sweep (scenario ab)")
     add_common(p_cur)
+    p_cur.add_argument("--format", choices=["csv", "json"])
     p_cur.add_argument(
         "--branch",
         choices=["plus", "minus"],

@@ -27,7 +27,3 @@ class NoRoots(DislospecError):
 
 class UndefinedAtZeroFlux(DislospecError):
     """The analytic current carries sign(sigma), undefined where sigma vanishes."""
-
-
-class KinkDetected(DislospecError):
-    """The energy is not smooth inside the differentiation stencil."""

@@ -215,14 +215,31 @@ class TestCurrent:
         b = float(read_csv(out_m)[0]["current_analytic"])
         assert a == -b
 
-    def test_kink_row(self, capsys):
+    # The stencil t +- 1e-5 reaches sigma = 0 for every |sigma| <= 1e-5.
+    @pytest.mark.parametrize("flux", ["0", "0.000001", "0.0000099"])
+    def test_kink_row(self, capsys, flux):
         code, out, _ = run_cli(
-            capsys, "current", "--scenario", "ab", "--flux", "0", "--l", "0", "--k", "0"
+            capsys, "current", "--scenario", "ab", "--flux", flux, "--l", "0", "--k", "0"
         )
         assert code == EXIT_OK
         row = read_csv(out)[0]
         assert row["status"] == "KINK"
-        assert row["current_numeric"] == ""
+        assert row["current_analytic"] == row["current_numeric"] == row["abs_discrepancy"] == ""
+
+    def test_two_solves_per_row_and_none_on_a_kink(self, capsys, monkeypatch):
+        calls = []
+
+        def counting_solve(*args):
+            calls.append(args)
+            return solve_general_n(*args)
+
+        monkeypatch.setattr(cli, "solve_general_n", counting_solve)
+        code, out, _ = run_cli(
+            capsys, "current", "--scenario", "ab", "--flux", "0:1:0.5", "--l", "0", "--k", "0"
+        )
+        assert code == EXIT_OK
+        assert [r["status"] for r in read_csv(out)] == ["KINK", "OK", "OK"]
+        assert len(calls) == 4
 
     def test_second_level_numeric_only(self, capsys):
         code, out, _ = run_cli(
@@ -289,6 +306,15 @@ class TestVerify:
         assert "flux_periodicity" in out
         assert "current_agreement" in out
         assert "FAIL" not in out
+
+    def test_current_agreement_counts_every_point_off_the_stencil_kink(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--scenario", "ab", "--flux", "0.00005", "--l", "0..1", "--k", "0"
+        )
+        assert code == EXIT_OK
+        line = next(x for x in out.splitlines() if " current_agreement " in x)
+        assert line.startswith("PASS current_agreement")
+        assert line.endswith("(2 flux point(s))")
 
     def test_coulomb_scenario_fixed_point(self, capsys):
         code, out, _ = run_cli(
@@ -498,6 +524,24 @@ class TestConfigAndOutput:
                 else:
                     assert cval == str(jval)
 
+    def test_json_writes_non_finite_as_null(self, capsys, monkeypatch):
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        monkeypatch.setattr(cli, "ode_residual", lambda *args: math.nan)
+        code, out, _ = run_cli(
+            capsys, "spectrum", "--scenario", "free", "--l", "0", "--k", "0", "--oracle",
+            "--format", "json",
+        )
+        assert code == EXIT_OK
+        rows = json.loads(out, parse_constant=reject)
+        assert [r["ode_residual"] for r in rows] == [None]
+        assert rows[0]["fd_match"] < 1e-3
+        _, out, _ = run_cli(
+            capsys, "spectrum", "--scenario", "free", "--l", "0", "--k", "0", "--oracle"
+        )
+        assert read_csv(out)[0]["ode_residual"] == "nan"
+
     def test_byte_determinism(self, capsys, tmp_path):
         args = [
             "spectrum", "--scenario", "ab", "--flux", "0:0.6:0.3",
@@ -606,6 +650,22 @@ class TestRejectedInput:
         assert proc.returncode == EXIT_USAGE
         assert proc.stdout == ""
         assert "must be strings" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "verify --format json",
+            "verify --oracle",
+            "verify --absolute",
+            "current --scenario ab --oracle",
+            "current --scenario ab --absolute",
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_detune_nu_is_not_an_option(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,6 @@ import pytest
 from dislospec import (
     Couplings,
     DefectGeometry,
-    KinkDetected,
     UndefinedAtZeroFlux,
     effective_angular_momentum,
     energy_ground_free,
@@ -91,20 +90,6 @@ class TestNumericDerivative:
             got = persistent_current_numeric(fn, phi, STEP)
             want = persistent_current_ground(1.0, k, sigma, 1.0, branch)
             assert got == pytest.approx(want, rel=1e-8)
-
-    def test_default_step(self):
-        fn = ground_energy_fn(l=0, k=0.0)
-        got = persistent_current_numeric(fn, 0.5 * TWO_PI)
-        want = persistent_current_ground(1.0, 0.0, 0.5, 1.0, 1)
-        assert got == pytest.approx(want, rel=1e-8)
-
-    def test_kink_inside_stencil(self):
-        # sigma crosses zero at phi = 0: one-sided slopes differ by O(1)
-        fn = ground_energy_fn(l=0, k=0.0)
-        with pytest.raises(KinkDetected):
-            persistent_current_numeric(fn, 0.0, STEP)
-        with pytest.raises(KinkDetected):
-            persistent_current_numeric(fn, 0.3 * STEP, STEP)
 
     def test_smooth_point_near_kink_edge(self):
         # |sigma| = 10 steps away from the kink: stencil stays one-sided
