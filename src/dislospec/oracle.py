@@ -13,6 +13,9 @@ Three cross-checks that share no code with the series solver:
   ansatz.  It uses only the equation's exponent at rho = 0, not the
   solution's form.
 * normalization integrates |R|^2 xi dxi to confirm square-integrability.
+
+Only fd_eigensolve_free needs scipy, and it imports it when it runs, so
+importing the package never loads scipy.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .core import HeunParams, MassProfile
 from .heun import RadialWavefunction
@@ -60,6 +62,9 @@ class RadialGrid:
         return np.linspace(self.xi_min, self.xi_max, self.n_points)
 
 
+# At large n the unscaled xi^s G(xi) overflows and the residual reads NaN.
+# That NaN is the report, so numpy's overflow warnings are silenced.
+@np.errstate(over="ignore", invalid="ignore")
 def ode_residual(wf: RadialWavefunction, params: HeunParams, grid: RadialGrid) -> float:
     """Max |LHS| of the xi-form radial equation over the grid, normalized by max |R|.
 
@@ -175,6 +180,10 @@ def fd_eigensolve_free(
     flux = face ** (q - 1.0) / h
     diag = (np.concatenate(([0.0], flux[:-1])) + flux + pot) / weight
     off = -flux[:-1] / np.sqrt(weight[:-1] * weight[1:])
+    # numpy has no selective tridiagonal solver, and a dense eigvalsh at the
+    # default 4000 points is far slower, so only this oracle loads scipy.
+    from scipy.linalg import eigvalsh_tridiagonal
+
     w = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, n_eigs - 1))
     return [float(x) for x in w + mass.m**2 + k * k]
 

@@ -18,8 +18,8 @@ At lam = 2n rows j = 0..n of the recurrence read
 with d_j = j + s + 1/2 and a_{-1} = a_{n+1} = 0.  So a_{n+1}(alpha) = 0 says
 alpha is an eigenvalue of a tridiagonal matrix (Golub-Welsch).  Its
 off-diagonal products are positive, so a diagonal similarity makes it the
-symmetric Jacobi matrix S(mu) = S_0 + mu D^{-1}, and one tridiagonal
-eigensolve returns all n + 1 roots.
+symmetric Jacobi matrix S(mu) = S_0 + mu D^{-1}, and one dense symmetric
+eigensolve of this small matrix (numpy's eigvalsh) returns all n + 1 roots.
 
 On the energy relation mu = 2bE/sqrt(nu) = c sqrt(A + B alpha^2), with
 c = +-2b (the sign of E), A = 2(n+s+1) and B = k^2/(4m^2).  It is constant
@@ -34,12 +34,17 @@ kappa = |c| sqrt(B)/d_0 bounds the slope of lambda_i(mu(alpha)):
   alpha = r(w - 1/w)/2 with r = sqrt(A/B) makes mu = c sqrt(A)(w + 1/w)/2,
   and the condition becomes the quadratic eigenproblem
 
-      [w^2 (c sqrt(A) - r D) + 2w T + (c sqrt(A) + r D)] a = 0,
+      [w^2 (c sqrt(A) - r D) + 2w T + (c sqrt(A) + r D)] a = 0.
 
-  solved as a 2(n+1) companion pencil.  Its real roots w > 1 are the
-  alpha > 0 roots, which Newton then polishes.  The pencil is used only
-  here, where r <= |c| sqrt(A)/d_0: as k -> 0 its roots crowd at w = 1 and
-  lose their digits.
+  Its outer coefficients are diagonal.  In x = w for c < 0, or x = 1/w for
+  c > 0, the leading one is definite, so dividing by it gives a 2(n+1)
+  companion matrix without a solve (Tisseur & Meerbergen, SIAM Rev. 43
+  (2001) 235), and numpy's eigvals returns its roots.  Where the trailing
+  coefficient is singular (|c| sqrt(A) = r d_j) it only adds x = 0, which
+  is never inverted.  The real roots w > 1 are the alpha > 0 roots, which
+  Newton then polishes.  The quadratic is used only here, where
+  r <= |c| sqrt(A)/d_0: as k -> 0 its roots crowd at w = 1 and lose their
+  digits.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig, eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .core import (
     AB_FLUX,
@@ -76,7 +80,8 @@ ALPHA_MAX = 50.0
 NEWTON_MAX_STEPS = 8
 NEWTON_RTOL = 1e-14
 
-# A pencil eigenvalue w with |Im w| <= REAL_TOL * |w| counts as real.
+# A companion eigenvalue x with |Im x| <= REAL_TOL * |x| counts as real; for
+# c > 0, x = 1/w must also exceed REAL_TOL, so the root x = 0 is never inverted.
 REAL_TOL = 1e-8
 
 
@@ -215,6 +220,7 @@ def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list
     sup = (j + 1.0) * (j + 1.0 + 2.0 * s)  # T[j, j+1]
     sub = 2.0 * (n - j)  # T[j+1, j]
     off = np.sqrt(sup * sub / (d[:-1] * d[1:]))  # off-diagonal of S ~ D^{-1} T
+    s0 = np.diag(off, 1) + np.diag(off, -1)  # S(mu) = S_0 + mu D^{-1}
 
     def polish(alpha: float, index: int | None = None) -> float:
         """Newton on lambda_i(mu(alpha)) - alpha; index None follows the
@@ -222,7 +228,7 @@ def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list
         derivative d lambda/d mu = v^T D^{-1} v from the unit eigenvector v."""
         for _ in range(NEWTON_MAX_STEPS):
             root = math.sqrt(big_a + big_b * alpha * alpha)
-            lam, vec = eigh_tridiagonal(c * root / d, off)
+            lam, vec = np.linalg.eigh(s0 + np.diag(c * root / d))
             i = int(np.argmin(np.abs(lam - alpha))) if index is None else index
             slope = float(vec[:, i] ** 2 @ (1.0 / d)) * c * big_b * alpha / root - 1.0
             step = (lam[i] - alpha) / slope
@@ -231,7 +237,7 @@ def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list
                 break
         return float(alpha)
 
-    lam0 = eigvalsh_tridiagonal(c * math.sqrt(big_a) / d, off)
+    lam0 = np.linalg.eigvalsh(s0 + np.diag(c * math.sqrt(big_a) / d))
     if c == 0.0 or big_b == 0.0:  # constant mu
         return lam0.tolist()
     if abs(c) * math.sqrt(big_b) < d[0]:  # kappa < 1: one root per eigen-branch
@@ -239,17 +245,21 @@ def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list
 
     r = math.sqrt(big_a / big_b)
     ca = c * math.sqrt(big_a)
-    eye, zero = np.eye(n + 1), np.zeros((n + 1, n + 1))
+    # Companion matrix on [a; x a] of the quadratic in x = w (c < 0) or
+    # x = 1/w (c > 0), whose leading coefficient is definite.
+    lead, tail = (ca - r * d, ca + r * d) if c < 0.0 else (ca + r * d, ca - r * d)
     t = np.diag(sup, 1) + np.diag(sub, -1)
-    # Companion linearization of the quadratic in w on the vector [a; w a].
-    pencil_a = np.block([[zero, eye], [-(ca * eye + r * np.diag(d)), -2.0 * t]])
-    pencil_b = np.block([[eye, zero], [zero, ca * eye - r * np.diag(d)]])
-    ws = eig(pencil_a, pencil_b, right=False)
-    real_w = [
-        w.real
-        for w in ws
-        if np.isfinite(w) and abs(w.imag) <= REAL_TOL * abs(w) and w.real > 1.0
-    ]
+    companion = np.block(
+        [
+            [np.zeros((n + 1, n + 1)), np.eye(n + 1)],
+            [-np.diag(tail / lead), -2.0 * t / lead[:, None]],
+        ]
+    )
+    xs = [x.real for x in np.linalg.eigvals(companion) if abs(x.imag) <= REAL_TOL * abs(x)]
+    if c < 0.0:
+        real_w = [x for x in xs if x > 1.0]
+    else:
+        real_w = [1.0 / x for x in xs if REAL_TOL < x < 1.0]
     roots = sorted(polish(0.5 * r * (w - 1.0 / w)) for w in real_w)
     # A near-double root can come back as a conjugate pair that polishes to one alpha.
     return [a for i, a in enumerate(roots) if i == 0 or a - roots[i - 1] > 1e-9 * max(1.0, a)]

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -21,7 +22,7 @@ from dislospec.cli import (
     parse_int_range,
     parse_float_list,
 )
-from dislospec.core import MassProfile, heun_params
+from dislospec.core import Couplings, DefectGeometry, MassProfile, QuantumNumbers, heun_params
 from dislospec.heun import RadialWavefunction, build_coefficients
 from dislospec.quantization import solve_general_n
 
@@ -288,6 +289,15 @@ class TestVerify:
         line = next(x for x in out.splitlines() if " ode_residual " in x)
         assert line.startswith("FAIL ode_residual")
         assert "measured=nan" in line
+
+    def test_overflowing_residual_is_a_quiet_nan(self):
+        # At n = 300 xi^s G(xi) overflows: the NaN is the report (verify FAILs on
+        # it, JSON writes null), so numpy must not also warn on stderr.
+        geom, coup = DefectGeometry(chi=0.0), Couplings()
+        pt = solve_general_n(QuantumNumbers(300, 0, 0.0), 1.0, geom, coup)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(cli._ode_residual(pt))
 
     def test_nan_truncation_residual_is_solver_error(self, capsys):
         code, out, err = run_cli(
@@ -727,19 +737,34 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0].startswith("scenario,")
 
-    def test_import_leaves_scipy_optimize_out(self):
-        # The slope solve needs only scipy.linalg; scipy.optimize would add ~0.3 s of import.
+    @staticmethod
+    def scipy_modules_after(code):
+        """The scipy modules loaded after running code in a fresh interpreter."""
+        report = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, dislospec.cli; print('scipy.optimize' in sys.modules)",
-            ],
+            [sys.executable, "-c", "\n".join(["import runpy, sys", code, report])],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        return proc.stdout.splitlines()[-1]
+
+    def test_import_and_help_load_no_scipy(self):
+        # scipy's import (~0.35 s) would cost more than a whole flux sweep's solves.
+        assert self.scipy_modules_after("import dislospec.cli") == "[]"
+        help_run = (
+            "sys.argv = ['dislospec', '--help']\n"
+            "try: runpy.run_module('dislospec', run_name='__main__')\n"
+            "except SystemExit: pass"
+        )
+        assert self.scipy_modules_after(help_run) == "[]"
+
+    def test_oracle_loads_scipy_when_it_runs(self):
+        oracle_run = (
+            "from dislospec.cli import main\n"
+            "assert main(['spectrum', '--l', '0', '--k', '0', '--oracle']) == 0"
+        )
+        assert "'scipy.linalg'" in self.scipy_modules_after(oracle_run)
 
     def test_bad_flag_exits_usage(self):
         proc = subprocess.run(

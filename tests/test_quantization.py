@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
+from scipy.linalg import eig
 from scipy.optimize import brentq
 
 from dislospec import (
@@ -24,6 +26,7 @@ from dislospec import (
     solve_general_n,
     truncation_residual,
 )
+from dislospec.quantization import ALPHA_MAX, ALPHA_MIN, _alpha_roots
 
 FLAT = DefectGeometry(chi=0.0)
 FREE = Couplings()
@@ -103,6 +106,35 @@ def scan_alpha_roots(f, lo=0.01, hi=50.0, step=0.01):
         if not deduped or abs(r - deduped[-1]) > 1e-9 * max(1.0, abs(r)):
             deduped.append(r)
     return deduped
+
+
+def qz_pencil_alphas(n, s, c, k):
+    """Alpha roots of the pencil path at m = 1 (A = 2(n+s+1), B = k^2/4), from
+    the generalized companion pencil solve_general_n handed to scipy's QZ
+    before it linearized in the definite variable, frozen as an oracle.
+    Each real w > 1 maps to alpha = r(w - 1/w)/2, which loses digits near
+    w = 1, so brentq polishes it on the plain-float recurrence residual."""
+    big_a, big_b = 2.0 * (n + s + 1.0), 0.25 * k * k
+    j = np.arange(n, dtype=float)
+    d = np.diag(np.arange(n + 1, dtype=float) + s + 0.5)
+    t = np.diag((j + 1.0) * (j + 1.0 + 2.0 * s), 1) + np.diag(2.0 * (n - j), -1)
+    r = math.sqrt(big_a / big_b)
+    ca = c * math.sqrt(big_a)
+    eye, zero = np.eye(n + 1), np.zeros((n + 1, n + 1))
+    pencil_a = np.block([[zero, eye], [-(ca * eye + r * d), -2.0 * t]])
+    pencil_b = np.block([[eye, zero], [zero, ca * eye - r * d]])
+
+    def f(alpha):
+        return scan_residual(alpha, n, s, 1.0, k, 0.5 * c, 1)
+
+    roots = []
+    for w in eig(pencil_a, pencil_b, right=False):
+        if np.isfinite(w) and abs(w.imag) <= 1e-8 * abs(w) and w.real > 1.0:
+            a = 0.5 * r * (w.real - 1.0 / w.real)
+            lo, hi = a * (1.0 - 1e-8), a * (1.0 + 1e-8)
+            roots.append(brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16) if f(lo) * f(hi) < 0 else a)
+    roots.sort()
+    return [a for i, a in enumerate(roots) if i == 0 or a - roots[i - 1] > 1e-9 * max(1.0, a)]
 
 
 class TestEnergyFromLambda:
@@ -270,6 +302,49 @@ def test_eigen_solve_matches_frozen_scan(scenario, n, l, k, b, t):
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-12 * w
+
+
+# At B = (d_j / c)^2 one diagonal entry of c sqrt(A) -+ r D vanishes: the
+# second block of the old pencil's B matrix is singular (c > 0), or w = 0 is
+# an eigenvalue (c < 0).  The roots are the ones scipy's QZ gave on that pencil.
+PENCIL_SINGULAR_CELLS = [
+    ((3, 0.7, 2.0, 1), 1.8690348548508238),
+    ((3, 0.7, -2.0, 1), 0.566255490118392),
+    ((4, 0.3, 3.0, 2), 2.5071401258008152),
+    ((2, 1.1, 1.0, 0), 1.5170454302755951),
+    ((5, 0.0, 2.5, 3), 0.7281119789332179),
+]
+
+
+@pytest.mark.parametrize("cell,want", PENCIL_SINGULAR_CELLS)
+def test_pencil_at_a_singular_coefficient(cell, want):
+    n, s, c, j = cell
+    big_b = ((j + s + 0.5) / c) ** 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = _alpha_roots(n, s, c, 2.0 * (n + s + 1.0), big_b)
+    got = [a for a in roots if ALPHA_MIN <= a <= ALPHA_MAX]
+    assert len(got) == 1
+    assert abs(got[0] - want) <= 1e-12 * want
+
+
+def test_pencil_matches_qz_on_seeded_cells():
+    rng = np.random.default_rng(2001)
+    roots_seen = 0
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        s = float(rng.uniform(0.0, 3.0))
+        c = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 4.0))
+        # kappa = |c| sqrt(B) / d_0 in [1, 6], so every cell takes the pencil path.
+        k = 2.0 * float(rng.uniform(1.0, 6.0)) * (s + 0.5) / abs(c)
+        want = [a for a in qz_pencil_alphas(n, s, c, k) if ALPHA_MIN <= a <= ALPHA_MAX]
+        roots = _alpha_roots(n, s, c, 2.0 * (n + s + 1.0), 0.25 * k * k)
+        got = [a for a in roots if ALPHA_MIN <= a <= ALPHA_MAX]
+        assert len(got) == len(want), (n, s, c, k)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * w, (n, s, c, k)
+        roots_seen += len(got)
+    assert roots_seen > 200
 
 
 class TestSolveGeneralN:
