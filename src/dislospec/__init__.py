@@ -18,7 +18,6 @@ from .core import (
 from .errors import (
     DegenerateDenominator,
     DislospecError,
-    LambdaMismatch,
     NonPositiveSlope,
     NoRealSolution,
     NoRoots,
@@ -30,7 +29,6 @@ from .heun import (
     build_coefficients,
     evaluate_G,
     evaluate_R,
-    truncation_residual,
 )
 from .observables import (
     persistent_current_ground,
@@ -64,7 +62,6 @@ __all__ = [
     "DegenerateDenominator",
     "DislospecError",
     "HeunParams",
-    "LambdaMismatch",
     "MassProfile",
     "NoRealSolution",
     "NoRoots",
@@ -93,5 +90,4 @@ __all__ = [
     "persistent_current_ground",
     "persistent_current_numeric",
     "solve_general_n",
-    "truncation_residual",
 ]

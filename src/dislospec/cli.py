@@ -9,8 +9,9 @@ Three subcommands:
   against the central flux derivative of the solved spectrum.  A row whose
   difference stencil reaches sigma = 0 reads KINK and carries no current.
 * verify   - solves the states of every configured n and cell once and runs
-  a table of invariant checks on them, one PASS/FAIL/SKIP line each.  The
-  closed-form, Coulomb fixed-point and current checks cover n = 1 only.
+  a table of invariant checks on them, one PASS/FAIL/SKIP line each; a check
+  that measured nothing reads SKIP.  The closed-form, Coulomb fixed-point and
+  current checks cover n = 1 only.
 
 Flux is configured as the dimensionless ratio q*Phi_B/(2 pi) everywhere.
 Energies are reported in units of m unless --absolute is given; slopes are
@@ -57,6 +58,7 @@ from .errors import (
 from .observables import persistent_current_ground, persistent_current_numeric
 from .oracle import RadialGrid, default_fd_grid, fd_eigensolve_free, ode_residual
 from .quantization import (
+    _classify,
     energy_from_lambda,
     energy_ground_coulomb,
     energy_ground_free,
@@ -320,8 +322,9 @@ def _spectrum_rows_for(cfg: RunConfig, n: int, l: int, k: float, t: float) -> li
     try:
         points = _solve_cell(cfg, n, l, k, t)
     except tuple(_NO_STATE_STATUS) as exc:
-        eff = effective_angular_momentum(l, k, DefectGeometry(chi=cfg.chi), _couplings(cfg, t))
-        row = dict(base, scenario=cfg.scenario, root_index=0, branch="", eff_momentum=eff)
+        coup = _couplings(cfg, t)
+        eff = effective_angular_momentum(l, k, DefectGeometry(chi=cfg.chi), coup)
+        row = dict(base, scenario=_classify(coup), root_index=0, branch="", eff_momentum=eff)
         blank = ("nu_solved", "e_plus", "e_minus", "truncation_residual", *ORACLE_COLUMNS)
         return [dict(row, status=_NO_STATE_STATUS[type(exc)], **dict.fromkeys(blank))]
 
@@ -372,18 +375,16 @@ def cmd_spectrum(cfg: RunConfig, out: io.TextIOBase, err: io.TextIOBase) -> int:
 
 
 def _numeric_current(cfg: RunConfig, n: int, l: int, k: float, t: float, branch: int) -> float:
-    """Central-difference current of the lowest (n, l, k) state on one branch at flux ratio t."""
-    geom = DefectGeometry(chi=cfg.chi)
-    qn = QuantumNumbers(n=n, l=l, k=k)
+    """Central-difference current of the lowest (n, l, k) state on one branch at flux ratio t.
 
-    def energy_at(phi_B: float) -> float:
-        coup = Couplings(b=0.0, q=cfg.q, phi_B=phi_B)
-        pair = solve_general_n(qn, cfg.m, geom, coup)[0].energies
+    The stencil is t +- CURRENT_STEP_T; dt/dPhi_B = q/(2 pi) turns the t-derivative
+    into the Phi_B-derivative."""
+
+    def energy_at(flux: float) -> float:
+        pair = _solve_cell(cfg, n, l, k, flux)[0].energies
         return pair[0] if branch > 0 else pair[1]
 
-    # The step is a distance in phi_B, so it takes |q|; the sign of q only flips the axis.
-    step = CURRENT_STEP_T * TWO_PI / abs(cfg.q)
-    return persistent_current_numeric(energy_at, t * TWO_PI / cfg.q, step)
+    return cfg.q / TWO_PI * persistent_current_numeric(energy_at, t, CURRENT_STEP_T)
 
 
 def _current_row(cfg: RunConfig, n: int, l: int, k: float, t: float) -> dict:
@@ -529,7 +530,9 @@ def _check_fd_match(pop: _Population):
 
 
 def _check_minkowski_reduction(pop: _Population):
-    # k = 0 spectra must not depend on the torsion parameter at all.
+    # k = 0 spectra must not depend on the torsion parameter at all.  This calls
+    # solve_general_n, not _solve_cell, so that it also compares the Coulomb n = 1
+    # cells whose closed form _solve_cell refuses.
     cfg = pop.cfg
     mismatches = 0
     for n, l, t in product(cfg.n, cfg.l, cfg.flux):
@@ -569,14 +572,12 @@ def _check_current_agreement(pop: _Population):
     errors = [
         r["abs_discrepancy"] / abs(r["current_analytic"]) for r in rows if r["status"] == "OK"
     ]
-    if not errors:
-        return None, 1e-8, "all flux points sit on the kink"
     return errors, 1e-8, f"{len(errors)} flux point(s)"
 
 
 # verify's checks in print order.  Each returns (values, threshold, note):
-# values None means SKIP; otherwise the check passes when the largest of its
-# per-item values is below threshold.
+# values None or empty means SKIP, since nothing was measured; otherwise the
+# check passes when the largest of its per-item values is below threshold.
 _VERIFY_CHECKS = [
     ("energy_composition", _check_energy_composition),
     ("closed_form_agreement", _check_closed_form_agreement),
@@ -598,7 +599,9 @@ def cmd_verify(cfg: RunConfig, out: io.TextIOBase, err: io.TextIOBase) -> int:
     statuses = []
     for name, values, threshold, note in results:
         # np.max keeps a NaN (Python's max(0.0, nan) drops it), and NaN < threshold is false.
-        measured = None if values is None else float(np.max(values, initial=0.0))
+        measured = float(np.max(values)) if values else None
+        if measured is None:
+            note = note or "no state to measure"
         status = "SKIP" if measured is None else "PASS" if measured < threshold else "FAIL"
         statuses.append(status)
         shown = "-" if measured is None else "%.3e" % measured

@@ -9,10 +9,6 @@ class NonPositiveSlope(DislospecError):
     """The confining slope must be positive wherever xi = sqrt(nu)*rho is formed."""
 
 
-class LambdaMismatch(DislospecError):
-    """Series truncation was requested at an order inconsistent with the energy relation."""
-
-
 class NoRealSolution(DislospecError):
     """The closed-form ground-state energy has a negative radicand for these parameters."""
 
@@ -22,7 +18,8 @@ class DegenerateDenominator(DislospecError):
 
 
 class NoRoots(DislospecError):
-    """No positive-slope root of the truncation condition in the search window."""
+    """No root of the truncation condition in the alpha window [0.01, 50.0], or a
+    root whose relative a_{n+1} is not below 1e-12."""
 
 
 class UndefinedAtZeroFlux(DislospecError):

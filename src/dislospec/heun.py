@@ -30,12 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import HeunParams
-from .errors import LambdaMismatch
 
 DEFAULT_N_MAX = 64
-
-# lam must sit within this distance of 2n before truncation_residual is meaningful.
-LAMBDA_TOL = 1e-8
 
 
 def lambda_bar(params: HeunParams) -> float:
@@ -131,20 +127,3 @@ def evaluate_R(wf: RadialWavefunction, xi):
     # 0.0**0 == 1.0 covers the nu_abs = 0 origin case.
     out = envelope * xi**wf.nu_abs * g
     return float(out) if out.ndim == 0 else out
-
-
-def truncation_residual(params: HeunParams, n: int) -> float:
-    """The coefficient a_{n+1}, which must vanish for a degree-n polynomial.
-
-    The caller is responsible for having already fixed lam = 2n through the
-    energy relation; LambdaMismatch flags a caller bug, not a physics result.
-    """
-    if n < 1:
-        raise ValueError(f"truncation order n must be >= 1, got {n}")
-    lam = lambda_bar(params)
-    if abs(lam - 2.0 * n) > LAMBDA_TOL:
-        raise LambdaMismatch(
-            f"lambda-bar = {lam!r} is not 2n = {2.0 * n!r}; "
-            "fix the energy relation before testing truncation"
-        )
-    return float(build_coefficients(params, n_max=n + 1).coeffs[n + 1])

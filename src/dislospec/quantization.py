@@ -72,7 +72,9 @@ from .heun import DEFAULT_N_MAX, RadialWavefunction, build_coefficients
 # Quadratic branch formula degenerates when its denominator is this close to 0.
 DEGENERATE_TOL = 1e-12
 
-# Default window in alpha; roots outside it are dropped after the solve.
+# The alpha window [ALPHA_MIN, ALPHA_MAX]; roots outside it are dropped after the
+# solve.  ALPHA_MIN also drops the +-1e-16 zero eigenvalue of an odd-sized free
+# Jacobi matrix.
 ALPHA_MIN = 0.01
 ALPHA_MAX = 50.0
 
@@ -103,7 +105,6 @@ class SpectrumPoint:
     wavefunction: RadialWavefunction
     scenario: str
     branch: int | None
-    lam: float
     trunc_rel: float
 
 
@@ -270,20 +271,19 @@ def solve_general_n(
     mass_m: float,
     geom: DefectGeometry,
     coup: Couplings,
-    *,
-    alpha_min: float = ALPHA_MIN,
-    alpha_max: float = ALPHA_MAX,
 ) -> list[SpectrumPoint]:
     """All bound states of radial index qn.n for the configured scenario.
 
     The slope constraint is solved as an eigenproblem in alpha = 2m/sqrt(nu)
     (see the module docstring), which returns every root at once; the roots
-    in [alpha_min, alpha_max] are kept.  Each kept root runs the recurrence
-    once, and a relative a_{n+1} above 1e-12, or NaN, raises NoRoots.  The
-    nu > 0 states are returned sorted ascending in nu (the physics does not
-    single one out for n >= 2).  The Coulomb scenario solves the +E and -E branches
-    separately since the constraint sees the sign of E through mu; free and
-    flux scenarios are sign-blind and carry the full +-E pair per root.
+    in the window [ALPHA_MIN, ALPHA_MAX] = [0.01, 50.0] are kept, and an empty
+    window raises NoRoots.  Each kept root runs the recurrence once, and a
+    relative a_{n+1} above 1e-12, or NaN, raises NoRoots: this is the
+    package's one truncation test.  The nu > 0 states are returned sorted
+    ascending in nu (the physics does not single one out for n >= 2).  The
+    Coulomb scenario solves the +E and -E branches separately since the
+    constraint sees the sign of E through mu; free and flux scenarios are
+    sign-blind and carry the full +-E pair per root.
     """
     if not mass_m > 0.0:
         raise ValueError(f"mass must be positive, got {mass_m}")
@@ -303,7 +303,7 @@ def solve_general_n(
     for sign in branch_signs:
         c = 2.0 * coup.b * (1 if sign is None else sign)
         for alpha_root in _alpha_roots(n, eff_abs, c, big_a, big_b):
-            if not (alpha_root > 0.0 and alpha_min <= alpha_root <= alpha_max):
+            if not ALPHA_MIN <= alpha_root <= ALPHA_MAX:
                 continue
             nu = 4.0 * mass_m * mass_m / (alpha_root * alpha_root)
             e_pair = energy_from_lambda(nu, n, eff_abs, qn.k)
@@ -338,7 +338,6 @@ def solve_general_n(
                     wavefunction=wf,
                     scenario=scenario,
                     branch=sign,
-                    lam=coeffs.lam,
                     trunc_rel=trunc_rel,
                 )
             )
@@ -346,7 +345,7 @@ def solve_general_n(
     if not points:
         raise NoRoots(
             f"no nu > 0 root of the order-{n} truncation condition in the "
-            f"alpha window ({alpha_min}, {alpha_max}]"
+            f"alpha window [{ALPHA_MIN}, {ALPHA_MAX}]"
         )
     points.sort(key=lambda p: (p.nu_solved, -(p.branch or 0)))
     return points

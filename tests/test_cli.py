@@ -172,6 +172,23 @@ class TestSpectrum:
         assert read_csv(out)[0]["status"] == "NO_ROOTS"
         assert "NO_ROOTS" in err
 
+    @pytest.mark.parametrize(
+        "argv,want",
+        [
+            (
+                "--scenario ab --flux 0:0.5:0.5",
+                [("free", "OK"), ("ab", "OK"), ("free", "NO_ROOTS"), ("ab", "NO_ROOTS")],
+            ),
+            ("--scenario coulomb --b 0", [("free", "OK"), ("free", "NO_ROOTS")]),
+        ],
+    )
+    def test_status_row_labels_its_couplings(self, capsys, argv, want):
+        # The k = 1e160 cells read NO_ROOTS.  Their rows name the couplings as the
+        # solved k = 0 rows of the same flux do: zero flux and b = 0 are free.
+        code, out, _ = run_cli(capsys, "spectrum", *argv.split(), "--l", "0", "--k", "0,1e160")
+        assert code == EXIT_SOLVER
+        assert [(r["scenario"], r["status"]) for r in read_csv(out)] == want
+
     def test_free_with_coulomb_coupling_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--scenario", "free", "--b", "0.1")
         assert code == EXIT_USAGE
@@ -325,6 +342,26 @@ class TestVerify:
         line = next(x for x in out.splitlines() if " current_agreement " in x)
         assert line.startswith("PASS current_agreement")
         assert line.endswith("(2 flux point(s))")
+
+    def test_check_that_measured_nothing_skips(self, capsys):
+        # The one cell has no real closed form, so no state is solved.
+        code, out, _ = run_cli(
+            capsys, "verify", "--scenario", "coulomb", "--b", "1.5", "--l", "0", "--k", "3"
+        )
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        notes = {
+            "closed_form_agreement": "(1 cell(s) without real closed form)",
+            "coulomb_fixed_point": "(no state to measure)",
+            "truncation_cascade": "(no state to measure)",
+            "ode_residual": "(no state to measure)",
+        }
+        for check, note in notes.items():
+            line = next(x for x in lines if f" {check} " in x)
+            assert line.startswith(f"SKIP {check} ")
+            assert " measured=- " in line
+            assert line.endswith(note)
+        assert lines[-1] == "2 passed, 0 failed, 7 skipped"
 
     def test_coulomb_scenario_fixed_point(self, capsys):
         code, out, _ = run_cli(

@@ -5,14 +5,12 @@ import pytest
 
 from dislospec import (
     HeunParams,
-    LambdaMismatch,
     MassProfile,
     RadialWavefunction,
     build_coefficients,
     evaluate_G,
     evaluate_R,
     heun_params,
-    truncation_residual,
 )
 from dislospec.heun import lambda_bar, tau_bar
 
@@ -153,18 +151,25 @@ class TestEvaluation:
             evaluate_R(wf, np.array([0.5, -0.5]))
 
 
+def truncation_coefficient(params, n):
+    """a_{n+1}, which must vanish for a degree-n polynomial."""
+    return build_coefficients(params, n_max=n + 1).coeffs[n + 1]
+
+
 class TestTruncationResidual:
     def test_vanishes_at_quantized_slope(self):
         for g in (0.0, 0.5, 1.0, 2.5):
             p = ground_free_params(gamma_abs=g)
-            assert abs(truncation_residual(p, 1)) < 1e-14
+            assert abs(lambda_bar(p) - 2.0) < 1e-12  # lam = 2n at n = 1
+            assert abs(truncation_coefficient(p, 1)) < 1e-14
 
     def test_nonzero_at_doubled_slope(self):
         m, g = 1.0, 0.5
         nu = 2.0 * m * m * (g + 1.5)
         e = math.sqrt(2.0 * nu * (1 + g + 1.0))
         p = heun_params(MassProfile(m, nu), e, 0.0, 0.0, g)
-        assert abs(truncation_residual(p, 1)) > 0.1
+        assert abs(lambda_bar(p) - 2.0) < 1e-12
+        assert abs(truncation_coefficient(p, 1)) > 0.1
 
     def test_coulomb_fixed_point_vanishes(self):
         # closed-form branch energy, slope from its quantization expression
@@ -174,12 +179,8 @@ class TestTruncationResidual:
         for e in energy_ground_coulomb(m, b, eta, k):
             nu = nu_ground_coulomb(m, b, eta, e)
             p = heun_params(MassProfile(m, nu), e, k, b, eta)
-            assert abs(truncation_residual(p, 1)) < 1e-13
-
-    def test_lambda_mismatch_raises(self):
-        p = ground_free_params(gamma_abs=0.0)
-        with pytest.raises(LambdaMismatch):
-            truncation_residual(p, 2)
+            assert abs(lambda_bar(p) - 2.0) < 1e-12
+            assert abs(truncation_coefficient(p, 1)) < 1e-13
 
     def test_termination_cascade(self):
         # once lam = 2n and a_{n+1} = 0 hold, the entire tail collapses

@@ -16,6 +16,7 @@ from dislospec import (
     NoRealSolution,
     NoRoots,
     QuantumNumbers,
+    build_coefficients,
     coulomb_eta,
     energy_from_lambda,
     energy_ground_coulomb,
@@ -24,7 +25,6 @@ from dislospec import (
     nu_ground_coulomb,
     nu_ground_free,
     solve_general_n,
-    truncation_residual,
 )
 from dislospec.quantization import ALPHA_MAX, ALPHA_MIN, _alpha_roots
 
@@ -437,14 +437,14 @@ class TestSolveGeneralN:
     def test_point_invariants(self):
         pts = solve_general_n(QuantumNumbers(2, 1, 0.5), 1.0, DefectGeometry(0.25), FREE)
         for p in pts:
-            assert abs(p.lam - 2 * p.qn.n) < 1e-10
+            assert abs(p.wavefunction.coefficients.lam - 2 * p.qn.n) < 1e-10
             assert p.trunc_rel < 1e-12
             assert p.wavefunction.truncation_order == p.qn.n
             # re-derive the truncation residual through the public path
             params = heun_params(
                 MassProfile(1.0, p.nu_solved), p.energies[0], p.qn.k, 0.0, p.eff_abs
             )
-            assert abs(truncation_residual(params, p.qn.n)) < 1e-10
+            assert abs(build_coefficients(params, n_max=p.qn.n + 1).coeffs[p.qn.n + 1]) < 1e-10
 
     @pytest.mark.parametrize(
         "n,k,b",
@@ -458,10 +458,9 @@ class TestSolveGeneralN:
             assert type(pt.nu_solved) is float
 
     def test_no_roots_reports_window(self):
-        with pytest.raises(NoRoots, match=r"0\.05"):
-            solve_general_n(
-                QuantumNumbers(1, 0, 0.0), 1.0, FLAT, FREE, alpha_max=0.05
-            )
+        # The one root alpha = 2/sqrt(40001.5) lies just below ALPHA_MIN.
+        with pytest.raises(NoRoots, match=r"\[0\.01, 50\.0\]"):
+            solve_general_n(QuantumNumbers(1, 40000, 0.0), 1.0, FLAT, FREE)
 
     def test_rejects_bad_mass(self):
         with pytest.raises(ValueError):
