@@ -13,7 +13,9 @@ Three subcommands:
   that measured nothing reads SKIP.  The closed-form, Coulomb fixed-point and
   current checks cover n = 1 only.
 
-Flux is configured as the dimensionless ratio q*Phi_B/(2 pi) everywhere.
+Flux is configured as the dimensionless ratio q*Phi_B/(2 pi) everywhere.  A
+state sees the charge only through that ratio, so every cell is solved at unit
+charge, and q, a flag of current alone, only scales the current.
 Energies are reported in units of m unless --absolute is given; slopes are
 always raw.  Output is deterministic: identical configuration yields
 byte-identical CSV or JSON.
@@ -21,7 +23,8 @@ byte-identical CSV or JSON.
 Exit codes: 0 success, 1 usage error, 2 solver error, 3 verification failure.
 A zero q, a non-finite number, a config string field that is not a JSON
 string or an unusable --config/--out path is a usage error.  Arithmetic
-overflow or underflow inside the solver is a solver error.
+overflow or underflow inside the solver (an effective angular momentum that
+overflows to inf included) and running out of memory are solver errors.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from itertools import product
 
@@ -259,8 +262,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _couplings(cfg: RunConfig, t: float) -> Couplings:
-    # t is q*Phi_B/(2 pi); store the dimensionful flux.
-    return Couplings(b=cfg.b, q=cfg.q, phi_B=t * TWO_PI / cfg.q)
+    # t = q*Phi_B/(2 pi) is all a state sees of q and Phi_B, so solve at unit charge.
+    return Couplings(b=cfg.b, phi_B=t * TWO_PI)
 
 
 def _json_value(value):
@@ -302,7 +305,7 @@ def _solve_cell(cfg: RunConfig, n: int, l: int, k: float, t: float) -> list:
     before any solve; the solver raises NoRoots."""
     geom = DefectGeometry(chi=cfg.chi)
     coup = _couplings(cfg, t)
-    if cfg.scenario == "coulomb" and n == 1:
+    if cfg.b != 0.0 and n == 1:
         eff = effective_angular_momentum(l, k, geom, coup)
         energy_ground_coulomb(cfg.m, cfg.b, coulomb_eta(eff, cfg.b), k)
     return solve_general_n(QuantumNumbers(n=n, l=l, k=k), cfg.m, geom, coup)
@@ -330,22 +333,16 @@ def _spectrum_rows_for(cfg: RunConfig, n: int, l: int, k: float, t: float) -> li
 
     rows = []
     for idx, pt in enumerate(points):
-        if pt.branch is None:
-            e_plus, e_minus = pt.energies
-            branch_label = ""
-        else:
-            e = pt.energies[0]
-            e_plus, e_minus = (e, None) if e > 0 else (None, e)
-            branch_label = "+" if pt.branch > 0 else "-"
+        # (+E, -E) for a free or flux state, one signed E for a Coulomb one; nu > 0, so E != 0.
         row = dict(base)
         row.update(
             scenario=pt.scenario,
             root_index=idx,
-            branch=branch_label,
+            branch={None: "", 1: "+", -1: "-"}[pt.branch],
             eff_momentum=pt.eff,
             nu_solved=pt.nu_solved,
-            e_plus=None if e_plus is None else e_plus / scale,
-            e_minus=None if e_minus is None else e_minus / scale,
+            e_plus=next((e / scale for e in pt.energies if e > 0), None),
+            e_minus=next((e / scale for e in pt.energies if e < 0), None),
             truncation_residual=pt.trunc_rel,
             status="OK",
         )
@@ -428,7 +425,6 @@ class _Population:
     """verify's states for every configured n and cell, solved once."""
 
     cfg: RunConfig
-    geom: DefectGeometry
     coulomb: bool
     cells: list  # (l, k, t, effective momentum) for every configured cell
     solved: dict  # n -> [(cell, states)] for every configured n
@@ -449,8 +445,7 @@ def _solve_population(cfg: RunConfig) -> _Population:
         (l, k, t, effective_angular_momentum(l, k, geom, _couplings(cfg, t)))
         for l, k, t in product(cfg.l, cfg.k, cfg.flux)
     ]
-    coulomb = cfg.scenario == "coulomb" and cfg.b != 0.0
-    pop = _Population(cfg, geom, coulomb, cells, {n: [] for n in cfg.n})
+    pop = _Population(cfg, cfg.b != 0.0, cells, {n: [] for n in cfg.n})
     for n, cell in product(cfg.n, cells):
         try:
             pop.solved[n].append((cell, _solve_cell(cfg, n, *cell[:3])))
@@ -530,20 +525,14 @@ def _check_fd_match(pop: _Population):
 
 
 def _check_minkowski_reduction(pop: _Population):
-    # k = 0 spectra must not depend on the torsion parameter at all.  This calls
-    # solve_general_n, not _solve_cell, so that it also compares the Coulomb n = 1
-    # cells whose closed form _solve_cell refuses.
-    cfg = pop.cfg
-    mismatches = 0
-    for n, l, t in product(cfg.n, cfg.l, cfg.flux):
-        coup = _couplings(cfg, t)
-        qn = QuantumNumbers(n=n, l=l, k=0.0)
-        a = solve_general_n(qn, cfg.m, pop.geom, coup)
-        b = solve_general_n(qn, cfg.m, DefectGeometry(chi=cfg.chi + 0.5), coup)
-        mismatches += len(a) != len(b)
-        for pa, pb in zip(a, b):
-            if pa.nu_solved != pb.nu_solved or pa.energies != pb.energies:
-                mismatches += 1
+    # k = 0 spectra must not depend on the torsion parameter at all.  The printed
+    # rows are compared, so a status row counts like a solved one.
+    flat = replace(pop.cfg, oracle=False)
+    twisted = replace(flat, chi=flat.chi + 0.5)
+    mismatches = sum(
+        _spectrum_rows_for(flat, n, l, 0.0, t) != _spectrum_rows_for(twisted, n, l, 0.0, t)
+        for n, l, t in product(flat.n, flat.l, flat.flux)
+    )
     return [float(mismatches)], 0.5, "k=0 spectra compared bitwise across torsion values"
 
 
@@ -634,7 +623,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=float, help="rest mass (default 1)")
         p.add_argument("--chi", type=float, help="torsion parameter (default 0)")
         p.add_argument("--b", type=float, help="Coulomb strength, signed (default 0)")
-        p.add_argument("--q", type=float, help="charge (default 1)")
         p.add_argument(
             "--flux",
             help="q*Phi_B/2pi value or start:stop:step sweep (default 0)",
@@ -664,6 +652,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_cur = sub.add_parser("current", help="persistent current sweep (scenario ab)")
     add_common(p_cur)
     p_cur.add_argument("--format", choices=["csv", "json"])
+    p_cur.add_argument("--q", type=float, help="charge; scales the current (default 1)")
     p_cur.add_argument(
         "--branch",
         choices=["plus", "minus"],
@@ -694,8 +683,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, OSError) as exc:
         print(f"dislospec: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # Overflow or underflow at extreme parameters (e.g. m = 1e-200) is a solver failure.
-    except (DislospecError, ArithmeticError) as exc:
+    # Overflow, underflow or exhausted memory at extreme parameters (e.g. m = 1e-200)
+    # is a solver failure.
+    except (DislospecError, ArithmeticError, MemoryError) as exc:
         print(f"dislospec: solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -289,6 +289,8 @@ def solve_general_n(
         raise ValueError(f"mass must be positive, got {mass_m}")
     n = qn.n
     eff = effective_angular_momentum(qn.l, qn.k, geom, coup)
+    if not math.isfinite(eff):  # chi*k overflowed; every matrix below would be non-finite
+        raise OverflowError(f"effective angular momentum {eff!r} is not finite")
     scenario = _classify(coup)
     if scenario == COULOMB:
         eff_abs = coulomb_eta(eff, coup.b)

@@ -189,6 +189,16 @@ class TestSpectrum:
         assert code == EXIT_SOLVER
         assert [(r["scenario"], r["status"]) for r in read_csv(out)] == want
 
+    def test_output_does_not_depend_on_charge(self, capsys, tmp_path):
+        # --flux is q*Phi_B/(2 pi) already, so q must not enter a cell: dividing
+        # by a subnormal q overflowed the effective momentum to inf.
+        argv = ["spectrum", "--scenario", "ab", "--flux", "0.3", "--l", "0", "--k", "0"]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"q": 1e-310}))
+        plain = run_cli(capsys, *argv)
+        assert plain[0] == EXIT_OK
+        assert run_cli(capsys, *argv, "--config", str(cfg)) == plain
+
     def test_free_with_coulomb_coupling_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--scenario", "free", "--b", "0.1")
         assert code == EXIT_USAGE
@@ -362,6 +372,15 @@ class TestVerify:
             assert " measured=- " in line
             assert line.endswith(note)
         assert lines[-1] == "2 passed, 0 failed, 7 skipped"
+
+    def test_minkowski_compares_unconfigured_k0_cells(self, capsys):
+        # The configured cell has eff = 1, but its k = 0 twin (l = 40000) has no
+        # root in the alpha window: both sides print NO_ROOTS, which is a match.
+        code, out, err = run_cli(
+            capsys, "verify", "--scenario", "free", "--l", "40000", "--chi", "1", "--k", "39999"
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert "PASS minkowski_reduction   measured=0.000e+00 " in out
 
     def test_coulomb_scenario_fixed_point(self, capsys):
         code, out, _ = run_cli(
@@ -602,20 +621,28 @@ class TestConfigAndOutput:
 
 class TestRejectedInput:
     @pytest.mark.parametrize("scenario", ["free", "coulomb", "ab"])
-    def test_zero_charge_is_usage_error(self, capsys, scenario):
-        code, _, err = run_cli(capsys, "spectrum", "--scenario", scenario, "--q", "0")
+    def test_zero_charge_is_usage_error(self, capsys, tmp_path, scenario):
+        code, _, err = run_cli(capsys, "current", "--scenario", "ab", "--q", "0")
+        assert code == EXIT_USAGE
+        assert "q must be nonzero" in err
+        # The config key q stays accepted on every subcommand, so it is checked there too.
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"q": 0}))
+        code, _, err = run_cli(capsys, "spectrum", "--scenario", scenario, "--config", str(cfg))
         assert code == EXIT_USAGE
         assert "q must be nonzero" in err
 
     @pytest.mark.parametrize("q", ["-1", "-2.5"])
-    def test_negative_charge_current(self, capsys, q):
-        args = ["--scenario", "ab", "--flux", "0.3", "--l", "0", "--k", "0", "--q", q]
-        code, out, _ = run_cli(capsys, "current", *args)
+    def test_negative_charge_current(self, capsys, tmp_path, q):
+        args = ["--scenario", "ab", "--flux", "0.3", "--l", "0", "--k", "0"]
+        code, out, _ = run_cli(capsys, "current", *args, "--q", q)
         assert code == EXIT_OK
         row = read_csv(out)[0]
         assert row["status"] == "OK"
         assert float(row["abs_discrepancy"]) < 1e-8 * abs(float(row["current_analytic"]))
-        code, out, _ = run_cli(capsys, "verify", *args)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"q": float(q)}))
+        code, out, _ = run_cli(capsys, "verify", *args, "--config", str(cfg))
         assert code == EXIT_OK
         assert "PASS current_agreement" in out
 
@@ -706,6 +733,8 @@ class TestRejectedInput:
             "verify --absolute",
             "current --scenario ab --oracle",
             "current --scenario ab --absolute",
+            "spectrum --q 2",
+            "verify --q 2",
         ],
     )
     def test_flag_the_subcommand_does_not_read_is_usage_error(self, capsys, argv):
@@ -731,13 +760,28 @@ class TestRejectedInput:
             "spectrum --scenario coulomb --b 1e200 --l 0 --k 0",
             "spectrum --scenario coulomb --b 1e-300 --l 0 --k 1",
             "current --scenario ab --m 1e-162 --l 0 --k 0 --flux 0.5",
+            # chi*k overflows the effective momentum to -inf.
+            "spectrum --scenario free --chi 1e200 --k 1e200 --l 0 --n 2",
+            "spectrum --scenario coulomb --b 0.1 --chi 1e200 --k 1e200 --l 0 --n 1",
         ],
     )
     def test_arithmetic_failure_is_solver_error(self, capsys, argv):
-        code, _, err = run_cli(capsys, *argv.split())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, *argv.split())
         assert code == EXIT_SOLVER
         assert "dislospec: solver error:" in err
         assert "Traceback" not in err
+
+    def test_memory_error_is_solver_error(self, capsys, monkeypatch):
+        # A large --n asks for dense (n+1) x (n+1) matrices; simulated, never allocated.
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 11.9 GiB")
+
+        monkeypatch.setattr(cli, "_solve_cell", exhausted)
+        code, out, err = run_cli(capsys, "spectrum", "--l", "0", "--k", "0")
+        assert (code, out) == (EXIT_SOLVER, "")
+        assert "dislospec: solver error: Unable to allocate" in err
 
     @pytest.mark.parametrize(
         "argv",
