@@ -295,7 +295,7 @@ def _fd_match(pt, m: float, index: int) -> float:
     mass = MassProfile(m, pt.nu_solved)
     target = pt.energies[0] * pt.energies[0]
     grid = default_fd_grid(mass, pt.qn.n, pt.eff_abs)
-    level = fd_eigensolve_free(mass, pt.eff_abs, pt.qn.k, grid, n_eigs=index + 1)[index]
+    level = fd_eigensolve_free(mass, pt.eff_abs, pt.qn.k, grid, index=index, near=target)
     return abs(level - target) / abs(target)
 
 
@@ -447,10 +447,14 @@ def _solve_population(cfg: RunConfig) -> _Population:
     ]
     pop = _Population(cfg, cfg.b != 0.0, cells, {n: [] for n in cfg.n})
     for n, cell in product(cfg.n, cells):
+        l, k, t = cell[:3]
         try:
-            pop.solved[n].append((cell, _solve_cell(cfg, n, *cell[:3])))
+            pop.solved[n].append((cell, _solve_cell(cfg, n, l, k, t)))
         except (NoRealSolution, DegenerateDenominator):
             pop.skipped += 1
+        except NoRoots as exc:
+            # Name the cell as spectrum's NO_ROOTS row for it does.
+            raise NoRoots(f"cell n={n}, l={l}, k={_fmt(k)}, flux={_fmt(t)}: {exc}") from exc
     return pop
 
 

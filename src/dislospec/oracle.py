@@ -7,19 +7,19 @@ Three cross-checks that share no code with the series solver:
   form and reports the normalized residual.
 * fd_eigensolve_free discretizes the original (dimensionful) radial equation
   as a vertex-centred finite-volume Sturm-Liouville problem, regular at the
-  origin, and returns the lowest eigenvalues in E^2 of the symmetrized
-  tridiagonal matrix, so a quantized analytic energy can be matched against
-  the level at its own index in a discretization that never saw the series
-  ansatz.  It uses only the equation's exponent at rho = 0, not the
-  solution's form.
+  origin, and returns E^2 of one level of the symmetrized tridiagonal
+  matrix, so a quantized analytic energy can be matched against the level
+  at its own index in a discretization that never saw the series ansatz.
+  It uses only the equation's exponent at rho = 0, not the solution's form.
 * normalization integrates |R|^2 xi dxi to confirm square-integrability.
 
-Only fd_eigensolve_free needs scipy, and it imports it when it runs, so
-importing the package never loads scipy.
+The level is found by a Sturm count on the matrix's LDL^T pivots, in plain
+Python, so numpy is the only dependency of this module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +32,16 @@ DEFAULT_FD_RHO_MIN = 1e-3
 # Largest effective momentum whose full origin exponent the finite-volume
 # oracle factors out; see fd_eigensolve_free.
 FD_FACTORED_MOMENTUM_MAX = 1.0
+# Half-width, relative to the seed, of the bracket the seed must isolate its
+# level in: wider than the 4000-point grid's error (about 1e-3 of E^2 at
+# n = 60), narrower than the relative level spacing (about 1/n).
+FD_SEED_WIDTH = 1e-2
+# Newton starts once bisection has isolated the level to this relative width:
+# from farther away a step on the degree-N determinant moves only about
+# |x - level| / N.
+FD_NEWTON_WIDTH = 1e-3
+# Relative step at which Newton stops: what one double-precision pass resolves.
+FD_STEP_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -127,9 +137,10 @@ def fd_eigensolve_free(
     eff_abs: float,
     k: float,
     grid: RadialGrid,
-    n_eigs: int = 6,
-) -> list[float]:
-    """Lowest n_eigs values of E^2 from a second-order finite-volume
+    index: int = 0,
+    near: float | None = None,
+) -> float:
+    """E^2 of level number index (0 = ground) of a second-order finite-volume
     discretization of the dimensionful radial equation.
 
     With u = sqrt(rho) R the radial equation reads
@@ -156,6 +167,12 @@ def fd_eigensolve_free(
     the flux through a midpoint is p(midpoint) (w_{i+1} - w_i)/h, and the
     outer grid edge is a Dirichlet wall.  The resulting pencil A w = W M w
     with diagonal M is symmetrized as M^{-1/2} A M^{-1/2}.
+
+    Level index of that tridiagonal matrix is found by _tridiagonal_level:
+    a Sturm count of its LDL^T pivots brackets the level and proves its
+    index, and Newton steps on the determinant refine it inside the bracket.
+    near, an estimate of E^2 such as the analytic value, only chooses where
+    the search starts; the result is level index whatever near is.
     """
     mass.require_confining()
     s = eff_abs
@@ -180,12 +197,97 @@ def fd_eigensolve_free(
     flux = face ** (q - 1.0) / h
     diag = (np.concatenate(([0.0], flux[:-1])) + flux + pot) / weight
     off = -flux[:-1] / np.sqrt(weight[:-1] * weight[1:])
-    # numpy has no selective tridiagonal solver, and a dense eigvalsh at the
-    # default 4000 points is far slower, so only this oracle loads scipy.
-    from scipy.linalg import eigvalsh_tridiagonal
+    shift = mass.m**2 + k * k
+    seed = None if near is None else near - shift
+    return _tridiagonal_level(diag, off, index, seed) + shift
 
-    w = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, n_eigs - 1))
-    return [float(x) for x in w + mass.m**2 + k * k]
+
+def _sturm_pass(diag: list, off2: list, x: float, pivmin: float) -> tuple[int, float]:
+    """Number of eigenvalues below x, and d log|det(T - x)|/dx.
+
+    The pivots of T - x = L D L^T are q_i = d_i - x - e_{i-1}^2 / q_{i-1}; as
+    many are negative as T has eigenvalues below x (Barth, Martin & Wilkinson,
+    Numer. Math. 9 (1967) 386).  det(T - x) is their product, so the log
+    derivative is the sum of q_i'/q_i.  A pivot of magnitude below pivmin is
+    set to -pivmin, as LAPACK's dstebz does, which keeps e^2/q finite.  off2 holds
+    e_{i-1}^2 with a leading 0.  Plain floats: numpy scalars are far slower.
+    """
+    count = 0
+    dlog = 0.0
+    q = 1.0
+    r = 0.0  # q_{i-1}' / q_{i-1}
+    for d, e2 in zip(diag, off2):
+        t = e2 / q
+        q = d - x - t
+        if q < pivmin:
+            if q > -pivmin:
+                q = -pivmin
+            count += 1
+        r = (t * r - 1.0) / q
+        dlog += r
+    return count, dlog
+
+
+def _tridiagonal_level(
+    diag: np.ndarray, off: np.ndarray, index: int, near: float | None = None
+) -> float:
+    """Eigenvalue number index (ascending, from 0) of the symmetric tridiagonal
+    matrix with diagonal diag and off-diagonal off.
+
+    [lo, hi) always holds the level: count(lo) <= index < count(hi).  A seed
+    near that the counts at near * (1 -+ FD_SEED_WIDTH) show to isolate the
+    level starts Newton at once; otherwise bisection from the Gershgorin
+    interval isolates it to FD_NEWTON_WIDTH first.  Newton steps that leave
+    the bracket, or shrink by less than half, are replaced by bisection.
+    """
+    if not 0 <= index < len(diag):
+        raise ValueError(f"level index {index} outside 0..{len(diag) - 1}")
+    d = diag.tolist()
+    off2 = [0.0] + (off * off).tolist()
+    pivmin = float(np.finfo(float).tiny) * max(1.0, max(off2))
+    radius = np.abs(np.concatenate(([0.0], off))) + np.abs(np.concatenate((off, [0.0])))
+    lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
+    # The count cannot resolve eigenvalues closer than rounding in T's entries.
+    floor = float(np.finfo(float).eps) * max(abs(lo), abs(hi))
+    n_lo, n_hi = 0, len(d)
+
+    def probe(x: float) -> float:
+        nonlocal lo, hi, n_lo, n_hi
+        count, dlog = _sturm_pass(d, off2, x, pivmin)
+        if count <= index:
+            lo, n_lo = x, count
+        else:
+            hi, n_hi = x, count
+        return dlog
+
+    if near is not None:
+        for edge in sorted((near * (1.0 - FD_SEED_WIDTH), near * (1.0 + FD_SEED_WIDTH))):
+            if lo < edge < hi:
+                probe(edge)
+    if near is not None and n_lo == index and n_hi == index + 1 and lo < near < hi:
+        x = near
+    else:
+        while hi - lo > floor and not (
+            n_lo == index
+            and n_hi == index + 1
+            and hi - lo <= FD_NEWTON_WIDTH * max(abs(lo), abs(hi))
+        ):
+            probe(0.5 * (lo + hi))
+        x = 0.5 * (lo + hi)
+
+    step_old = hi - lo
+    while True:
+        tol = max(FD_STEP_TOL * abs(x), floor)
+        dlog = probe(x)
+        step = -1.0 / dlog if math.isfinite(dlog) and dlog != 0.0 else math.nan
+        x_new = x + step
+        if not lo < x_new < hi or abs(step) > 0.5 * step_old:
+            x_new = 0.5 * (lo + hi)
+            step = x_new - x
+        if abs(step) <= tol or hi - lo <= tol:
+            return x_new
+        step_old = abs(step)
+        x = x_new
 
 
 def normalization(wf: RadialWavefunction, grid: RadialGrid) -> float:

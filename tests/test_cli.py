@@ -335,6 +335,15 @@ class TestVerify:
         assert "dislospec: solver error:" in err
         assert "np.float64" not in err
 
+    def test_rootless_cell_error_names_the_cell(self, capsys):
+        # spectrum prints this cell as a NO_ROOTS row; verify names it in the error.
+        argv = "--scenario coulomb --b -1.5 --l 0..2 --k 0,3 --n 1..2".split()
+        _, rows, _ = run_cli(capsys, "spectrum", *argv)
+        assert "coulomb,2,0,3,0,0,,0,,,,,NO_ROOTS" in rows.splitlines()
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (EXIT_SOLVER, "")
+        assert "dislospec: solver error: cell n=2, l=0, k=3, flux=0: no nu > 0 root" in err
+
     def test_flux_scenario_runs_current_checks(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--scenario", "ab", "--flux", "0.3", "--l", "0..1", "--k", "0"
@@ -840,12 +849,35 @@ class TestEntryPoint:
         )
         assert self.scipy_modules_after(help_run) == "[]"
 
-    def test_oracle_loads_scipy_when_it_runs(self):
-        oracle_run = (
+    ORACLE_RUNS = [
+        "spectrum --scenario free --l 0..1 --k 0,0.7 --n 1..3 --oracle",
+        "spectrum --scenario ab --flux 0:0.5:0.25 --l 0 --k 0,0.7 --oracle",
+        "verify --scenario free",
+        "verify --scenario ab --flux 0:0.5:0.25 --l 0 --k 0,0.7",
+    ]
+
+    def test_oracle_runs_without_scipy(self, capsys):
+        # A None entry in sys.modules makes every scipy import raise ImportError.
+        blocked_run = (
+            "import contextlib, io, json, sys\n"
+            "sys.modules['scipy'] = None\n"
             "from dislospec.cli import main\n"
-            "assert main(['spectrum', '--l', '0', '--k', '0', '--oracle']) == 0"
+            "results = []\n"
+            f"for argv in {self.ORACLE_RUNS!r}:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        code = main(argv.split())\n"
+            "    results.append([code, out.getvalue()])\n"
+            "print(json.dumps(results))"
         )
-        assert "'scipy.linalg'" in self.scipy_modules_after(oracle_run)
+        proc = subprocess.run(
+            [sys.executable, "-c", blocked_run], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        for argv, blocked in zip(self.ORACLE_RUNS, json.loads(proc.stdout), strict=True):
+            code, out, _ = run_cli(capsys, *argv.split())
+            assert code == EXIT_OK
+            assert blocked == [code, out]
 
     def test_bad_flag_exits_usage(self):
         proc = subprocess.run(

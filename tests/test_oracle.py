@@ -1,8 +1,11 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
+from dislospec import oracle
 from dislospec import (
     Couplings,
     DefectGeometry,
@@ -118,25 +121,20 @@ class TestOdeResidual:
 class TestFdEigensolver:
     def test_half_integer_momentum_match(self):
         # nu = m^2(0.5 + 3/2) = 2, analytic E^2 = 2*2*(0.5+2) + 1 = 11
-        eigs = fd_eigensolve_free(
-            MassProfile(1.0, 2.0), 0.5, 1.0, RadialGrid(1e-3, 10.0, 4000)
-        )
-        nearest = min(eigs, key=lambda x: abs(x - 11.0))
-        assert abs(nearest - 11.0) / 11.0 < 1e-3
+        ground = fd_eigensolve_free(MassProfile(1.0, 2.0), 0.5, 1.0, RadialGrid(1e-3, 10.0, 4000))
+        assert abs(ground - 11.0) / 11.0 < 1e-3
 
     def test_integer_momentum_match(self):
         # nu = 2.5, analytic E^2 = 2*2.5*3 = 15
-        eigs = fd_eigensolve_free(
-            MassProfile(1.0, 2.5), 1.0, 0.0, RadialGrid(1e-3, 10.0, 4000)
-        )
-        nearest = min(eigs, key=lambda x: abs(x - 15.0))
-        assert abs(nearest - 15.0) / 15.0 < 1e-4
+        ground = fd_eigensolve_free(MassProfile(1.0, 2.5), 1.0, 0.0, RadialGrid(1e-3, 10.0, 4000))
+        assert abs(ground - 15.0) / 15.0 < 1e-4
 
     def test_detects_slope_momentum_mismatch(self):
-        # nu = 1.5 is quantized for |eff| = 0, not 1; no eigenvalue near 6
+        # nu = 1.5 is quantized for |eff| = 0, not 1; none of the lowest six levels is near 6
         mass = MassProfile(1.0, 1.5)
-        eigs = fd_eigensolve_free(mass, 1.0, 0.0, default_fd_grid(mass, 1, 1.0))
-        assert min(abs(e - 6.0) / 6.0 for e in eigs) > 0.05
+        grid = default_fd_grid(mass, 1, 1.0)
+        levels = [fd_eigensolve_free(mass, 1.0, 0.0, grid, index=i) for i in range(6)]
+        assert min(abs(e - 6.0) / 6.0 for e in levels) > 0.05
 
     def test_second_order_convergence(self):
         # |eff| = 2, above the fully factored momentum range; halving h must
@@ -145,9 +143,8 @@ class TestFdEigensolver:
         e2 = 2.0 * 3.5 * 4.0
         errs = []
         for n_points in (4000, 7999):
-            eigs = fd_eigensolve_free(mass, 2.0, 0.0, RadialGrid(1e-3, 10.0, n_points))
-            nearest = min(eigs, key=lambda x: abs(x - e2))
-            errs.append(abs(nearest - e2) / e2)
+            ground = fd_eigensolve_free(mass, 2.0, 0.0, RadialGrid(1e-3, 10.0, n_points))
+            errs.append(abs(ground - e2) / e2)
         assert 3.5 < errs[0] / errs[1] < 4.5
 
     @pytest.mark.parametrize("eff", [40.0, 150.0])
@@ -157,17 +154,14 @@ class TestFdEigensolver:
         # stay finite and close on the default grid.
         mass = MassProfile(1.0, nu_ground_free(1.0, eff))
         e2 = energy_ground_free(1.0, eff, 0.0)[0] ** 2
-        eigs = fd_eigensolve_free(mass, eff, 0.0, default_fd_grid(mass, 1, eff))
-        nearest = min(eigs, key=lambda x: abs(x - e2))
-        assert math.isfinite(nearest)
-        assert abs(nearest - e2) / e2 < 1e-3
+        ground = fd_eigensolve_free(mass, eff, 0.0, default_fd_grid(mass, 1, eff))
+        assert math.isfinite(ground)
+        assert abs(ground - e2) / e2 < 1e-3
 
-    def test_returns_sorted_requested_count(self):
-        eigs = fd_eigensolve_free(
-            MassProfile(1.0, 2.5), 1.0, 0.0, RadialGrid(1e-3, 10.0, 1500), n_eigs=4
-        )
-        assert len(eigs) == 4
-        assert eigs == sorted(eigs)
+    def test_levels_ascend_with_index(self):
+        mass, grid = MassProfile(1.0, 2.5), RadialGrid(1e-3, 10.0, 1500)
+        levels = [fd_eigensolve_free(mass, 1.0, 0.0, grid, index=i) for i in range(4)]
+        assert levels == sorted(set(levels))
 
     def test_default_grid_scales_with_state(self):
         mass = MassProfile(1.0, 2.5)
@@ -183,6 +177,68 @@ class TestFdEigensolver:
             fd_eigensolve_free(
                 MassProfile(1.0, -1.0), 0.0, 0.0, RadialGrid(1e-3, 10.0, 100)
             )
+
+
+def solved_states():
+    """(root index, state) of free (flux 0) and AB (flux 0.3) cells up to n = 16."""
+    geom = DefectGeometry(chi=0.2)
+    for n, l, k, t in product((1, 16), range(4), (0.0, 0.7), (0.0, 0.3)):
+        coup = Couplings(phi_B=2.0 * math.pi * t)
+        yield from enumerate(solve_general_n(QuantumNumbers(n, l, k), 1.0, geom, coup))
+
+
+class TestLevelFinder:
+    def test_seeded_levels_match_lapack(self, monkeypatch):
+        # LAPACK's bisection on the very matrix the finder is handed, at the same index.
+        finder, reference = oracle._tridiagonal_level, []
+
+        def checked(diag, off, index, near=None):
+            lapack = eigvalsh_tridiagonal(diag, off, select="i", select_range=(index, index))
+            reference.append(float(lapack[0]))
+            return finder(diag, off, index, near)
+
+        monkeypatch.setattr(oracle, "_tridiagonal_level", checked)
+        errors = []
+        for index, pt in solved_states():
+            mass, k = MassProfile(1.0, pt.nu_solved), pt.qn.k
+            grid = default_fd_grid(mass, pt.qn.n, pt.eff_abs)
+            got = fd_eigensolve_free(mass, pt.eff_abs, k, grid, index, near=pt.energies[0] ** 2)
+            want = reference[-1] + 1.0 + k * k
+            errors.append(abs(got - want) / want)
+        assert len(errors) >= 100
+        assert max(errors) <= 1e-10
+
+    def test_bad_seed_finds_the_same_level(self):
+        # The seed only picks where the search starts; the count proves the index.
+        pts = solve_general_n(QuantumNumbers(5, 1, 0.7), 1.0, DefectGeometry(chi=0.2), FREE)
+        assert len(pts) == 3
+        for index, pt in enumerate(pts):
+            mass = MassProfile(1.0, pt.nu_solved)
+            grid = default_fd_grid(mass, 5, pt.eff_abs)
+            level = fd_eigensolve_free(mass, pt.eff_abs, 0.7, grid, index)
+            neighbour = fd_eigensolve_free(mass, pt.eff_abs, 0.7, grid, index + 1)
+            e2 = pt.energies[0] ** 2
+            for near in (neighbour, 1.01 * e2, -e2):
+                got = fd_eigensolve_free(mass, pt.eff_abs, 0.7, grid, index, near=near)
+                assert got == pytest.approx(level, rel=1e-10)
+
+    def test_zero_pivot_counts_and_stays_finite(self):
+        # Bisection's first probe, the Gershgorin midpoint (-2 + 5) / 2, is d_0, so
+        # the first pivot is exactly zero there; 1.5 is no eigenvalue.
+        diag, off = np.array([1.5, 0.0, 4.0]), np.array([1.0, 1.0])
+        exact = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        count, _ = oracle._sturm_pass(diag.tolist(), [0.0, 1.0, 1.0], 1.5, 1e-300)
+        assert count == np.count_nonzero(exact < 1.5) == 1
+        for index, want in enumerate(exact):
+            got = oracle._tridiagonal_level(diag, off, index)
+            assert math.isfinite(got)
+            assert got == pytest.approx(want, rel=1e-10)
+
+    def test_rejects_index_outside_matrix(self):
+        mass, grid = MassProfile(1.0, 2.5), RadialGrid(1e-3, 10.0, 100)
+        for index in (-1, 99):
+            with pytest.raises(ValueError, match="level index"):
+                fd_eigensolve_free(mass, 1.0, 0.0, grid, index)
 
 
 class TestNormalization:
