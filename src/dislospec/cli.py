@@ -40,8 +40,6 @@ from dataclasses import dataclass, fields, replace
 from functools import partial
 from itertools import product
 
-import numpy as np
-
 from .core import (
     COULOMB,
     TWO_PI,
@@ -503,12 +501,17 @@ def _check_coulomb_fixed_point(pop: _Population):
     return errors, 1e-10, ""
 
 
+def _max(values) -> float:
+    """The largest of values, or NaN if one is NaN: Python's max(0.0, nan) drops it."""
+    return max(values, key=lambda x: (math.isnan(x), x))
+
+
 def _check_truncation_cascade(pop: _Population):
     ratios = []
     for pt in pop.points:
-        a = pt.wavefunction.coefficients.coeffs
-        head = max(abs(a[: pt.qn.n + 1]).max(), 1e-300)
-        ratios.append(abs(a[pt.qn.n + 1 :]).max() / head)
+        a = [abs(x) for x in pt.wavefunction.coefficients.coeffs]
+        head = max(_max(a[: pt.qn.n + 1]), 1e-300)
+        ratios.append(_max(a[pt.qn.n + 1 :]) / head)
     return ratios, 1e-10, ""
 
 
@@ -591,8 +594,8 @@ def cmd_verify(cfg: RunConfig, out: io.TextIOBase, err: io.TextIOBase) -> int:
     width = max(len(name) for name, _ in _VERIFY_CHECKS)
     statuses = []
     for name, values, threshold, note in results:
-        # np.max keeps a NaN (Python's max(0.0, nan) drops it), and NaN < threshold is false.
-        measured = float(np.max(values)) if values else None
+        # _max keeps a NaN, and NaN < threshold is false.
+        measured = _max(values) if values else None
         if measured is None:
             note = note or "no state to measure"
         status = "SKIP" if measured is None else "PASS" if measured < threshold else "FAIL"

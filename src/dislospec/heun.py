@@ -21,13 +21,14 @@ The free case is mu = 0 (then a_1 = alpha/2).  The series terminates as a
 degree-n polynomial exactly when lam = 2n and a_{n+1} = 0 hold together; the
 recurrence then forces a_{n+2} = 0 as well and the whole tail collapses.
 That pair of conditions is what the quantization module solves.
+
+The recurrence runs on plain floats, so building a series needs no numpy;
+only evaluate_G and evaluate_R, which take arrays, import it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import HeunParams
 
@@ -48,7 +49,7 @@ def tau_bar(params: HeunParams) -> float:
 class SeriesCoefficients:
     """Coefficients a_0..a_N of G, normalized to a_0 = 1."""
 
-    coeffs: np.ndarray
+    coeffs: tuple[float, ...]
     params: HeunParams
     lam: float
     tau: float
@@ -73,7 +74,7 @@ class RadialWavefunction:
     nu_abs: float
     truncation_order: int | None = None
 
-    def polynomial_coeffs(self) -> np.ndarray:
+    def polynomial_coeffs(self) -> tuple[float, ...]:
         a = self.coefficients.coeffs
         if self.truncation_order is not None:
             return a[: self.truncation_order + 1]
@@ -91,13 +92,11 @@ def build_coefficients(params: HeunParams, n_max: int = DEFAULT_N_MAX) -> Series
     lam = lambda_bar(params)
     tau = tau_bar(params)
     s = params.nu_abs
-    a = np.zeros(n_max + 1)
-    a[0] = 1.0
-    a[1] = tau / (1.0 + 2.0 * s)
+    a = [1.0, tau / (1.0 + 2.0 * s)]
     for k in range(n_max - 1):
         denom = (k + 2.0) * (k + 2.0 + 2.0 * s)
-        a[k + 2] = ((params.alpha * (k + 1.0) + tau) * a[k + 1] - (lam - 2.0 * k) * a[k]) / denom
-    return SeriesCoefficients(coeffs=a, params=params, lam=lam, tau=tau)
+        a.append(((params.alpha * (k + 1.0) + tau) * a[k + 1] - (lam - 2.0 * k) * a[k]) / denom)
+    return SeriesCoefficients(coeffs=tuple(a), params=params, lam=lam, tau=tau)
 
 
 def evaluate_G(coeffs: SeriesCoefficients, xi):
@@ -106,6 +105,8 @@ def evaluate_G(coeffs: SeriesCoefficients, xi):
     When the truncation conditions hold this partial sum is the exact
     polynomial solution.
     """
+    import numpy as np
+
     xi = np.asarray(xi, dtype=float)
     if np.any(xi < 0.0):
         raise ValueError("xi must be >= 0")
@@ -118,6 +119,8 @@ def evaluate_R(wf: RadialWavefunction, xi):
 
     R(0) = 0 for nu_abs > 0 and R(0) = G(0) for nu_abs = 0.
     """
+    import numpy as np
+
     xi = np.asarray(xi, dtype=float)
     if np.any(xi < 0.0):
         raise ValueError("xi must be >= 0")

@@ -14,18 +14,22 @@ Three cross-checks that share no code with the series solver:
 * normalization integrates |R|^2 xi dxi to confirm square-integrability.
 
 The level is found by a Sturm count on the matrix's LDL^T pivots, in plain
-Python, so numpy is the only dependency of this module.
+Python.  numpy, which the grids and the matrix assembly need, is imported by
+each function that uses it, so importing this module, and a CLI call that
+prints no oracle column, does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import HeunParams, MassProfile
 from .heun import RadialWavefunction
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_FD_POINTS = 4000
 DEFAULT_FD_RHO_MIN = 1e-3
@@ -69,12 +73,11 @@ class RadialGrid:
         return (self.xi_max - self.xi_min) / (self.n_points - 1)
 
     def points(self) -> np.ndarray:
+        import numpy as np
+
         return np.linspace(self.xi_min, self.xi_max, self.n_points)
 
 
-# At large n the unscaled xi^s G(xi) overflows and the residual reads NaN.
-# That NaN is the report, so numpy's overflow warnings are silenced.
-@np.errstate(over="ignore", invalid="ignore")
 def ode_residual(wf: RadialWavefunction, params: HeunParams, grid: RadialGrid) -> float:
     """Max |LHS| of the xi-form radial equation over the grid, normalized by max |R|.
 
@@ -87,35 +90,40 @@ def ode_residual(wf: RadialWavefunction, params: HeunParams, grid: RadialGrid) -
     and the polynomial derivatives of G come from the coefficient array.  The
     normalization makes the result invariant under rescaling of R.
     """
+    import numpy as np
+
     xi = grid.points()
     a = wf.polynomial_coeffs()
     poly = np.polynomial.polynomial
-    g = poly.polyval(xi, a)
-    dg = poly.polyval(xi, poly.polyder(a)) if len(a) > 1 else np.zeros_like(xi)
-    d2g = poly.polyval(xi, poly.polyder(a, 2)) if len(a) > 2 else np.zeros_like(xi)
-
     s = wf.nu_abs
     alpha = wf.alpha
-    envelope = np.exp(-0.5 * xi * xi - 0.5 * alpha * xi)
-    dlog = -xi - 0.5 * alpha
+    # At large n the unscaled xi^s G(xi) overflows and the residual reads NaN.
+    # That NaN is the report, so numpy's overflow warnings are silenced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = poly.polyval(xi, a)
+        dg = poly.polyval(xi, poly.polyder(a)) if len(a) > 1 else np.zeros_like(xi)
+        d2g = poly.polyval(xi, poly.polyder(a, 2)) if len(a) > 2 else np.zeros_like(xi)
 
-    u = xi**s * g
-    du = s * xi ** (s - 1.0) * g + xi**s * dg
-    d2u = s * (s - 1.0) * xi ** (s - 2.0) * g + 2.0 * s * xi ** (s - 1.0) * dg + xi**s * d2g
+        envelope = np.exp(-0.5 * xi * xi - 0.5 * alpha * xi)
+        dlog = -xi - 0.5 * alpha
 
-    r = envelope * u
-    dr = envelope * (dlog * u + du)
-    d2r = envelope * ((dlog * dlog - 1.0) * u + 2.0 * dlog * du + d2u)
+        u = xi**s * g
+        du = s * xi ** (s - 1.0) * g + xi**s * dg
+        d2u = s * (s - 1.0) * xi ** (s - 2.0) * g + 2.0 * s * xi ** (s - 1.0) * dg + xi**s * d2g
 
-    lhs = (
-        d2r
-        + dr / xi
-        - (params.nu_abs**2 / xi**2) * r
-        + (params.mu / xi) * r
-        - xi * xi * r
-        - params.alpha * xi * r
-        + params.beta * r
-    )
+        r = envelope * u
+        dr = envelope * (dlog * u + du)
+        d2r = envelope * ((dlog * dlog - 1.0) * u + 2.0 * dlog * du + d2u)
+
+        lhs = (
+            d2r
+            + dr / xi
+            - (params.nu_abs**2 / xi**2) * r
+            + (params.mu / xi) * r
+            - xi * xi * r
+            - params.alpha * xi * r
+            + params.beta * r
+        )
     scale = float(np.max(np.abs(r)))
     if scale == 0.0:
         return float(np.max(np.abs(lhs)))
@@ -128,8 +136,8 @@ def default_fd_grid(
     """Default eigensolver grid: the state's xi-extent (~10 units, widened for
     higher n or momentum) mapped back to the dimensionful radius."""
     mass.require_confining()
-    rho_max = 10.0 / np.sqrt(mass.nu) * max(1.0, np.sqrt(n + eff_abs))
-    return RadialGrid(DEFAULT_FD_RHO_MIN, float(rho_max), n_points)
+    rho_max = 10.0 / math.sqrt(mass.nu) * max(1.0, math.sqrt(n + eff_abs))
+    return RadialGrid(DEFAULT_FD_RHO_MIN, rho_max, n_points)
 
 
 def fd_eigensolve_free(
@@ -174,6 +182,8 @@ def fd_eigensolve_free(
     near, an estimate of E^2 such as the analytic value, only chooses where
     the search starts; the result is level index whatever near is.
     """
+    import numpy as np
+
     mass.require_confining()
     s = eff_abs
     sigma = min(s, FD_FACTORED_MOMENTUM_MAX)
@@ -240,6 +250,8 @@ def _tridiagonal_level(
     interval isolates it to FD_NEWTON_WIDTH first.  Newton steps that leave
     the bracket, or shrink by less than half, are replaced by bisection.
     """
+    import numpy as np
+
     if not 0 <= index < len(diag):
         raise ValueError(f"level index {index} outside 0..{len(diag) - 1}")
     d = diag.tolist()
@@ -292,6 +304,8 @@ def _tridiagonal_level(
 
 def normalization(wf: RadialWavefunction, grid: RadialGrid) -> float:
     """Trapezoidal integral of |R(xi)|^2 xi dxi over the grid."""
+    import numpy as np
+
     xi = grid.points()
     a = wf.polynomial_coeffs()
     g = np.polynomial.polynomial.polyval(xi, a)

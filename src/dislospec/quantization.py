@@ -18,8 +18,8 @@ At lam = 2n rows j = 0..n of the recurrence read
 with d_j = j + s + 1/2 and a_{-1} = a_{n+1} = 0.  So a_{n+1}(alpha) = 0 says
 alpha is an eigenvalue of a tridiagonal matrix (Golub-Welsch).  Its
 off-diagonal products are positive, so a diagonal similarity makes it the
-symmetric Jacobi matrix S(mu) = S_0 + mu D^{-1}, and one dense symmetric
-eigensolve of this small matrix (numpy's eigvalsh) returns all n + 1 roots.
+symmetric Jacobi matrix S(mu) = S_0 + mu D^{-1}, and one implicit QL solve
+of this small tridiagonal matrix, in plain Python, returns all n + 1 roots.
 
 On the energy relation mu = 2bE/sqrt(nu) = c sqrt(A + B alpha^2), with
 c = +-2b (the sign of E), A = 2(n+s+1) and B = k^2/(4m^2).  It is constant
@@ -44,15 +44,15 @@ kappa = |c| sqrt(B)/d_0 bounds the slope of lambda_i(mu(alpha)):
   is never inverted.  The real roots w > 1 are the alpha > 0 roots, which
   Newton then polishes.  The quadratic is used only here, where
   r <= |c| sqrt(A)/d_0: as k -> 0 its roots crowd at w = 1 and lose their
-  digits.
+  digits.  This branch is the only one that imports numpy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Callable
 
 from .core import (
     AB_FLUX,
@@ -214,14 +214,75 @@ def _classify(coup: Couplings) -> str:
     return FREE
 
 
+def _tridiagonal_eigh(
+    diag: list[float], off: list[float], vectors: bool = False
+) -> tuple[list[float], Callable[[int], list[float]] | None]:
+    """Ascending eigenvalues of the symmetric tridiagonal matrix with diagonal
+    diag and off-diagonal off, and with vectors=True a function that returns
+    the unit eigenvector of eigenvalue i (else None).
+
+    Implicit QL with Wilkinson shifts (tql2: Bowdler, Martin, Reinsch &
+    Wilkinson, Numer. Math. 11 (1968) 293).  The plane rotations are recorded
+    rather than accumulated, so one eigenvector costs a replay of them,
+    O(size^2), not the O(size^3) of all.  Plain floats: at size <= 4 a numpy
+    call costs more than the whole solve.  A NaN entry deflates at once and
+    comes back as a NaN eigenvalue.
+    """
+    size, eps = len(diag), sys.float_info.epsilon
+    d, e = list(diag), [*off, 0.0]
+    turns = []  # (i, s, c): the rotation of rows i, i + 1, in the order applied
+    for l in range(size):
+        for _ in range(30):  # the classical cap; QL converges cubically
+            m = l
+            while m < size - 1 and abs(e[m]) > eps * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == l:
+                break
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            g = d[m] - d[l] + e[l] / (g + math.copysign(math.hypot(g, 1.0), g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f, b = s * e[i], c * e[i]
+                r = e[i + 1] = math.hypot(f, g)
+                if r == 0.0:  # the rotation underflowed: split here and sweep again
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                if vectors:
+                    turns.append((i, s, c))
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+        else:
+            raise ArithmeticError(f"tridiagonal QL did not converge at eigenvalue {l}")
+    order = sorted(range(size), key=d.__getitem__)
+
+    def vector(index: int) -> list[float]:
+        # The eigenvectors are the columns of the product of the rotations.
+        x = [0.0] * size
+        x[order[index]] = 1.0
+        for i, s, c in reversed(turns):
+            x[i], x[i + 1] = c * x[i] + s * x[i + 1], c * x[i + 1] - s * x[i]
+        return x
+
+    return [d[i] for i in order], vector if vectors else None
+
+
 def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list[float]:
     """Every real root of a_{n+1}(alpha) = 0 at mu = c sqrt(A + B alpha^2), ascending."""
-    j = np.arange(n, dtype=float)
-    d = np.arange(n + 1, dtype=float) + s + 0.5
-    sup = (j + 1.0) * (j + 1.0 + 2.0 * s)  # T[j, j+1]
-    sub = 2.0 * (n - j)  # T[j+1, j]
-    off = np.sqrt(sup * sub / (d[:-1] * d[1:]))  # off-diagonal of S ~ D^{-1} T
-    s0 = np.diag(off, 1) + np.diag(off, -1)  # S(mu) = S_0 + mu D^{-1}
+    d = [j + s + 0.5 for j in range(n + 1)]
+    sup = [(j + 1.0) * (j + 1.0 + 2.0 * s) for j in range(n)]  # T[j, j+1]
+    sub = [2.0 * (n - j) for j in range(n)]  # T[j+1, j]
+    # Off-diagonal of S ~ D^{-1} T; S(mu) = S_0 + mu D^{-1} has diagonal mu / d.
+    off = [math.sqrt(sup[j] * sub[j] / (d[j] * d[j + 1])) for j in range(n)]
 
     def polish(alpha: float, index: int | None = None) -> float:
         """Newton on lambda_i(mu(alpha)) - alpha; index None follows the
@@ -229,26 +290,29 @@ def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list
         derivative d lambda/d mu = v^T D^{-1} v from the unit eigenvector v."""
         for _ in range(NEWTON_MAX_STEPS):
             root = math.sqrt(big_a + big_b * alpha * alpha)
-            lam, vec = np.linalg.eigh(s0 + np.diag(c * root / d))
-            i = int(np.argmin(np.abs(lam - alpha))) if index is None else index
-            slope = float(vec[:, i] ** 2 @ (1.0 / d)) * c * big_b * alpha / root - 1.0
+            lam, vector = _tridiagonal_eigh([c * root / dj for dj in d], off, vectors=True)
+            i = min(range(n + 1), key=lambda j: abs(lam[j] - alpha)) if index is None else index
+            slope = sum(v * v / dj for v, dj in zip(vector(i), d)) * c * big_b * alpha / root - 1.0
             step = (lam[i] - alpha) / slope
             alpha -= step
             if abs(step) <= NEWTON_RTOL * abs(alpha):
                 break
-        return float(alpha)
+        return alpha
 
-    lam0 = np.linalg.eigvalsh(s0 + np.diag(c * math.sqrt(big_a) / d))
+    lam0, _ = _tridiagonal_eigh([c * math.sqrt(big_a) / dj for dj in d], off)
     if c == 0.0 or big_b == 0.0:  # constant mu
-        return lam0.tolist()
+        return lam0
     if abs(c) * math.sqrt(big_b) < d[0]:  # kappa < 1: one root per eigen-branch
         return [polish(a, i) for i, a in enumerate(lam0)]
 
+    import numpy as np  # the one nonsymmetric eigensolve; no other solve needs numpy
+
     r = math.sqrt(big_a / big_b)
     ca = c * math.sqrt(big_a)
+    dv = np.array(d)
     # Companion matrix on [a; x a] of the quadratic in x = w (c < 0) or
     # x = 1/w (c > 0), whose leading coefficient is definite.
-    lead, tail = (ca - r * d, ca + r * d) if c < 0.0 else (ca + r * d, ca - r * d)
+    lead, tail = (ca - r * dv, ca + r * dv) if c < 0.0 else (ca + r * dv, ca - r * dv)
     t = np.diag(sup, 1) + np.diag(sub, -1)
     companion = np.block(
         [
@@ -256,7 +320,7 @@ def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list
             [-np.diag(tail / lead), -2.0 * t / lead[:, None]],
         ]
     )
-    xs = [x.real for x in np.linalg.eigvals(companion) if abs(x.imag) <= REAL_TOL * abs(x)]
+    xs = [float(x.real) for x in np.linalg.eigvals(companion) if abs(x.imag) <= REAL_TOL * abs(x)]
     if c < 0.0:
         real_w = [x for x in xs if x > 1.0]
     else:
@@ -317,8 +381,8 @@ def solve_general_n(
                 energies = (e_for_mu,)
             params = heun_params(MassProfile(mass_m, nu), e_for_mu, qn.k, coup.b, eff_abs)
             coeffs = build_coefficients(params, n_max=max(DEFAULT_N_MAX, n + 1))
-            head = float(np.max(np.abs(coeffs.coeffs[: n + 1])))
-            trunc_rel = abs(float(coeffs.coeffs[n + 1])) / head
+            head = max(map(abs, coeffs.coeffs[: n + 1]))
+            trunc_rel = abs(coeffs.coeffs[n + 1]) / head
             if not trunc_rel <= 1e-12:  # a NaN residual fails too
                 raise NoRoots(
                     f"root polish failed at alpha={alpha_root!r}: "

@@ -317,6 +317,27 @@ class TestVerify:
         assert line.startswith("FAIL ode_residual")
         assert "measured=nan" in line
 
+    def test_nan_in_a_series_tail_fails(self, capsys, monkeypatch):
+        # Python's max(0.0, nan) drops the NaN, so verify's maxima must keep it.
+        # The NaN is the last tail coefficient of the last state, where a plain
+        # max over the tail and then over the states would drop it twice.
+        def nan_tail_solve(qn, m, geom, coup):
+            points = solve_general_n(qn, m, geom, coup)
+            if qn.l != 2:
+                return points
+            pt = points[-1]
+            series = pt.wavefunction.coefficients
+            series = dataclasses.replace(series, coeffs=series.coeffs[:-1] + (math.nan,))
+            wf = dataclasses.replace(pt.wavefunction, coefficients=series)
+            return points[:-1] + [dataclasses.replace(pt, wavefunction=wf)]
+
+        monkeypatch.setattr(cli, "solve_general_n", nan_tail_solve)
+        code, out, _ = run_cli(capsys, "verify", "--scenario", "free")
+        assert code == EXIT_VERIFY
+        failed = [x for x in out.splitlines() if x.startswith("FAIL")]
+        assert len(failed) == 1
+        assert failed[0].split()[:3] == ["FAIL", "truncation_cascade", "measured=nan"]
+
     def test_overflowing_residual_is_a_quiet_nan(self):
         # At n = 300 xi^s G(xi) overflows: the NaN is the report (verify FAILs on
         # it, JSON writes null), so numpy must not also warn on stderr.
@@ -878,6 +899,46 @@ class TestEntryPoint:
             code, out, _ = run_cli(capsys, *argv.split())
             assert code == EXIT_OK
             assert blocked == [code, out]
+
+    SOLVER_RUNS = [
+        "--help",
+        "spectrum --scenario ab --flux 0:1:0.05 --l=-2..2 --k 0.7 --n 1..3",
+        "spectrum --scenario coulomb --b 0.1 --l 0..1 --k 0,0.7 --n 1..3",  # Newton path
+        "current --scenario ab --flux 0:1:0.5 --l 0 --k 0,0.7 --n 1..3",
+    ]
+
+    def test_solver_runs_without_numpy(self):
+        # numpy's import costs about as much as interpreter start; only the
+        # oracle columns, verify and the kappa >= 1 pencil need it.
+        runs = (
+            "import contextlib, io, json, sys\n"
+            "if sys.argv[1] == 'blocked':\n"
+            "    sys.modules['numpy'] = None\n"
+            "from dislospec.cli import main\n"
+            "results = []\n"
+            f"for argv in {self.SOLVER_RUNS!r}:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        try:\n"
+            "            code = main(argv.split())\n"
+            "        except SystemExit as exc:\n"
+            "            code = exc.code\n"
+            "    results.append([code, out.getvalue()])\n"
+            "print(json.dumps(results))"
+        )
+        blocked, unblocked = (
+            subprocess.run([sys.executable, "-c", runs, mode], capture_output=True, text=True)
+            for mode in ("blocked", "unblocked")
+        )
+        assert blocked.returncode == 0, blocked.stderr
+        assert [code for code, _ in json.loads(blocked.stdout)] == [EXIT_OK] * 4
+        assert blocked.stdout == unblocked.stdout
+        imported = subprocess.run(
+            [sys.executable, "-c", "import sys, dislospec; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert imported.stdout == "False\n", imported.stderr
 
     def test_bad_flag_exits_usage(self):
         proc = subprocess.run(

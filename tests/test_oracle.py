@@ -99,7 +99,10 @@ class TestOdeResidual:
         params = heun_params(MassProfile(1.0, nu), pt.energies[0], 0.0, 0.0, 0.0)
         coeffs = build_coefficients(params, n_max=1)
         scaled = SeriesCoefficients(
-            coeffs=coeffs.coeffs * 1e6, params=coeffs.params, lam=coeffs.lam, tau=coeffs.tau
+            coeffs=tuple(1e6 * x for x in coeffs.coeffs),
+            params=coeffs.params,
+            lam=coeffs.lam,
+            tau=coeffs.tau,
         )
         grid = RadialGrid(0.01, 8.0, 2000)
         base = ode_residual(RadialWavefunction(coeffs, params.alpha, 0.0, 1), params, grid)

@@ -26,7 +26,7 @@ from dislospec import (
     nu_ground_free,
     solve_general_n,
 )
-from dislospec.quantization import ALPHA_MAX, ALPHA_MIN, _alpha_roots
+from dislospec.quantization import ALPHA_MAX, ALPHA_MIN, _alpha_roots, _tridiagonal_eigh
 
 FLAT = DefectGeometry(chi=0.0)
 FREE = Couplings()
@@ -465,3 +465,43 @@ class TestSolveGeneralN:
     def test_rejects_bad_mass(self):
         with pytest.raises(ValueError):
             solve_general_n(QuantumNumbers(1, 0, 0.0), -1.0, FLAT, FREE)
+
+
+def slope_matrix(n, s, mu):
+    """Diagonal and off-diagonal of the symmetric slope matrix S(mu), built in
+    numpy from the recurrence rows, as a reference for the plain-float QL."""
+    j = np.arange(n, dtype=float)
+    d = np.arange(n + 1, dtype=float) + s + 0.5
+    off = np.sqrt((j + 1.0) * (j + 1.0 + 2.0 * s) * 2.0 * (n - j) / (d[:-1] * d[1:]))
+    return mu / d, off
+
+
+class TestTridiagonalEigh:
+    @pytest.mark.parametrize("s", [0.0, 0.5, 3.2])
+    @pytest.mark.parametrize("mu", [0.0, 2.0, -2.0])
+    def test_matches_numpy_eigh(self, s, mu):
+        for n in range(1, 61):
+            diag, off = slope_matrix(n, s, mu)
+            dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            norm = np.linalg.norm(dense, 2)
+            lam, vector = _tridiagonal_eigh(diag.tolist(), off.tolist(), vectors=True)
+            assert lam == sorted(lam)
+            np.testing.assert_allclose(lam, np.linalg.eigh(dense)[0], rtol=0, atol=1e-13 * norm)
+            # Every vector up to n = 12; above, the ends and the middle of the spectrum.
+            index = list(range(n + 1) if n <= 12 else sorted({0, 1, n // 2, n - 1, n}))
+            v = np.array([vector(i) for i in index]).T  # column j belongs to lam[index[j]]
+            np.testing.assert_allclose(v.T @ v, np.eye(len(index)), rtol=0, atol=1e-13)
+            assert np.abs(dense @ v - v * np.array(lam)[index]).max() <= 1e-12 * norm
+            # The values alone come from the same sweeps.
+            assert _tridiagonal_eigh(diag.tolist(), off.tolist()) == (lam, None)
+
+    @pytest.mark.parametrize("n", [2, 4, 10, 30])
+    def test_odd_free_matrix_zero_eigenvalue_is_dropped(self, n):
+        # mu = 0 leaves a zero diagonal, so an odd-sized S has the spectrum
+        # -x..., 0, ...x, and rounding leaves the zero at about 1e-16 of either
+        # sign.  ALPHA_MIN drops it: the states are the positive roots alone.
+        lam = _alpha_roots(n, 1.0, 0.0, 2.0 * (n + 2.0), 0.0)
+        assert abs(lam[n // 2]) < 1e-14 * lam[-1]
+        pts = solve_general_n(QuantumNumbers(n, 1, 0.0), 1.0, FLAT, FREE)
+        alphas = sorted(2.0 / math.sqrt(p.nu_solved) for p in pts)
+        assert alphas == pytest.approx(lam[n // 2 + 1 :], rel=1e-14)
