@@ -1,6 +1,6 @@
 """Independent numerical verification of the analytic solutions.
 
-Three cross-checks that share no code with the series solver:
+Three cross-checks that do not share the series solver's ansatz:
 
 * ode_residual substitutes a wavefunction into the dimensionless radial
   equation using exact analytic derivatives of the envelope-times-polynomial
@@ -14,19 +14,23 @@ Three cross-checks that share no code with the series solver:
 * normalization integrates |R|^2 xi dxi to confirm square-integrability.
 
 The level is found by a Sturm count on the matrix's LDL^T pivots, in plain
-Python.  numpy, which the grids and the matrix assembly need, is imported by
-each function that uses it, so importing this module, and a CLI call that
-prints no oracle column, does not load it.
+Python: the slope solver's kappa < 1 search, which is generic linear algebra,
+not the series ansatz; each side is tested against LAPACK on its own.  numpy,
+which the grids and the matrix assembly need, is imported by each function
+that uses it, so importing this module, and a CLI call that prints no oracle
+column, does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 from .core import HeunParams, MassProfile
 from .heun import RadialWavefunction
+from .quantization import _sturm_pass, _sturm_root
 
 if TYPE_CHECKING:
     import numpy as np
@@ -36,14 +40,6 @@ DEFAULT_FD_RHO_MIN = 1e-3
 # Largest effective momentum whose full origin exponent the finite-volume
 # oracle factors out; see fd_eigensolve_free.
 FD_FACTORED_MOMENTUM_MAX = 1.0
-# Half-width, relative to the seed, of the bracket the seed must isolate its
-# level in: wider than the 4000-point grid's error (about 1e-3 of E^2 at
-# n = 60), narrower than the relative level spacing (about 1/n).
-FD_SEED_WIDTH = 1e-2
-# Newton starts once bisection has isolated the level to this relative width:
-# from farther away a step on the degree-N determinant moves only about
-# |x - level| / N.
-FD_NEWTON_WIDTH = 1e-3
 # Relative step at which Newton stops: what one double-precision pass resolves.
 FD_STEP_TOL = 1e-11
 
@@ -176,11 +172,11 @@ def fd_eigensolve_free(
     outer grid edge is a Dirichlet wall.  The resulting pencil A w = W M w
     with diagonal M is symmetrized as M^{-1/2} A M^{-1/2}.
 
-    Level index of that tridiagonal matrix is found by _tridiagonal_level:
-    a Sturm count of its LDL^T pivots brackets the level and proves its
-    index, and Newton steps on the determinant refine it inside the bracket.
-    near, an estimate of E^2 such as the analytic value, only chooses where
-    the search starts; the result is level index whatever near is.
+    Level index of that tridiagonal matrix is found by _tridiagonal_level,
+    the slope solver's Sturm search (shared linear algebra, not the series
+    ansatz): a count of its LDL^T pivots brackets the level and proves its
+    index, and Newton steps on the determinant refine it.  near, such as the
+    analytic E^2, only chooses where the search starts, not the level found.
     """
     import numpy as np
 
@@ -212,44 +208,12 @@ def fd_eigensolve_free(
     return _tridiagonal_level(diag, off, index, seed) + shift
 
 
-def _sturm_pass(diag: list, off2: list, x: float, pivmin: float) -> tuple[int, float]:
-    """Number of eigenvalues below x, and d log|det(T - x)|/dx.
-
-    The pivots of T - x = L D L^T are q_i = d_i - x - e_{i-1}^2 / q_{i-1}; as
-    many are negative as T has eigenvalues below x (Barth, Martin & Wilkinson,
-    Numer. Math. 9 (1967) 386).  det(T - x) is their product, so the log
-    derivative is the sum of q_i'/q_i.  A pivot of magnitude below pivmin is
-    set to -pivmin, as LAPACK's dstebz does, which keeps e^2/q finite.  off2 holds
-    e_{i-1}^2 with a leading 0.  Plain floats: numpy scalars are far slower.
-    """
-    count = 0
-    dlog = 0.0
-    q = 1.0
-    r = 0.0  # q_{i-1}' / q_{i-1}
-    for d, e2 in zip(diag, off2):
-        t = e2 / q
-        q = d - x - t
-        if q < pivmin:
-            if q > -pivmin:
-                q = -pivmin
-            count += 1
-        r = (t * r - 1.0) / q
-        dlog += r
-    return count, dlog
-
-
 def _tridiagonal_level(
     diag: np.ndarray, off: np.ndarray, index: int, near: float | None = None
 ) -> float:
     """Eigenvalue number index (ascending, from 0) of the symmetric tridiagonal
-    matrix with diagonal diag and off-diagonal off.
-
-    [lo, hi) always holds the level: count(lo) <= index < count(hi).  A seed
-    near that the counts at near * (1 -+ FD_SEED_WIDTH) show to isolate the
-    level starts Newton at once; otherwise bisection from the Gershgorin
-    interval isolates it to FD_NEWTON_WIDTH first.  Newton steps that leave
-    the bracket, or shrink by less than half, are replaced by bisection.
-    """
+    matrix with diagonal diag and off-diagonal off: _sturm_root from the
+    Gershgorin interval, seeded at near, to the relative step FD_STEP_TOL."""
     import numpy as np
 
     if not 0 <= index < len(diag):
@@ -259,47 +223,9 @@ def _tridiagonal_level(
     pivmin = float(np.finfo(float).tiny) * max(1.0, max(off2))
     radius = np.abs(np.concatenate(([0.0], off))) + np.abs(np.concatenate((off, [0.0])))
     lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
-    # The count cannot resolve eigenvalues closer than rounding in T's entries.
-    floor = float(np.finfo(float).eps) * max(abs(lo), abs(hi))
-    n_lo, n_hi = 0, len(d)
-
-    def probe(x: float) -> float:
-        nonlocal lo, hi, n_lo, n_hi
-        count, dlog = _sturm_pass(d, off2, x, pivmin)
-        if count <= index:
-            lo, n_lo = x, count
-        else:
-            hi, n_hi = x, count
-        return dlog
-
-    if near is not None:
-        for edge in sorted((near * (1.0 - FD_SEED_WIDTH), near * (1.0 + FD_SEED_WIDTH))):
-            if lo < edge < hi:
-                probe(edge)
-    if near is not None and n_lo == index and n_hi == index + 1 and lo < near < hi:
-        x = near
-    else:
-        while hi - lo > floor and not (
-            n_lo == index
-            and n_hi == index + 1
-            and hi - lo <= FD_NEWTON_WIDTH * max(abs(lo), abs(hi))
-        ):
-            probe(0.5 * (lo + hi))
-        x = 0.5 * (lo + hi)
-
-    step_old = hi - lo
-    while True:
-        tol = max(FD_STEP_TOL * abs(x), floor)
-        dlog = probe(x)
-        step = -1.0 / dlog if math.isfinite(dlog) and dlog != 0.0 else math.nan
-        x_new = x + step
-        if not lo < x_new < hi or abs(step) > 0.5 * step_old:
-            x_new = 0.5 * (lo + hi)
-            step = x_new - x
-        if abs(step) <= tol or hi - lo <= tol:
-            return x_new
-        step_old = abs(step)
-        x = x_new
+    slope = [-1.0] * len(d)  # T is constant: d(d_j - x)/dx = -1
+    sturm = partial(_sturm_pass, d, slope, off2, pivmin=pivmin)
+    return _sturm_root(sturm, index, lo, hi, 0, len(d), near, FD_STEP_TOL)
 
 
 def normalization(wf: RadialWavefunction, grid: RadialGrid) -> float:

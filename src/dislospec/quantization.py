@@ -28,8 +28,9 @@ alpha = lambda_i(mu(alpha)).  Hellmann-Feynman gives
 d lambda_i/d mu = v^T D^{-1} v <= 1/d_0 for the unit eigenvector v, so
 kappa = |c| sqrt(B)/d_0 bounds the slope of lambda_i(mu(alpha)):
 
-* kappa < 1: every eigen-branch crosses alpha exactly once, and Newton
-  started from the k = 0 eigenvalues finds each crossing;
+* kappa < 1: each lambda_i(mu(alpha)) - alpha strictly decreases, so root i
+  is where the count of eigenvalues of S(mu(alpha)) below alpha steps to
+  i + 1; the FD oracle's Sturm search finds it, seeded at the k = 0 root;
 * kappa >= 1: a branch may cross several times or not at all.  Substituting
   alpha = r(w - 1/w)/2 with r = sqrt(A/B) makes mu = c sqrt(A)(w + 1/w)/2,
   and the condition becomes the quadratic eigenproblem
@@ -42,9 +43,9 @@ kappa = |c| sqrt(B)/d_0 bounds the slope of lambda_i(mu(alpha)):
   (2001) 235), and numpy's eigvals returns its roots.  Where the trailing
   coefficient is singular (|c| sqrt(A) = r d_j) it only adds x = 0, which
   is never inverted.  The real roots w > 1 are the alpha > 0 roots, which
-  Newton then polishes.  The quadratic is used only here, where
-  r <= |c| sqrt(A)/d_0: as k -> 0 its roots crowd at w = 1 and lose their
-  digits.  This branch is the only one that imports numpy.
+  Newton on det(S(mu(alpha)) - alpha) refines.  The quadratic is used only
+  here, where r <= |c| sqrt(A)/d_0: as k -> 0 its roots crowd at w = 1 and
+  lose their digits.  This branch is the only one that imports numpy.
 """
 
 from __future__ import annotations
@@ -78,9 +79,16 @@ DEGENERATE_TOL = 1e-12
 ALPHA_MIN = 0.01
 ALPHA_MAX = 50.0
 
-# Newton polish of an alpha-dependent-mu root: step cap and relative stop.
+# Newton on an alpha-dependent-mu root: step cap (companion roots), relative stop.
 NEWTON_MAX_STEPS = 8
 NEWTON_RTOL = 1e-14
+
+# _sturm_root starts Newton at a seed whose counts at near * (1 -+ SEED_WIDTH)
+# isolate the step (wider than the FD grid's error, about 1e-3 of E^2 at n = 60;
+# narrower than the level spacing, about 1/n), else after bisecting to NEWTON_WIDTH:
+# from farther, a Newton step on a degree-N determinant moves about |x - root| / N.
+SEED_WIDTH = 1e-2
+NEWTON_WIDTH = 1e-3
 
 # A companion eigenvalue x with |Im x| <= REAL_TOL * |x| counts as real; for
 # c > 0, x = 1/w must also exceed REAL_TOL, so the root x = 0 is never inverted.
@@ -214,23 +222,17 @@ def _classify(coup: Couplings) -> str:
     return FREE
 
 
-def _tridiagonal_eigh(
-    diag: list[float], off: list[float], vectors: bool = False
-) -> tuple[list[float], Callable[[int], list[float]] | None]:
+def _tridiagonal_eigh(diag: list[float], off: list[float]) -> list[float]:
     """Ascending eigenvalues of the symmetric tridiagonal matrix with diagonal
-    diag and off-diagonal off, and with vectors=True a function that returns
-    the unit eigenvector of eigenvalue i (else None).
+    diag and off-diagonal off.
 
     Implicit QL with Wilkinson shifts (tql2: Bowdler, Martin, Reinsch &
-    Wilkinson, Numer. Math. 11 (1968) 293).  The plane rotations are recorded
-    rather than accumulated, so one eigenvector costs a replay of them,
-    O(size^2), not the O(size^3) of all.  Plain floats: at size <= 4 a numpy
-    call costs more than the whole solve.  A NaN entry deflates at once and
-    comes back as a NaN eigenvalue.
+    Wilkinson, Numer. Math. 11 (1968) 293).  Plain floats: at size <= 4 a
+    numpy call costs more than the whole solve.  A NaN entry deflates at once
+    and comes back as a NaN eigenvalue.
     """
     size, eps = len(diag), sys.float_info.epsilon
     d, e = list(diag), [*off, 0.0]
-    turns = []  # (i, s, c): the rotation of rows i, i + 1, in the order applied
     for l in range(size):
         for _ in range(30):  # the classical cap; QL converges cubically
             m = l
@@ -255,55 +257,127 @@ def _tridiagonal_eigh(
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                if vectors:
-                    turns.append((i, s, c))
             else:
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
         else:
             raise ArithmeticError(f"tridiagonal QL did not converge at eigenvalue {l}")
-    order = sorted(range(size), key=d.__getitem__)
+    return sorted(d)
 
-    def vector(index: int) -> list[float]:
-        # The eigenvectors are the columns of the product of the rotations.
-        x = [0.0] * size
-        x[order[index]] = 1.0
-        for i, s, c in reversed(turns):
-            x[i], x[i + 1] = c * x[i] + s * x[i + 1], c * x[i + 1] - s * x[i]
-        return x
 
-    return [d[i] for i in order], vector if vectors else None
+def _sturm_pass(diag: list, slope: list, off2: list, x: float, pivmin: float) -> tuple[int, float]:
+    """Number of eigenvalues of T below x, and d log|det(T - x)|/dx.
+
+    The pivots of T - x = L D L^T are q_j = diag_j - x - e_{j-1}^2 / q_{j-1};
+    as many are negative as T has eigenvalues below x (Barth, Martin &
+    Wilkinson, Numer. Math. 9 (1967) 386).  det(T - x) is their product, so
+    the log derivative is the sum of q_j'/q_j.  T may depend on x: slope_j
+    is the derivative of diag_j - x (-1 for a constant T).  A pivot below
+    pivmin in magnitude is set to -pivmin, as LAPACK's dstebz does, which
+    keeps e^2/q finite.  off2 holds e_{j-1}^2 with a leading 0.
+    """
+    count = 0
+    dlog = 0.0
+    q = 1.0
+    r = 0.0  # q_{j-1}' / q_{j-1}
+    for d, sl, e2 in zip(diag, slope, off2):
+        t = e2 / q
+        q = d - x - t
+        if q < pivmin:
+            if q > -pivmin:
+                q = -pivmin
+            count += 1
+        r = (t * r + sl) / q
+        dlog += r
+    return count, dlog
+
+
+def _sturm_root(
+    sturm: Callable[[float], tuple[int, float]], index: int,
+    lo: float, hi: float, n_lo: int, n_hi: int, near: float | None, rtol: float,
+) -> float:
+    """Where the count of sturm(x) = (count, d log|det|/dx), which never
+    decreases in x, steps past index, to a relative Newton step rtol.
+
+    [lo, hi) always holds the step: n_lo = count(lo) <= index < count(hi) =
+    n_hi.  The seed near only chooses where the search starts.  Newton steps
+    that leave the bracket, or shrink by less than half, become bisection."""
+    # The count cannot resolve a step closer than rounding at the bracket's edges.
+    floor = sys.float_info.epsilon * max(abs(lo), abs(hi))
+
+    def probe(x: float) -> float:
+        nonlocal lo, hi, n_lo, n_hi
+        count, dlog = sturm(x)
+        if count <= index:
+            lo, n_lo = x, count
+        else:
+            hi, n_hi = x, count
+        return dlog
+
+    if near is not None:
+        for edge in sorted((near * (1.0 - SEED_WIDTH), near * (1.0 + SEED_WIDTH))):
+            if lo < edge < hi:
+                probe(edge)
+    if near is not None and n_lo == index == n_hi - 1 and lo < near < hi:
+        x = near
+    else:
+        while hi - lo > floor and not (
+            n_lo == index == n_hi - 1 and hi - lo <= NEWTON_WIDTH * max(abs(lo), abs(hi))
+        ):
+            probe(0.5 * (lo + hi))
+        x = 0.5 * (lo + hi)
+
+    step_old = hi - lo
+    while True:
+        tol = max(rtol * abs(x), floor)
+        dlog = probe(x)
+        step = -1.0 / dlog if math.isfinite(dlog) and dlog != 0.0 else math.nan
+        x_new = x + step
+        if not lo <= x_new <= hi or abs(step) > 0.5 * step_old:
+            x_new = 0.5 * (lo + hi)
+            step = x_new - x
+        if abs(step) <= tol or hi - lo <= tol:
+            return x_new
+        step_old = abs(step)
+        x = x_new
 
 
 def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list[float]:
-    """Every real root of a_{n+1}(alpha) = 0 at mu = c sqrt(A + B alpha^2), ascending."""
+    """The real roots of a_{n+1}(alpha) = 0 at mu = c sqrt(A + B alpha^2),
+    ascending; for kappa < 1 only those in [ALPHA_MIN, ALPHA_MAX]."""
     d = [j + s + 0.5 for j in range(n + 1)]
     sup = [(j + 1.0) * (j + 1.0 + 2.0 * s) for j in range(n)]  # T[j, j+1]
     sub = [2.0 * (n - j) for j in range(n)]  # T[j+1, j]
     # Off-diagonal of S ~ D^{-1} T; S(mu) = S_0 + mu D^{-1} has diagonal mu / d.
     off = [math.sqrt(sup[j] * sub[j] / (d[j] * d[j + 1])) for j in range(n)]
 
-    def polish(alpha: float, index: int | None = None) -> float:
-        """Newton on lambda_i(mu(alpha)) - alpha; index None follows the
-        eigenvalue nearest alpha.  Hellmann-Feynman gives the exact
-        derivative d lambda/d mu = v^T D^{-1} v from the unit eigenvector v."""
+    lam0 = _tridiagonal_eigh([c * math.sqrt(big_a) / dj for dj in d], off)
+    if c == 0.0 or big_b == 0.0:  # constant mu
+        return lam0
+    off2 = [0.0] + [e * e for e in off]
+    pivmin = sys.float_info.min * max(1.0, *off2)
+
+    def sturm(alpha: float) -> tuple[int, float]:  # the pass on S(mu(alpha)) - alpha
+        root = math.sqrt(big_a + big_b * alpha * alpha)
+        mu, dmu = c * root, c * big_b * alpha / root
+        diag, slope = [mu / dj for dj in d], [dmu / dj - 1.0 for dj in d]
+        return _sturm_pass(diag, slope, off2, alpha, pivmin)
+
+    if abs(c) * math.sqrt(big_b) < d[0]:  # kappa < 1: the count steps once per root
+        n_lo, n_hi = sturm(ALPHA_MIN)[0], sturm(ALPHA_MAX)[0]
+        return [
+            _sturm_root(sturm, i, ALPHA_MIN, ALPHA_MAX, n_lo, n_hi, lam0[i], NEWTON_RTOL)
+            for i in range(n_lo, n_hi)
+        ]
+
+    def newton(alpha: float) -> float:  # on det(S(mu(alpha)) - alpha)
         for _ in range(NEWTON_MAX_STEPS):
-            root = math.sqrt(big_a + big_b * alpha * alpha)
-            lam, vector = _tridiagonal_eigh([c * root / dj for dj in d], off, vectors=True)
-            i = min(range(n + 1), key=lambda j: abs(lam[j] - alpha)) if index is None else index
-            slope = sum(v * v / dj for v, dj in zip(vector(i), d)) * c * big_b * alpha / root - 1.0
-            step = (lam[i] - alpha) / slope
+            step = 1.0 / sturm(alpha)[1]
             alpha -= step
             if abs(step) <= NEWTON_RTOL * abs(alpha):
                 break
         return alpha
-
-    lam0, _ = _tridiagonal_eigh([c * math.sqrt(big_a) / dj for dj in d], off)
-    if c == 0.0 or big_b == 0.0:  # constant mu
-        return lam0
-    if abs(c) * math.sqrt(big_b) < d[0]:  # kappa < 1: one root per eigen-branch
-        return [polish(a, i) for i, a in enumerate(lam0)]
 
     import numpy as np  # the one nonsymmetric eigensolve; no other solve needs numpy
 
@@ -325,8 +399,8 @@ def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list
         real_w = [x for x in xs if x > 1.0]
     else:
         real_w = [1.0 / x for x in xs if REAL_TOL < x < 1.0]
-    roots = sorted(polish(0.5 * r * (w - 1.0 / w)) for w in real_w)
-    # A near-double root can come back as a conjugate pair that polishes to one alpha.
+    roots = sorted(newton(0.5 * r * (w - 1.0 / w)) for w in real_w)
+    # A near-double root can come back as a conjugate pair that converges to one alpha.
     return [a for i, a in enumerate(roots) if i == 0 or a - roots[i - 1] > 1e-9 * max(1.0, a)]
 
 

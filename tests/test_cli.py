@@ -903,7 +903,8 @@ class TestEntryPoint:
     SOLVER_RUNS = [
         "--help",
         "spectrum --scenario ab --flux 0:1:0.05 --l=-2..2 --k 0.7 --n 1..3",
-        "spectrum --scenario coulomb --b 0.1 --l 0..1 --k 0,0.7 --n 1..3",  # Newton path
+        "spectrum --scenario coulomb --b 0.1 --l 0..1 --k 0,0.7 --n 1..3",  # Sturm count path
+        "spectrum --scenario coulomb --b 0.1 --l 0..1 --k 0.7 --n 30",  # ... at large n
         "current --scenario ab --flux 0:1:0.5 --l 0 --k 0,0.7 --n 1..3",
     ]
 
@@ -931,7 +932,7 @@ class TestEntryPoint:
             for mode in ("blocked", "unblocked")
         )
         assert blocked.returncode == 0, blocked.stderr
-        assert [code for code, _ in json.loads(blocked.stdout)] == [EXIT_OK] * 4
+        assert [code for code, _ in json.loads(blocked.stdout)] == [EXIT_OK] * 5
         assert blocked.stdout == unblocked.stdout
         imported = subprocess.run(
             [sys.executable, "-c", "import sys, dislospec; print('numpy' in sys.modules)"],

@@ -230,7 +230,7 @@ class TestLevelFinder:
         # the first pivot is exactly zero there; 1.5 is no eigenvalue.
         diag, off = np.array([1.5, 0.0, 4.0]), np.array([1.0, 1.0])
         exact = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-        count, _ = oracle._sturm_pass(diag.tolist(), [0.0, 1.0, 1.0], 1.5, 1e-300)
+        count, _ = oracle._sturm_pass(diag.tolist(), [-1.0] * 3, [0.0, 1.0, 1.0], 1.5, 1e-300)
         assert count == np.count_nonzero(exact < 1.5) == 1
         for index, want in enumerate(exact):
             got = oracle._tridiagonal_level(diag, off, index)
