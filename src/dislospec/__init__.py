@@ -2,6 +2,8 @@
 linearly confined relativistic scalar on a dislocated background, with
 optional Coulomb coupling and magnetic flux."""
 
+from importlib import import_module
+
 from .core import (
     AB_FLUX,
     COULOMB,
@@ -29,17 +31,6 @@ from .heun import (
     build_coefficients,
     evaluate_G,
     evaluate_R,
-)
-from .observables import (
-    persistent_current_ground,
-    persistent_current_numeric,
-)
-from .oracle import (
-    RadialGrid,
-    default_fd_grid,
-    fd_eigensolve_free,
-    normalization,
-    ode_residual,
 )
 from .quantization import (
     SpectrumPoint,
@@ -91,3 +82,21 @@ __all__ = [
     "persistent_current_numeric",
     "solve_general_n",
 ]
+
+# The oracles' names load their module on first access (PEP 562), so importing
+# the package, or a CLI call that prints no oracle column, does not compile them.
+_LAZY = {
+    "RadialGrid": "oracle",
+    "default_fd_grid": "oracle",
+    "fd_eigensolve_free": "oracle",
+    "normalization": "oracle",
+    "ode_residual": "oracle",
+    "persistent_current_ground": "observables",
+    "persistent_current_numeric": "observables",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)

@@ -33,10 +33,9 @@ import argparse
 import contextlib
 import csv
 import io
-import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
 from functools import partial
 from itertools import product
 
@@ -56,8 +55,6 @@ from .errors import (
     NoRealSolution,
     NoRoots,
 )
-from .observables import persistent_current_ground, persistent_current_numeric
-from .oracle import RadialGrid, default_fd_grid, fd_eigensolve_free, ode_residual
 from .quantization import (
     _classify,
     energy_from_lambda,
@@ -118,22 +115,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
-class RunConfig:
-    scenario: str = "free"
-    m: float = 1.0
-    chi: float = 0.0
-    b: float = 0.0
-    q: float = 1.0
-    flux: tuple[float, ...] = (0.0,)
-    l: tuple[int, ...] = (0, 1, 2)
-    k: tuple[float, ...] = (0.0,)
-    n: tuple[int, ...] = (1,)
-    format: str = "csv"
-    oracle: bool = False
-    absolute: bool = False
-    branch: str = "plus"
-    out: str | None = None
+# Every setting of a run, with its default.
+_DEFAULTS = {
+    "scenario": "free",
+    "m": 1.0,
+    "chi": 0.0,
+    "b": 0.0,
+    "q": 1.0,
+    "flux": (0.0,),
+    "l": (0, 1, 2),
+    "k": (0.0,),
+    "n": (1,),
+    "format": "csv",
+    "oracle": False,
+    "absolute": False,
+    "branch": "plus",
+    "out": None,
+}
+RunConfig = namedtuple("RunConfig", _DEFAULTS, defaults=_DEFAULTS.values())
 
 
 def parse_int_range(text: str) -> tuple[int, ...]:
@@ -213,6 +212,8 @@ _CONVERTERS = {
 def build_config(args: argparse.Namespace) -> RunConfig:
     file_values: dict = {}
     if getattr(args, "config", None):
+        import json
+
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 file_values = json.load(fh)
@@ -220,22 +221,23 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"cannot read config file {args.config!r}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise UsageError("config file must hold a JSON object")
-        unknown = set(file_values) - {f.name for f in fields(RunConfig)}
+        unknown = set(file_values) - set(_DEFAULTS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
 
     # Flags win over the config file, which wins over the RunConfig defaults.
-    cfg = RunConfig()
+    values = {}
     try:
-        for f in fields(RunConfig):
-            value = getattr(args, f.name, None)
+        for name in _DEFAULTS:
+            value = getattr(args, name, None)
             if value is None:
-                if f.name not in file_values:
+                if name not in file_values:
                     continue
-                value = file_values[f.name]
-            setattr(cfg, f.name, _CONVERTERS[f.name](value))
+                value = file_values[name]
+            values[name] = _CONVERTERS[name](value)
     except (ValueError, TypeError, OverflowError) as exc:
         raise UsageError(str(exc)) from exc
+    cfg = RunConfig(**values)
 
     numbers = (cfg.m, cfg.chi, cfg.b, cfg.q, *cfg.flux, *cfg.k)
     if not all(math.isfinite(x) for x in numbers):
@@ -279,6 +281,8 @@ def _fmt(value) -> str:
 
 def _ode_residual(pt) -> float:
     """ODE residual of a solved state, at the parameters the solver built it from."""
+    from .oracle import RadialGrid, ode_residual
+
     wf = pt.wavefunction
     grid = RadialGrid(0.01, 8.0 * max(1.0, math.sqrt(pt.qn.n + pt.eff_abs)), 2000)
     return ode_residual(wf, wf.coefficients.params, grid)
@@ -290,6 +294,8 @@ def _fd_match(pt, m: float, index: int) -> float:
     index is the state's position in its cell's ascending-nu list.  At a fixed
     slope, root i of the cell has i nodes, so by Sturm oscillation it is level
     i of the Hamiltonian that slope defines (Pryce 1993)."""
+    from .oracle import default_fd_grid, fd_eigensolve_free
+
     mass = MassProfile(m, pt.nu_solved)
     target = pt.energies[0] * pt.energies[0]
     grid = default_fd_grid(mass, pt.qn.n, pt.eff_abs)
@@ -374,6 +380,7 @@ def _numeric_current(cfg: RunConfig, n: int, l: int, k: float, t: float, branch:
 
     The stencil is t +- CURRENT_STEP_T; dt/dPhi_B = q/(2 pi) turns the t-derivative
     into the Phi_B-derivative."""
+    from .observables import persistent_current_numeric
 
     def energy_at(flux: float) -> float:
         pair = _solve_cell(cfg, n, l, k, flux)[0].energies
@@ -402,6 +409,8 @@ def _current_row(cfg: RunConfig, n: int, l: int, k: float, t: float) -> dict:
         return row
 
     if n == 1:
+        from .observables import persistent_current_ground
+
         row["current_analytic"] = persistent_current_ground(cfg.m, k, sigma, cfg.q, branch)
     row["current_numeric"] = _numeric_current(cfg, n, l, k, t, branch)
     if row["current_analytic"] is not None:
@@ -418,15 +427,14 @@ def cmd_current(cfg: RunConfig, out: io.TextIOBase, err: io.TextIOBase) -> int:
     return EXIT_OK
 
 
-@dataclass
-class _Population:
-    """verify's states for every configured n and cell, solved once."""
+class _Population(namedtuple("_Population", "cfg coulomb cells solved skipped")):
+    """verify's states for every configured n and cell, solved once.
 
-    cfg: RunConfig
-    coulomb: bool
-    cells: list  # (l, k, t, effective momentum) for every configured cell
-    solved: dict  # n -> [(cell, states)] for every configured n
-    skipped: int = 0  # Coulomb n = 1 cells with no real closed form, hence not solved
+    cells holds (l, k, t, effective momentum) for every configured cell, solved
+    maps each configured n to [(cell, states)], and skipped counts the Coulomb
+    n = 1 cells with no real closed form, hence not solved."""
+
+    __slots__ = ()
 
     @property
     def points(self) -> list:
@@ -443,17 +451,18 @@ def _solve_population(cfg: RunConfig) -> _Population:
         (l, k, t, effective_angular_momentum(l, k, geom, _couplings(cfg, t)))
         for l, k, t in product(cfg.l, cfg.k, cfg.flux)
     ]
-    pop = _Population(cfg, cfg.b != 0.0, cells, {n: [] for n in cfg.n})
+    solved: dict = {n: [] for n in cfg.n}
+    skipped = 0
     for n, cell in product(cfg.n, cells):
         l, k, t = cell[:3]
         try:
-            pop.solved[n].append((cell, _solve_cell(cfg, n, l, k, t)))
+            solved[n].append((cell, _solve_cell(cfg, n, l, k, t)))
         except (NoRealSolution, DegenerateDenominator):
-            pop.skipped += 1
+            skipped += 1
         except NoRoots as exc:
             # Name the cell as spectrum's NO_ROOTS row for it does.
             raise NoRoots(f"cell n={n}, l={l}, k={_fmt(k)}, flux={_fmt(t)}: {exc}") from exc
-    return pop
+    return _Population(cfg, cfg.b != 0.0, cells, solved, skipped)
 
 
 def _check_energy_composition(pop: _Population):
@@ -534,8 +543,8 @@ def _check_fd_match(pop: _Population):
 def _check_minkowski_reduction(pop: _Population):
     # k = 0 spectra must not depend on the torsion parameter at all.  The printed
     # rows are compared, so a status row counts like a solved one.
-    flat = replace(pop.cfg, oracle=False)
-    twisted = replace(flat, chi=flat.chi + 0.5)
+    flat = pop.cfg._replace(oracle=False)
+    twisted = flat._replace(chi=flat.chi + 0.5)
     mismatches = sum(
         _spectrum_rows_for(flat, n, l, 0.0, t) != _spectrum_rows_for(twisted, n, l, 0.0, t)
         for n, l, t in product(flat.n, flat.l, flat.flux)
@@ -615,6 +624,8 @@ def emit(rows: list[dict], columns: list[str], fmt: str, out: io.TextIOBase) -> 
         for row in rows:
             writer.writerow([_fmt(row[c]) for c in columns])
     else:
+        import json
+
         payload = [{c: _json_value(row[c]) for c in columns} for row in rows]
         out.write(json.dumps(payload, indent=2, allow_nan=False))
         out.write("\n")

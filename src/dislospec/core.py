@@ -19,7 +19,7 @@ dimensionless numbers collected in HeunParams:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NonPositiveSlope
 
@@ -31,20 +31,19 @@ COULOMB = "coulomb"
 AB_FLUX = "ab"
 
 
-@dataclass(frozen=True)
-class MassProfile:
+class MassProfile(namedtuple("MassProfile", "m nu")):
     """Rest mass m > 0 and linear slope nu of m(rho) = m + nu*rho.
 
     nu <= 0 is representable (useful for error-path tests) but is rejected
     at every boundary where xi = sqrt(nu)*rho would be formed.
     """
 
-    m: float
-    nu: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.m > 0.0:
-            raise ValueError(f"rest mass must be positive, got {self.m}")
+    def __new__(cls, m: float, nu: float) -> "MassProfile":
+        if not m > 0.0:
+            raise ValueError(f"rest mass must be positive, got {m}")
+        return tuple.__new__(cls, (m, nu))
 
     def require_confining(self) -> None:
         if not self.nu > 0.0:
@@ -53,69 +52,60 @@ class MassProfile:
             )
 
 
-@dataclass(frozen=True)
-class DefectGeometry:
+class DefectGeometry(namedtuple("DefectGeometry", "chi burgers")):
     """Torsion parameter chi of the dislocated background.
 
     chi = 0 is the flat (Minkowski) case.  If the Burgers-vector magnitude is
     supplied it must satisfy chi = burgers / (2 pi) exactly.
     """
 
-    chi: float
-    burgers: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.burgers is not None and self.chi != self.burgers / TWO_PI:
+    def __new__(cls, chi: float, burgers: float | None = None) -> "DefectGeometry":
+        if burgers is not None and chi != burgers / TWO_PI:
             raise ValueError(
-                f"chi={self.chi!r} inconsistent with burgers/(2 pi)={self.burgers / TWO_PI!r}"
+                f"chi={chi!r} inconsistent with burgers/(2 pi)={burgers / TWO_PI!r}"
             )
+        return tuple.__new__(cls, (chi, burgers))
 
     @classmethod
     def from_burgers(cls, burgers: float) -> "DefectGeometry":
         return cls(chi=burgers / TWO_PI, burgers=burgers)
 
 
-@dataclass(frozen=True)
-class Couplings:
+class Couplings(namedtuple("Couplings", "b q phi_B", defaults=(0.0, 1.0, 0.0))):
     """Coulomb strength b (signed, dimensionless), charge q, and flux phi_B.
 
     b = 0 and phi_B = 0 recover the free case exactly.
     """
 
-    b: float = 0.0
-    q: float = 1.0
-    phi_B: float = 0.0
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class QuantumNumbers:
+class QuantumNumbers(namedtuple("QuantumNumbers", "n l k")):
     """Radial index n >= 1, integer angular momentum l, real wavenumber k."""
 
-    n: int
-    l: int
-    k: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"radial index n must be an integer >= 1, got {self.n!r}")
-        if not isinstance(self.l, int):
-            raise ValueError(f"angular momentum l must be an integer, got {self.l!r}")
+    def __new__(cls, n: int, l: int, k: float) -> "QuantumNumbers":
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"radial index n must be an integer >= 1, got {n!r}")
+        if not isinstance(l, int):
+            raise ValueError(f"angular momentum l must be an integer, got {l!r}")
+        return tuple.__new__(cls, (n, l, k))
 
 
-@dataclass(frozen=True)
-class HeunParams:
+class HeunParams(namedtuple("HeunParams", "nu_abs alpha beta mu")):
     """Dimensionless parameters of the radial equation in xi."""
 
-    nu_abs: float
-    alpha: float
-    beta: float
-    mu: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.nu_abs < 0.0:
-            raise ValueError(f"nu_abs must be >= 0, got {self.nu_abs}")
-        if self.alpha < 0.0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+    def __new__(cls, nu_abs: float, alpha: float, beta: float, mu: float) -> "HeunParams":
+        if nu_abs < 0.0:
+            raise ValueError(f"nu_abs must be >= 0, got {nu_abs}")
+        if alpha < 0.0:
+            raise ValueError(f"alpha must be >= 0, got {alpha}")
+        return tuple.__new__(cls, (nu_abs, alpha, beta, mu))
 
 
 def effective_angular_momentum(

@@ -24,7 +24,7 @@ column, does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -44,25 +44,23 @@ FD_FACTORED_MOMENTUM_MAX = 1.0
 FD_STEP_TOL = 1e-11
 
 
-@dataclass(frozen=True)
-class RadialGrid:
+class RadialGrid(namedtuple("RadialGrid", "xi_min xi_max n_points")):
     """Uniform grid on [xi_min, xi_max], origin excluded.
 
     Also used for grids in the dimensionful radial variable; the fields are
     named for the dimensionless one.
     """
 
-    xi_min: float
-    xi_max: float
-    n_points: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.xi_min > 0.0:
-            raise ValueError(f"xi_min must be > 0 (origin excluded), got {self.xi_min}")
-        if not self.xi_max > self.xi_min:
-            raise ValueError(f"xi_max must exceed xi_min, got {self.xi_max}")
-        if self.n_points < 3:
-            raise ValueError(f"n_points must be >= 3, got {self.n_points}")
+    def __new__(cls, xi_min: float, xi_max: float, n_points: int) -> "RadialGrid":
+        if not xi_min > 0.0:
+            raise ValueError(f"xi_min must be > 0 (origin excluded), got {xi_min}")
+        if not xi_max > xi_min:
+            raise ValueError(f"xi_max must exceed xi_min, got {xi_max}")
+        if n_points < 3:
+            raise ValueError(f"n_points must be >= 3, got {n_points}")
+        return tuple.__new__(cls, (xi_min, xi_max, n_points))
 
     @property
     def spacing(self) -> float:

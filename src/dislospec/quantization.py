@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable
 
 from .core import (
@@ -95,25 +95,24 @@ NEWTON_WIDTH = 1e-3
 REAL_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class SpectrumPoint:
+class SpectrumPoint(
+    namedtuple(
+        "SpectrumPoint",
+        "qn eff eff_abs nu_solved energies wavefunction scenario branch trunc_rel",
+    )
+):
     """One solved bound state.
 
     energies is the (+E, -E) pair for the free and flux scenarios (the slope
     constraint is energy-sign blind there), or a single signed energy for a
     Coulomb branch (the constraint depends on the sign of E through mu, so
-    each sign is its own solution labeled by branch = +1 or -1).
+    each sign is its own solution labeled by branch = +1 or -1).  The other
+    fields: qn (QuantumNumbers), eff and eff_abs (the effective momentum and
+    the s the state was solved at), nu_solved, wavefunction
+    (RadialWavefunction), scenario, and trunc_rel (relative a_{n+1}).
     """
 
-    qn: QuantumNumbers
-    eff: float
-    eff_abs: float
-    nu_solved: float
-    energies: tuple[float, ...]
-    wavefunction: RadialWavefunction
-    scenario: str
-    branch: int | None
-    trunc_rel: float
+    __slots__ = ()
 
 
 def energy_from_lambda(nu: float, n: int, eff_abs: float, k: float) -> tuple[float, float]:
@@ -302,7 +301,9 @@ def _sturm_root(
 
     [lo, hi) always holds the step: n_lo = count(lo) <= index < count(hi) =
     n_hi.  The seed near only chooses where the search starts.  Newton steps
-    that leave the bracket, or shrink by less than half, become bisection."""
+    that leave the bracket, or shrink by less than half, become bisection.  A
+    pass with a non-finite d log|det| is followed by a probe one step rtol
+    inside the bracket, which either closes it or moves its edge there."""
     # The count cannot resolve a step closer than rounding at the bracket's edges.
     floor = sys.float_info.epsilon * max(abs(lo), abs(hi))
 
@@ -332,7 +333,15 @@ def _sturm_root(
     while True:
         tol = max(rtol * abs(x), floor)
         dlog = probe(x)
-        step = -1.0 / dlog if math.isfinite(dlog) and dlog != 0.0 else math.nan
+        if not math.isfinite(dlog):
+            # A pivot came out 0: x is within rounding of the step, or of a root
+            # of a leading block.  Bisecting would crawl toward this edge if the
+            # step sits on it; a probe tol inside tells which.
+            x = x - tol if x == hi else x + tol
+            if lo < x < hi:
+                continue
+            return 0.5 * (lo + hi)
+        step = -1.0 / dlog if dlog != 0.0 else math.nan
         x_new = x + step
         if not lo <= x_new <= hi or abs(step) > 0.5 * step_old:
             x_new = 0.5 * (lo + hi)
@@ -454,9 +463,10 @@ def solve_general_n(
                 e_for_mu = e_pair[0] if sign > 0 else e_pair[1]
                 energies = (e_for_mu,)
             params = heun_params(MassProfile(mass_m, nu), e_for_mu, qn.k, coup.b, eff_abs)
+            # The tail past a_{n+1} is built only if someone reads it.
             coeffs = build_coefficients(params, n_max=max(DEFAULT_N_MAX, n + 1))
-            head = max(map(abs, coeffs.coeffs[: n + 1]))
-            trunc_rel = abs(coeffs.coeffs[n + 1]) / head
+            a = coeffs.head(n + 1)
+            trunc_rel = abs(a[n + 1]) / max(map(abs, a[: n + 1]))
             if not trunc_rel <= 1e-12:  # a NaN residual fails too
                 raise NoRoots(
                     f"root polish failed at alpha={alpha_root!r}: "

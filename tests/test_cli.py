@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -10,7 +9,7 @@ import warnings
 
 import pytest
 
-from dislospec import cli
+from dislospec import cli, oracle
 from dislospec.cli import (
     EXIT_OK,
     EXIT_SOLVER,
@@ -23,7 +22,7 @@ from dislospec.cli import (
     parse_float_list,
 )
 from dislospec.core import Couplings, DefectGeometry, MassProfile, QuantumNumbers, heun_params
-from dislospec.heun import RadialWavefunction, build_coefficients
+from dislospec.heun import RadialWavefunction, SeriesCoefficients, build_coefficients
 from dislospec.quantization import solve_general_n
 
 
@@ -300,7 +299,7 @@ class TestVerify:
                 params = heun_params(mass, pt.energies[0], qn.k, coup.b, pt.eff_abs)
                 coeffs = build_coefficients(params, n_max=pt.wavefunction.coefficients.n_max)
                 wf = RadialWavefunction(coeffs, params.alpha, pt.eff_abs, qn.n)
-                points.append(dataclasses.replace(pt, wavefunction=wf))
+                points.append(pt._replace(wavefunction=wf))
             return points
 
         monkeypatch.setattr(cli, "solve_general_n", detuned_solve)
@@ -310,7 +309,7 @@ class TestVerify:
         assert "FAIL ode_residual" in out
 
     def test_nan_measurement_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "ode_residual", lambda *args: math.nan)
+        monkeypatch.setattr(oracle, "ode_residual", lambda *args: math.nan)
         code, out, _ = run_cli(capsys, "verify", "--scenario", "free")
         assert code == EXIT_VERIFY
         line = next(x for x in out.splitlines() if " ode_residual " in x)
@@ -327,9 +326,11 @@ class TestVerify:
                 return points
             pt = points[-1]
             series = pt.wavefunction.coefficients
-            series = dataclasses.replace(series, coeffs=series.coeffs[:-1] + (math.nan,))
-            wf = dataclasses.replace(pt.wavefunction, coefficients=series)
-            return points[:-1] + [dataclasses.replace(pt, wavefunction=wf)]
+            series = SeriesCoefficients(
+                series.coeffs[:-1] + (math.nan,), series.params, series.lam, series.tau
+            )
+            wf = pt.wavefunction._replace(coefficients=series)
+            return points[:-1] + [pt._replace(wavefunction=wf)]
 
         monkeypatch.setattr(cli, "solve_general_n", nan_tail_solve)
         code, out, _ = run_cli(capsys, "verify", "--scenario", "free")
@@ -434,7 +435,7 @@ class TestVerify:
     @pytest.mark.parametrize(
         "perturb,measured",
         [
-            (lambda pts: [dataclasses.replace(p, nu_solved=p.nu_solved * (1 + 1e-9)) for p in pts],
+            (lambda pts: [p._replace(nu_solved=p.nu_solved * (1 + 1e-9)) for p in pts],
              "1.000e-09"),
             (lambda pts: pts[:-1], "inf"),  # a lost root is an infinite gap
         ],
@@ -546,7 +547,7 @@ def _detuned(pt, m, coup):
     params = heun_params(mass, pt.energies[0], pt.qn.k, coup.b, pt.eff_abs)
     coeffs = build_coefficients(params, n_max=pt.wavefunction.coefficients.n_max)
     wf = RadialWavefunction(coeffs, params.alpha, pt.eff_abs, pt.qn.n)
-    return dataclasses.replace(pt, wavefunction=wf)
+    return pt._replace(wavefunction=wf)
 
 
 class TestConfigAndOutput:
@@ -624,7 +625,7 @@ class TestConfigAndOutput:
         def reject(token):
             raise ValueError(f"{token} is not JSON")
 
-        monkeypatch.setattr(cli, "ode_residual", lambda *args: math.nan)
+        monkeypatch.setattr(oracle, "ode_residual", lambda *args: math.nan)
         code, out, _ = run_cli(
             capsys, "spectrum", "--scenario", "free", "--l", "0", "--k", "0", "--oracle",
             "--format", "json",
@@ -940,6 +941,28 @@ class TestEntryPoint:
             text=True,
         )
         assert imported.stdout == "False\n", imported.stderr
+
+    def test_start_up_imports(self):
+        # dataclasses pulls in inspect, ast and dis; the oracles and json load
+        # only in the calls that print them.
+        def imported(*argv):
+            proc = subprocess.run(
+                [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True
+            )
+            assert proc.returncode == 0, proc.stderr
+            lines = proc.stderr.splitlines()
+            return {x.rsplit("|", 1)[1].strip() for x in lines if x.startswith("import time:")}
+
+        heavy = {"dataclasses", "inspect"}
+        lazy = {"json", "dislospec.oracle", "dislospec.observables"}
+        assert not heavy & imported("-c", "import dislospec.cli")
+        assert not heavy & imported("-m", "dislospec", "--help")
+        spectrum = "spectrum --scenario ab --flux 0:1:0.5 --l=-1..1 --k 0.7 --n 1..3"
+        loaded = imported("-m", "dislospec", *spectrum.split())
+        assert "dislospec.quantization" in loaded
+        assert not (heavy | lazy) & loaded
+        loaded = imported("-m", "dislospec", *spectrum.split(), "--oracle", "--format", "json")
+        assert {"json", "dislospec.oracle"} <= loaded
 
     def test_bad_flag_exits_usage(self):
         proc = subprocess.run(

@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 
 from dislospec import (
+    Couplings,
+    DefectGeometry,
     HeunParams,
     MassProfile,
+    QuantumNumbers,
     RadialWavefunction,
     build_coefficients,
     evaluate_G,
     evaluate_R,
     heun_params,
+    solve_general_n,
 )
 from dislospec.heun import lambda_bar, tau_bar
+from test_acceptance import solved_population
 
 
 def params_for(alpha=1.0, beta=0.0, mu=0.0, nu_abs=0.0):
@@ -188,6 +193,43 @@ class TestTruncationResidual:
         c = build_coefficients(p, n_max=64)
         head = np.max(np.abs(c.coeffs[:2]))
         assert np.max(np.abs(c.coeffs[2:])) < 1e-10 * head
+
+
+def one_shot_series(params, n_max):
+    """a_0..a_{n_max} in a single pass of the recurrence."""
+    lam, tau, s = lambda_bar(params), tau_bar(params), params.nu_abs
+    a = [1.0, tau / (1.0 + 2.0 * s)]
+    for k in range(n_max - 1):
+        denom = (k + 2.0) * (k + 2.0 + 2.0 * s)
+        a.append(((params.alpha * (k + 1.0) + tau) * a[k + 1] - (lam - 2.0 * k) * a[k]) / denom)
+    return tuple(a)
+
+
+def test_lazy_tail_is_the_one_shot_recurrence():
+    # The solver runs the recurrence through a_{n+1}; the tail through order
+    # max(64, n + 1), which verify's truncation cascade reads, is built on the
+    # first read and must be bitwise what a single pass gives.
+    def population():
+        points = [pt for _, _, pt in solved_population()]
+        for n in (30, 60):
+            qn = QuantumNumbers(n, 1, 0.7)
+            points += solve_general_n(qn, 1.0, DefectGeometry(chi=0.2), Couplings())
+        return points
+
+    points = population()
+    assert any(pt.qn.n == 60 for pt in points)
+    for pt in points:
+        params = pt.wavefunction.coefficients.params
+        want = one_shot_series(params, max(64, pt.qn.n + 1))
+        got = pt.wavefunction.coefficients.coeffs
+        assert len(got) >= 65
+        assert len(got) == len(want)
+        assert all(g == w for g, w in zip(got, want))
+        assert build_coefficients(params, len(want) - 1).coeffs == want
+    # States compare and hash by value, whether or not their tail has been read.
+    fresh = population()
+    assert points == fresh
+    assert [hash(pt) for pt in points] == [hash(pt) for pt in fresh]
 
 
 class TestDerivedQuantities:

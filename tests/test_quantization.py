@@ -27,7 +27,13 @@ from dislospec import (
     solve_general_n,
 )
 from dislospec import quantization
-from dislospec.quantization import ALPHA_MAX, ALPHA_MIN, _alpha_roots, _tridiagonal_eigh
+from dislospec.quantization import (
+    ALPHA_MAX,
+    ALPHA_MIN,
+    NEWTON_RTOL,
+    _alpha_roots,
+    _tridiagonal_eigh,
+)
 
 FLAT = DefectGeometry(chi=0.0)
 FREE = Couplings()
@@ -405,6 +411,27 @@ def test_kappa_lt1_root_index_comes_from_the_count(monkeypatch, seeds):
     monkeypatch.setattr(quantization, "_tridiagonal_eigh", bad_seeds)
     for cell, roots in zip(cells, want):
         assert _alpha_roots(*cell) == pytest.approx(roots, rel=1e-14, abs=0.0)
+
+
+def test_kappa_lt1_root_on_a_zero_pivot(monkeypatch):
+    # Newton toward this cell's second root lands on 1.8574469764045773, where
+    # the last LDL^T pivot is exactly 0 and d log|det| is infinite.  One probe
+    # inside the bracket proves the step there; bisecting toward that edge
+    # instead took 37 more passes, 50 in all.  The 14 left are the two window
+    # edges, 5 for the first root and 7 for the second.
+    passes = []
+    sturm_pass = quantization._sturm_pass
+
+    def counted(*args):
+        passes.append(sturm_pass(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(quantization, "_sturm_pass", counted)
+    roots = _alpha_roots(2, 5.1, 0.6, 16.2, 0.1225)
+    assert any(not math.isfinite(dlog) for _, dlog in passes)
+    assert len(passes) <= 14
+    before = [0.3684722252179374, 1.8574469764045598]
+    assert roots == pytest.approx(before, rel=NEWTON_RTOL, abs=0.0)
 
 
 class TestSolveGeneralN:
