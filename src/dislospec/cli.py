@@ -55,6 +55,7 @@ from .errors import (
     NoRealSolution,
     NoRoots,
 )
+from .heun import DEFAULT_N_MAX, build_coefficients
 from .quantization import (
     _classify,
     energy_from_lambda,
@@ -516,9 +517,13 @@ def _max(values) -> float:
 
 
 def _check_truncation_cascade(pop: _Population):
+    # A state carries a_0..a_{n+1}: the tail through order 64 is built here.
     ratios = []
     for pt in pop.points:
-        a = [abs(x) for x in pt.wavefunction.coefficients.coeffs]
+        series = build_coefficients(
+            pt.wavefunction.coefficients.params, max(DEFAULT_N_MAX, pt.qn.n + 1)
+        )
+        a = [abs(x) for x in series.coeffs]
         head = max(_max(a[: pt.qn.n + 1]), 1e-300)
         ratios.append(_max(a[pt.qn.n + 1 :]) / head)
     return ratios, 1e-10, ""

@@ -23,9 +23,9 @@ recurrence then forces a_{n+2} = 0 as well and the whole tail collapses.
 That pair of conditions is what the quantization module solves.
 
 The recurrence runs on plain floats, so building a series needs no numpy;
-only evaluate_G and evaluate_R, which take arrays, import it.  It runs as far
-as it is read: the solver reads a_0..a_{n+1}, and the tail through a_{n_max}
-is built on the first read of the whole series.
+only evaluate_G and evaluate_R, which take arrays, import it.  A solved state
+carries a_0..a_{n+1}, the terms its truncation test reads; verify's
+truncation cascade builds its own series through a_{max(64, n+1)}.
 """
 
 from __future__ import annotations
@@ -47,54 +47,10 @@ def tau_bar(params: HeunParams) -> float:
     return 0.5 * params.alpha * (2.0 * params.nu_abs + 1.0) - params.mu
 
 
-class SeriesCoefficients:
-    """Coefficients a_0..a_N of G, normalized to a_0 = 1, N = n_max.
+class SeriesCoefficients(namedtuple("SeriesCoefficients", "coeffs params lam tau")):
+    """Coefficients a_0..a_N of G, normalized to a_0 = 1."""
 
-    coeffs may hold fewer terms than N + 1: the recurrence then continues
-    them as far as they are read.  head(j) runs it through a_j, and the first
-    read of coeffs through a_N.  Each step is the same float operations in
-    the same order, so the series is bitwise that of a single pass however
-    it was read.
-    """
-
-    __slots__ = ("_a", "n_max", "params", "lam", "tau")
-
-    def __init__(
-        self, coeffs, params: HeunParams, lam: float, tau: float, n_max: int | None = None
-    ) -> None:
-        self.n_max = len(coeffs) - 1 if n_max is None else n_max
-        self._a = list(coeffs) if len(coeffs) <= self.n_max else coeffs
-        self.params, self.lam, self.tau = params, lam, tau
-
-    def head(self, order: int) -> tuple[float, ...]:
-        """a_0..a_order, running the recurrence no further than a_order."""
-        a = self._a
-        if len(a) <= order:
-            alpha, s, lam, tau = self.params.alpha, self.params.nu_abs, self.lam, self.tau
-            for k in range(len(a) - 2, min(order, self.n_max) - 1):
-                denom = (k + 2.0) * (k + 2.0 + 2.0 * s)
-                a.append(((alpha * (k + 1.0) + tau) * a[k + 1] - (lam - 2.0 * k) * a[k]) / denom)
-        return tuple(a[: order + 1])
-
-    @property
-    def coeffs(self) -> tuple[float, ...]:
-        if len(self._a) <= self.n_max:
-            self._a = self.head(self.n_max)
-        return self._a
-
-    def __eq__(self, other):
-        if type(other) is not SeriesCoefficients:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return "SeriesCoefficients(coeffs=%r, params=%r, lam=%r, tau=%r)" % self._key()
-
-    def _key(self) -> tuple:
-        return (self.coeffs, self.params, self.lam, self.tau)
+    __slots__ = ()
 
 
 class RadialWavefunction(
@@ -112,12 +68,12 @@ class RadialWavefunction(
 
     def polynomial_coeffs(self) -> tuple[float, ...]:
         if self.truncation_order is not None:
-            return self.coefficients.head(self.truncation_order)
+            return self.coefficients.coeffs[: self.truncation_order + 1]
         return self.coefficients.coeffs
 
 
 def build_coefficients(params: HeunParams, n_max: int = DEFAULT_N_MAX) -> SeriesCoefficients:
-    """The series through a_{n_max}, each term built when it is first read.
+    """The series a_0..a_{n_max}, run through the recurrence in one pass.
 
     The denominators (k+2)(k+2+2*nu_abs) are strictly positive, so the
     recurrence never degenerates.
@@ -126,7 +82,12 @@ def build_coefficients(params: HeunParams, n_max: int = DEFAULT_N_MAX) -> Series
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     lam = lambda_bar(params)
     tau = tau_bar(params)
-    return SeriesCoefficients((1.0, tau / (1.0 + 2.0 * params.nu_abs)), params, lam, tau, n_max)
+    alpha, s = params.alpha, params.nu_abs
+    a = [1.0, tau / (1.0 + 2.0 * s)]
+    for k in range(n_max - 1):
+        denom = (k + 2.0) * (k + 2.0 + 2.0 * s)
+        a.append(((alpha * (k + 1.0) + tau) * a[k + 1] - (lam - 2.0 * k) * a[k]) / denom)
+    return SeriesCoefficients(tuple(a), params, lam, tau)
 
 
 def evaluate_G(coeffs: SeriesCoefficients, xi):

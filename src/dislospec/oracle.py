@@ -29,7 +29,7 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 from .core import HeunParams, MassProfile
-from .heun import RadialWavefunction
+from .heun import RadialWavefunction, evaluate_R
 from .quantization import _sturm_pass, _sturm_root
 
 if TYPE_CHECKING:
@@ -231,7 +231,5 @@ def normalization(wf: RadialWavefunction, grid: RadialGrid) -> float:
     import numpy as np
 
     xi = grid.points()
-    a = wf.polynomial_coeffs()
-    g = np.polynomial.polynomial.polyval(xi, a)
-    r = np.exp(-0.5 * xi * xi - 0.5 * wf.alpha * xi) * xi**wf.nu_abs * g
+    r = evaluate_R(wf, xi)
     return float(np.trapezoid(r * r * xi, xi))

@@ -68,7 +68,7 @@ from .core import (
     heun_params,
 )
 from .errors import DegenerateDenominator, NonPositiveSlope, NoRealSolution, NoRoots
-from .heun import DEFAULT_N_MAX, RadialWavefunction, build_coefficients
+from .heun import RadialWavefunction, build_coefficients
 
 # Quadratic branch formula degenerates when its denominator is this close to 0.
 DEGENERATE_TOL = 1e-12
@@ -463,9 +463,8 @@ def solve_general_n(
                 e_for_mu = e_pair[0] if sign > 0 else e_pair[1]
                 energies = (e_for_mu,)
             params = heun_params(MassProfile(mass_m, nu), e_for_mu, qn.k, coup.b, eff_abs)
-            # The tail past a_{n+1} is built only if someone reads it.
-            coeffs = build_coefficients(params, n_max=max(DEFAULT_N_MAX, n + 1))
-            a = coeffs.head(n + 1)
+            coeffs = build_coefficients(params, n + 1)
+            a = coeffs.coeffs
             trunc_rel = abs(a[n + 1]) / max(map(abs, a[: n + 1]))
             if not trunc_rel <= 1e-12:  # a NaN residual fails too
                 raise NoRoots(

@@ -108,7 +108,8 @@ def test_criterion_2_truncation_cascade(population):
     relative to the head, through order 64."""
     worst = 0.0
     for _m, _b, pt in population:
-        a = pt.wavefunction.coefficients.coeffs
+        params = pt.wavefunction.coefficients.params
+        a = build_coefficients(params, max(64, pt.qn.n + 1)).coeffs
         assert len(a) >= 65
         head = np.max(np.abs(a[: pt.qn.n + 1]))
         tail = np.max(np.abs(a[pt.qn.n + 1 :]))

@@ -22,7 +22,7 @@ from dislospec.cli import (
     parse_float_list,
 )
 from dislospec.core import Couplings, DefectGeometry, MassProfile, QuantumNumbers, heun_params
-from dislospec.heun import RadialWavefunction, SeriesCoefficients, build_coefficients
+from dislospec.heun import RadialWavefunction, build_coefficients
 from dislospec.quantization import solve_general_n
 
 
@@ -290,14 +290,14 @@ class TestVerify:
 
     def test_detuned_slope_fails(self, capsys, monkeypatch):
         # Give each solved state the polynomial of a 1% detuned slope, as
-        # acceptance criterion 3 does.  The series keeps the solver's length
-        # so that the truncation cascade still has a tail to measure.
+        # acceptance criterion 3 does, at the solver's series length.  The
+        # truncation cascade rebuilds the tail from the detuned parameters.
         def detuned_solve(qn, m, geom, coup):
             points = []
             for pt in solve_general_n(qn, m, geom, coup):
                 mass = MassProfile(m, pt.nu_solved * 1.01)
                 params = heun_params(mass, pt.energies[0], qn.k, coup.b, pt.eff_abs)
-                coeffs = build_coefficients(params, n_max=pt.wavefunction.coefficients.n_max)
+                coeffs = build_coefficients(params, n_max=qn.n + 1)
                 wf = RadialWavefunction(coeffs, params.alpha, pt.eff_abs, qn.n)
                 points.append(pt._replace(wavefunction=wf))
             return points
@@ -318,21 +318,26 @@ class TestVerify:
 
     def test_nan_in_a_series_tail_fails(self, capsys, monkeypatch):
         # Python's max(0.0, nan) drops the NaN, so verify's maxima must keep it.
-        # The NaN is the last tail coefficient of the last state, where a plain
-        # max over the tail and then over the states would drop it twice.
-        def nan_tail_solve(qn, m, geom, coup):
-            points = solve_general_n(qn, m, geom, coup)
-            if qn.l != 2:
-                return points
-            pt = points[-1]
-            series = pt.wavefunction.coefficients
-            series = SeriesCoefficients(
-                series.coeffs[:-1] + (math.nan,), series.params, series.lam, series.tau
-            )
-            wf = pt.wavefunction._replace(coefficients=series)
-            return points[:-1] + [pt._replace(wavefunction=wf)]
+        # The NaN is the last tail coefficient of each l = 2 cell's last state,
+        # the population's last state among them, where a plain max over the
+        # tail and then over the states would drop it twice.  The cascade builds
+        # each tail from the state's parameters, so the NaN goes in there.
+        marked = []
 
-        monkeypatch.setattr(cli, "solve_general_n", nan_tail_solve)
+        def marking_solve(qn, m, geom, coup):
+            points = solve_general_n(qn, m, geom, coup)
+            if qn.l == 2:
+                marked.append(points[-1].wavefunction.coefficients.params)
+            return points
+
+        def nan_tail_build(params, n_max):
+            series = build_coefficients(params, n_max)
+            if not any(params is p for p in marked):
+                return series
+            return series._replace(coeffs=series.coeffs[:-1] + (math.nan,))
+
+        monkeypatch.setattr(cli, "solve_general_n", marking_solve)
+        monkeypatch.setattr(cli, "build_coefficients", nan_tail_build)
         code, out, _ = run_cli(capsys, "verify", "--scenario", "free")
         assert code == EXIT_VERIFY
         failed = [x for x in out.splitlines() if x.startswith("FAIL")]
@@ -545,7 +550,7 @@ def _detuned(pt, m, coup):
     """pt with the polynomial of a 1% detuned slope, at the solver's series length."""
     mass = MassProfile(m, pt.nu_solved * 1.01)
     params = heun_params(mass, pt.energies[0], pt.qn.k, coup.b, pt.eff_abs)
-    coeffs = build_coefficients(params, n_max=pt.wavefunction.coefficients.n_max)
+    coeffs = build_coefficients(params, n_max=pt.qn.n + 1)
     wf = RadialWavefunction(coeffs, params.alpha, pt.eff_abs, pt.qn.n)
     return pt._replace(wavefunction=wf)
 

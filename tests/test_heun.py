@@ -205,10 +205,10 @@ def one_shot_series(params, n_max):
     return tuple(a)
 
 
-def test_lazy_tail_is_the_one_shot_recurrence():
-    # The solver runs the recurrence through a_{n+1}; the tail through order
-    # max(64, n + 1), which verify's truncation cascade reads, is built on the
-    # first read and must be bitwise what a single pass gives.
+def test_state_series_is_the_one_shot_recurrence():
+    # A solved state carries a_0..a_{n+1}, the terms the solver computed; the
+    # series through order max(64, n + 1), which verify's truncation cascade
+    # builds, is bitwise the same single pass run further.
     def population():
         points = [pt for _, _, pt in solved_population()]
         for n in (30, 60):
@@ -216,20 +216,20 @@ def test_lazy_tail_is_the_one_shot_recurrence():
             points += solve_general_n(qn, 1.0, DefectGeometry(chi=0.2), Couplings())
         return points
 
-    points = population()
+    # A state is a plain value: comparing, hashing or printing it reads what
+    # it holds and grows nothing.
+    points, fresh = population(), population()
     assert any(pt.qn.n == 60 for pt in points)
-    for pt in points:
-        params = pt.wavefunction.coefficients.params
-        want = one_shot_series(params, max(64, pt.qn.n + 1))
-        got = pt.wavefunction.coefficients.coeffs
-        assert len(got) >= 65
-        assert len(got) == len(want)
-        assert all(g == w for g, w in zip(got, want))
-        assert build_coefficients(params, len(want) - 1).coeffs == want
-    # States compare and hash by value, whether or not their tail has been read.
-    fresh = population()
     assert points == fresh
     assert [hash(pt) for pt in points] == [hash(pt) for pt in fresh]
+    assert [repr(pt) for pt in points] == [repr(pt) for pt in fresh]
+    for pt in points:
+        params = pt.wavefunction.coefficients.params
+        got = pt.wavefunction.coefficients.coeffs
+        assert len(got) == pt.qn.n + 2
+        assert got == one_shot_series(params, pt.qn.n + 1)
+        n_max = max(64, pt.qn.n + 1)
+        assert build_coefficients(params, n_max).coeffs == one_shot_series(params, n_max)
 
 
 class TestDerivedQuantities:
