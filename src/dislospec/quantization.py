@@ -25,27 +25,30 @@ On the energy relation mu = 2bE/sqrt(nu) = c sqrt(A + B alpha^2), with
 c = +-2b (the sign of E), A = 2(n+s+1) and B = k^2/(4m^2).  It is constant
 unless b and k are both nonzero.  Otherwise each root is a fixed point
 alpha = lambda_i(mu(alpha)).  Hellmann-Feynman gives
-d lambda_i/d mu = v^T D^{-1} v <= 1/d_0 for the unit eigenvector v, so
+d lambda_i/d mu = v^T D^{-1} v in (0, 1/d_0] for the unit eigenvector v, so
 kappa = |c| sqrt(B)/d_0 bounds the slope of lambda_i(mu(alpha)):
 
-* kappa < 1: each lambda_i(mu(alpha)) - alpha strictly decreases, so root i
-  is where the count of eigenvalues of S(mu(alpha)) below alpha steps to
-  i + 1; the FD oracle's Sturm search finds it, seeded at the k = 0 root;
-* kappa >= 1: a branch may cross several times or not at all.  Substituting
-  alpha = r(w - 1/w)/2 with r = sqrt(A/B) makes mu = c sqrt(A)(w + 1/w)/2,
-  and the condition becomes the quadratic eigenproblem
+* c < 0 or kappa < 1: each lambda_i(mu(alpha)) - alpha strictly decreases
+  (for c < 0, mu and so lambda_i fall as alpha grows), so root i is where
+  the count of eigenvalues of S(mu(alpha)) below alpha steps to i + 1; the
+  FD oracle's Sturm search finds it, seeded at the k = 0 root;
+* c > 0 and kappa >= 1: a branch may cross several times or not at all.
+  Substituting alpha = r(w - 1/w)/2 with r = sqrt(A/B) makes
+  mu = c sqrt(A)(w + 1/w)/2, and the condition becomes the quadratic
+  eigenproblem
 
       [w^2 (c sqrt(A) - r D) + 2w T + (c sqrt(A) + r D)] a = 0.
 
-  Its outer coefficients are diagonal.  In x = w for c < 0, or x = 1/w for
-  c > 0, the leading one is definite, so dividing by it gives a 2(n+1)
-  companion matrix without a solve (Tisseur & Meerbergen, SIAM Rev. 43
-  (2001) 235), and numpy's eigvals returns its roots.  Where the trailing
-  coefficient is singular (|c| sqrt(A) = r d_j) it only adds x = 0, which
-  is never inverted.  The real roots w > 1 are the alpha > 0 roots, which
-  Newton on det(S(mu(alpha)) - alpha) refines.  The quadratic is used only
-  here, where r <= |c| sqrt(A)/d_0: as k -> 0 its roots crowd at w = 1 and
-  lose their digits.  This branch is the only one that imports numpy.
+  In x = 1/w its leading coefficient L = c sqrt(A) + r D is positive and
+  diagonal, so a -> L^{-1/2} a and T's diagonal similarity make it monic
+  and symmetric, x^2 + 2x M + K with M tridiagonal and K = (c sqrt(A) - r D)/L
+  diagonal (Tisseur & Meerbergen, SIAM Rev. 43 (2001) 235); numpy's eigvals
+  returns the roots of its 2(n+1) companion matrix.  Where K is singular
+  (c sqrt(A) = r d_j) it only adds x = 0, which is never inverted.  The real
+  roots 0 < x < 1 are the alpha > 0 roots, which Newton on
+  det(S(mu(alpha)) - alpha) refines.  The quadratic is used only here, where
+  r <= c sqrt(A)/d_0: as k -> 0 its roots crowd at w = 1 and lose their
+  digits.  This branch is the only one that imports numpy.
 """
 
 from __future__ import annotations
@@ -90,8 +93,8 @@ NEWTON_RTOL = 1e-14
 SEED_WIDTH = 1e-2
 NEWTON_WIDTH = 1e-3
 
-# A companion eigenvalue x with |Im x| <= REAL_TOL * |x| counts as real; for
-# c > 0, x = 1/w must also exceed REAL_TOL, so the root x = 0 is never inverted.
+# A companion eigenvalue x with |Im x| <= REAL_TOL * |x| counts as real; x = 1/w
+# must also exceed REAL_TOL, so the root x = 0 is never inverted.
 REAL_TOL = 1e-8
 
 
@@ -354,7 +357,8 @@ def _sturm_root(
 
 def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list[float]:
     """The real roots of a_{n+1}(alpha) = 0 at mu = c sqrt(A + B alpha^2),
-    ascending; for kappa < 1 only those in [ALPHA_MIN, ALPHA_MAX]."""
+    ascending; on a counted branch (c < 0 or kappa < 1) only those in
+    [ALPHA_MIN, ALPHA_MAX]."""
     d = [j + s + 0.5 for j in range(n + 1)]
     sup = [(j + 1.0) * (j + 1.0 + 2.0 * s) for j in range(n)]  # T[j, j+1]
     sub = [2.0 * (n - j) for j in range(n)]  # T[j+1, j]
@@ -373,7 +377,7 @@ def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list
         diag, slope = [mu / dj for dj in d], [dmu / dj - 1.0 for dj in d]
         return _sturm_pass(diag, slope, off2, alpha, pivmin)
 
-    if abs(c) * math.sqrt(big_b) < d[0]:  # kappa < 1: the count steps once per root
+    if c < 0.0 or abs(c) * math.sqrt(big_b) < d[0]:  # the count steps once per root
         n_lo, n_hi = sturm(ALPHA_MIN)[0], sturm(ALPHA_MAX)[0]
         return [
             _sturm_root(sturm, i, ALPHA_MIN, ALPHA_MAX, n_lo, n_hi, lam0[i], NEWTON_RTOL)
@@ -392,23 +396,15 @@ def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list
 
     r = math.sqrt(big_a / big_b)
     ca = c * math.sqrt(big_a)
-    dv = np.array(d)
-    # Companion matrix on [a; x a] of the quadratic in x = w (c < 0) or
-    # x = 1/w (c > 0), whose leading coefficient is definite.
-    lead, tail = (ca - r * dv, ca + r * dv) if c < 0.0 else (ca + r * dv, ca - r * dv)
-    t = np.diag(sup, 1) + np.diag(sub, -1)
-    companion = np.block(
-        [
-            [np.zeros((n + 1, n + 1)), np.eye(n + 1)],
-            [-np.diag(tail / lead), -2.0 * t / lead[:, None]],
-        ]
-    )
+    # x^2 + 2x M + K in x = 1/w, made monic and symmetric by a -> L^{-1/2} a with
+    # L = ca + r D > 0 and T's diagonal similarity; companion matrix on [a; x a].
+    lead = [ca + r * dj for dj in d]
+    m_off = [math.sqrt(sup[j] * sub[j] / (lead[j] * lead[j + 1])) for j in range(n)]
+    m = np.diag(m_off, 1) + np.diag(m_off, -1)
+    k = np.diag([(ca - r * dj) / lj for dj, lj in zip(d, lead)])
+    companion = np.block([[np.zeros((n + 1, n + 1)), np.eye(n + 1)], [-k, -2.0 * m]])
     xs = [float(x.real) for x in np.linalg.eigvals(companion) if abs(x.imag) <= REAL_TOL * abs(x)]
-    if c < 0.0:
-        real_w = [x for x in xs if x > 1.0]
-    else:
-        real_w = [1.0 / x for x in xs if REAL_TOL < x < 1.0]
-    roots = sorted(newton(0.5 * r * (w - 1.0 / w)) for w in real_w)
+    roots = sorted(newton(0.5 * r * (1.0 / x - x)) for x in xs if REAL_TOL < x < 1.0)
     # A near-double root can come back as a conjugate pair that converges to one alpha.
     return [a for i, a in enumerate(roots) if i == 0 or a - roots[i - 1] > 1e-9 * max(1.0, a)]
 

@@ -278,8 +278,8 @@ SCAN_CELLS = (
     ]
     # At k this small the w-pencil's roots crowd at w = 1; the solver must not use it.
     + [("coulomb", n, 0, 1e-8, b, 0.0) for n in (4, 8) for b in (0.1, -0.1)]
-    # |c| sqrt(B) / d_0 >= 1 here, so the solver takes its companion-pencil path;
-    # n = 1 has no root on either branch.
+    # |c| sqrt(B) / d_0 >= 1 here, so the c > 0 branch takes the companion-pencil
+    # path and the c < 0 branch the count; n = 1 has no root on either branch.
     + [("coulomb", n, 0, 3.0, b, 0.0) for n in (1, 2, 5) for b in (1.5, -1.5)]
 )
 
@@ -313,7 +313,8 @@ def test_eigen_solve_matches_frozen_scan(scenario, n, l, k, b, t):
 
 # At B = (d_j / c)^2 one diagonal entry of c sqrt(A) -+ r D vanishes: the
 # second block of the old pencil's B matrix is singular (c > 0), or w = 0 is
-# an eigenvalue (c < 0).  The roots are the ones scipy's QZ gave on that pencil.
+# an eigenvalue (c < 0).  The roots are the ones scipy's QZ gave on that pencil;
+# the solver takes the pencil for c > 0 and counts the c < 0 branch.
 PENCIL_SINGULAR_CELLS = [
     ((3, 0.7, 2.0, 1), 1.8690348548508238),
     ((3, 0.7, -2.0, 1), 0.566255490118392),
@@ -342,7 +343,8 @@ def test_pencil_matches_qz_on_seeded_cells():
         n = int(rng.integers(1, 9))
         s = float(rng.uniform(0.0, 3.0))
         c = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 4.0))
-        # kappa = |c| sqrt(B) / d_0 in [1, 6], so every cell takes the pencil path.
+        # kappa = |c| sqrt(B) / d_0 in [1, 6]: the c > 0 cells take the pencil
+        # path, the c < 0 cells the count.
         k = 2.0 * float(rng.uniform(1.0, 6.0)) * (s + 0.5) / abs(c)
         want = [a for a in qz_pencil_alphas(n, s, c, k) if ALPHA_MIN <= a <= ALPHA_MAX]
         roots = _alpha_roots(n, s, c, 2.0 * (n + s + 1.0), 0.25 * k * k)
@@ -354,10 +356,50 @@ def test_pencil_matches_qz_on_seeded_cells():
     assert roots_seen > 200
 
 
+def newton_step(n, s, c, big_a, big_b, alpha):
+    """The next Newton step on det(S(mu(alpha)) - alpha), from LAPACK's dense
+    eigh: d log|det|/d alpha = sum_i (lambda_i' - 1)/(lambda_i - alpha), with
+    lambda_i' = v_i^T D^{-1} v_i mu'(alpha) by Hellmann-Feynman."""
+    root = math.sqrt(big_a + big_b * alpha * alpha)
+    inv_d, off = slope_matrix(n, s, 1.0)
+    lam, vec = np.linalg.eigh(np.diag(c * root * inv_d) + np.diag(off, 1) + np.diag(off, -1))
+    dlam = (vec * vec * inv_d[:, None]).sum(axis=0) * c * big_b * alpha / root
+    with np.errstate(divide="ignore"):  # alpha on an eigenvalue: a zero step
+        return -1.0 / np.sum((dlam - 1.0) / (lam - alpha))
+
+
+# CLI cells (m = 1, chi = 0) past n = 32, where the pencil used to lose real
+# roots: window root counts per branch, and some + alphas, from a
+# 200001-point dense eigvalsh scan of each branch with brentq polish.
+LARGE_N_PENCIL_CELLS = [
+    ((44, 0.3, 3.0, 0), {1: 22, -1: 22}, None),
+    ((32, 1.0, 20.0, 2), {1: 2, -1: 15}, [8.72555449674563, 13.31106279575246]),
+    ((33, 5.0, 12.0, 2), {1: 11, -1: 11}, None),
+]
+
+
+@pytest.mark.parametrize("cell,counts,plus_alphas", LARGE_N_PENCIL_CELLS)
+def test_pencil_keeps_every_root_at_large_n(cell, counts, plus_alphas):
+    n, b, k, l = cell
+    s = coulomb_eta(float(l), b)
+    big_a, big_b = 2.0 * (n + s + 1.0), 0.25 * k * k
+    for sign, want in counts.items():
+        c = 2.0 * b * sign
+        got = [a for a in _alpha_roots(n, s, c, big_a, big_b) if ALPHA_MIN <= a <= ALPHA_MAX]
+        assert len(got) == want, sign
+        for a in got:
+            assert abs(newton_step(n, s, c, big_a, big_b, a)) <= 1e-10 * a, (sign, a)
+        if sign == 1 and plus_alphas is not None:
+            assert got == pytest.approx(plus_alphas, rel=1e-12, abs=0.0)
+    pts = solve_general_n(QuantumNumbers(n, l, k), 1.0, FLAT, Couplings(b=b))
+    assert {sign: sum(p.branch == sign for p in pts) for sign in counts} == counts
+
+
 def dense_branch_roots(n, s, c, big_a, big_b):
-    """Window roots of a kappa < 1 cell, one per eigen-branch that crosses
-    alpha in the window: brentq on lambda_i(mu(alpha)) - alpha, with lambda_i
-    from LAPACK's dense eigvalsh of S(mu), so no Sturm count is involved."""
+    """Window roots of a c < 0 or kappa < 1 cell, where each lambda_i(mu(alpha))
+    - alpha falls, so one per eigen-branch that crosses alpha in the window:
+    brentq on lambda_i(mu(alpha)) - alpha, with lambda_i from LAPACK's dense
+    eigvalsh of S(mu), so no Sturm count is involved."""
     inv_d, off = slope_matrix(n, s, 1.0)
     base = np.diag(off, 1) + np.diag(off, -1)
 
@@ -383,16 +425,41 @@ def seeded_kappa_lt1_cells():
         yield n, s, c, 2.0 * (n + s + 1.0), sqrt_b * sqrt_b
 
 
-def test_kappa_lt1_roots_match_dense_branches():
+def negative_c_cells():
+    """c < 0 cells with kappa in [1, 30] and n up to 45: the CLI's m = 1, chi = 0
+    branches at n = 44, 45, where a quadratic-pencil solve lost up to 3 of
+    about 20 roots, then seeded ones."""
+    for n in (44, 45):
+        for b, k, l in [(0.3, 3.0, 0), (1.0, 3.0, 0), (1.0, 3.0, 2), (5.0, 3.0, 2)]:
+            s = coulomb_eta(float(l), b)
+            yield n, s, -2.0 * b, 2.0 * (n + s + 1.0), 0.25 * k * k
+    rng = np.random.default_rng(1967)
+    for _ in range(40):
+        n = int(rng.integers(1, 46))
+        s = float(rng.uniform(0.0, 5.0))
+        c = -float(rng.uniform(0.5, 10.0))
+        sqrt_b = float(rng.uniform(1.0, 30.0)) * (s + 0.5) / abs(c)
+        yield n, s, c, 2.0 * (n + s + 1.0), sqrt_b * sqrt_b
+
+
+def roots_matching_dense_branches(cells):
     roots_seen = 0
-    for cell in seeded_kappa_lt1_cells():
+    for cell in cells:
         want = dense_branch_roots(*cell)
         got = _alpha_roots(*cell)
         assert len(got) == len(want), cell
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-12 * w, cell
         roots_seen += len(got)
-    assert roots_seen > 600
+    return roots_seen
+
+
+def test_kappa_lt1_roots_match_dense_branches():
+    assert roots_matching_dense_branches(seeded_kappa_lt1_cells()) > 600
+
+
+def test_negative_c_roots_match_dense_branches():
+    assert roots_matching_dense_branches(negative_c_cells()) > 400
 
 
 @pytest.mark.parametrize("seeds", ["shifted", "scaled"])
