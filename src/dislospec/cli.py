@@ -4,7 +4,8 @@ Three subcommands:
 
 * spectrum - one row per (n, l, k, flux, root); bound-state slopes and
   energies, optionally with oracle columns.  fd_match compares a
-  non-Coulomb state with the finite-difference level at its root_index.
+  non-Coulomb state with the finite-difference level at its root_index,
+  extrapolated from two grids sized by the state's n.
 * current  - persistent current per flux point, analytic (lowest state)
   against the central flux derivative of the solved spectrum.  A row whose
   difference stencil reaches sigma = 0 reads KINK and carries no current.
@@ -280,12 +281,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# Points of the ODE-residual grid, and FD points per radial node of a state
+# (its coarse Richardson grid has FD_POINTS_PER_NODE * (n + 1) points).
+ODE_POINTS = 200
+FD_POINTS_PER_NODE = 40
+
+
 def _ode_residual(pt) -> float:
     """ODE residual of a solved state, at the parameters the solver built it from."""
     from .oracle import RadialGrid, ode_residual
 
     wf = pt.wavefunction
-    grid = RadialGrid(0.01, 8.0 * max(1.0, math.sqrt(pt.qn.n + pt.eff_abs)), 2000)
+    grid = RadialGrid(0.01, 8.0 * max(1.0, math.sqrt(pt.qn.n + pt.eff_abs)), ODE_POINTS)
     return ode_residual(wf, wf.coefficients.params, grid)
 
 
@@ -294,14 +301,25 @@ def _fd_match(pt, m: float, index: int) -> float:
 
     index is the state's position in its cell's ascending-nu list.  At a fixed
     slope, root i of the cell has i nodes, so by Sturm oscillation it is level
-    i of the Hamiltonian that slope defines (Pryce 1993)."""
+    i of the Hamiltonian that slope defines (Pryce 1993).
+
+    The level is solved on N = FD_POINTS_PER_NODE (n + 1) and 2N - 1 points
+    over default_fd_grid's extent, so h halves, and the second-order error is
+    cancelled by Richardson extrapolation, (4 E^2(h/2) - E^2(h)) / 3
+    (Richardson, Phil. Trans. R. Soc. A 226 (1927) 299).  A fixed number of
+    points per node keeps the error flat in n."""
     from .oracle import default_fd_grid, fd_eigensolve_free
 
     mass = MassProfile(m, pt.nu_solved)
     target = pt.energies[0] * pt.energies[0]
-    grid = default_fd_grid(mass, pt.qn.n, pt.eff_abs)
-    level = fd_eigensolve_free(mass, pt.eff_abs, pt.qn.k, grid, index=index, near=target)
-    return abs(level - target) / abs(target)
+
+    def level(n_points: int) -> float:
+        grid = default_fd_grid(mass, pt.qn.n, pt.eff_abs, n_points)
+        return fd_eigensolve_free(mass, pt.eff_abs, pt.qn.k, grid, index=index, near=target)
+
+    coarse = FD_POINTS_PER_NODE * (pt.qn.n + 1)
+    extrapolated = (4.0 * level(2 * coarse - 1) - level(coarse)) / 3.0
+    return abs(extrapolated - target) / abs(target)
 
 
 def _solve_cell(cfg: RunConfig, n: int, l: int, k: float, t: float) -> list:

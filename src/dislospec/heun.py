@@ -23,7 +23,8 @@ recurrence then forces a_{n+2} = 0 as well and the whole tail collapses.
 That pair of conditions is what the quantization module solves.
 
 The recurrence runs on plain floats, so building a series needs no numpy;
-only evaluate_G and evaluate_R, which take arrays, import it.  A solved state
+only evaluate_G and evaluate_R, which take arrays, import it.  The oracles
+evaluate G by their own Horner pass and use neither.  A solved state
 carries a_0..a_{n+1}, the terms its truncation test reads; verify's
 truncation cascade builds its own series through a_{max(64, n+1)}.
 """

@@ -13,17 +13,18 @@ Three cross-checks that do not share the series solver's ansatz:
   It uses only the equation's exponent at rho = 0, not the solution's form.
 * normalization integrates |R|^2 xi dxi to confirm square-integrability.
 
-The level is found by a Sturm count on the matrix's LDL^T pivots, in plain
-Python: the slope solver's kappa < 1 search, which is generic linear algebra,
-not the series ansatz; each side is tested against LAPACK on its own.  numpy,
-which the grids and the matrix assembly need, is imported by each function
-that uses it, so importing this module, and a CLI call that prints no oracle
-column, does not load it.
+The level is found by a Sturm count on the matrix's LDL^T pivots: the slope
+solver's kappa < 1 search, which is generic linear algebra, not the series
+ansatz; each side is tested against LAPACK on its own.  ode_residual and the
+finite-volume assembly run on plain Python floats, so neither oracle loads
+numpy; only the array helpers, RadialGrid.points and normalization, import it,
+each inside the function.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from functools import partial
 from typing import TYPE_CHECKING
@@ -72,6 +73,12 @@ class RadialGrid(namedtuple("RadialGrid", "xi_min xi_max n_points")):
         return np.linspace(self.xi_min, self.xi_max, self.n_points)
 
 
+def _nodes(grid: RadialGrid) -> list[float]:
+    """The points of grid as numpy.linspace places them, in a list of floats."""
+    h = grid.spacing
+    return [grid.xi_min + i * h for i in range(grid.n_points - 1)] + [grid.xi_max]
+
+
 def ode_residual(wf: RadialWavefunction, params: HeunParams, grid: RadialGrid) -> float:
     """Max |LHS| of the xi-form radial equation over the grid, normalized by max |R|.
 
@@ -79,49 +86,49 @@ def ode_residual(wf: RadialWavefunction, params: HeunParams, grid: RadialGrid) -
 
         R'' + R'/xi - (s^2/xi^2) R + (mu/xi) R - xi^2 R - alpha xi R + beta R = 0
 
-    with s = params.nu_abs.  Derivatives are exact: with R = P(xi) u(xi),
-    P = exp(-xi^2/2 - alpha xi/2) and u = xi^s G, one has P'/P = -xi - alpha/2
-    and the polynomial derivatives of G come from the coefficient array.  The
+    with s = params.nu_abs.  Derivatives are exact: R = F G with
+    F = xi^s exp(-xi^2/2 - alpha xi/2) (s = wf.nu_abs here), so with
+    L = F'/F = s/xi - xi - alpha/2 (dlog below) and L' = -s/xi^2 - 1,
+
+        R' = F (L G + G'),   R'' = F ((L^2 + L') G + 2 L G' + G''),
+
+    and G, G' and G'' come from one Horner pass over the coefficients.  The
     normalization makes the result invariant under rescaling of R.
+
+    At large n the unscaled G(xi) overflows; a non-finite R or LHS at any
+    point, or an overflow in the exponential, makes the result NaN.
     """
-    import numpy as np
-
-    xi = grid.points()
-    a = wf.polynomial_coeffs()
-    poly = np.polynomial.polynomial
-    s = wf.nu_abs
-    alpha = wf.alpha
-    # At large n the unscaled xi^s G(xi) overflows and the residual reads NaN.
-    # That NaN is the report, so numpy's overflow warnings are silenced.
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = poly.polyval(xi, a)
-        dg = poly.polyval(xi, poly.polyder(a)) if len(a) > 1 else np.zeros_like(xi)
-        d2g = poly.polyval(xi, poly.polyder(a, 2)) if len(a) > 2 else np.zeros_like(xi)
-
-        envelope = np.exp(-0.5 * xi * xi - 0.5 * alpha * xi)
-        dlog = -xi - 0.5 * alpha
-
-        u = xi**s * g
-        du = s * xi ** (s - 1.0) * g + xi**s * dg
-        d2u = s * (s - 1.0) * xi ** (s - 2.0) * g + 2.0 * s * xi ** (s - 1.0) * dg + xi**s * d2g
-
-        r = envelope * u
-        dr = envelope * (dlog * u + du)
-        d2r = envelope * ((dlog * dlog - 1.0) * u + 2.0 * dlog * du + d2u)
-
-        lhs = (
-            d2r
-            + dr / xi
-            - (params.nu_abs**2 / xi**2) * r
-            + (params.mu / xi) * r
-            - xi * xi * r
-            - params.alpha * xi * r
-            + params.beta * r
-        )
-    scale = float(np.max(np.abs(r)))
-    if scale == 0.0:
-        return float(np.max(np.abs(lhs)))
-    return float(np.max(np.abs(lhs))) / scale
+    a = wf.polynomial_coeffs()[::-1]
+    s, half_alpha = wf.nu_abs, 0.5 * wf.alpha
+    nu2, mu, alpha, beta = params.nu_abs**2, params.mu, params.alpha, params.beta
+    exp, log, inf = math.exp, math.log, math.inf
+    worst_lhs = worst_r = 0.0
+    try:
+        for xi in _nodes(grid):
+            g = dg = d2g = 0.0
+            for c in a:
+                d2g = d2g * xi + 2.0 * dg
+                dg = dg * xi + g
+                g = g * xi + c
+            inv = 1.0 / xi
+            f = exp(s * log(xi) - xi * (0.5 * xi + half_alpha))
+            dlog = s * inv - xi - half_alpha
+            # L^2 + L' + L/xi plus the equation's own terms multiply G.
+            g_term = dlog * (dlog + inv) - 1.0 - (nu2 + s) * inv * inv + mu * inv
+            g_term += beta - xi * (xi + alpha)
+            r = abs(f * g)
+            lhs = abs(f * (g_term * g + (2.0 * dlog + inv) * dg + d2g))
+            if not (r < inf and lhs < inf):  # NaN or inf
+                return math.nan
+            if r > worst_r:
+                worst_r = r
+            if lhs > worst_lhs:
+                worst_lhs = lhs
+    except OverflowError:
+        return math.nan
+    if worst_r == 0.0:
+        return float(worst_lhs)
+    return float(worst_lhs / worst_r)
 
 
 def default_fd_grid(
@@ -176,51 +183,50 @@ def fd_eigensolve_free(
     index, and Newton steps on the determinant refine it.  near, such as the
     analytic E^2, only chooses where the search starts, not the level found.
     """
-    import numpy as np
-
     mass.require_confining()
     s = eff_abs
     sigma = min(s, FD_FACTORED_MOMENTUM_MAX)
     q = 2.0 * sigma + 2.0  # p = rho^(q - 1)
 
-    rho = grid.points()
+    rho = _nodes(grid)
     h = rho[1] - rho[0]
-    face = 0.5 * (rho[:-1] + rho[1:])
+    face = [0.5 * (x + y) for x, y in zip(rho, rho[1:])]
     # Node i (every node but the outer one) owns [edges[i], edges[i+1]].
-    edges = np.concatenate(([0.0], face))
+    edges = [0.0] + face
 
-    def moment(j: float) -> np.ndarray:
+    def moment(j: float) -> list[float]:
         """Integral of rho^j p over each control volume."""
-        e = edges ** (q + j)
-        return (e[1:] - e[:-1]) / (q + j)
+        e = [x ** (q + j) for x in edges]
+        return [(y - x) / (q + j) for x, y in zip(e, e[1:])]
 
     weight = moment(0.0)
-    pot = 2.0 * mass.m * mass.nu * moment(1.0) + mass.nu**2 * moment(2.0)
+    two_m_nu, nu2 = 2.0 * mass.m * mass.nu, mass.nu**2
+    pot = [two_m_nu * x + nu2 * y for x, y in zip(moment(1.0), moment(2.0))]
     if s > sigma:
-        pot += (s * s - sigma * sigma) * moment(-2.0)
-    flux = face ** (q - 1.0) / h
-    diag = (np.concatenate(([0.0], flux[:-1])) + flux + pot) / weight
-    off = -flux[:-1] / np.sqrt(weight[:-1] * weight[1:])
+        pot = [x + (s * s - sigma * sigma) * y for x, y in zip(pot, moment(-2.0))]
+    flux = [x ** (q - 1.0) / h for x in face]
+    inflow = [0.0] + flux[:-1]
+    diag = [(a + b + c) / w for a, b, c, w in zip(inflow, flux, pot, weight)]
+    off = [-f / math.sqrt(w0 * w1) for f, w0, w1 in zip(flux, weight, weight[1:])]
     shift = mass.m**2 + k * k
     seed = None if near is None else near - shift
     return _tridiagonal_level(diag, off, index, seed) + shift
 
 
-def _tridiagonal_level(
-    diag: np.ndarray, off: np.ndarray, index: int, near: float | None = None
-) -> float:
+def _tridiagonal_level(diag, off, index: int, near: float | None = None) -> float:
     """Eigenvalue number index (ascending, from 0) of the symmetric tridiagonal
-    matrix with diagonal diag and off-diagonal off: _sturm_root from the
-    Gershgorin interval, seeded at near, to the relative step FD_STEP_TOL."""
-    import numpy as np
-
-    if not 0 <= index < len(diag):
-        raise ValueError(f"level index {index} outside 0..{len(diag) - 1}")
-    d = diag.tolist()
-    off2 = [0.0] + (off * off).tolist()
-    pivmin = float(np.finfo(float).tiny) * max(1.0, max(off2))
-    radius = np.abs(np.concatenate(([0.0], off))) + np.abs(np.concatenate((off, [0.0])))
-    lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
+    matrix with diagonal diag and off-diagonal off (any float sequences):
+    _sturm_root from the Gershgorin interval, seeded at near, to the relative
+    step FD_STEP_TOL."""
+    d = [float(x) for x in diag]
+    if not 0 <= index < len(d):
+        raise ValueError(f"level index {index} outside 0..{len(d) - 1}")
+    off_abs = [abs(float(x)) for x in off]
+    off2 = [0.0] + [x * x for x in off_abs]
+    pivmin = sys.float_info.min * max(1.0, max(off2))
+    radius = [x + y for x, y in zip([0.0] + off_abs, off_abs + [0.0])]
+    lo = min(x - r for x, r in zip(d, radius))
+    hi = max(x + r for x, r in zip(d, radius))
     slope = [-1.0] * len(d)  # T is constant: d(d_j - x)/dx = -1
     sturm = partial(_sturm_pass, d, slope, off2, pivmin=pivmin)
     return _sturm_root(sturm, index, lo, hi, 0, len(d), near, FD_STEP_TOL)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from itertools import product
 
 import pytest
 
@@ -555,6 +556,35 @@ def _detuned(pt, m, coup):
     return pt._replace(wavefunction=wf)
 
 
+class TestOracleGrids:
+    """cli's oracle grids: ODE_POINTS points for the residual, and an FD pair
+    sized by n for the level."""
+
+    @staticmethod
+    def free_states(ns):
+        """(root index, state) of the free cells l = 0..3, k in {0, 0.7}, chi = 0.2."""
+        geom, coup = DefectGeometry(chi=0.2), Couplings()
+        for n, l, k in product(ns, range(4), (0.0, 0.7)):
+            yield from enumerate(solve_general_n(QuantumNumbers(n, l, k), 1.0, geom, coup))
+
+    def test_ode_grid_tells_detuned_states(self):
+        # The residual grid is coarse, so it must keep the power to separate
+        # a solved state from the same state with its slope 1% off at fixed E.
+        correct, detuned = [], []
+        for _, pt in self.free_states(range(1, 25)):
+            correct.append(cli._ode_residual(pt))
+            detuned.append(cli._ode_residual(_detuned(pt, 1.0, Couplings())))
+        assert len(correct) > 500
+        assert all(r < 1e-8 for r in correct), max(correct)
+        assert all(r > 1e-4 for r in detuned), min(detuned)
+
+    def test_fd_match_holds_at_large_n(self):
+        # A fixed grid's error grows like n^2: 4000 points read 1.4e-3 here.
+        errors = [cli._fd_match(pt, 1.0, index) for index, pt in self.free_states((60,))]
+        assert len(errors) > 100
+        assert all(e < 1e-3 for e in errors), max(errors)
+
+
 class TestConfigAndOutput:
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -916,7 +946,7 @@ class TestEntryPoint:
 
     def test_solver_runs_without_numpy(self):
         # numpy's import costs about as much as interpreter start; only the
-        # oracle columns, verify and the kappa >= 1 pencil need it.
+        # kappa >= 1 pencil and the oracle's array helpers need it.
         runs = (
             "import contextlib, io, json, sys\n"
             "if sys.argv[1] == 'blocked':\n"
@@ -946,6 +976,40 @@ class TestEntryPoint:
             text=True,
         )
         assert imported.stdout == "False\n", imported.stderr
+
+    NUMPY_FREE_RUNS = [
+        "spectrum --scenario free --l 0..1 --k 0,0.7 --n 1..3 --oracle",
+        "spectrum --scenario ab --flux 0:0.5:0.25 --l 0 --k 0,0.7 --oracle",
+        "spectrum --scenario coulomb --b 0.1 --l 0..1 --k 0,0.7 --n 1..3 --oracle",
+        "spectrum --scenario coulomb --b -0.1 --l 0..1 --k 0,0.7 --n 1..3 --oracle",
+        "verify --scenario free --k 0,0.7",
+        "verify --scenario coulomb --b 0.1 --l 0..1 --k 0,0.7",
+        "verify --scenario ab --flux 0:0.5:0.25 --l 0 --k 0,0.7",
+        # The c > 0, kappa >= 1 pencil does load numpy, so the probe can see it.
+        "spectrum --scenario coulomb --b 1.5 --k 3 --l 1..2 --n 2..4",
+    ]
+
+    def test_oracle_runs_load_no_numpy(self, capsys):
+        # The oracles run on plain floats: no spectrum --oracle or verify call
+        # pays for numpy's import.
+        runs = (
+            "import contextlib, io, json, sys\n"
+            "from dislospec.cli import main\n"
+            "results = []\n"
+            f"for argv in {self.NUMPY_FREE_RUNS!r}:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        code = main(argv.split())\n"
+            "    results.append([code, out.getvalue(), 'numpy' in sys.modules])\n"
+            "print(json.dumps(results))"
+        )
+        proc = subprocess.run([sys.executable, "-c", runs], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        results = json.loads(proc.stdout)
+        assert [loaded for _, _, loaded in results] == [False] * 7 + [True]
+        for argv, (code, out, _) in zip(self.NUMPY_FREE_RUNS, results, strict=True):
+            assert code == EXIT_OK
+            assert [code, out] == list(run_cli(capsys, *argv.split())[:2])
 
     def test_start_up_imports(self):
         # dataclasses pulls in inspect, ast and dis; the oracles and json load

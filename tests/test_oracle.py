@@ -237,6 +237,14 @@ class TestLevelFinder:
             assert math.isfinite(got)
             assert got == pytest.approx(want, rel=1e-10)
 
+    def test_takes_any_float_sequence(self):
+        # fd_eigensolve_free hands it lists; numpy arrays and tuples read the same.
+        diag, off = [2.0, -1.0, 0.5, 3.0], [0.7, 1.3, 0.2]
+        want = [oracle._tridiagonal_level(diag, off, i) for i in range(4)]
+        assert want == sorted(want)
+        for kind in (tuple, np.array):
+            assert [oracle._tridiagonal_level(kind(diag), kind(off), i) for i in range(4)] == want
+
     def test_rejects_index_outside_matrix(self):
         mass, grid = MassProfile(1.0, 2.5), RadialGrid(1e-3, 10.0, 100)
         for index in (-1, 99):
