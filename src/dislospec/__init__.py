@@ -29,7 +29,6 @@ from .heun import (
     RadialWavefunction,
     SeriesCoefficients,
     build_coefficients,
-    evaluate_G,
     evaluate_R,
 )
 from .quantization import (
@@ -70,7 +69,6 @@ __all__ = [
     "energy_from_lambda",
     "energy_ground_coulomb",
     "energy_ground_free",
-    "evaluate_G",
     "evaluate_R",
     "fd_eigensolve_free",
     "heun_params",

@@ -52,25 +52,13 @@ class MassProfile(namedtuple("MassProfile", "m nu")):
             )
 
 
-class DefectGeometry(namedtuple("DefectGeometry", "chi burgers")):
+class DefectGeometry(namedtuple("DefectGeometry", "chi")):
     """Torsion parameter chi of the dislocated background.
 
-    chi = 0 is the flat (Minkowski) case.  If the Burgers-vector magnitude is
-    supplied it must satisfy chi = burgers / (2 pi) exactly.
+    chi = 0 is the flat (Minkowski) case.
     """
 
     __slots__ = ()
-
-    def __new__(cls, chi: float, burgers: float | None = None) -> "DefectGeometry":
-        if burgers is not None and chi != burgers / TWO_PI:
-            raise ValueError(
-                f"chi={chi!r} inconsistent with burgers/(2 pi)={burgers / TWO_PI!r}"
-            )
-        return tuple.__new__(cls, (chi, burgers))
-
-    @classmethod
-    def from_burgers(cls, burgers: float) -> "DefectGeometry":
-        return cls(chi=burgers / TWO_PI, burgers=burgers)
 
 
 class Couplings(namedtuple("Couplings", "b q phi_B", defaults=(0.0, 1.0, 0.0))):

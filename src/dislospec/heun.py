@@ -23,10 +23,10 @@ recurrence then forces a_{n+2} = 0 as well and the whole tail collapses.
 That pair of conditions is what the quantization module solves.
 
 The recurrence runs on plain floats, so building a series needs no numpy;
-only evaluate_G and evaluate_R, which take arrays, import it.  The oracles
-evaluate G by their own Horner pass and use neither.  A solved state
-carries a_0..a_{n+1}, the terms its truncation test reads; verify's
-truncation cascade builds its own series through a_{max(64, n+1)}.
+only evaluate_R, which takes arrays, imports it.  The oracles evaluate G by
+their own Horner pass.  A solved state carries a_0..a_{n+1}, the terms of
+its truncation_residual diagnostic; verify's truncation cascade builds its
+own series through a_{max(64, n+1)}.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def tau_bar(params: HeunParams) -> float:
     return 0.5 * params.alpha * (2.0 * params.nu_abs + 1.0) - params.mu
 
 
-class SeriesCoefficients(namedtuple("SeriesCoefficients", "coeffs params lam tau")):
+class SeriesCoefficients(namedtuple("SeriesCoefficients", "coeffs params")):
     """Coefficients a_0..a_N of G, normalized to a_0 = 1."""
 
     __slots__ = ()
@@ -88,22 +88,7 @@ def build_coefficients(params: HeunParams, n_max: int = DEFAULT_N_MAX) -> Series
     for k in range(n_max - 1):
         denom = (k + 2.0) * (k + 2.0 + 2.0 * s)
         a.append(((alpha * (k + 1.0) + tau) * a[k + 1] - (lam - 2.0 * k) * a[k]) / denom)
-    return SeriesCoefficients(tuple(a), params, lam, tau)
-
-
-def evaluate_G(coeffs: SeriesCoefficients, xi):
-    """Partial sum of the series at xi (scalar or array), xi >= 0.
-
-    When the truncation conditions hold this partial sum is the exact
-    polynomial solution.
-    """
-    import numpy as np
-
-    xi = np.asarray(xi, dtype=float)
-    if np.any(xi < 0.0):
-        raise ValueError("xi must be >= 0")
-    out = np.polynomial.polynomial.polyval(xi, coeffs.coeffs)
-    return float(out) if out.ndim == 0 else out
+    return SeriesCoefficients(tuple(a), params)
 
 
 def evaluate_R(wf: RadialWavefunction, xi):

@@ -63,10 +63,6 @@ class RadialGrid(namedtuple("RadialGrid", "xi_min xi_max n_points")):
             raise ValueError(f"n_points must be >= 3, got {n_points}")
         return tuple.__new__(cls, (xi_min, xi_max, n_points))
 
-    @property
-    def spacing(self) -> float:
-        return (self.xi_max - self.xi_min) / (self.n_points - 1)
-
     def points(self) -> np.ndarray:
         import numpy as np
 
@@ -75,7 +71,7 @@ class RadialGrid(namedtuple("RadialGrid", "xi_min xi_max n_points")):
 
 def _nodes(grid: RadialGrid) -> list[float]:
     """The points of grid as numpy.linspace places them, in a list of floats."""
-    h = grid.spacing
+    h = (grid.xi_max - grid.xi_min) / (grid.n_points - 1)
     return [grid.xi_min + i * h for i in range(grid.n_points - 1)] + [grid.xi_max]
 
 

@@ -49,6 +49,13 @@ kappa = |c| sqrt(B)/d_0 bounds the slope of lambda_i(mu(alpha)):
   det(S(mu(alpha)) - alpha) refines.  The quadratic is used only here, where
   r <= c sqrt(A)/d_0: as k -> 0 its roots crowd at w = 1 and lose their
   digits.  This branch is the only one that imports numpy.
+
+One rule accepts a root on every path.  count(x), the number of eigenvalues
+of S(mu(x)) below x, is the number of negative LDL^T pivots of S(mu(x)) - x.
+A root alpha stands only if count changes by one across it, between
+alpha -+ PROOF_WIDTH max(alpha, 1) (by +1 for constant mu and on counted
+branches, by +-1 on the pencil's), and the changes over the window's roots
+must add up to count(ALPHA_MAX) - count(ALPHA_MIN): a lost root fails too.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
+from functools import partial
 from typing import Callable
 
 from .core import (
@@ -81,6 +89,10 @@ DEGENERATE_TOL = 1e-12
 # Jacobi matrix.
 ALPHA_MIN = 0.01
 ALPHA_MAX = 50.0
+
+# A root alpha is proven by the counts at alpha -+ PROOF_WIDTH * max(alpha, 1): wider
+# than the solves' error (NEWTON_RTOL, QL's rounding), narrower than any root spacing.
+PROOF_WIDTH = 1e-13
 
 # Newton on an alpha-dependent-mu root: step cap (companion roots), relative stop.
 NEWTON_MAX_STEPS = 8
@@ -355,36 +367,12 @@ def _sturm_root(
         x = x_new
 
 
-def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list[float]:
-    """The real roots of a_{n+1}(alpha) = 0 at mu = c sqrt(A + B alpha^2),
-    ascending; on a counted branch (c < 0 or kappa < 1) only those in
-    [ALPHA_MIN, ALPHA_MAX]."""
-    d = [j + s + 0.5 for j in range(n + 1)]
-    sup = [(j + 1.0) * (j + 1.0 + 2.0 * s) for j in range(n)]  # T[j, j+1]
-    sub = [2.0 * (n - j) for j in range(n)]  # T[j+1, j]
-    # Off-diagonal of S ~ D^{-1} T; S(mu) = S_0 + mu D^{-1} has diagonal mu / d.
-    off = [math.sqrt(sup[j] * sub[j] / (d[j] * d[j + 1])) for j in range(n)]
+def _pencil_roots(n: int, d: list, sup: list, sub: list, ca: float, r: float, sturm) -> list:
+    """The alpha > 0 roots of a c > 0, kappa >= 1 branch from the quadratic
+    pencil (module docstring), ascending, refined by Newton on det(S(mu(alpha)) - alpha)."""
+    import numpy as np  # the one nonsymmetric eigensolve; no other solve needs numpy
 
-    lam0 = _tridiagonal_eigh([c * math.sqrt(big_a) / dj for dj in d], off)
-    if c == 0.0 or big_b == 0.0:  # constant mu
-        return lam0
-    off2 = [0.0] + [e * e for e in off]
-    pivmin = sys.float_info.min * max(1.0, *off2)
-
-    def sturm(alpha: float) -> tuple[int, float]:  # the pass on S(mu(alpha)) - alpha
-        root = math.sqrt(big_a + big_b * alpha * alpha)
-        mu, dmu = c * root, c * big_b * alpha / root
-        diag, slope = [mu / dj for dj in d], [dmu / dj - 1.0 for dj in d]
-        return _sturm_pass(diag, slope, off2, alpha, pivmin)
-
-    if c < 0.0 or abs(c) * math.sqrt(big_b) < d[0]:  # the count steps once per root
-        n_lo, n_hi = sturm(ALPHA_MIN)[0], sturm(ALPHA_MAX)[0]
-        return [
-            _sturm_root(sturm, i, ALPHA_MIN, ALPHA_MAX, n_lo, n_hi, lam0[i], NEWTON_RTOL)
-            for i in range(n_lo, n_hi)
-        ]
-
-    def newton(alpha: float) -> float:  # on det(S(mu(alpha)) - alpha)
+    def newton(alpha: float) -> float:
         for _ in range(NEWTON_MAX_STEPS):
             step = 1.0 / sturm(alpha)[1]
             alpha -= step
@@ -392,10 +380,6 @@ def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list
                 break
         return alpha
 
-    import numpy as np  # the one nonsymmetric eigensolve; no other solve needs numpy
-
-    r = math.sqrt(big_a / big_b)
-    ca = c * math.sqrt(big_a)
     # x^2 + 2x M + K in x = 1/w, made monic and symmetric by a -> L^{-1/2} a with
     # L = ca + r D > 0 and T's diagonal similarity; companion matrix on [a; x a].
     lead = [ca + r * dj for dj in d]
@@ -409,6 +393,56 @@ def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list
     return [a for i, a in enumerate(roots) if i == 0 or a - roots[i - 1] > 1e-9 * max(1.0, a)]
 
 
+def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list[float]:
+    """The roots of a_{n+1}(alpha) = 0 at mu = c sqrt(A + B alpha^2) in
+    [ALPHA_MIN, ALPHA_MAX], ascending, each proven by a step of the eigenvalue
+    count (module docstring); NoRoots names a root that is not, or a lost one."""
+    d = [j + s + 0.5 for j in range(n + 1)]
+    sup = [(j + 1.0) * (j + 1.0 + 2.0 * s) for j in range(n)]  # T[j, j+1]
+    sub = [2.0 * (n - j) for j in range(n)]  # T[j+1, j]
+    # Off-diagonal of S ~ D^{-1} T; S(mu) = S_0 + mu D^{-1} has diagonal mu / d.
+    off = [math.sqrt(sup[j] * sub[j] / (d[j] * d[j + 1])) for j in range(n)]
+    off2 = [0.0] + [e * e for e in off]
+    pivmin = sys.float_info.min * max(1.0, *off2)
+
+    ca = c * math.sqrt(big_a)
+    diag0 = [ca / dj for dj in d]
+    constant = c == 0.0 or big_b == 0.0
+    if constant:  # the pass on S(mu) - alpha, on a fixed diagonal
+        sturm = partial(_sturm_pass, diag0, [-1.0] * (n + 1), off2, pivmin=pivmin)
+    else:
+
+        def sturm(alpha: float) -> tuple[int, float]:  # the pass on S(mu(alpha)) - alpha
+            root = math.sqrt(big_a + big_b * alpha * alpha)
+            mu, dmu = c * root, c * big_b * alpha / root
+            diag, slope = [mu / dj for dj in d], [dmu / dj - 1.0 for dj in d]
+            return _sturm_pass(diag, slope, off2, alpha, pivmin)
+
+    n_lo, n_hi = sturm(ALPHA_MIN)[0], sturm(ALPHA_MAX)[0]
+    if constant:
+        roots = _tridiagonal_eigh(diag0, off)
+    elif c < 0.0 or abs(c) * math.sqrt(big_b) < d[0]:  # the count steps once per root
+        lam0 = _tridiagonal_eigh(diag0, off)  # the k = 0 roots seed the search
+        roots = [
+            _sturm_root(sturm, i, ALPHA_MIN, ALPHA_MAX, n_lo, n_hi, lam0[i], NEWTON_RTOL)
+            for i in range(n_lo, n_hi)
+        ]
+    else:
+        roots = _pencil_roots(n, d, sup, sub, ca, math.sqrt(big_a / big_b), sturm)
+    roots = [a for a in roots if ALPHA_MIN <= a <= ALPHA_MAX]
+
+    steps = 0
+    for alpha in roots:
+        delta = PROOF_WIDTH * max(alpha, 1.0)
+        step = sturm(alpha + delta)[0] - sturm(alpha - delta)[0]
+        if abs(step) != 1:
+            raise NoRoots(f"the eigenvalue count does not step at alpha={alpha!r}: not a root")
+        steps += step
+    if steps != n_hi - n_lo:
+        raise NoRoots(f"roots {roots} make {steps} of the eigenvalue count's {n_hi - n_lo} steps")
+    return roots
+
+
 def solve_general_n(
     qn: QuantumNumbers,
     mass_m: float,
@@ -418,15 +452,15 @@ def solve_general_n(
     """All bound states of radial index qn.n for the configured scenario.
 
     The slope constraint is solved as an eigenproblem in alpha = 2m/sqrt(nu)
-    (see the module docstring), which returns every root at once; the roots
-    in the window [ALPHA_MIN, ALPHA_MAX] = [0.01, 50.0] are kept, and an empty
-    window raises NoRoots.  Each kept root runs the recurrence once, and a
-    relative a_{n+1} above 1e-12, or NaN, raises NoRoots: this is the
-    package's one truncation test.  The nu > 0 states are returned sorted
-    ascending in nu (the physics does not single one out for n >= 2).  The
-    Coulomb scenario solves the +E and -E branches separately since the
-    constraint sees the sign of E through mu; free and flux scenarios are
-    sign-blind and carry the full +-E pair per root.
+    (see the module docstring) for its roots in [ALPHA_MIN, ALPHA_MAX] =
+    [0.01, 50.0], each proven by an eigenvalue count; an unproven or lost
+    root, or an empty window, raises NoRoots.  Each root runs the recurrence
+    once for trunc_rel (relative a_{n+1}), a diagnostic that gates only on
+    overflow: a non-finite E or trunc_rel raises NoRoots.  The nu > 0 states
+    are returned sorted ascending in nu (the physics does not single one out
+    for n >= 2).  The Coulomb scenario solves the +E and -E branches
+    separately since the constraint sees the sign of E through mu; free and
+    flux scenarios are sign-blind and carry the full +-E pair per root.
     """
     if not mass_m > 0.0:
         raise ValueError(f"mass must be positive, got {mass_m}")
@@ -448,8 +482,6 @@ def solve_general_n(
     for sign in branch_signs:
         c = 2.0 * coup.b * (1 if sign is None else sign)
         for alpha_root in _alpha_roots(n, eff_abs, c, big_a, big_b):
-            if not ALPHA_MIN <= alpha_root <= ALPHA_MAX:
-                continue
             nu = 4.0 * mass_m * mass_m / (alpha_root * alpha_root)
             e_pair = energy_from_lambda(nu, n, eff_abs, qn.k)
             if sign is None:
@@ -462,11 +494,8 @@ def solve_general_n(
             coeffs = build_coefficients(params, n + 1)
             a = coeffs.coeffs
             trunc_rel = abs(a[n + 1]) / max(map(abs, a[: n + 1]))
-            if not trunc_rel <= 1e-12:  # a NaN residual fails too
-                raise NoRoots(
-                    f"root polish failed at alpha={alpha_root!r}: "
-                    f"relative truncation residual {trunc_rel:.3e}"
-                )
+            if not (math.isfinite(e_for_mu) and math.isfinite(trunc_rel)):
+                raise NoRoots(f"non-finite state at alpha={alpha_root!r}: E = {e_for_mu!r}")
             wf = RadialWavefunction(
                 coefficients=coeffs,
                 alpha=params.alpha,

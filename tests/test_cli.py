@@ -163,6 +163,20 @@ class TestSpectrum:
         assert [r["root_index"] for r in rows[6:]] == ["6", "7"]
         assert all(float(r["fd_match"]) < 1e-3 for r in rows)
 
+    @pytest.mark.parametrize(
+        "argv,rows",
+        [("--b 0.3 --k 5 --l 1 --n 5", 6), ("--b 1.5 --k 2 --l 1 --n 16", 16)],
+    )
+    def test_counted_coulomb_roots_all_print(self, capsys, argv, rows):
+        # One root of each cell, at alpha = 27.2 and 28.56, reads a truncation
+        # residual of about 4e-12.  The eigenvalue count proves it; the
+        # residual is a diagnostic and gates nothing.
+        code, out, err = run_cli(capsys, "spectrum", "--scenario", "coulomb", *argv.split())
+        assert (code, err) == (EXIT_OK, "")
+        got = read_csv(out)
+        assert [r["status"] for r in got] == ["OK"] * rows
+        assert max(float(r["truncation_residual"]) for r in got) > 1e-12
+
     def test_nan_truncation_residual_is_no_roots(self, capsys):
         # k = 1e160 overflows E to inf and the truncation residual to NaN.
         code, out, err = run_cli(

@@ -31,15 +31,6 @@ class TestTypes:
         with pytest.raises(NonPositiveSlope):
             mp.require_confining()
 
-    def test_geometry_from_burgers(self):
-        geom = DefectGeometry.from_burgers(math.pi)
-        assert geom.chi == 0.5
-        assert geom.burgers == math.pi
-
-    def test_geometry_rejects_inconsistent_burgers(self):
-        with pytest.raises(ValueError):
-            DefectGeometry(chi=0.3, burgers=math.pi)
-
     def test_quantum_numbers_validation(self):
         with pytest.raises(ValueError):
             QuantumNumbers(n=0, l=0, k=0.0)

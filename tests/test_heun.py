@@ -11,7 +11,6 @@ from dislospec import (
     QuantumNumbers,
     RadialWavefunction,
     build_coefficients,
-    evaluate_G,
     evaluate_R,
     heun_params,
     solve_general_n,
@@ -60,7 +59,7 @@ class TestRecurrence:
         p = params_for(alpha=1.0, beta=2.0, mu=0.7, nu_abs=0.5)
         c = build_coefficients(p, n_max=1)
         tau = 0.5 * 1.0 * 2.0 - 0.7
-        assert c.tau == tau
+        assert tau_bar(p) == tau
         assert c.coeffs[1] == pytest.approx(tau / 2.0, rel=1e-15)
 
     def test_self_consistency_resubstitution(self):
@@ -74,10 +73,10 @@ class TestRecurrence:
                 nu_abs=float(rng.uniform(0, 2.5)),
             )
             c = build_coefficients(p, n_max=30)
-            a, s = c.coeffs, p.nu_abs
+            a, s, lam, tau = c.coeffs, p.nu_abs, lambda_bar(p), tau_bar(p)
             for k in range(29):
                 denom = (k + 2.0) * (k + 2.0 + 2.0 * s)
-                rhs = ((p.alpha * (k + 1) + c.tau) * a[k + 1] - (c.lam - 2 * k) * a[k]) / denom
+                rhs = ((p.alpha * (k + 1) + tau) * a[k + 1] - (lam - 2 * k) * a[k]) / denom
                 scale = max(abs(a[k + 2]), abs(a[k + 1]), abs(a[k]), 1e-30)
                 assert abs(a[k + 2] - rhs) / scale < 1e-13
 
@@ -102,22 +101,14 @@ class TestRecurrence:
 
 
 class TestEvaluation:
-    def test_series_at_origin(self):
-        c = build_coefficients(params_for(alpha=1.3, beta=2.0), n_max=8)
-        assert evaluate_G(c, 0.0) == 1.0
-
-    def test_linear_polynomial(self):
-        c = build_coefficients(params_for(alpha=0.8), n_max=1)
-        assert evaluate_G(c, 2.0) == pytest.approx(1.0 + 2.0 * c.coeffs[1], rel=1e-15)
-
     def test_ground_free_series_is_linear(self):
         # lowest-state series is 1 + (alpha/2) xi with alpha^2 = 8/(2|g|+3)
         for g in (0.0, 0.5, 2.0):
             p = ground_free_params(gamma_abs=g)
             assert p.alpha**2 == pytest.approx(8.0 / (2 * g + 3), rel=1e-14)
             c = build_coefficients(p, n_max=2)
-            for xi in (0.0, 0.4, 1.1, 2.0):
-                assert evaluate_G(c, xi) == pytest.approx(1 + 0.5 * p.alpha * xi, rel=1e-12)
+            assert c.coeffs[:2] == pytest.approx((1.0, 0.5 * p.alpha), rel=1e-12)
+            assert abs(c.coeffs[2]) < 1e-12
 
     def test_radial_zero_at_origin_with_positive_power(self):
         p = ground_free_params(gamma_abs=1.0)
@@ -127,7 +118,7 @@ class TestEvaluation:
     def test_radial_equals_series_at_origin_without_power(self):
         p = params_for(alpha=0.0, beta=2.0)
         wf = RadialWavefunction(build_coefficients(p, 1), 0.0, 0.0)
-        assert evaluate_R(wf, 0.0) == evaluate_G(build_coefficients(p, 1), 0.0) == 1.0
+        assert evaluate_R(wf, 0.0) == 1.0
 
     def test_gaussian_envelope(self):
         # alpha = 0, G == 1 leaves exp(-xi^2/2)
@@ -148,10 +139,7 @@ class TestEvaluation:
         assert abs(evaluate_R(wf, 30.0)) < 1e-150
 
     def test_rejects_negative_argument(self):
-        c = build_coefficients(params_for(), 2)
-        with pytest.raises(ValueError):
-            evaluate_G(c, -0.1)
-        wf = RadialWavefunction(c, 1.0, 0.0)
+        wf = RadialWavefunction(build_coefficients(params_for(), 2), 1.0, 0.0)
         with pytest.raises(ValueError):
             evaluate_R(wf, np.array([0.5, -0.5]))
 

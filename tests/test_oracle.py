@@ -53,7 +53,6 @@ class TestRadialGrid:
 
     def test_spacing_and_points(self):
         grid = RadialGrid(1.0, 2.0, 11)
-        assert grid.spacing == pytest.approx(0.1, rel=1e-15)
         xs = grid.points()
         assert xs.shape == (11,)
         assert xs[0] == 1.0 and xs[-1] == 2.0
@@ -98,25 +97,15 @@ class TestOdeResidual:
         nu = pt.nu_solved * 1.01
         params = heun_params(MassProfile(1.0, nu), pt.energies[0], 0.0, 0.0, 0.0)
         coeffs = build_coefficients(params, n_max=1)
-        scaled = SeriesCoefficients(
-            coeffs=tuple(1e6 * x for x in coeffs.coeffs),
-            params=coeffs.params,
-            lam=coeffs.lam,
-            tau=coeffs.tau,
-        )
+        scaled = SeriesCoefficients(tuple(1e6 * x for x in coeffs.coeffs), coeffs.params)
         grid = RadialGrid(0.01, 8.0, 2000)
         base = ode_residual(RadialWavefunction(coeffs, params.alpha, 0.0, 1), params, grid)
         big = ode_residual(RadialWavefunction(scaled, params.alpha, 0.0, 1), params, grid)
         assert big == pytest.approx(base, rel=1e-10)
 
     def test_zero_wavefunction_degenerate_path(self):
-        pt, params = ground_state()
-        zero = SeriesCoefficients(
-            coeffs=np.zeros(2),
-            params=params,
-            lam=pt.wavefunction.coefficients.lam,
-            tau=pt.wavefunction.coefficients.tau,
-        )
+        _, params = ground_state()
+        zero = SeriesCoefficients(coeffs=np.zeros(2), params=params)
         wf = RadialWavefunction(zero, params.alpha, 0.0, 1)
         assert ode_residual(wf, params, RadialGrid(0.01, 8.0, 100)) == 0.0
 
@@ -269,12 +258,7 @@ class TestNormalization:
         assert abs(n12 - n8) < 1e-8
 
     def test_zero_wavefunction(self):
-        pt, params = ground_state()
-        zero = SeriesCoefficients(
-            coeffs=np.zeros(2),
-            params=params,
-            lam=pt.wavefunction.coefficients.lam,
-            tau=pt.wavefunction.coefficients.tau,
-        )
+        _, params = ground_state()
+        zero = SeriesCoefficients(coeffs=np.zeros(2), params=params)
         wf = RadialWavefunction(zero, params.alpha, 0.0, 1)
         assert normalization(wf, RadialGrid(0.01, 8.0, 500)) == 0.0

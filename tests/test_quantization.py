@@ -27,6 +27,7 @@ from dislospec import (
     solve_general_n,
 )
 from dislospec import quantization
+from dislospec.heun import lambda_bar
 from dislospec.quantization import (
     ALPHA_MAX,
     ALPHA_MIN,
@@ -484,8 +485,9 @@ def test_kappa_lt1_root_on_a_zero_pivot(monkeypatch):
     # Newton toward this cell's second root lands on 1.8574469764045773, where
     # the last LDL^T pivot is exactly 0 and d log|det| is infinite.  One probe
     # inside the bracket proves the step there; bisecting toward that edge
-    # instead took 37 more passes, 50 in all.  The 14 left are the two window
-    # edges, 5 for the first root and 7 for the second.
+    # instead took 37 more passes, 50 in all.  The search's 14 are the two
+    # window edges, 5 for the first root and 7 for the second; the proof then
+    # counts on either side of each of the two roots, 4 passes more.
     passes = []
     sturm_pass = quantization._sturm_pass
 
@@ -496,9 +498,47 @@ def test_kappa_lt1_root_on_a_zero_pivot(monkeypatch):
     monkeypatch.setattr(quantization, "_sturm_pass", counted)
     roots = _alpha_roots(2, 5.1, 0.6, 16.2, 0.1225)
     assert any(not math.isfinite(dlog) for _, dlog in passes)
-    assert len(passes) <= 14
+    assert len(passes) <= 14 + 4
     before = [0.3684722252179374, 1.8574469764045598]
     assert roots == pytest.approx(before, rel=NEWTON_RTOL, abs=0.0)
+
+
+# One cell per solver path (m = 1, chi = 0): constant mu (free), the count
+# (the c > 0, kappa < 1 branch is solved first), and the pencil (the c > 0,
+# kappa >= 1 branch, with three roots).
+PATH_CELLS = {
+    "constant": (QuantumNumbers(4, 1, 0.5), Couplings()),
+    "count": (QuantumNumbers(4, 1, 0.7), Couplings(b=0.1)),
+    "pencil": (QuantumNumbers(8, 0, 3.0), Couplings(b=1.5)),
+}
+
+
+@pytest.mark.parametrize(
+    "path,target",
+    [("constant", "_tridiagonal_eigh"), ("count", "_sturm_root"), ("pencil", "_pencil_roots")],
+)
+def test_a_detuned_root_fails_its_proof(monkeypatch, path, target):
+    # A solver whose roots are 1% off: the eigenvalue count does not step at
+    # the first of them, so the cell has no proven spectrum.
+    qn, coup = PATH_CELLS[path]
+    assert len(solve_general_n(qn, 1.0, FLAT, coup)) >= 2
+    solver = getattr(quantization, target)
+
+    def detuned(*args):
+        roots = solver(*args)
+        return 1.01 * roots if target == "_sturm_root" else [1.01 * a for a in roots]
+
+    monkeypatch.setattr(quantization, target, detuned)
+    with pytest.raises(NoRoots, match="does not step at alpha="):
+        solve_general_n(qn, 1.0, FLAT, coup)
+
+
+def test_a_lost_pencil_root_fails_the_window_count(monkeypatch):
+    qn, coup = PATH_CELLS["pencil"]
+    pencil = quantization._pencil_roots
+    monkeypatch.setattr(quantization, "_pencil_roots", lambda *args: pencil(*args)[1:])
+    with pytest.raises(NoRoots, match="of the eigenvalue count's [0-9]+ steps"):
+        solve_general_n(qn, 1.0, FLAT, coup)
 
 
 class TestSolveGeneralN:
@@ -591,7 +631,7 @@ class TestSolveGeneralN:
     def test_point_invariants(self):
         pts = solve_general_n(QuantumNumbers(2, 1, 0.5), 1.0, DefectGeometry(0.25), FREE)
         for p in pts:
-            assert abs(p.wavefunction.coefficients.lam - 2 * p.qn.n) < 1e-10
+            assert abs(lambda_bar(p.wavefunction.coefficients.params) - 2 * p.qn.n) < 1e-10
             assert p.trunc_rel < 1e-12
             assert p.wavefunction.truncation_order == p.qn.n
             # re-derive the truncation residual through the public path
@@ -647,7 +687,8 @@ class TestTridiagonalEigh:
         # mu = 0 leaves a zero diagonal, so an odd-sized S has the spectrum
         # -x..., 0, ...x, and rounding leaves the zero at about 1e-16 of either
         # sign.  ALPHA_MIN drops it: the states are the positive roots alone.
-        lam = _alpha_roots(n, 1.0, 0.0, 2.0 * (n + 2.0), 0.0)
+        diag, off = slope_matrix(n, 1.0, 0.0)
+        lam = _tridiagonal_eigh(diag.tolist(), off.tolist())
         assert abs(lam[n // 2]) < 1e-14 * lam[-1]
         pts = solve_general_n(QuantumNumbers(n, 1, 0.0), 1.0, FLAT, FREE)
         alphas = sorted(2.0 / math.sqrt(p.nu_solved) for p in pts)
