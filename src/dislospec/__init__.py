@@ -25,12 +25,7 @@ from .errors import (
     NoRoots,
     UndefinedAtZeroFlux,
 )
-from .heun import (
-    RadialWavefunction,
-    SeriesCoefficients,
-    build_coefficients,
-    evaluate_R,
-)
+from .heun import build_coefficients
 from .quantization import (
     SpectrumPoint,
     energy_from_lambda,
@@ -58,8 +53,6 @@ __all__ = [
     "NonPositiveSlope",
     "QuantumNumbers",
     "RadialGrid",
-    "RadialWavefunction",
-    "SeriesCoefficients",
     "SpectrumPoint",
     "UndefinedAtZeroFlux",
     "build_coefficients",
@@ -69,10 +62,8 @@ __all__ = [
     "energy_from_lambda",
     "energy_ground_coulomb",
     "energy_ground_free",
-    "evaluate_R",
     "fd_eigensolve_free",
     "heun_params",
-    "normalization",
     "nu_ground_coulomb",
     "nu_ground_free",
     "ode_residual",
@@ -87,7 +78,6 @@ _LAZY = {
     "RadialGrid": "oracle",
     "default_fd_grid": "oracle",
     "fd_eigensolve_free": "oracle",
-    "normalization": "oracle",
     "ode_residual": "oracle",
     "persistent_current_ground": "observables",
     "persistent_current_numeric": "observables",

@@ -291,9 +291,8 @@ def _ode_residual(pt) -> float:
     """ODE residual of a solved state, at the parameters the solver built it from."""
     from .oracle import RadialGrid, ode_residual
 
-    wf = pt.wavefunction
     grid = RadialGrid(0.01, 8.0 * max(1.0, math.sqrt(pt.qn.n + pt.eff_abs)), ODE_POINTS)
-    return ode_residual(wf, wf.coefficients.params, grid)
+    return ode_residual(pt.coeffs, pt.params, grid)
 
 
 def _fd_match(pt, m: float, index: int) -> float:
@@ -535,13 +534,10 @@ def _max(values) -> float:
 
 
 def _check_truncation_cascade(pop: _Population):
-    # A state carries a_0..a_{n+1}: the tail through order 64 is built here.
+    # A state carries a_0..a_n: the tail through order 64 is built here.
     ratios = []
     for pt in pop.points:
-        series = build_coefficients(
-            pt.wavefunction.coefficients.params, max(DEFAULT_N_MAX, pt.qn.n + 1)
-        )
-        a = [abs(x) for x in series.coeffs]
+        a = [abs(x) for x in build_coefficients(pt.params, max(DEFAULT_N_MAX, pt.qn.n + 1))]
         head = max(_max(a[: pt.qn.n + 1]), 1e-300)
         ratios.append(_max(a[pt.qn.n + 1 :]) / head)
     return ratios, 1e-10, ""

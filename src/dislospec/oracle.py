@@ -1,24 +1,23 @@
 """Independent numerical verification of the analytic solutions.
 
-Three cross-checks that do not share the series solver's ansatz:
+Two cross-checks that do not share the series solver's ansatz:
 
-* ode_residual substitutes a wavefunction into the dimensionless radial
-  equation using exact analytic derivatives of the envelope-times-polynomial
-  form and reports the normalized residual.
+* ode_residual substitutes a state's polynomial, times the envelope its
+  parameters fix, into the dimensionless radial equation using exact
+  analytic derivatives and reports the normalized residual.
 * fd_eigensolve_free discretizes the original (dimensionful) radial equation
   as a vertex-centred finite-volume Sturm-Liouville problem, regular at the
   origin, and returns E^2 of one level of the symmetrized tridiagonal
   matrix, so a quantized analytic energy can be matched against the level
   at its own index in a discretization that never saw the series ansatz.
   It uses only the equation's exponent at rho = 0, not the solution's form.
-* normalization integrates |R|^2 xi dxi to confirm square-integrability.
 
-The level is found by a Sturm count on the matrix's LDL^T pivots: the slope
-solver's kappa < 1 search, which is generic linear algebra, not the series
+The level is found by a Sturm count on the matrix's LDL^T pivots: the search
+the slope solver runs on its counted branches (every c < 0 branch, and
+c > 0 below kappa = 1), which is generic linear algebra, not the series
 ansatz; each side is tested against LAPACK on its own.  ode_residual and the
-finite-volume assembly run on plain Python floats, so neither oracle loads
-numpy; only the array helpers, RadialGrid.points and normalization, import it,
-each inside the function.
+finite-volume assembly run on plain Python floats, so this module loads no
+numpy.
 """
 
 from __future__ import annotations
@@ -27,14 +26,9 @@ import math
 import sys
 from collections import namedtuple
 from functools import partial
-from typing import TYPE_CHECKING
 
 from .core import HeunParams, MassProfile
-from .heun import RadialWavefunction, evaluate_R
 from .quantization import _sturm_pass, _sturm_root
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_FD_POINTS = 4000
 DEFAULT_FD_RHO_MIN = 1e-3
@@ -63,11 +57,6 @@ class RadialGrid(namedtuple("RadialGrid", "xi_min xi_max n_points")):
             raise ValueError(f"n_points must be >= 3, got {n_points}")
         return tuple.__new__(cls, (xi_min, xi_max, n_points))
 
-    def points(self) -> np.ndarray:
-        import numpy as np
-
-        return np.linspace(self.xi_min, self.xi_max, self.n_points)
-
 
 def _nodes(grid: RadialGrid) -> list[float]:
     """The points of grid as numpy.linspace places them, in a list of floats."""
@@ -75,15 +64,15 @@ def _nodes(grid: RadialGrid) -> list[float]:
     return [grid.xi_min + i * h for i in range(grid.n_points - 1)] + [grid.xi_max]
 
 
-def ode_residual(wf: RadialWavefunction, params: HeunParams, grid: RadialGrid) -> float:
+def ode_residual(coeffs: tuple[float, ...], params: HeunParams, grid: RadialGrid) -> float:
     """Max |LHS| of the xi-form radial equation over the grid, normalized by max |R|.
 
-    The equation checked is
+    R = F G: G has the coefficients coeffs = a_0..a_n, and params fixes both
+    the envelope F = xi^s exp(-xi^2/2 - alpha xi/2) and the equation checked,
 
-        R'' + R'/xi - (s^2/xi^2) R + (mu/xi) R - xi^2 R - alpha xi R + beta R = 0
+        R'' + R'/xi - (s^2/xi^2) R + (mu/xi) R - xi^2 R - alpha xi R + beta R = 0,
 
-    with s = params.nu_abs.  Derivatives are exact: R = F G with
-    F = xi^s exp(-xi^2/2 - alpha xi/2) (s = wf.nu_abs here), so with
+    with s = params.nu_abs.  Derivatives are exact: with
     L = F'/F = s/xi - xi - alpha/2 (dlog below) and L' = -s/xi^2 - 1,
 
         R' = F (L G + G'),   R'' = F ((L^2 + L') G + 2 L G' + G''),
@@ -94,9 +83,9 @@ def ode_residual(wf: RadialWavefunction, params: HeunParams, grid: RadialGrid) -
     At large n the unscaled G(xi) overflows; a non-finite R or LHS at any
     point, or an overflow in the exponential, makes the result NaN.
     """
-    a = wf.polynomial_coeffs()[::-1]
-    s, half_alpha = wf.nu_abs, 0.5 * wf.alpha
-    nu2, mu, alpha, beta = params.nu_abs**2, params.mu, params.alpha, params.beta
+    a = coeffs[::-1]
+    s, mu, alpha, beta = params.nu_abs, params.mu, params.alpha, params.beta
+    nu2, half_alpha = s**2, 0.5 * alpha
     exp, log, inf = math.exp, math.log, math.inf
     worst_lhs = worst_r = 0.0
     try:
@@ -226,12 +215,3 @@ def _tridiagonal_level(diag, off, index: int, near: float | None = None) -> floa
     slope = [-1.0] * len(d)  # T is constant: d(d_j - x)/dx = -1
     sturm = partial(_sturm_pass, d, slope, off2, pivmin=pivmin)
     return _sturm_root(sturm, index, lo, hi, 0, len(d), near, FD_STEP_TOL)
-
-
-def normalization(wf: RadialWavefunction, grid: RadialGrid) -> float:
-    """Trapezoidal integral of |R(xi)|^2 xi dxi over the grid."""
-    import numpy as np
-
-    xi = grid.points()
-    r = evaluate_R(wf, xi)
-    return float(np.trapezoid(r * r * xi, xi))

@@ -79,7 +79,7 @@ from .core import (
     heun_params,
 )
 from .errors import DegenerateDenominator, NonPositiveSlope, NoRealSolution, NoRoots
-from .heun import RadialWavefunction, build_coefficients
+from .heun import build_coefficients
 
 # Quadratic branch formula degenerates when its denominator is this close to 0.
 DEGENERATE_TOL = 1e-12
@@ -113,7 +113,7 @@ REAL_TOL = 1e-8
 class SpectrumPoint(
     namedtuple(
         "SpectrumPoint",
-        "qn eff eff_abs nu_solved energies wavefunction scenario branch trunc_rel",
+        "qn eff eff_abs nu_solved energies params coeffs scenario branch trunc_rel",
     )
 ):
     """One solved bound state.
@@ -121,10 +121,13 @@ class SpectrumPoint(
     energies is the (+E, -E) pair for the free and flux scenarios (the slope
     constraint is energy-sign blind there), or a single signed energy for a
     Coulomb branch (the constraint depends on the sign of E through mu, so
-    each sign is its own solution labeled by branch = +1 or -1).  The other
-    fields: qn (QuantumNumbers), eff and eff_abs (the effective momentum and
-    the s the state was solved at), nu_solved, wavefunction
-    (RadialWavefunction), scenario, and trunc_rel (relative a_{n+1}).
+    each sign is its own solution labeled by branch = +1 or -1).  The state
+    is its parameters and its polynomial: params (HeunParams at the solved
+    slope and the energy mu was built from) fixes the envelope
+    exp(-xi^2/2 - alpha xi/2) xi^nu_abs, and coeffs holds a_0..a_n of G.
+    The other fields: qn (QuantumNumbers), eff and eff_abs (the effective
+    momentum and the s the state was solved at), nu_solved, scenario, and
+    trunc_rel (|a_{n+1}| relative to max |a_0..a_n|).
     """
 
     __slots__ = ()
@@ -455,12 +458,13 @@ def solve_general_n(
     (see the module docstring) for its roots in [ALPHA_MIN, ALPHA_MAX] =
     [0.01, 50.0], each proven by an eigenvalue count; an unproven or lost
     root, or an empty window, raises NoRoots.  Each root runs the recurrence
-    once for trunc_rel (relative a_{n+1}), a diagnostic that gates only on
-    overflow: a non-finite E or trunc_rel raises NoRoots.  The nu > 0 states
-    are returned sorted ascending in nu (the physics does not single one out
-    for n >= 2).  The Coulomb scenario solves the +E and -E branches
-    separately since the constraint sees the sign of E through mu; free and
-    flux scenarios are sign-blind and carry the full +-E pair per root.
+    once through a_{n+1}: the state keeps a_0..a_n, and a_{n+1} gives
+    trunc_rel, a diagnostic that gates only on overflow: a non-finite E or
+    trunc_rel raises NoRoots.  The nu > 0 states are returned sorted
+    ascending in nu (the physics does not single one out for n >= 2).  The
+    Coulomb scenario solves the +E and -E branches separately since the
+    constraint sees the sign of E through mu; free and flux scenarios are
+    sign-blind and carry the full +-E pair per root.
     """
     if not mass_m > 0.0:
         raise ValueError(f"mass must be positive, got {mass_m}")
@@ -491,17 +495,11 @@ def solve_general_n(
                 e_for_mu = e_pair[0] if sign > 0 else e_pair[1]
                 energies = (e_for_mu,)
             params = heun_params(MassProfile(mass_m, nu), e_for_mu, qn.k, coup.b, eff_abs)
-            coeffs = build_coefficients(params, n + 1)
-            a = coeffs.coeffs
-            trunc_rel = abs(a[n + 1]) / max(map(abs, a[: n + 1]))
+            a = build_coefficients(params, n + 1)
+            coeffs = a[: n + 1]
+            trunc_rel = abs(a[n + 1]) / max(map(abs, coeffs))
             if not (math.isfinite(e_for_mu) and math.isfinite(trunc_rel)):
                 raise NoRoots(f"non-finite state at alpha={alpha_root!r}: E = {e_for_mu!r}")
-            wf = RadialWavefunction(
-                coefficients=coeffs,
-                alpha=params.alpha,
-                nu_abs=eff_abs,
-                truncation_order=n,
-            )
             points.append(
                 SpectrumPoint(
                     qn=qn,
@@ -509,7 +507,8 @@ def solve_general_n(
                     eff_abs=eff_abs,
                     nu_solved=nu,
                     energies=energies,
-                    wavefunction=wf,
+                    params=params,
+                    coeffs=coeffs,
                     scenario=scenario,
                     branch=sign,
                     trunc_rel=trunc_rel,

@@ -23,9 +23,10 @@ from dislospec.cli import (
     parse_float_list,
 )
 from dislospec.core import Couplings, DefectGeometry, MassProfile, QuantumNumbers, heun_params
-from dislospec.heun import RadialWavefunction, build_coefficients
+from dislospec.heun import build_coefficients
 from dislospec.quantization import solve_general_n
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -304,17 +305,16 @@ class TestVerify:
         assert "FAIL" not in out
 
     def test_detuned_slope_fails(self, capsys, monkeypatch):
-        # Give each solved state the polynomial of a 1% detuned slope, as
-        # acceptance criterion 3 does, at the solver's series length.  The
-        # truncation cascade rebuilds the tail from the detuned parameters.
+        # Give each solved state the parameters and degree-n polynomial of a 1%
+        # detuned slope, as acceptance criterion 3 does.  The truncation
+        # cascade rebuilds the tail from the detuned parameters.
         def detuned_solve(qn, m, geom, coup):
             points = []
             for pt in solve_general_n(qn, m, geom, coup):
                 mass = MassProfile(m, pt.nu_solved * 1.01)
                 params = heun_params(mass, pt.energies[0], qn.k, coup.b, pt.eff_abs)
-                coeffs = build_coefficients(params, n_max=qn.n + 1)
-                wf = RadialWavefunction(coeffs, params.alpha, pt.eff_abs, qn.n)
-                points.append(pt._replace(wavefunction=wf))
+                coeffs = build_coefficients(params, n_max=qn.n + 1)[: qn.n + 1]
+                points.append(pt._replace(params=params, coeffs=coeffs))
             return points
 
         monkeypatch.setattr(cli, "solve_general_n", detuned_solve)
@@ -342,14 +342,14 @@ class TestVerify:
         def marking_solve(qn, m, geom, coup):
             points = solve_general_n(qn, m, geom, coup)
             if qn.l == 2:
-                marked.append(points[-1].wavefunction.coefficients.params)
+                marked.append(points[-1].params)
             return points
 
         def nan_tail_build(params, n_max):
             series = build_coefficients(params, n_max)
             if not any(params is p for p in marked):
                 return series
-            return series._replace(coeffs=series.coeffs[:-1] + (math.nan,))
+            return series[:-1] + (math.nan,)
 
         monkeypatch.setattr(cli, "solve_general_n", marking_solve)
         monkeypatch.setattr(cli, "build_coefficients", nan_tail_build)
@@ -562,12 +562,11 @@ class TestVerify:
 
 
 def _detuned(pt, m, coup):
-    """pt with the polynomial of a 1% detuned slope, at the solver's series length."""
+    """pt with the parameters and degree-n polynomial of a 1% detuned slope."""
     mass = MassProfile(m, pt.nu_solved * 1.01)
     params = heun_params(mass, pt.energies[0], pt.qn.k, coup.b, pt.eff_abs)
-    coeffs = build_coefficients(params, n_max=pt.qn.n + 1)
-    wf = RadialWavefunction(coeffs, params.alpha, pt.eff_abs, pt.qn.n)
-    return pt._replace(wavefunction=wf)
+    coeffs = build_coefficients(params, n_max=pt.qn.n + 1)[: pt.qn.n + 1]
+    return pt._replace(params=params, coeffs=coeffs)
 
 
 class TestOracleGrids:
@@ -960,7 +959,9 @@ class TestEntryPoint:
 
     def test_solver_runs_without_numpy(self):
         # numpy's import costs about as much as interpreter start; only the
-        # kappa >= 1 pencil and the oracle's array helpers need it.
+        # c > 0, kappa >= 1 pencil needs it.  The library runs without it too:
+        # every exported name resolves, and the README example and both
+        # oracles on the last state it solves run.
         runs = (
             "import contextlib, io, json, sys\n"
             "if sys.argv[1] == 'blocked':\n"
@@ -975,14 +976,39 @@ class TestEntryPoint:
             "        except SystemExit as exc:\n"
             "            code = exc.code\n"
             "    results.append([code, out.getvalue()])\n"
-            "print(json.dumps(results))"
+            "import dislospec, dislospec.oracle as oracle\n"
+            "from dislospec import MassProfile\n"
+            "missing = [x for x in dislospec.__all__ if not hasattr(dislospec, x)]\n"
+            "text = open(sys.argv[2]).read()\n"
+            "block = text[text.index('\\n## Library\\n'):].split('```python\\n')[1]\n"
+            "out, scope = io.StringIO(), {}\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    exec(block.split('```')[0], scope)\n"
+            "pt, index = scope['pt'], len(out.getvalue().splitlines()) - 1\n"
+            "mass = MassProfile(1.0, pt.nu_solved)\n"
+            "grid = oracle.RadialGrid(0.01, 8.0, 200)\n"
+            "fd_grid = oracle.default_fd_grid(mass, pt.qn.n, pt.eff_abs, 400)\n"
+            "e2 = pt.energies[0] ** 2\n"
+            "level = oracle.fd_eigensolve_free(mass, pt.eff_abs, pt.qn.k, fd_grid, index, e2)\n"
+            "residual = oracle.ode_residual(pt.coeffs, pt.params, grid)\n"
+            "fd_error = level / e2 - 1.0\n"
+            "print(json.dumps([results, missing, out.getvalue(), index, residual, fd_error]))"
         )
         blocked, unblocked = (
-            subprocess.run([sys.executable, "-c", runs, mode], capture_output=True, text=True)
+            subprocess.run(
+                [sys.executable, "-c", runs, mode, os.path.join(REPO, "README.md")],
+                capture_output=True,
+                text=True,
+            )
             for mode in ("blocked", "unblocked")
         )
         assert blocked.returncode == 0, blocked.stderr
-        assert [code for code, _ in json.loads(blocked.stdout)] == [EXIT_OK] * 5
+        results, missing, example, index, residual, fd_error = json.loads(blocked.stdout)
+        assert [code for code, _ in results] == [EXIT_OK] * 5
+        assert missing == []
+        assert example
+        assert residual < 1e-8
+        assert abs(fd_error) < 1e-3
         assert blocked.stdout == unblocked.stdout
         imported = subprocess.run(
             [sys.executable, "-c", "import sys, dislospec; print('numpy' in sys.modules)"],

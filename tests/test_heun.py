@@ -9,9 +9,7 @@ from dislospec import (
     HeunParams,
     MassProfile,
     QuantumNumbers,
-    RadialWavefunction,
     build_coefficients,
-    evaluate_R,
     heun_params,
     solve_general_n,
 )
@@ -36,8 +34,8 @@ class TestRecurrence:
         for alpha in (0.5, 1.0, 2.7):
             for s in (0.0, 0.5, 2.0):
                 c = build_coefficients(params_for(alpha=alpha, nu_abs=s), n_max=2)
-                assert c.coeffs[0] == 1.0
-                assert c.coeffs[1] == pytest.approx(alpha / 2.0, rel=1e-15)
+                assert c[0] == 1.0
+                assert c[1] == pytest.approx(alpha / 2.0, rel=1e-15)
 
     def test_second_coefficient_matches_expansion(self):
         # a_2 = alpha^2 (2s+3)/[8(2+2s)] - lam/[2(2+2s)]
@@ -46,21 +44,21 @@ class TestRecurrence:
             lam = beta + alpha**2 / 4.0 - 2.0 - 2.0 * s
             want = alpha**2 * (2 * s + 3) / (8 * (2 + 2 * s)) - lam / (2 * (2 + 2 * s))
             c = build_coefficients(p, n_max=2)
-            assert c.coeffs[2] == pytest.approx(want, rel=1e-14)
+            assert c[2] == pytest.approx(want, rel=1e-14)
 
     def test_zero_alpha_zeroes_odd_seed(self):
         p = params_for(alpha=0.0, beta=5.0, nu_abs=1.0)
         c = build_coefficients(p, n_max=2)
         lam = 5.0 - 2.0 - 2.0
-        assert c.coeffs[1] == 0.0
-        assert c.coeffs[2] == pytest.approx(-lam / (2 * (2 + 2.0)), rel=1e-15)
+        assert c[1] == 0.0
+        assert c[2] == pytest.approx(-lam / (2 * (2 + 2.0)), rel=1e-15)
 
     def test_coulomb_seed_uses_tau(self):
         p = params_for(alpha=1.0, beta=2.0, mu=0.7, nu_abs=0.5)
         c = build_coefficients(p, n_max=1)
         tau = 0.5 * 1.0 * 2.0 - 0.7
         assert tau_bar(p) == tau
-        assert c.coeffs[1] == pytest.approx(tau / 2.0, rel=1e-15)
+        assert c[1] == pytest.approx(tau / 2.0, rel=1e-15)
 
     def test_self_consistency_resubstitution(self):
         # computed coefficients must satisfy the three-term relation they came from
@@ -73,7 +71,7 @@ class TestRecurrence:
                 nu_abs=float(rng.uniform(0, 2.5)),
             )
             c = build_coefficients(p, n_max=30)
-            a, s, lam, tau = c.coeffs, p.nu_abs, lambda_bar(p), tau_bar(p)
+            a, s, lam, tau = c, p.nu_abs, lambda_bar(p), tau_bar(p)
             for k in range(29):
                 denom = (k + 2.0) * (k + 2.0 + 2.0 * s)
                 rhs = ((p.alpha * (k + 1) + tau) * a[k + 1] - (lam - 2 * k) * a[k]) / denom
@@ -93,7 +91,7 @@ class TestRecurrence:
                 ((p.alpha * (k + 1) + 0.5 * p.alpha * (2 * g + 1)) * a[k + 1] - (lam - 2 * k) * a[k])
                 / denom
             )
-        np.testing.assert_allclose(c.coeffs, a, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(c, a, rtol=1e-14, atol=0)
 
     def test_n_max_validation(self):
         with pytest.raises(ValueError):
@@ -107,46 +105,13 @@ class TestEvaluation:
             p = ground_free_params(gamma_abs=g)
             assert p.alpha**2 == pytest.approx(8.0 / (2 * g + 3), rel=1e-14)
             c = build_coefficients(p, n_max=2)
-            assert c.coeffs[:2] == pytest.approx((1.0, 0.5 * p.alpha), rel=1e-12)
-            assert abs(c.coeffs[2]) < 1e-12
-
-    def test_radial_zero_at_origin_with_positive_power(self):
-        p = ground_free_params(gamma_abs=1.0)
-        wf = RadialWavefunction(build_coefficients(p, 2), p.alpha, 1.0, truncation_order=1)
-        assert evaluate_R(wf, 0.0) == 0.0
-
-    def test_radial_equals_series_at_origin_without_power(self):
-        p = params_for(alpha=0.0, beta=2.0)
-        wf = RadialWavefunction(build_coefficients(p, 1), 0.0, 0.0)
-        assert evaluate_R(wf, 0.0) == 1.0
-
-    def test_gaussian_envelope(self):
-        # alpha = 0, G == 1 leaves exp(-xi^2/2)
-        coeffs = build_coefficients(params_for(alpha=0.0, beta=2.0), n_max=1)
-        wf = RadialWavefunction(coeffs, 0.0, 0.0, truncation_order=None)
-        # beta=2, s=0 makes lam=0 so a_2.. vanish; G is identically 1 up to a_1=0
-        assert evaluate_R(wf, 1.0) == pytest.approx(math.exp(-0.5), rel=1e-15)
-
-    def test_ground_free_radial_value(self):
-        p = ground_free_params(gamma_abs=0.0)  # m=1, nu=1.5
-        wf = RadialWavefunction(build_coefficients(p, 2), p.alpha, 0.0, truncation_order=1)
-        assert evaluate_R(wf, 1.0) == pytest.approx(0.48695337949037215, rel=1e-14)
-
-    def test_decay_at_large_argument(self):
-        p = ground_free_params(gamma_abs=2.0)
-        wf = RadialWavefunction(build_coefficients(p, 2), p.alpha, 2.0, truncation_order=1)
-        assert abs(evaluate_R(wf, 20.0)) < 1e-80
-        assert abs(evaluate_R(wf, 30.0)) < 1e-150
-
-    def test_rejects_negative_argument(self):
-        wf = RadialWavefunction(build_coefficients(params_for(), 2), 1.0, 0.0)
-        with pytest.raises(ValueError):
-            evaluate_R(wf, np.array([0.5, -0.5]))
+            assert c[:2] == pytest.approx((1.0, 0.5 * p.alpha), rel=1e-12)
+            assert abs(c[2]) < 1e-12
 
 
 def truncation_coefficient(params, n):
     """a_{n+1}, which must vanish for a degree-n polynomial."""
-    return build_coefficients(params, n_max=n + 1).coeffs[n + 1]
+    return build_coefficients(params, n_max=n + 1)[n + 1]
 
 
 class TestTruncationResidual:
@@ -179,8 +144,8 @@ class TestTruncationResidual:
         # once lam = 2n and a_{n+1} = 0 hold, the entire tail collapses
         p = ground_free_params(gamma_abs=1.0)
         c = build_coefficients(p, n_max=64)
-        head = np.max(np.abs(c.coeffs[:2]))
-        assert np.max(np.abs(c.coeffs[2:])) < 1e-10 * head
+        head = np.max(np.abs(c[:2]))
+        assert np.max(np.abs(c[2:])) < 1e-10 * head
 
 
 def one_shot_series(params, n_max):
@@ -194,7 +159,8 @@ def one_shot_series(params, n_max):
 
 
 def test_state_series_is_the_one_shot_recurrence():
-    # A solved state carries a_0..a_{n+1}, the terms the solver computed; the
+    # A solved state is its parameters and a_0..a_n, the terms the solver
+    # computed, and its trunc_rel reads the a_{n+1} of the same pass; the
     # series through order max(64, n + 1), which verify's truncation cascade
     # builds, is bitwise the same single pass run further.
     def population():
@@ -212,12 +178,12 @@ def test_state_series_is_the_one_shot_recurrence():
     assert [hash(pt) for pt in points] == [hash(pt) for pt in fresh]
     assert [repr(pt) for pt in points] == [repr(pt) for pt in fresh]
     for pt in points:
-        params = pt.wavefunction.coefficients.params
-        got = pt.wavefunction.coefficients.coeffs
-        assert len(got) == pt.qn.n + 2
-        assert got == one_shot_series(params, pt.qn.n + 1)
-        n_max = max(64, pt.qn.n + 1)
-        assert build_coefficients(params, n_max).coeffs == one_shot_series(params, n_max)
+        params, n = pt.params, pt.qn.n
+        series = one_shot_series(params, n + 1)
+        assert pt.coeffs == series[: n + 1]
+        assert pt.trunc_rel == abs(series[n + 1]) / max(map(abs, series[: n + 1]))
+        n_max = max(64, n + 1)
+        assert build_coefficients(params, n_max) == one_shot_series(params, n_max)
 
 
 class TestDerivedQuantities:

@@ -1,4 +1,5 @@
 import math
+import sys
 from itertools import product
 
 import numpy as np
@@ -9,19 +10,15 @@ from dislospec import oracle
 from dislospec import (
     Couplings,
     DefectGeometry,
-    HeunParams,
     MassProfile,
     NonPositiveSlope,
     QuantumNumbers,
     RadialGrid,
-    RadialWavefunction,
-    SeriesCoefficients,
     build_coefficients,
     default_fd_grid,
     energy_ground_free,
     fd_eigensolve_free,
     heun_params,
-    normalization,
     nu_ground_free,
     ode_residual,
     solve_general_n,
@@ -51,19 +48,24 @@ class TestRadialGrid:
         with pytest.raises(ValueError):
             RadialGrid(1.0, 2.0, 2)
 
-    def test_spacing_and_points(self):
-        grid = RadialGrid(1.0, 2.0, 11)
-        xs = grid.points()
-        assert xs.shape == (11,)
-        assert xs[0] == 1.0 and xs[-1] == 2.0
-        assert np.allclose(np.diff(xs), 0.1)
+    def test_nodes_span_the_grid_uniformly(self):
+        # Both oracles evaluate on these points: n_points of them, the ends
+        # exactly xi_min and xi_max, uniformly spaced to rounding.
+        for xi_min, xi_max, n_points in [(1.0, 2.0, 11), (0.01, 8.0, 200), (1e-3, 17.3, 4001)]:
+            xs = oracle._nodes(RadialGrid(xi_min, xi_max, n_points))
+            assert len(xs) == n_points
+            assert all(type(x) is float for x in xs)
+            assert xs[0] == xi_min and xs[-1] == xi_max
+            h = (xi_max - xi_min) / (n_points - 1)
+            steps = [b - a for a, b in zip(xs, xs[1:])]
+            assert max(abs(d - h) for d in steps) <= 8 * sys.float_info.epsilon * xi_max
 
 
 class TestOdeResidual:
     def test_ground_state_satisfies_equation(self):
         pt, params = ground_state()
         grid = RadialGrid(0.01, 8.0, 2000)
-        assert ode_residual(pt.wavefunction, params, grid) < 1e-10
+        assert ode_residual(pt.coeffs, params, grid) < 1e-10
 
     def test_all_third_level_roots(self):
         grid = RadialGrid(0.01, 8.0 * math.sqrt(3.0), 2000)
@@ -71,7 +73,7 @@ class TestOdeResidual:
             params = heun_params(
                 MassProfile(1.0, pt.nu_solved), pt.energies[0], 0.0, 0.0, 0.0
             )
-            assert ode_residual(pt.wavefunction, params, grid) < 1e-8
+            assert ode_residual(pt.coeffs, params, grid) < 1e-8
 
     def test_coulomb_branches_satisfy_equation(self):
         grid = RadialGrid(0.01, 8.0, 2000)
@@ -79,7 +81,7 @@ class TestOdeResidual:
             params = heun_params(
                 MassProfile(1.0, pt.nu_solved), pt.energies[0], 0.0, 0.1, pt.eff_abs
             )
-            assert ode_residual(pt.wavefunction, params, grid) < 1e-8
+            assert ode_residual(pt.coeffs, params, grid) < 1e-8
 
     def test_detuned_slope_is_detected(self):
         # rebuild the degree-1 polynomial from a 1% detuned slope; the
@@ -88,26 +90,23 @@ class TestOdeResidual:
         nu = pt.nu_solved * 1.01
         params = heun_params(MassProfile(1.0, nu), pt.energies[0], 0.0, 0.0, 0.0)
         coeffs = build_coefficients(params, n_max=1)
-        wf = RadialWavefunction(coeffs, params.alpha, 0.0, 1)
         grid = RadialGrid(0.01, 8.0, 2000)
-        assert ode_residual(wf, params, grid) > 1e-4
+        assert ode_residual(coeffs, params, grid) > 1e-4
 
     def test_invariant_under_amplitude_rescaling(self):
         pt, _ = ground_state()
         nu = pt.nu_solved * 1.01
         params = heun_params(MassProfile(1.0, nu), pt.energies[0], 0.0, 0.0, 0.0)
         coeffs = build_coefficients(params, n_max=1)
-        scaled = SeriesCoefficients(tuple(1e6 * x for x in coeffs.coeffs), coeffs.params)
+        scaled = tuple(1e6 * x for x in coeffs)
         grid = RadialGrid(0.01, 8.0, 2000)
-        base = ode_residual(RadialWavefunction(coeffs, params.alpha, 0.0, 1), params, grid)
-        big = ode_residual(RadialWavefunction(scaled, params.alpha, 0.0, 1), params, grid)
+        base = ode_residual(coeffs, params, grid)
+        big = ode_residual(scaled, params, grid)
         assert big == pytest.approx(base, rel=1e-10)
 
     def test_zero_wavefunction_degenerate_path(self):
         _, params = ground_state()
-        zero = SeriesCoefficients(coeffs=np.zeros(2), params=params)
-        wf = RadialWavefunction(zero, params.alpha, 0.0, 1)
-        assert ode_residual(wf, params, RadialGrid(0.01, 8.0, 100)) == 0.0
+        assert ode_residual((0.0, 0.0), params, RadialGrid(0.01, 8.0, 100)) == 0.0
 
 
 class TestFdEigensolver:
@@ -239,26 +238,3 @@ class TestLevelFinder:
         for index in (-1, 99):
             with pytest.raises(ValueError, match="level index"):
                 fd_eigensolve_free(mass, 1.0, 0.0, grid, index)
-
-
-class TestNormalization:
-    def test_gaussian_integral(self):
-        # alpha = 0, beta = 2, s = 0 terminates at degree 0: R = exp(-xi^2/2),
-        # so the integral is the half Gaussian moment 1/2
-        params = HeunParams(nu_abs=0.0, alpha=0.0, beta=2.0, mu=0.0)
-        wf = RadialWavefunction(build_coefficients(params, n_max=4), 0.0, 0.0)
-        got = normalization(wf, RadialGrid(1e-3, 10.0, 4000))
-        assert got == pytest.approx(0.5, abs=5e-5)
-
-    def test_stable_under_domain_extension(self):
-        pt, _ = ground_state()
-        n8 = normalization(pt.wavefunction, RadialGrid(0.01, 8.0, 4000))
-        n12 = normalization(pt.wavefunction, RadialGrid(0.01, 12.0, 6000))
-        assert n8 > 0.0
-        assert abs(n12 - n8) < 1e-8
-
-    def test_zero_wavefunction(self):
-        _, params = ground_state()
-        zero = SeriesCoefficients(coeffs=np.zeros(2), params=params)
-        wf = RadialWavefunction(zero, params.alpha, 0.0, 1)
-        assert normalization(wf, RadialGrid(0.01, 8.0, 500)) == 0.0

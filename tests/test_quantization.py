@@ -631,14 +631,14 @@ class TestSolveGeneralN:
     def test_point_invariants(self):
         pts = solve_general_n(QuantumNumbers(2, 1, 0.5), 1.0, DefectGeometry(0.25), FREE)
         for p in pts:
-            assert abs(lambda_bar(p.wavefunction.coefficients.params) - 2 * p.qn.n) < 1e-10
+            assert abs(lambda_bar(p.params) - 2 * p.qn.n) < 1e-10
             assert p.trunc_rel < 1e-12
-            assert p.wavefunction.truncation_order == p.qn.n
+            assert len(p.coeffs) == p.qn.n + 1
             # re-derive the truncation residual through the public path
             params = heun_params(
                 MassProfile(1.0, p.nu_solved), p.energies[0], p.qn.k, 0.0, p.eff_abs
             )
-            assert abs(build_coefficients(params, n_max=p.qn.n + 1).coeffs[p.qn.n + 1]) < 1e-10
+            assert abs(build_coefficients(params, n_max=p.qn.n + 1)[p.qn.n + 1]) < 1e-10
 
     @pytest.mark.parametrize(
         "n,k,b",
