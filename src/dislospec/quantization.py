@@ -18,20 +18,21 @@ At lam = 2n rows j = 0..n of the recurrence read
 with d_j = j + s + 1/2 and a_{-1} = a_{n+1} = 0.  So a_{n+1}(alpha) = 0 says
 alpha is an eigenvalue of a tridiagonal matrix (Golub-Welsch).  Its
 off-diagonal products are positive, so a diagonal similarity makes it the
-symmetric Jacobi matrix S(mu) = S_0 + mu D^{-1}, and one implicit QL solve
-of this small tridiagonal matrix, in plain Python, returns all n + 1 roots.
+symmetric Jacobi matrix S(mu) = S_0 + mu D^{-1}.
 
 On the energy relation mu = 2bE/sqrt(nu) = c sqrt(A + B alpha^2), with
-c = +-2b (the sign of E), A = 2(n+s+1) and B = k^2/(4m^2).  It is constant
-unless b and k are both nonzero.  Otherwise each root is a fixed point
-alpha = lambda_i(mu(alpha)).  Hellmann-Feynman gives
-d lambda_i/d mu = v^T D^{-1} v in (0, 1/d_0] for the unit eigenvector v, so
-kappa = |c| sqrt(B)/d_0 bounds the slope of lambda_i(mu(alpha)):
+c = +-2b (the sign of E), A = 2(n+s+1) and B = k^2/(4m^2).  Each root is a
+fixed point alpha = lambda_i(mu(alpha)) of an eigenvalue lambda_i of S(mu).
+Hellmann-Feynman gives d lambda_i/d mu = v^T D^{-1} v in (0, 1/d_0] for the
+unit eigenvector v, so kappa = |c| sqrt(B)/d_0 bounds the slope of
+lambda_i(mu(alpha)):
 
-* c < 0 or kappa < 1: each lambda_i(mu(alpha)) - alpha strictly decreases
-  (for c < 0, mu and so lambda_i fall as alpha grows), so root i is where
-  the count of eigenvalues of S(mu(alpha)) below alpha steps to i + 1; the
-  FD oracle's Sturm search finds it, seeded at the k = 0 root;
+* constant mu (b k = 0, kappa = 0), c < 0 or kappa < 1: each
+  lambda_i(mu(alpha)) - alpha strictly decreases (for c < 0, mu and so
+  lambda_i fall as alpha grows), so root i is where the count of eigenvalues
+  of S(mu(alpha)) below alpha steps to i + 1; the FD oracle's Sturm search
+  finds it, bisecting to the step and then taking Newton steps on
+  det(S(mu(alpha)) - alpha);
 * c > 0 and kappa >= 1: a branch may cross several times or not at all.
   Substituting alpha = r(w - 1/w)/2 with r = sqrt(A/B) makes
   mu = c sqrt(A)(w + 1/w)/2, and the condition becomes the quadratic
@@ -53,9 +54,9 @@ kappa = |c| sqrt(B)/d_0 bounds the slope of lambda_i(mu(alpha)):
 One rule accepts a root on every path.  count(x), the number of eigenvalues
 of S(mu(x)) below x, is the number of negative LDL^T pivots of S(mu(x)) - x.
 A root alpha stands only if count changes by one across it, between
-alpha -+ PROOF_WIDTH max(alpha, 1) (by +1 for constant mu and on counted
-branches, by +-1 on the pencil's), and the changes over the window's roots
-must add up to count(ALPHA_MAX) - count(ALPHA_MIN): a lost root fails too.
+alpha -+ PROOF_WIDTH max(alpha, 1) (by +1 on counted branches, by +-1 on the
+pencil's), and the changes over the window's roots must add up to
+count(ALPHA_MAX) - count(ALPHA_MIN): a lost root fails too.
 """
 
 from __future__ import annotations
@@ -91,19 +92,17 @@ ALPHA_MIN = 0.01
 ALPHA_MAX = 50.0
 
 # A root alpha is proven by the counts at alpha -+ PROOF_WIDTH * max(alpha, 1): wider
-# than the solves' error (NEWTON_RTOL, QL's rounding), narrower than any root spacing.
+# than the solves' error (NEWTON_RTOL), narrower than any root spacing.
 PROOF_WIDTH = 1e-13
 
 # Newton on an alpha-dependent-mu root: step cap (companion roots), relative stop.
 NEWTON_MAX_STEPS = 8
 NEWTON_RTOL = 1e-14
 
-# _sturm_root starts Newton at a seed whose counts at near * (1 -+ SEED_WIDTH)
-# isolate the step (wider than the FD grid's error, about 1e-3 of E^2 at n = 60;
-# narrower than the level spacing, about 1/n), else after bisecting to NEWTON_WIDTH:
-# from farther, a Newton step on a degree-N determinant moves about |x - root| / N.
+# The FD oracle's seed near starts _sturm_root's Newton search if the counts at
+# near * (1 -+ SEED_WIDTH) isolate the step: wider than the FD grid's error, about
+# 1e-3 of E^2 at n = 60, and narrower than the level spacing, about 1/n.
 SEED_WIDTH = 1e-2
-NEWTON_WIDTH = 1e-3
 
 # A companion eigenvalue x with |Im x| <= REAL_TOL * |x| counts as real; x = 1/w
 # must also exceed REAL_TOL, so the root x = 0 is never inverted.
@@ -239,50 +238,6 @@ def _classify(coup: Couplings) -> str:
     return FREE
 
 
-def _tridiagonal_eigh(diag: list[float], off: list[float]) -> list[float]:
-    """Ascending eigenvalues of the symmetric tridiagonal matrix with diagonal
-    diag and off-diagonal off.
-
-    Implicit QL with Wilkinson shifts (tql2: Bowdler, Martin, Reinsch &
-    Wilkinson, Numer. Math. 11 (1968) 293).  Plain floats: at size <= 4 a
-    numpy call costs more than the whole solve.  A NaN entry deflates at once
-    and comes back as a NaN eigenvalue.
-    """
-    size, eps = len(diag), sys.float_info.epsilon
-    d, e = list(diag), [*off, 0.0]
-    for l in range(size):
-        for _ in range(30):  # the classical cap; QL converges cubically
-            m = l
-            while m < size - 1 and abs(e[m]) > eps * (abs(d[m]) + abs(d[m + 1])):
-                m += 1
-            if m == l:
-                break
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            g = d[m] - d[l] + e[l] / (g + math.copysign(math.hypot(g, 1.0), g))
-            s = c = 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f, b = s * e[i], c * e[i]
-                r = e[i + 1] = math.hypot(f, g)
-                if r == 0.0:  # the rotation underflowed: split here and sweep again
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
-                s, c = f / r, g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            else:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-        else:
-            raise ArithmeticError(f"tridiagonal QL did not converge at eigenvalue {l}")
-    return sorted(d)
-
-
 def _sturm_pass(diag: list, slope: list, off2: list, x: float, pivmin: float) -> tuple[int, float]:
     """Number of eigenvalues of T below x, and d log|det(T - x)|/dx.
 
@@ -318,10 +273,12 @@ def _sturm_root(
     decreases in x, steps past index, to a relative Newton step rtol.
 
     [lo, hi) always holds the step: n_lo = count(lo) <= index < count(hi) =
-    n_hi.  The seed near only chooses where the search starts.  Newton steps
-    that leave the bracket, or shrink by less than half, become bisection.  A
-    pass with a non-finite d log|det| is followed by a probe one step rtol
-    inside the bracket, which either closes it or moves its edge there."""
+    n_hi.  Newton starts at the seed near if the counts around it isolate the
+    step, else once bisection has (n_lo == index == n_hi - 1); near only
+    chooses where the search starts.  Newton steps that leave the bracket, or
+    shrink by less than half, become bisection.  A pass with a non-finite
+    d log|det| is followed by a probe one step rtol inside the bracket, which
+    either closes it or moves its edge there."""
     # The count cannot resolve a step closer than rounding at the bracket's edges.
     floor = sys.float_info.epsilon * max(abs(lo), abs(hi))
 
@@ -341,9 +298,7 @@ def _sturm_root(
     if near is not None and n_lo == index == n_hi - 1 and lo < near < hi:
         x = near
     else:
-        while hi - lo > floor and not (
-            n_lo == index == n_hi - 1 and hi - lo <= NEWTON_WIDTH * max(abs(lo), abs(hi))
-        ):
+        while hi - lo > floor and not n_lo == index == n_hi - 1:
             probe(0.5 * (lo + hi))
         x = 0.5 * (lo + hi)
 
@@ -422,12 +377,10 @@ def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list
             return _sturm_pass(diag, slope, off2, alpha, pivmin)
 
     n_lo, n_hi = sturm(ALPHA_MIN)[0], sturm(ALPHA_MAX)[0]
-    if constant:
-        roots = _tridiagonal_eigh(diag0, off)
-    elif c < 0.0 or abs(c) * math.sqrt(big_b) < d[0]:  # the count steps once per root
-        lam0 = _tridiagonal_eigh(diag0, off)  # the k = 0 roots seed the search
+    # Constant mu is tested first: at B = inf, c = 0 would make kappa NaN.
+    if constant or c < 0.0 or abs(c) * math.sqrt(big_b) < d[0]:  # one step per root
         roots = [
-            _sturm_root(sturm, i, ALPHA_MIN, ALPHA_MAX, n_lo, n_hi, lam0[i], NEWTON_RTOL)
+            _sturm_root(sturm, i, ALPHA_MIN, ALPHA_MAX, n_lo, n_hi, None, NEWTON_RTOL)
             for i in range(n_lo, n_hi)
         ]
     else:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from dislospec.quantization import (
     ALPHA_MIN,
     NEWTON_RTOL,
     _alpha_roots,
-    _tridiagonal_eigh,
+    _sturm_root,
 )
 
 FLAT = DefectGeometry(chi=0.0)
@@ -463,31 +464,29 @@ def test_negative_c_roots_match_dense_branches():
     assert roots_matching_dense_branches(negative_c_cells()) > 400
 
 
-@pytest.mark.parametrize("seeds", ["shifted", "scaled"])
-def test_kappa_lt1_root_index_comes_from_the_count(monkeypatch, seeds):
-    # The k = 0 eigenvalues only seed the search; each root's index is where
-    # the count steps, so seeds taken from the neighbouring branch, or off by
-    # 30%, give the same roots.
-    cells = list(seeded_kappa_lt1_cells())[:20]
-    want = [_alpha_roots(*cell) for cell in cells]
-    eigh = quantization._tridiagonal_eigh
+def test_kappa_lt1_root_on_a_zero_pivot():
+    # A pass on the step itself can set its last LDL^T pivot to -pivmin and
+    # overflow d log|det| to infinity.  Here the first Newton point, the
+    # bracket's midpoint, is the root.  One probe inside the bracket proves the
+    # step there; a search that bisects on a non-finite d log|det| takes 94.
+    root, passes = 2.0, []
 
-    def bad_seeds(diag, off):
-        lam = eigh(diag, off)
-        return [*lam[1:], 2.0 * lam[-1]] if seeds == "shifted" else [1.3 * x for x in lam]
+    def sturm(x):  # one eigenvalue at root: count and d log|root - x|/dx
+        passes.append(x)
+        return int(x >= root), math.inf if x == root else 1.0 / (x - root)
 
-    monkeypatch.setattr(quantization, "_tridiagonal_eigh", bad_seeds)
-    for cell, roots in zip(cells, want):
-        assert _alpha_roots(*cell) == pytest.approx(roots, rel=1e-14, abs=0.0)
+    got = _sturm_root(sturm, 0, 0.0, 4.0, 0, 1, None, NEWTON_RTOL)
+    assert passes[0] == root
+    assert len(passes) <= 4
+    assert got == pytest.approx(root, rel=NEWTON_RTOL, abs=0.0)
 
 
-def test_kappa_lt1_root_on_a_zero_pivot(monkeypatch):
-    # Newton toward this cell's second root lands on 1.8574469764045773, where
-    # the last LDL^T pivot is exactly 0 and d log|det| is infinite.  One probe
-    # inside the bracket proves the step there; bisecting toward that edge
-    # instead took 37 more passes, 50 in all.  The search's 14 are the two
-    # window edges, 5 for the first root and 7 for the second; the proof then
-    # counts on either side of each of the two roots, 4 passes more.
+def test_a_root_on_a_bracket_edge_does_not_crawl(monkeypatch):
+    # Newton starts as soon as bisection isolates the step.  Bisecting on to a
+    # fixed width first can leave root 1 of this cell within rounding of a
+    # bracket edge, where every Newton step is about half the bracket and
+    # becomes bisection: 60 passes for the cell.  Here the two window edges,
+    # 10 and 14 passes for the two roots and the proof's 4 make 30.
     passes = []
     sturm_pass = quantization._sturm_pass
 
@@ -496,11 +495,9 @@ def test_kappa_lt1_root_on_a_zero_pivot(monkeypatch):
         return passes[-1]
 
     monkeypatch.setattr(quantization, "_sturm_pass", counted)
-    roots = _alpha_roots(2, 5.1, 0.6, 16.2, 0.1225)
-    assert any(not math.isfinite(dlog) for _, dlog in passes)
-    assert len(passes) <= 14 + 4
-    before = [0.3684722252179374, 1.8574469764045598]
-    assert roots == pytest.approx(before, rel=NEWTON_RTOL, abs=0.0)
+    roots = _alpha_roots(3, 2.2, 0.2, 12.4, 2.25)
+    assert len(passes) <= 30
+    assert roots == pytest.approx(dense_branch_roots(3, 2.2, 0.2, 12.4, 2.25), rel=1e-12, abs=0.0)
 
 
 # One cell per solver path (m = 1, chi = 0): constant mu (free), the count
@@ -515,7 +512,7 @@ PATH_CELLS = {
 
 @pytest.mark.parametrize(
     "path,target",
-    [("constant", "_tridiagonal_eigh"), ("count", "_sturm_root"), ("pencil", "_pencil_roots")],
+    [("constant", "_sturm_root"), ("count", "_sturm_root"), ("pencil", "_pencil_roots")],
 )
 def test_a_detuned_root_fails_its_proof(monkeypatch, path, target):
     # A solver whose roots are 1% off: the eigenvalue count does not step at
@@ -663,7 +660,7 @@ class TestSolveGeneralN:
 
 def slope_matrix(n, s, mu):
     """Diagonal and off-diagonal of the symmetric slope matrix S(mu), built in
-    numpy from the recurrence rows, as a reference for the plain-float QL."""
+    numpy from the recurrence rows, as a reference for the plain-float count."""
     j = np.arange(n, dtype=float)
     d = np.arange(n + 1, dtype=float) + s + 0.5
     off = np.sqrt((j + 1.0) * (j + 1.0 + 2.0 * s) * 2.0 * (n - j) / (d[:-1] * d[1:]))
@@ -671,16 +668,19 @@ def slope_matrix(n, s, mu):
 
 
 class TestTridiagonalEigh:
+    # At constant mu the roots are the window eigenvalues of S(mu): mu = c sqrt(A)
+    # with A = 1 and B = 0.
     @pytest.mark.parametrize("s", [0.0, 0.5, 3.2])
     @pytest.mark.parametrize("mu", [0.0, 2.0, -2.0])
     def test_matches_numpy_eigh(self, s, mu):
         for n in range(1, 61):
             diag, off = slope_matrix(n, s, mu)
             dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-            norm = np.linalg.norm(dense, 2)
-            lam = _tridiagonal_eigh(diag.tolist(), off.tolist())
-            assert lam == sorted(lam)
-            np.testing.assert_allclose(lam, np.linalg.eigh(dense)[0], rtol=0, atol=1e-13 * norm)
+            lam = np.linalg.eigvalsh(dense)
+            got = _alpha_roots(n, s, mu, 1.0, 0.0)
+            assert got == sorted(got)
+            want = lam[(lam >= ALPHA_MIN) & (lam <= ALPHA_MAX)]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.linalg.norm(dense, 2))
 
     @pytest.mark.parametrize("n", [2, 4, 10, 30])
     def test_odd_free_matrix_zero_eigenvalue_is_dropped(self, n):
@@ -688,8 +688,43 @@ class TestTridiagonalEigh:
         # -x..., 0, ...x, and rounding leaves the zero at about 1e-16 of either
         # sign.  ALPHA_MIN drops it: the states are the positive roots alone.
         diag, off = slope_matrix(n, 1.0, 0.0)
-        lam = _tridiagonal_eigh(diag.tolist(), off.tolist())
+        lam = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
         assert abs(lam[n // 2]) < 1e-14 * lam[-1]
         pts = solve_general_n(QuantumNumbers(n, 1, 0.0), 1.0, FLAT, FREE)
         alphas = sorted(2.0 / math.sqrt(p.nu_solved) for p in pts)
         assert alphas == pytest.approx(lam[n // 2 + 1 :], rel=1e-14)
+
+
+def exact_count(n, s, ca, x):
+    """The number of eigenvalues of S(mu) below x at mu = ca, in exact rationals.
+
+    S(mu) - x = D^{-1/2} (T_sym + ca I - x D) D^{-1/2}, with T_sym the
+    zero-diagonal symmetrized recurrence matrix, whose squared off-diagonal
+    entries sup_j sub_j are rational.  By Sylvester's law of inertia the count
+    is the number of negative LDL^T pivots of T_sym + ca I - x D."""
+    s, ca, x = Fraction(s), Fraction(ca), Fraction(x)
+    count, q = 0, Fraction(1)
+    for j in range(n + 1):
+        off2 = 0 if j == 0 else j * (j + 2 * s) * 2 * (n - j + 1)  # sup_{j-1} sub_{j-1}
+        q = ca - x * (j + s + Fraction(1, 2)) - off2 / q
+        assert q != 0
+        count += q < 0
+    return count
+
+
+def test_constant_mu_roots_step_the_exact_count():
+    # Each constant-mu root must be within 1e-14 relative of an eigenvalue of
+    # the matrix built from the float c sqrt(A) the solver uses: the exact count
+    # steps by one across it.  An absolute-accuracy eigensolver misses this on
+    # small roots (about 1e-13 relative at n = 40); the count does not.
+    roots_seen = 0
+    for n in (8, 16, 24, 30, 40):
+        for s in (0.0, 0.5, 1.25, 2.21, 4.09):
+            for c in (0.0, 0.3, -0.3, -1.148, 2.056):
+                big_a = 2.0 * (n + s + 1.0)
+                ca = c * math.sqrt(big_a)
+                for alpha in _alpha_roots(n, s, c, big_a, 0.0):
+                    below = exact_count(n, s, ca, alpha * (1.0 - 1e-14))
+                    assert exact_count(n, s, ca, alpha * (1.0 + 1e-14)) - below == 1, (n, s, c, alpha)
+                    roots_seen += 1
+    assert roots_seen == 1544
