@@ -12,12 +12,9 @@ Two cross-checks that do not share the series solver's ansatz:
   at its own index in a discretization that never saw the series ansatz.
   It uses only the equation's exponent at rho = 0, not the solution's form.
 
-The level is found by a Sturm count on the matrix's LDL^T pivots: the search
-the slope solver runs on every branch but c > 0 at kappa >= 1, which is
-generic linear algebra, not the series ansatz; each side is tested against
-LAPACK on its own.  ode_residual and the
-finite-volume assembly run on plain Python floats, so this module loads no
-numpy.
+The level is found by the Sturm count on the matrix's LDL^T pivots that the
+slope solver runs on every branch: generic linear algebra, not the series
+ansatz; each side is tested against LAPACK on its own.
 """
 
 from __future__ import annotations

@@ -34,22 +34,18 @@ lambda_i(mu(alpha)):
   finds it, bisecting to the step and then taking Newton steps on
   det(S(mu(alpha)) - alpha);
 * c > 0 and kappa >= 1: a branch may cross several times or not at all.
-  Substituting alpha = r(w - 1/w)/2 with r = sqrt(A/B) makes
-  mu = c sqrt(A)(w + 1/w)/2, and the condition becomes the quadratic
-  eigenproblem
-
-      [w^2 (c sqrt(A) - r D) + 2w T + (c sqrt(A) + r D)] a = 0.
-
-  In x = 1/w its leading coefficient L = c sqrt(A) + r D is positive and
-  diagonal, so a -> L^{-1/2} a and T's diagonal similarity make it monic
-  and symmetric, x^2 + 2x M + K with M tridiagonal and K = (c sqrt(A) - r D)/L
-  diagonal (Tisseur & Meerbergen, SIAM Rev. 43 (2001) 235); numpy's eigvals
-  returns the roots of its 2(n+1) companion matrix.  Where K is singular
-  (c sqrt(A) = r d_j) it only adds x = 0, which is never inverted.  The real
-  roots 0 < x < 1 are the alpha > 0 roots, which Newton on
-  det(S(mu(alpha)) - alpha) refines.  The quadratic is used only here, where
-  r <= c sqrt(A)/d_0: as k -> 0 its roots crowd at w = 1 and lose their
-  digits.  This branch is the only one that imports numpy.
+  With alpha = r(w - 1/w)/2 and r = sqrt(A/B), mu = c sqrt(A)(w + 1/w)/2,
+  and in x = 1/w the condition is the quadratic eigenproblem
+  [x^2 L + 2x T + K0] a = 0, L = c sqrt(A) + r D, K0 = c sqrt(A) - r D
+  (Tisseur & Meerbergen, SIAM Rev. 43 (2001) 235), whose roots 0 < x < 1 are
+  the alpha > 0 roots.  One power of two makes every float entry an integer,
+  and in y = x^2 the three-term recurrence on the diagonal L_j y + K0_j and
+  the off-diagonal products 4 sup_j sub_j y gives det exactly, of degree
+  n + 1.  Descartes' rule of signs with bisection isolates its roots in (0, 1)
+  (Collins & Akritas, SYMSAC 1976).  The count's parity flips once across each
+  isolating interval's alpha bracket, where _sturm_root refines the root.  A
+  multiple root never isolates and raises NoRoots.  The pencil is used only
+  here, where r <= c sqrt(A)/d_0.
 
 One rule accepts a root on every path.  count(x), the number of eigenvalues
 of S(mu(x)) below x, is the number of negative LDL^T pivots of S(mu(x)) - x.
@@ -95,18 +91,13 @@ ALPHA_MAX = 50.0
 # than the solves' error (NEWTON_RTOL), narrower than any root spacing.
 PROOF_WIDTH = 1e-13
 
-# Newton on an alpha-dependent-mu root: step cap (companion roots), relative stop.
-NEWTON_MAX_STEPS = 8
+# _sturm_root's relative Newton stop.
 NEWTON_RTOL = 1e-14
 
 # The FD oracle's seed near starts _sturm_root's Newton search if the counts at
 # near * (1 -+ SEED_WIDTH) isolate the step: wider than the FD grid's error, about
 # 1e-3 of E^2 at n = 60, and narrower than the level spacing, about 1/n.
 SEED_WIDTH = 1e-2
-
-# A companion eigenvalue x with |Im x| <= REAL_TOL * |x| counts as real; x = 1/w
-# must also exceed REAL_TOL, so the root x = 0 is never inverted.
-REAL_TOL = 1e-8
 
 
 class SpectrumPoint(
@@ -325,30 +316,76 @@ def _sturm_root(
         x = x_new
 
 
+def _taylor_shift(p: list[int]) -> list[int]:
+    """p(t + 1), coefficients lowest first."""
+    p = list(p)
+    for i in range(len(p) - 1):
+        for j in range(len(p) - 2, i - 1, -1):
+            p[j] += p[j + 1]
+    return p
+
+
+def _isolate(p: list[int], r: float) -> list[tuple[float, float]]:
+    """Brackets in alpha = r (1 - y) / (2 sqrt(y)) that meet the window, one per root y
+    in (0, 1) of p (integers, lowest first); lo == hi for an exact one (module docstring)."""
+    # (c, k, q): y in (c, c + 1) / 2^k, q(t) = p((c + t) / 2^k) times a positive
+    # factor; the first interval is the narrowest (0, 2^-k) that holds the window.
+    k = max(0, -math.frexp((r / (ALPHA_MIN + math.hypot(ALPHA_MIN, r))) ** 2)[1])
+    todo, brackets = [(0, k, [v << k * (len(p) - 1 - i) for i, v in enumerate(p)])], []
+    while todo:
+        c, k, q = todo.pop()
+        a, b = math.ldexp(c, -k), math.ldexp(c + 1, -k)
+        lo, hi = (0.5 * r * (1.0 - y) / math.sqrt(y) if y else math.inf for y in (b, a))
+        if lo > ALPHA_MAX or hi < ALPHA_MIN:
+            continue
+        if a and q[0] == 0:  # a root on the left edge (y = 0 is alpha = inf): keep it
+            if q[1] == 0:
+                raise NoRoots(f"a multiple root at alpha={hi!r}")
+            brackets.append((hi, hi))
+            q = q[1:]  # q / t
+        signs = [v > 0 for v in _taylor_shift(q[::-1]) if v]  # (1 + t)^deg q(1 / (1 + t))
+        changes = sum(u != v for u, v in zip(signs, signs[1:]))
+        if changes == 1:
+            brackets.append((lo, hi))
+        elif changes > 1:
+            if hi - lo <= PROOF_WIDTH * max(lo, 1.0):  # the proof could not tell them apart
+                raise NoRoots(f"a multiple root, or two too close to prove, in alpha [{lo!r}, {hi!r}]")
+            left = [v << (len(q) - 1 - i) for i, v in enumerate(q)]
+            todo += [(2 * c, k + 1, left), (2 * c + 1, k + 1, _taylor_shift(left))]
+    return brackets
+
+
 def _pencil_roots(n: int, d: list, sup: list, sub: list, ca: float, r: float, sturm) -> list:
-    """The alpha > 0 roots of a c > 0, kappa >= 1 branch from the quadratic
-    pencil (module docstring), ascending, refined by Newton on det(S(mu(alpha)) - alpha)."""
-    import numpy as np  # the one nonsymmetric eigensolve; no other solve needs numpy
+    """The window's alpha roots of a c > 0, kappa >= 1 branch, ascending (module docstring)."""
+    lead, const = [ca + r * dj for dj in d], [ca - r * dj for dj in d]
+    if not math.isfinite(lead[-1]):  # the largest entry of L; K0 is smaller in size
+        raise NoRoots(f"the pencil at c sqrt(A)={ca!r}, r={r!r} is not finite")
+    # One power of two z makes every entry an integer; det P gains a factor z^(n+1).
+    ratios = [list(map(float.as_integer_ratio, w)) for w in (lead, const, sup, sub)]
+    z = max(v for w in ratios for _, v in w)
+    lead, const, sup, sub = ([u * (z // v) for u, v in w] for w in ratios)
+    prev, det = [], [1]  # det P(y) by the three-term recurrence
+    for j in range(n + 1):
+        off = 4 * sup[j - 1] * sub[j - 1] if j else 0
+        terms = zip(det + [0], [0] + det, [0] + prev + [0])
+        prev, det = det, [const[j] * u + lead[j] * v - off * w for u, v, w in terms]
+    brackets = _isolate(det, r)
+    roots = [lo for lo, hi in brackets if lo == hi and ALPHA_MIN <= lo <= ALPHA_MAX]
+    for lo, hi in brackets:
+        # The count on a root reads either side, so an edge there moves in by the proof's width.
+        lo = max(lo + PROOF_WIDTH * max(lo, 1.0) if lo in roots else lo, ALPHA_MIN)
+        hi = min(hi - PROOF_WIDTH * max(hi, 1.0) if hi in roots else hi, ALPHA_MAX)
+        n_lo, n_hi = (sturm(lo)[0], sturm(hi)[0]) if lo < hi else (0, 0)
+        if abs(n_hi - n_lo) != 1:  # no root in the window; a lost one fails the proof
+            continue
+        i = min(n_lo, n_hi)
 
-    def newton(alpha: float) -> float:
-        for _ in range(NEWTON_MAX_STEPS):
-            step = 1.0 / sturm(alpha)[1]
-            alpha -= step
-            if abs(step) <= NEWTON_RTOL * abs(alpha):
-                break
-        return alpha
+        def rising(x: float) -> tuple[int, float]:  # the count, or 2i + 1 - count if it falls
+            count, dlog = sturm(x)
+            return i + (n_hi - n_lo) * (count - n_lo), dlog
 
-    # x^2 + 2x M + K in x = 1/w, made monic and symmetric by a -> L^{-1/2} a with
-    # L = ca + r D > 0 and T's diagonal similarity; companion matrix on [a; x a].
-    lead = [ca + r * dj for dj in d]
-    m_off = [math.sqrt(sup[j] * sub[j] / (lead[j] * lead[j + 1])) for j in range(n)]
-    m = np.diag(m_off, 1) + np.diag(m_off, -1)
-    k = np.diag([(ca - r * dj) / lj for dj, lj in zip(d, lead)])
-    companion = np.block([[np.zeros((n + 1, n + 1)), np.eye(n + 1)], [-k, -2.0 * m]])
-    xs = [float(x.real) for x in np.linalg.eigvals(companion) if abs(x.imag) <= REAL_TOL * abs(x)]
-    roots = sorted(newton(0.5 * r * (1.0 / x - x)) for x in xs if REAL_TOL < x < 1.0)
-    # A near-double root can come back as a conjugate pair that converges to one alpha.
-    return [a for i, a in enumerate(roots) if i == 0 or a - roots[i - 1] > 1e-9 * max(1.0, a)]
+        roots.append(_sturm_root(rising, i, lo, hi, i, i + 1, None, NEWTON_RTOL))
+    return sorted(roots)
 
 
 def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list[float]:
@@ -385,7 +422,6 @@ def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list
         ]
     else:
         roots = _pencil_roots(n, d, sup, sub, ca, math.sqrt(big_a / big_b), sturm)
-    roots = [a for a in roots if ALPHA_MIN <= a <= ALPHA_MAX]
 
     steps = 0
     for alpha in roots:

@@ -187,6 +187,18 @@ class TestSpectrum:
         assert read_csv(out)[0]["status"] == "NO_ROOTS"
         assert "NO_ROOTS" in err
 
+    @pytest.mark.parametrize("argv", ["--b 0.3 --k 1e160", "--b 0.3 --k 1e300", "--b 1e307 --k 3"])
+    def test_degenerate_pencil_cells_are_no_roots(self, capsys, argv):
+        # c > 0, kappa >= 1 cells whose pencil degenerates.  At k = 1e160 and
+        # 1e300, k^2 overflows, so r = sqrt(A/B) = 0 and the alpha window's y
+        # underflows to 0; at b = 1e307 its leading coefficient L overflows.
+        # Each prints one NO_ROOTS row and exits 2.
+        argv = ["--scenario", "coulomb", "--l", "0", "--n", "2", *argv.split()]
+        code, out, err = run_cli(capsys, "spectrum", *argv)
+        assert code == EXIT_SOLVER
+        assert [r["status"] for r in read_csv(out)] == ["NO_ROOTS"]
+        assert "NO_ROOTS" in err
+
     @pytest.mark.parametrize(
         "argv,want",
         [
@@ -955,13 +967,14 @@ class TestEntryPoint:
         "spectrum --scenario coulomb --b 0.1 --l 0..1 --k 0,0.7 --n 1..3",  # Sturm count path
         "spectrum --scenario coulomb --b 0.1 --l 0..1 --k 0.7 --n 30",  # ... at large n
         "current --scenario ab --flux 0:1:0.5 --l 0 --k 0,0.7 --n 1..3",
+        "spectrum --scenario coulomb --b 1.5 --k 3 --l 1..2 --n 2..4",  # c > 0, kappa >= 1 pencil
     ]
 
     def test_solver_runs_without_numpy(self):
-        # numpy's import costs about as much as interpreter start; only the
-        # c > 0, kappa >= 1 pencil needs it.  The library runs without it too:
-        # every exported name resolves, and the README example and both
-        # oracles on the last state it solves run.
+        # numpy's import costs about as much as interpreter start, and no call
+        # needs it, the c > 0, kappa >= 1 pencil included.  The library runs
+        # without it too: every exported name resolves, and the README example
+        # and both oracles on the last state it solves run.
         runs = (
             "import contextlib, io, json, sys\n"
             "if sys.argv[1] == 'blocked':\n"
@@ -1004,7 +1017,7 @@ class TestEntryPoint:
         )
         assert blocked.returncode == 0, blocked.stderr
         results, missing, example, index, residual, fd_error = json.loads(blocked.stdout)
-        assert [code for code, _ in results] == [EXIT_OK] * 5
+        assert [code for code, _ in results] == [EXIT_OK] * 6
         assert missing == []
         assert example
         assert residual < 1e-8
@@ -1025,13 +1038,13 @@ class TestEntryPoint:
         "verify --scenario free --k 0,0.7",
         "verify --scenario coulomb --b 0.1 --l 0..1 --k 0,0.7",
         "verify --scenario ab --flux 0:0.5:0.25 --l 0 --k 0,0.7",
-        # The c > 0, kappa >= 1 pencil does load numpy, so the probe can see it.
+        # The c > 0, kappa >= 1 pencil: exact integer isolation, no eigensolve.
         "spectrum --scenario coulomb --b 1.5 --k 3 --l 1..2 --n 2..4",
     ]
 
     def test_oracle_runs_load_no_numpy(self, capsys):
-        # The oracles run on plain floats: no spectrum --oracle or verify call
-        # pays for numpy's import.
+        # The oracles and the pencil run on plain floats and integers: no
+        # spectrum --oracle, verify or pencil call pays for numpy's import.
         runs = (
             "import contextlib, io, json, sys\n"
             "from dislospec.cli import main\n"
@@ -1046,7 +1059,7 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", runs], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         results = json.loads(proc.stdout)
-        assert [loaded for _, _, loaded in results] == [False] * 7 + [True]
+        assert [loaded for _, _, loaded in results] == [False] * 8
         for argv, (code, out, _) in zip(self.NUMPY_FREE_RUNS, results, strict=True):
             assert code == EXIT_OK
             assert [code, out] == list(run_cli(capsys, *argv.split())[:2])

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -33,7 +34,9 @@ from dislospec.quantization import (
     ALPHA_MAX,
     ALPHA_MIN,
     NEWTON_RTOL,
+    PROOF_WIDTH,
     _alpha_roots,
+    _isolate,
     _sturm_root,
 )
 
@@ -280,8 +283,8 @@ SCAN_CELLS = (
     ]
     # At k this small the w-pencil's roots crowd at w = 1; the solver must not use it.
     + [("coulomb", n, 0, 1e-8, b, 0.0) for n in (4, 8) for b in (0.1, -0.1)]
-    # |c| sqrt(B) / d_0 >= 1 here, so the c > 0 branch takes the companion-pencil
-    # path and the c < 0 branch the count; n = 1 has no root on either branch.
+    # |c| sqrt(B) / d_0 >= 1 here, so the c > 0 branch takes the pencil path
+    # and the c < 0 branch the count; n = 1 has no root on either branch.
     + [("coulomb", n, 0, 3.0, b, 0.0) for n in (1, 2, 5) for b in (1.5, -1.5)]
 )
 
@@ -536,6 +539,69 @@ def test_a_lost_pencil_root_fails_the_window_count(monkeypatch):
     monkeypatch.setattr(quantization, "_pencil_roots", lambda *args: pencil(*args)[1:])
     with pytest.raises(NoRoots, match="of the eigenvalue count's [0-9]+ steps"):
         solve_general_n(qn, 1.0, FLAT, coup)
+
+
+def alpha_of_y(y):
+    """The alpha of a pencil root y = x^2 at r = 1: (1/sqrt(y) - sqrt(y)) / 2."""
+    return 0.5 * (1.0 - y) / math.sqrt(y)
+
+
+def test_isolation_stops_on_a_double_root(monkeypatch):
+    # A double root keeps two sign changes at every depth.  On a bisection
+    # point (y = 1/4) it shows at once; off them (y = 1/3) bisection stops
+    # where the bracket is narrower in alpha than the proof's width, about 44
+    # halvings of (0, 1) here, at 3 Taylor shifts per level.
+    shifts = []
+    taylor_shift = quantization._taylor_shift
+
+    def counted(p):
+        shifts.append(len(p))
+        return taylor_shift(p)
+
+    monkeypatch.setattr(quantization, "_taylor_shift", counted)
+    with pytest.raises(NoRoots, match=f"a multiple root at alpha={alpha_of_y(0.25)!r}"):
+        _isolate([1, -7, 8, 16], 1.0)  # (4y - 1)^2 (y + 1), lowest coefficient first
+    assert len(shifts) <= 6
+    shifts.clear()
+    with pytest.raises(NoRoots, match="a multiple root, or two too close") as err:
+        _isolate([1, -5, 3, 9], 1.0)  # (3y - 1)^2 (y + 1)
+    assert len(shifts) <= 3 * math.ceil(math.log2(1.0 / PROOF_WIDTH))
+    lo, hi = map(float, re.search(r"\[(.*), (.*)\]", str(err.value)).groups())
+    assert lo < alpha_of_y(1 / 3) < hi
+    assert hi - lo <= PROOF_WIDTH
+
+
+def test_isolation_keeps_a_root_on_a_bisection_point():
+    # (2y - 1)(4y - 1)(4y - 3): the first bisection of (0, 1) lands on the root
+    # y = 1/2.  It comes back once, exact in y, and each half isolates one more.
+    brackets = sorted(_isolate([-3, 22, -48, 32], 1.0))
+    mid = alpha_of_y(0.5)
+    assert brackets.count((mid, mid)) == 1
+    others = [b for b in brackets if b != (mid, mid)]
+    assert [lo < alpha_of_y(y) < hi for (lo, hi), y in zip(others, (0.75, 0.25))] == [True] * 2
+    assert len(others) == 2
+
+
+def test_a_bracket_edge_on_an_exact_root_steps_inside(monkeypatch):
+    # An exact root's alpha is rounded, and the count on it may read either
+    # side.  Here root 0 of the pencil cell comes back exact, 1e-14 below its
+    # alpha, and root 1's bracket starts on it: counted from that edge, the
+    # bracket would hold both roots.  The edge steps in by the proof's width.
+    n, s = 8, coulomb_eta(0.0, 1.5)
+    cell = (n, s, 3.0, 2.0 * (n + s + 1.0), 2.25)
+    roots = _alpha_roots(*cell)
+    assert len(roots) >= 3
+    exact = roots[0] * (1.0 - 1e-14)
+    isolate = quantization._isolate
+
+    def edge_on_root(p, r):
+        brackets = [b for b in isolate(p, r) if not b[0] < roots[0] < b[1]]
+        return [(exact, exact)] + [(exact, hi) if lo < roots[1] < hi else (lo, hi) for lo, hi in brackets]
+
+    monkeypatch.setattr(quantization, "_isolate", edge_on_root)
+    got = _alpha_roots(*cell)
+    assert got[0] == exact
+    assert got[1:] == pytest.approx(roots[1:], rel=1e-14, abs=0.0)
 
 
 class TestSolveGeneralN:
