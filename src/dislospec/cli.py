@@ -287,12 +287,13 @@ ODE_POINTS = 200
 FD_POINTS_PER_NODE = 40
 
 
-def _ode_residual(pt) -> float:
-    """ODE residual of a solved state, at the parameters the solver built it from."""
+def _ode_residual(pt, m: float, b: float) -> float:
+    """ODE residual of a solved state's polynomial in the radial equation that its
+    printed nu_solved and E fix at rest mass m and Coulomb strength b."""
     from .oracle import RadialGrid, ode_residual
 
     grid = RadialGrid(0.01, 8.0 * max(1.0, math.sqrt(pt.qn.n + pt.eff_abs)), ODE_POINTS)
-    return ode_residual(pt.coeffs, pt.params, grid)
+    return ode_residual(pt.coeffs, pt.params(m, b), grid)
 
 
 def _fd_match(pt, m: float, index: int) -> float:
@@ -369,7 +370,7 @@ def _spectrum_rows_for(cfg: RunConfig, n: int, l: int, k: float, t: float) -> li
             status="OK",
         )
         if cfg.oracle:
-            row["ode_residual"] = _ode_residual(pt)
+            row["ode_residual"] = _ode_residual(pt, cfg.m, cfg.b)
             row["fd_match"] = None if pt.scenario == COULOMB else _fd_match(pt, cfg.m, idx)
         rows.append(row)
     return rows
@@ -534,17 +535,18 @@ def _max(values) -> float:
 
 
 def _check_truncation_cascade(pop: _Population):
-    # A state carries a_0..a_n: the tail through order 64 is built here.
+    # A state carries a_0..a_n: the tail through order 64 is built here, from its printed values.
     ratios = []
     for pt in pop.points:
-        a = [abs(x) for x in build_coefficients(pt.params, max(DEFAULT_N_MAX, pt.qn.n + 1))]
+        params = pt.params(pop.cfg.m, pop.cfg.b)
+        a = [abs(x) for x in build_coefficients(params, max(DEFAULT_N_MAX, pt.qn.n + 1))]
         head = max(_max(a[: pt.qn.n + 1]), 1e-300)
         ratios.append(_max(a[pt.qn.n + 1 :]) / head)
     return ratios, 1e-10, ""
 
 
 def _check_ode_residual(pop: _Population):
-    return [_ode_residual(pt) for pt in pop.points], 1e-8, ""
+    return [_ode_residual(pt, pop.cfg.m, pop.cfg.b) for pt in pop.points], 1e-8, ""
 
 
 def _check_fd_match(pop: _Population):
@@ -587,7 +589,9 @@ def _check_flux_periodicity(pop: _Population):
 
 
 def _check_current_agreement(pop: _Population):
-    cfg = pop.cfg
+    # q scales both currents alike, so they are compared at unit charge: a
+    # subnormal q would leave the difference a few significant bits.
+    cfg = pop.cfg._replace(q=1.0)
     if cfg.scenario != "ab":
         return None, 1e-8, "flux scenario not configured"
     if 1 not in cfg.n:

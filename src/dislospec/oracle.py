@@ -27,7 +27,6 @@ from functools import partial
 from .core import HeunParams, MassProfile
 from .quantization import _sturm_pass, _sturm_root
 
-DEFAULT_FD_POINTS = 4000
 DEFAULT_FD_RHO_MIN = 1e-3
 # Largest effective momentum whose full origin exponent the finite-volume
 # oracle factors out; see fd_eigensolve_free.
@@ -113,11 +112,9 @@ def ode_residual(coeffs: tuple[float, ...], params: HeunParams, grid: RadialGrid
     return float(worst_lhs / worst_r)
 
 
-def default_fd_grid(
-    mass: MassProfile, n: int, eff_abs: float, n_points: int = DEFAULT_FD_POINTS
-) -> RadialGrid:
-    """Default eigensolver grid: the state's xi-extent (~10 units, widened for
-    higher n or momentum) mapped back to the dimensionful radius."""
+def default_fd_grid(mass: MassProfile, n: int, eff_abs: float, n_points: int) -> RadialGrid:
+    """Eigensolver grid of n_points points: the state's xi-extent (~10 units,
+    widened for higher n or momentum) mapped back to the dimensionful radius."""
     mass.require_confining()
     rho_max = 10.0 / math.sqrt(mass.nu) * max(1.0, math.sqrt(n + eff_abs))
     return RadialGrid(DEFAULT_FD_RHO_MIN, rho_max, n_points)

@@ -69,6 +69,7 @@ from .core import (
     FREE,
     Couplings,
     DefectGeometry,
+    HeunParams,
     MassProfile,
     QuantumNumbers,
     coulomb_eta,
@@ -81,9 +82,8 @@ from .heun import build_coefficients
 # Quadratic branch formula degenerates when its denominator is this close to 0.
 DEGENERATE_TOL = 1e-12
 
-# The alpha window [ALPHA_MIN, ALPHA_MAX]; roots outside it are dropped after the
-# solve.  ALPHA_MIN also drops the +-1e-16 zero eigenvalue of an odd-sized free
-# Jacobi matrix.
+# The alpha window [ALPHA_MIN, ALPHA_MAX] in which every path seeks roots.  ALPHA_MIN
+# also leaves out the +-1e-16 zero eigenvalue of an odd-sized free Jacobi matrix.
 ALPHA_MIN = 0.01
 ALPHA_MAX = 50.0
 
@@ -103,7 +103,7 @@ SEED_WIDTH = 1e-2
 class SpectrumPoint(
     namedtuple(
         "SpectrumPoint",
-        "qn eff eff_abs nu_solved energies params coeffs scenario branch trunc_rel",
+        "qn eff eff_abs nu_solved energies coeffs scenario branch trunc_rel",
     )
 ):
     """One solved bound state.
@@ -112,15 +112,20 @@ class SpectrumPoint(
     constraint is energy-sign blind there), or a single signed energy for a
     Coulomb branch (the constraint depends on the sign of E through mu, so
     each sign is its own solution labeled by branch = +1 or -1).  The state
-    is its parameters and its polynomial: params (HeunParams at the solved
-    slope and the energy mu was built from) fixes the envelope
-    exp(-xi^2/2 - alpha xi/2) xi^nu_abs, and coeffs holds a_0..a_n of G.
-    The other fields: qn (QuantumNumbers), eff and eff_abs (the effective
-    momentum and the s the state was solved at), nu_solved, scenario, and
-    trunc_rel (|a_{n+1}| relative to max |a_0..a_n|).
+    is what spectrum prints and its polynomial: nu_solved and energies[0]
+    fix the radial equation and the envelope exp(-xi^2/2 - alpha xi/2)
+    xi^nu_abs through params(m, b), and coeffs holds a_0..a_n of G.  The
+    other fields: qn (QuantumNumbers), eff and eff_abs (the effective
+    momentum and the s the state was solved at), scenario, and trunc_rel
+    (|a_{n+1}| relative to max |a_0..a_n|).
     """
 
     __slots__ = ()
+
+    def params(self, m: float, b: float) -> HeunParams:
+        """The HeunParams of the state at rest mass m and Coulomb strength b."""
+        mass = MassProfile(m, self.nu_solved)
+        return heun_params(mass, self.energies[0], self.qn.k, b, self.eff_abs)
 
 
 def energy_from_lambda(nu: float, n: int, eff_abs: float, k: float) -> tuple[float, float]:
@@ -369,7 +374,8 @@ def _pencil_roots(n: int, d: list, sup: list, sub: list, ca: float, r: float, st
         off = 4 * sup[j - 1] * sub[j - 1] if j else 0
         terms = zip(det + [0], [0] + det, [0] + prev + [0])
         prev, det = det, [const[j] * u + lead[j] * v - off * w for u, v, w in terms]
-    brackets = _isolate(det, r)
+    content = math.gcd(*det)  # nonzero: the leading coefficient is prod L_j > 0
+    brackets = _isolate([v // content for v in det], r)
     roots = [lo for lo, hi in brackets if lo == hi and ALPHA_MIN <= lo <= ALPHA_MAX]
     for lo, hi in brackets:
         # The count on a root reads either side, so an edge there moves in by the proof's width.
@@ -477,32 +483,16 @@ def solve_general_n(
         for alpha_root in _alpha_roots(n, eff_abs, c, big_a, big_b):
             nu = 4.0 * mass_m * mass_m / (alpha_root * alpha_root)
             e_pair = energy_from_lambda(nu, n, eff_abs, qn.k)
-            if sign is None:
-                energies: tuple[float, ...] = e_pair
-                e_for_mu = e_pair[0]
-            else:
-                e_for_mu = e_pair[0] if sign > 0 else e_pair[1]
-                energies = (e_for_mu,)
-            params = heun_params(MassProfile(mass_m, nu), e_for_mu, qn.k, coup.b, eff_abs)
-            a = build_coefficients(params, n + 1)
+            # The pair for a sign-blind scenario, the branch's own E for a Coulomb one.
+            energies = e_pair if sign is None else (e_pair[0] if sign > 0 else e_pair[1],)
+            # The polynomial is built from the parameters that the printed values rebuild.
+            pt = SpectrumPoint(qn, eff, eff_abs, nu, energies, (), scenario, sign, math.nan)
+            a = build_coefficients(pt.params(mass_m, coup.b), n + 1)
             coeffs = a[: n + 1]
             trunc_rel = abs(a[n + 1]) / max(map(abs, coeffs))
-            if not (math.isfinite(e_for_mu) and math.isfinite(trunc_rel)):
-                raise NoRoots(f"non-finite state at alpha={alpha_root!r}: E = {e_for_mu!r}")
-            points.append(
-                SpectrumPoint(
-                    qn=qn,
-                    eff=eff,
-                    eff_abs=eff_abs,
-                    nu_solved=nu,
-                    energies=energies,
-                    params=params,
-                    coeffs=coeffs,
-                    scenario=scenario,
-                    branch=sign,
-                    trunc_rel=trunc_rel,
-                )
-            )
+            if not (math.isfinite(energies[0]) and math.isfinite(trunc_rel)):
+                raise NoRoots(f"non-finite state at alpha={alpha_root!r}: E = {energies[0]!r}")
+            points.append(pt._replace(coeffs=coeffs, trunc_rel=trunc_rel))
 
     if not points:
         raise NoRoots(

@@ -106,8 +106,8 @@ def test_criterion_2_truncation_cascade(population):
     """Series coefficients beyond the quantized order stay below 1e-10
     relative to the head, through order 64."""
     worst = 0.0
-    for _m, _b, pt in population:
-        a = build_coefficients(pt.params, max(64, pt.qn.n + 1))
+    for m, b, pt in population:
+        a = build_coefficients(pt.params(m, b), max(64, pt.qn.n + 1))
         assert len(a) >= 65
         head = np.max(np.abs(a[: pt.qn.n + 1]))
         tail = np.max(np.abs(a[pt.qn.n + 1 :]))
@@ -126,8 +126,8 @@ def test_criterion_3_ode_residual_and_detuning(population):
     worst_detuned = math.inf
     for m, b, pt in population:
         grid = RadialGrid(0.01, 8.0 * max(1.0, math.sqrt(pt.qn.n + pt.eff_abs)), 2000)
-        # Each polynomial is checked against parameters rebuilt from the
-        # state's printed nu and E, not against the pt.params it was built from.
+        # Each polynomial is checked against parameters rebuilt here from the
+        # state's printed nu and E, not through SpectrumPoint.params.
         e_ref = pt.energies[0]
         params = heun_params(MassProfile(m, pt.nu_solved), e_ref, pt.qn.k, b, pt.eff_abs)
         worst = max(worst, ode_residual(pt.coeffs, params, grid))

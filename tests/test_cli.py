@@ -22,7 +22,7 @@ from dislospec.cli import (
     parse_int_range,
     parse_float_list,
 )
-from dislospec.core import Couplings, DefectGeometry, MassProfile, QuantumNumbers, heun_params
+from dislospec.core import Couplings, DefectGeometry, QuantumNumbers
 from dislospec.heun import build_coefficients
 from dislospec.quantization import solve_general_n
 
@@ -317,17 +317,11 @@ class TestVerify:
         assert "FAIL" not in out
 
     def test_detuned_slope_fails(self, capsys, monkeypatch):
-        # Give each solved state the parameters and degree-n polynomial of a 1%
-        # detuned slope, as acceptance criterion 3 does.  The truncation
-        # cascade rebuilds the tail from the detuned parameters.
+        # Give each solved state a 1% detuned printed slope and the degree-n
+        # polynomial it builds, as acceptance criterion 3 does.  The truncation
+        # cascade rebuilds the tail from the printed, detuned slope.
         def detuned_solve(qn, m, geom, coup):
-            points = []
-            for pt in solve_general_n(qn, m, geom, coup):
-                mass = MassProfile(m, pt.nu_solved * 1.01)
-                params = heun_params(mass, pt.energies[0], qn.k, coup.b, pt.eff_abs)
-                coeffs = build_coefficients(params, n_max=qn.n + 1)[: qn.n + 1]
-                points.append(pt._replace(params=params, coeffs=coeffs))
-            return points
+            return [_detuned(pt, m, coup) for pt in solve_general_n(qn, m, geom, coup)]
 
         monkeypatch.setattr(cli, "solve_general_n", detuned_solve)
         code, out, _ = run_cli(capsys, "verify", "--scenario", "free")
@@ -348,18 +342,19 @@ class TestVerify:
         # The NaN is the last tail coefficient of each l = 2 cell's last state,
         # the population's last state among them, where a plain max over the
         # tail and then over the states would drop it twice.  The cascade builds
-        # each tail from the state's parameters, so the NaN goes in there.
+        # each tail from the parameters its printed values rebuild, so the NaN
+        # goes into the series built from those.
         marked = []
 
         def marking_solve(qn, m, geom, coup):
             points = solve_general_n(qn, m, geom, coup)
             if qn.l == 2:
-                marked.append(points[-1].params)
+                marked.append(points[-1].params(m, coup.b))
             return points
 
         def nan_tail_build(params, n_max):
             series = build_coefficients(params, n_max)
-            if not any(params is p for p in marked):
+            if params not in marked:
                 return series
             return series[:-1] + (math.nan,)
 
@@ -378,7 +373,7 @@ class TestVerify:
         pt = solve_general_n(QuantumNumbers(300, 0, 0.0), 1.0, geom, coup)[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert math.isnan(cli._ode_residual(pt))
+            assert math.isnan(cli._ode_residual(pt, 1.0, 0.0))
 
     def test_nan_truncation_residual_is_solver_error(self, capsys):
         code, out, err = run_cli(
@@ -572,13 +567,62 @@ class TestVerify:
         assert code == EXIT_VERIFY
         assert line in out
 
+    # Faults in what spectrum prints, each applied to every solved state; the
+    # polynomial is kept.  A branch flip negates the energy and the branch label.
+    PRINTED_FAULTS = {
+        None: lambda pt: pt,
+        "slope_1pct": lambda pt: pt._replace(nu_solved=pt.nu_solved * 1.01),
+        "energy_1e-6": lambda pt: pt._replace(energies=tuple(e * (1 + 1e-6) for e in pt.energies)),
+        "branch_flipped": lambda pt: pt._replace(
+            energies=tuple(-e for e in pt.energies), branch=-pt.branch
+        ),
+    }
+    FAULT_SCENARIOS = {
+        "free": "--scenario free",
+        "ab": "--scenario ab --flux 0.25",
+        "coulomb": "--scenario coulomb --b 0.1",
+    }
+
+    def test_every_printed_fault_fails(self, capsys, monkeypatch):
+        # verify checks the printed slope and energy, so each fault exits 3 and
+        # the same cells unfaulted exit 0, at every n up to where the ODE residual
+        # still certifies a state.
+        exits, want = {}, {}
+        for (scenario, argv), n, fault in product(
+            self.FAULT_SCENARIOS.items(), (1, 3, 8, 24), self.PRINTED_FAULTS
+        ):
+            if fault == "branch_flipped" and scenario != "coulomb":
+                continue
+            mutate = self.PRINTED_FAULTS[fault]
+            monkeypatch.setattr(
+                cli, "solve_general_n", lambda *a: list(map(mutate, solve_general_n(*a)))
+            )
+            cell = "--chi 0.2 --l 0..1 --k 0,0.7 --n".split() + [str(n)]
+            exits[scenario, n, fault] = run_cli(capsys, "verify", *argv.split(), *cell)[0]
+            want[scenario, n, fault] = EXIT_OK if fault is None else EXIT_VERIFY
+        assert len(exits) == 40
+        assert exits == want
+
+    def test_current_agreement_holds_at_any_charge(self, capsys, tmp_path):
+        # q scales both currents alike; a subnormal q must not cost the check
+        # its precision.
+        for q in (1e-318, 1e-322, 1e308, -2.0):
+            cfg = tmp_path / "q.json"
+            cfg.write_text(json.dumps({"q": q}))
+            code, out, _ = run_cli(
+                capsys, "verify", "--scenario", "ab", "--flux", "0.25", "--l", "0", "--k", "0",
+                "--config", str(cfg),
+            )
+            assert code == EXIT_OK, (q, out)
+            line = next(x for x in out.splitlines() if " current_agreement " in x)
+            assert float(line.split("measured=")[1].split()[0]) < 1e-12, (q, line)
+
 
 def _detuned(pt, m, coup):
-    """pt with the parameters and degree-n polynomial of a 1% detuned slope."""
-    mass = MassProfile(m, pt.nu_solved * 1.01)
-    params = heun_params(mass, pt.energies[0], pt.qn.k, coup.b, pt.eff_abs)
-    coeffs = build_coefficients(params, n_max=pt.qn.n + 1)[: pt.qn.n + 1]
-    return pt._replace(params=params, coeffs=coeffs)
+    """pt with a 1% detuned printed slope and the degree-n polynomial it builds."""
+    pt = pt._replace(nu_solved=pt.nu_solved * 1.01)
+    coeffs = build_coefficients(pt.params(m, coup.b), n_max=pt.qn.n + 1)[: pt.qn.n + 1]
+    return pt._replace(coeffs=coeffs)
 
 
 class TestOracleGrids:
@@ -597,8 +641,8 @@ class TestOracleGrids:
         # a solved state from the same state with its slope 1% off at fixed E.
         correct, detuned = [], []
         for _, pt in self.free_states(range(1, 25)):
-            correct.append(cli._ode_residual(pt))
-            detuned.append(cli._ode_residual(_detuned(pt, 1.0, Couplings())))
+            correct.append(cli._ode_residual(pt, 1.0, 0.0))
+            detuned.append(cli._ode_residual(_detuned(pt, 1.0, Couplings()), 1.0, 0.0))
         assert len(correct) > 500
         assert all(r < 1e-8 for r in correct), max(correct)
         assert all(r > 1e-4 for r in detuned), min(detuned)
@@ -1003,7 +1047,7 @@ class TestEntryPoint:
             "fd_grid = oracle.default_fd_grid(mass, pt.qn.n, pt.eff_abs, 400)\n"
             "e2 = pt.energies[0] ** 2\n"
             "level = oracle.fd_eigensolve_free(mass, pt.eff_abs, pt.qn.k, fd_grid, index, e2)\n"
-            "residual = oracle.ode_residual(pt.coeffs, pt.params, grid)\n"
+            "residual = oracle.ode_residual(pt.coeffs, pt.params(1.0, 0.0), grid)\n"
             "fd_error = level / e2 - 1.0\n"
             "print(json.dumps([results, missing, out.getvalue(), index, residual, fd_error]))"
         )

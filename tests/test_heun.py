@@ -159,26 +159,28 @@ def one_shot_series(params, n_max):
 
 
 def test_state_series_is_the_one_shot_recurrence():
-    # A solved state is its parameters and a_0..a_n, the terms the solver
-    # computed, and its trunc_rel reads the a_{n+1} of the same pass; the
-    # series through order max(64, n + 1), which verify's truncation cascade
-    # builds, is bitwise the same single pass run further.
+    # A solved state's a_0..a_n are the terms of the single pass run on the
+    # parameters its printed slope and energy rebuild, and its trunc_rel reads
+    # the a_{n+1} of the same pass; the series through order max(64, n + 1),
+    # which verify's truncation cascade builds, is bitwise that pass run further.
     def population():
-        points = [pt for _, _, pt in solved_population()]
+        states = solved_population()  # (m, b, state)
         for n in (30, 60):
             qn = QuantumNumbers(n, 1, 0.7)
-            points += solve_general_n(qn, 1.0, DefectGeometry(chi=0.2), Couplings())
-        return points
+            geom = DefectGeometry(chi=0.2)
+            states += [(1.0, 0.0, pt) for pt in solve_general_n(qn, 1.0, geom, Couplings())]
+        return states
 
     # A state is a plain value: comparing, hashing or printing it reads what
     # it holds and grows nothing.
-    points, fresh = population(), population()
+    states, fresh = population(), population()
+    points = [pt for _, _, pt in states]
     assert any(pt.qn.n == 60 for pt in points)
-    assert points == fresh
-    assert [hash(pt) for pt in points] == [hash(pt) for pt in fresh]
-    assert [repr(pt) for pt in points] == [repr(pt) for pt in fresh]
-    for pt in points:
-        params, n = pt.params, pt.qn.n
+    assert points == [pt for _, _, pt in fresh]
+    assert [hash(pt) for pt in points] == [hash(pt) for _, _, pt in fresh]
+    assert [repr(pt) for pt in points] == [repr(pt) for _, _, pt in fresh]
+    for m, b, pt in states:
+        params, n = pt.params(m, b), pt.qn.n
         series = one_shot_series(params, n + 1)
         assert pt.coeffs == series[: n + 1]
         assert pt.trunc_rel == abs(series[n + 1]) / max(map(abs, series[: n + 1]))

@@ -123,7 +123,7 @@ class TestFdEigensolver:
     def test_detects_slope_momentum_mismatch(self):
         # nu = 1.5 is quantized for |eff| = 0, not 1; none of the lowest six levels is near 6
         mass = MassProfile(1.0, 1.5)
-        grid = default_fd_grid(mass, 1, 1.0)
+        grid = default_fd_grid(mass, 1, 1.0, 4000)
         levels = [fd_eigensolve_free(mass, 1.0, 0.0, grid, index=i) for i in range(6)]
         assert min(abs(e - 6.0) / 6.0 for e in levels) > 0.05
 
@@ -145,7 +145,7 @@ class TestFdEigensolver:
         # stay finite and close on the default grid.
         mass = MassProfile(1.0, nu_ground_free(1.0, eff))
         e2 = energy_ground_free(1.0, eff, 0.0)[0] ** 2
-        ground = fd_eigensolve_free(mass, eff, 0.0, default_fd_grid(mass, 1, eff))
+        ground = fd_eigensolve_free(mass, eff, 0.0, default_fd_grid(mass, 1, eff, 4000))
         assert math.isfinite(ground)
         assert abs(ground - e2) / e2 < 1e-3
 
@@ -156,14 +156,14 @@ class TestFdEigensolver:
 
     def test_default_grid_scales_with_state(self):
         mass = MassProfile(1.0, 2.5)
-        grid = default_fd_grid(mass, 1, 1.0)
+        grid = default_fd_grid(mass, 1, 1.0, 4000)
         assert grid.xi_min == 1e-3
         assert grid.xi_max == pytest.approx(10.0 / math.sqrt(2.5) * math.sqrt(2.0), rel=1e-12)
         assert grid.n_points == 4000
 
     def test_requires_confining_slope(self):
         with pytest.raises(NonPositiveSlope):
-            default_fd_grid(MassProfile(1.0, 0.0), 1, 0.0)
+            default_fd_grid(MassProfile(1.0, 0.0), 1, 0.0, 4000)
         with pytest.raises(NonPositiveSlope):
             fd_eigensolve_free(
                 MassProfile(1.0, -1.0), 0.0, 0.0, RadialGrid(1e-3, 10.0, 100)
@@ -192,7 +192,7 @@ class TestLevelFinder:
         errors = []
         for index, pt in solved_states():
             mass, k = MassProfile(1.0, pt.nu_solved), pt.qn.k
-            grid = default_fd_grid(mass, pt.qn.n, pt.eff_abs)
+            grid = default_fd_grid(mass, pt.qn.n, pt.eff_abs, 4000)
             got = fd_eigensolve_free(mass, pt.eff_abs, k, grid, index, near=pt.energies[0] ** 2)
             want = reference[-1] + 1.0 + k * k
             errors.append(abs(got - want) / want)
@@ -205,7 +205,7 @@ class TestLevelFinder:
         assert len(pts) == 3
         for index, pt in enumerate(pts):
             mass = MassProfile(1.0, pt.nu_solved)
-            grid = default_fd_grid(mass, 5, pt.eff_abs)
+            grid = default_fd_grid(mass, 5, pt.eff_abs, 4000)
             level = fd_eigensolve_free(mass, pt.eff_abs, 0.7, grid, index)
             neighbour = fd_eigensolve_free(mass, pt.eff_abs, 0.7, grid, index + 1)
             e2 = pt.energies[0] ** 2

@@ -694,7 +694,7 @@ class TestSolveGeneralN:
     def test_point_invariants(self):
         pts = solve_general_n(QuantumNumbers(2, 1, 0.5), 1.0, DefectGeometry(0.25), FREE)
         for p in pts:
-            assert abs(lambda_bar(p.params) - 2 * p.qn.n) < 1e-10
+            assert abs(lambda_bar(p.params(1.0, 0.0)) - 2 * p.qn.n) < 1e-10
             assert p.trunc_rel < 1e-12
             assert len(p.coeffs) == p.qn.n + 1
             # re-derive the truncation residual through the public path
