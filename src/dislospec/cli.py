@@ -22,6 +22,8 @@ always raw.  Output is deterministic: identical configuration yields
 byte-identical CSV or JSON.
 
 Exit codes: 0 success, 1 usage error, 2 solver error, 3 verification failure.
+A flag value and a config-file value of one setting go through one converter,
+so they are checked by the same rule and fail with the same message.
 A zero q, a non-finite number, a config string field that is not a JSON
 string or an unusable --config/--out path is a usage error.  Arithmetic
 overflow or underflow inside the solver (an effective angular momentum that
@@ -117,26 +119,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-# Every setting of a run, with its default.
-_DEFAULTS = {
-    "scenario": "free",
-    "m": 1.0,
-    "chi": 0.0,
-    "b": 0.0,
-    "q": 1.0,
-    "flux": (0.0,),
-    "l": (0, 1, 2),
-    "k": (0.0,),
-    "n": (1,),
-    "format": "csv",
-    "oracle": False,
-    "absolute": False,
-    "branch": "plus",
-    "out": None,
-}
-RunConfig = namedtuple("RunConfig", _DEFAULTS, defaults=_DEFAULTS.values())
-
-
 def parse_int_range(text: str) -> tuple[int, ...]:
     text = text.strip()
     if ".." in text:
@@ -199,16 +181,58 @@ def _flag(value) -> bool:
     return value
 
 
-# RunConfig field -> converter, applied alike to flag values and config-file values.
-_CONVERTERS = {
-    **dict.fromkeys(("scenario", "format", "branch", "out"), _text),
-    **dict.fromkeys(("m", "chi", "b", "q"), _number),
-    **dict.fromkeys(("oracle", "absolute"), _flag),
-    "flux": partial(_normalize, parse_flux),
-    "l": partial(_normalize, parse_int_range),
-    "k": partial(_normalize, parse_float_list),
-    "n": partial(_normalize, parse_int_range),
+def _one_of(message: str, *choices: str):
+    """The converter of a choice setting: a string among choices, else message % value."""
+
+    def convert(value) -> str:
+        if _text(value) not in choices:
+            raise UsageError(message % (value,))
+        return value
+
+    convert.metavar = "{%s}" % ",".join(choices)
+    return convert
+
+
+# Each subcommand and its help.  main runs cmd_<name>, looked up when called, so a
+# wrapper set on the module attribute (bench/tracing.py) is the one that runs.
+_COMMANDS = {
+    "spectrum": "tabulate bound-state slopes and energies",
+    "current": "persistent current sweep (scenario ab)",
+    "verify": "run the invariant suite at configured parameters",
 }
+_ALL = tuple(_COMMANDS)
+
+_Setting = namedtuple("_Setting", "default convert commands help")
+
+# Every setting of a run, in --help order: its default, the one converter that its
+# flag strings and config-file values go through, the subcommands whose parser has
+# its flag, and the flag's help.  Each subcommand takes only the flags it reads;
+# verify prints a fixed text table, so it takes no --format.
+_SETTINGS = {
+    "scenario": _Setting("free", _one_of("unknown scenario %r", "free", "coulomb", "ab"),
+                         _ALL, None),
+    "m": _Setting(1.0, _number, _ALL, "rest mass (default 1)"),
+    "chi": _Setting(0.0, _number, _ALL, "torsion parameter (default 0)"),
+    "b": _Setting(0.0, _number, _ALL, "Coulomb strength, signed (default 0)"),
+    "flux": _Setting((0.0,), partial(_normalize, parse_flux), _ALL,
+                     "q*Phi_B/2pi value or start:stop:step sweep (default 0)"),
+    "l": _Setting((0, 1, 2), partial(_normalize, parse_int_range), _ALL,
+                  "angular momentum value or lo..hi range (default 0..2)"),
+    "k": _Setting((0.0,), partial(_normalize, parse_float_list), _ALL,
+                  "comma list of wavenumbers (default 0)"),
+    "n": _Setting((1,), partial(_normalize, parse_int_range), _ALL,
+                  "radial index value or lo..hi range (default 1)"),
+    "out": _Setting(None, _text, _ALL, "output path (default stdout)"),
+    "format": _Setting("csv", _one_of("unknown format %r", "csv", "json"),
+                       ("spectrum", "current"), None),
+    "oracle": _Setting(False, _flag, ("spectrum",), "add ode_residual and fd_match columns"),
+    "absolute": _Setting(False, _flag, ("spectrum",),
+                         "report energies in absolute units instead of units of m"),
+    "q": _Setting(1.0, _number, ("current",), "charge; scales the current (default 1)"),
+    "branch": _Setting("plus", _one_of("branch must be plus or minus, got %r", "plus", "minus"),
+                       ("current",), "energy branch to differentiate (default plus)"),
+}
+RunConfig = namedtuple("RunConfig", _SETTINGS, defaults=[s.default for s in _SETTINGS.values()])
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -223,20 +247,20 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"cannot read config file {args.config!r}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise UsageError("config file must hold a JSON object")
-        unknown = set(file_values) - set(_DEFAULTS)
+        unknown = set(file_values) - set(_SETTINGS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
 
     # Flags win over the config file, which wins over the RunConfig defaults.
     values = {}
     try:
-        for name in _DEFAULTS:
+        for name, setting in _SETTINGS.items():
             value = getattr(args, name, None)
             if value is None:
                 if name not in file_values:
                     continue
                 value = file_values[name]
-            values[name] = _CONVERTERS[name](value)
+            values[name] = setting.convert(value)
     except (ValueError, TypeError, OverflowError) as exc:
         raise UsageError(str(exc)) from exc
     cfg = RunConfig(**values)
@@ -244,12 +268,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     numbers = (cfg.m, cfg.chi, cfg.b, cfg.q, *cfg.flux, *cfg.k)
     if not all(math.isfinite(x) for x in numbers):
         raise UsageError("numeric values must be finite")
-    if cfg.scenario not in ("free", "coulomb", "ab"):
-        raise UsageError(f"unknown scenario {cfg.scenario!r}")
-    if cfg.format not in ("csv", "json"):
-        raise UsageError(f"unknown format {cfg.format!r}")
-    if cfg.branch not in ("plus", "minus"):
-        raise UsageError(f"branch must be plus or minus, got {cfg.branch!r}")
     if not cfg.m > 0.0:
         raise UsageError(f"mass must be positive, got {cfg.m}")
     if cfg.q == 0.0:
@@ -657,52 +675,17 @@ def emit(rows: list[dict], columns: list[str], fmt: str, out: io.TextIOBase) -> 
 def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dislospec", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for command, help_text in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON file with RunConfig values; flags override it")
-        p.add_argument("--scenario", choices=["free", "coulomb", "ab"])
-        p.add_argument("--m", type=float, help="rest mass (default 1)")
-        p.add_argument("--chi", type=float, help="torsion parameter (default 0)")
-        p.add_argument("--b", type=float, help="Coulomb strength, signed (default 0)")
-        p.add_argument(
-            "--flux",
-            help="q*Phi_B/2pi value or start:stop:step sweep (default 0)",
-        )
-        p.add_argument("--l", help="angular momentum value or lo..hi range (default 0..2)")
-        p.add_argument("--k", help="comma list of wavenumbers (default 0)")
-        p.add_argument("--n", help="radial index value or lo..hi range (default 1)")
-        p.add_argument("--out", help="output path (default stdout)")
-
-    # Each subcommand takes only the flags it reads; verify prints a fixed text table.
-    p_spec = sub.add_parser("spectrum", help="tabulate bound-state slopes and energies")
-    add_common(p_spec)
-    p_spec.add_argument("--format", choices=["csv", "json"])
-    p_spec.add_argument(
-        "--oracle",
-        action="store_const",
-        const=True,
-        help="add ode_residual and fd_match columns",
-    )
-    p_spec.add_argument(
-        "--absolute",
-        action="store_const",
-        const=True,
-        help="report energies in absolute units instead of units of m",
-    )
-
-    p_cur = sub.add_parser("current", help="persistent current sweep (scenario ab)")
-    add_common(p_cur)
-    p_cur.add_argument("--format", choices=["csv", "json"])
-    p_cur.add_argument("--q", type=float, help="charge; scales the current (default 1)")
-    p_cur.add_argument(
-        "--branch",
-        choices=["plus", "minus"],
-        help="energy branch to differentiate (default plus)",
-    )
-
-    p_ver = sub.add_parser("verify", help="run the invariant suite at configured parameters")
-    add_common(p_ver)
-
+        for name, setting in _SETTINGS.items():
+            if command not in setting.commands:
+                continue
+            if setting.convert is _flag:
+                p.add_argument(f"--{name}", action="store_const", const=True, help=setting.help)
+            else:
+                metavar = getattr(setting.convert, "metavar", None)
+                p.add_argument(f"--{name}", metavar=metavar, help=setting.help)
     return parser
 
 
@@ -714,11 +697,7 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.out:
             sink = open(cfg.out, "w", encoding="utf-8", newline="")
         with sink as out:
-            if args.command == "spectrum":
-                return cmd_spectrum(cfg, out, sys.stderr)
-            if args.command == "current":
-                return cmd_current(cfg, out, sys.stderr)
-            return cmd_verify(cfg, out, sys.stderr)
+            return globals()[f"cmd_{args.command}"](cfg, out, sys.stderr)
     # The commands do no I/O but their output, so an OSError means the
     # output cannot be opened or written, which is a usage error like a bad flag.
     except (UsageError, OSError) as exc:

@@ -654,6 +654,32 @@ class TestOracleGrids:
         assert all(e < 1e-3 for e in errors), max(errors)
 
 
+# One valid value of every setting, then invalid ones: (the argv both forms share,
+# the setting's flag argv, the same value as config-file values, the UsageError
+# message or None).
+BY_FLAG_AND_CONFIG = [
+    ("spectrum", ["--scenario", "coulomb"], {"scenario": "coulomb"}, None),
+    ("spectrum", ["--m", "2.5"], {"m": 2.5}, None),
+    ("spectrum", ["--chi", "0.2"], {"chi": 0.2}, None),
+    ("spectrum --scenario coulomb", ["--b", "-0.1"], {"b": -0.1}, None),
+    ("spectrum --scenario ab", ["--flux", "0:1:0.5"], {"flux": "0:1:0.5"}, None),
+    ("spectrum", ["--l=-1..1"], {"l": "-1..1"}, None),
+    ("spectrum", ["--k", "0,0.7"], {"k": [0, 0.7]}, None),
+    ("spectrum", ["--n", "1..3"], {"n": "1..3"}, None),
+    ("spectrum", ["--out", "rows.csv"], {"out": "rows.csv"}, None),
+    ("spectrum", ["--format", "json"], {"format": "json"}, None),
+    ("spectrum", ["--oracle"], {"oracle": True}, None),
+    ("spectrum", ["--absolute"], {"absolute": True}, None),
+    ("current", ["--q", "-2"], {"q": -2}, None),
+    ("current", ["--branch", "minus"], {"branch": "minus"}, None),
+    ("spectrum", ["--m", "abc"], {"m": "abc"}, "could not convert string to float: 'abc'"),
+    ("spectrum", ["--scenario", "foo"], {"scenario": "foo"}, "unknown scenario 'foo'"),
+    ("current", ["--format", "xml"], {"format": "xml"}, "unknown format 'xml'"),
+    ("current", ["--branch", "up"], {"branch": "up"}, "branch must be plus or minus, got 'up'"),
+    ("spectrum", ["--l", "1.."], {"l": "1.."}, "invalid literal for int() with base 10: ''"),
+]
+
+
 class TestConfigAndOutput:
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -683,6 +709,31 @@ class TestConfigAndOutput:
         code, out, _ = run_cli(capsys, "spectrum", "--config", str(cfg), "--l", "2")
         rows = read_csv(out)
         assert [r["l"] for r in rows] == ["2"]
+
+    @pytest.mark.parametrize(
+        "base,flag,values,message",
+        BY_FLAG_AND_CONFIG,
+        ids=[" ".join([base, *flag]) for base, flag, _, _ in BY_FLAG_AND_CONFIG],
+    )
+    def test_flag_and_config_share_one_converter(self, tmp_path, base, flag, values, message):
+        def config(*argv):
+            return cli.build_config(cli.make_parser().parse_args([*base.split(), *argv]))
+
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(values))
+        if message is None:
+            by_flag = config(*flag)
+            assert by_flag == config("--config", str(path))
+            assert by_flag != config()
+            return
+        for argv in (flag, ["--config", str(path)]):
+            with pytest.raises(UsageError) as exc:
+                config(*argv)
+            assert str(exc.value) == message
+
+    def test_flag_and_config_table_covers_every_setting(self):
+        valid = [values for _, _, values, message in BY_FLAG_AND_CONFIG if message is None]
+        assert sorted(key for values in valid for key in values) == sorted(cli.RunConfig._fields)
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -870,6 +921,8 @@ class TestRejectedInput:
             "current --scenario ab --absolute",
             "spectrum --q 2",
             "verify --q 2",
+            "spectrum --branch plus",
+            "verify --branch plus",
         ],
     )
     def test_flag_the_subcommand_does_not_read_is_usage_error(self, capsys, argv):
