@@ -262,7 +262,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 value = file_values[name]
             values[name] = setting.convert(value)
     except (ValueError, TypeError, OverflowError) as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(f"{name}: {exc}") from exc
     cfg = RunConfig(**values)
 
     numbers = (cfg.m, cfg.chi, cfg.b, cfg.q, *cfg.flux, *cfg.k)

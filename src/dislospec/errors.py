@@ -18,11 +18,11 @@ class DegenerateDenominator(DislospecError):
 
 
 class NoRoots(DislospecError):
-    """No root of the truncation condition in the alpha window [0.01, 50.0]; a
-    root that the count of eigenvalues of S(mu(alpha)) below alpha does not
-    prove, a step of that count that no root accounts for, or a multiple root
-    (or two the proof cannot separate); or a state whose E or relative a_{n+1}
-    is not finite."""
+    """No root alpha > 0 of the truncation condition that the count of
+    eigenvalues of S(mu(alpha)) below alpha proves; a root that this count
+    does not prove, a step of it that no root accounts for, or a multiple
+    root (or two the proof cannot separate); or a state whose E or relative
+    a_{n+1} is not finite."""
 
 
 class UndefinedAtZeroFlux(DislospecError):

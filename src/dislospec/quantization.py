@@ -51,8 +51,12 @@ One rule accepts a root on every path.  count(x), the number of eigenvalues
 of S(mu(x)) below x, is the number of negative LDL^T pivots of S(mu(x)) - x.
 A root alpha stands only if count changes by one across it, between
 alpha -+ PROOF_WIDTH max(alpha, 1) (by +1 on counted branches, by +-1 on the
-pencil's), and the changes over the window's roots must add up to
-count(ALPHA_MAX) - count(ALPHA_MIN): a lost root fails too.
+pencil's), and the changes over the roots must add up to
+count(top) - count(PROOF_WIDTH): a lost root fails too.  A root the count
+cannot tell from alpha = 0, or from alpha = inf, is not a state.  On counted
+branches top is the first power of two where count reaches count(inf) = n + 1;
+on the pencil's it is alpha at y = PROOF_WIDTH, as a root at smaller y hangs
+on the last bits of c, A and B (c sqrt(B) = d_j puts one at y = 0).
 """
 
 from __future__ import annotations
@@ -82,13 +86,10 @@ from .heun import build_coefficients
 # Quadratic branch formula degenerates when its denominator is this close to 0.
 DEGENERATE_TOL = 1e-12
 
-# The alpha window [ALPHA_MIN, ALPHA_MAX] in which every path seeks roots.  ALPHA_MIN
-# also leaves out the +-1e-16 zero eigenvalue of an odd-sized free Jacobi matrix.
-ALPHA_MIN = 0.01
-ALPHA_MAX = 50.0
-
 # A root alpha is proven by the counts at alpha -+ PROOF_WIDTH * max(alpha, 1): wider
-# than the solves' error (NEWTON_RTOL), narrower than any root spacing.
+# than the solves' error (NEWTON_RTOL), narrower than any root spacing.  The count at
+# alpha = PROOF_WIDTH stands for alpha = 0 (the +-1e-16 zero eigenvalue of an odd-sized
+# free Jacobi matrix is no root).
 PROOF_WIDTH = 1e-13
 
 # _sturm_root's relative Newton stop.
@@ -270,13 +271,11 @@ def _sturm_root(
 
     [lo, hi) always holds the step: n_lo = count(lo) <= index < count(hi) =
     n_hi.  Newton starts at the seed near if the counts around it isolate the
-    step, else once bisection has (n_lo == index == n_hi - 1); near only
-    chooses where the search starts.  Newton steps that leave the bracket, or
-    shrink by less than half, become bisection.  A pass with a non-finite
-    d log|det| is followed by a probe one step rtol inside the bracket, which
-    either closes it or moves its edge there."""
-    # The count cannot resolve a step closer than rounding at the bracket's edges.
-    floor = sys.float_info.epsilon * max(abs(lo), abs(hi))
+    step, else once bisection has (n_lo == index == n_hi - 1) or cannot halve
+    the bracket; near only chooses where the search starts.  Newton steps that
+    leave the bracket, or shrink by less than half, become bisection.  A pass
+    with a non-finite d log|det| is followed by a probe one step rtol inside
+    the bracket, which either closes it or moves its edge there."""
 
     def probe(x: float) -> float:
         nonlocal lo, hi, n_lo, n_hi
@@ -294,13 +293,13 @@ def _sturm_root(
     if near is not None and n_lo == index == n_hi - 1 and lo < near < hi:
         x = near
     else:
-        while hi - lo > floor and not n_lo == index == n_hi - 1:
+        while not n_lo == index == n_hi - 1 and lo < 0.5 * (lo + hi) < hi:
             probe(0.5 * (lo + hi))
         x = 0.5 * (lo + hi)
 
     step_old = hi - lo
     while True:
-        tol = max(rtol * abs(x), floor)
+        tol = rtol * abs(x)
         dlog = probe(x)
         if not math.isfinite(dlog):
             # A pivot came out 0: x is within rounding of the step, or of a root
@@ -331,18 +330,14 @@ def _taylor_shift(p: list[int]) -> list[int]:
 
 
 def _isolate(p: list[int], r: float) -> list[tuple[float, float]]:
-    """Brackets in alpha = r (1 - y) / (2 sqrt(y)) that meet the window, one per root y
-    in (0, 1) of p (integers, lowest first); lo == hi for an exact one (module docstring)."""
-    # (c, k, q): y in (c, c + 1) / 2^k, q(t) = p((c + t) / 2^k) times a positive
-    # factor; the first interval is the narrowest (0, 2^-k) that holds the window.
-    k = max(0, -math.frexp((r / (ALPHA_MIN + math.hypot(ALPHA_MIN, r))) ** 2)[1])
-    todo, brackets = [(0, k, [v << k * (len(p) - 1 - i) for i, v in enumerate(p)])], []
+    """Finite brackets in alpha = r (1 - y) / (2 sqrt(y)), one per root y in (0, 1) of
+    p (integers, lowest first); lo == hi for an exact one (module docstring)."""
+    # (c, k, q): y in (c, c + 1) / 2^k, q(t) = p((c + t) / 2^k) times a positive factor.
+    todo, brackets = [(0, 0, p)], []
     while todo:
         c, k, q = todo.pop()
         a, b = math.ldexp(c, -k), math.ldexp(c + 1, -k)
         lo, hi = (0.5 * r * (1.0 - y) / math.sqrt(y) if y else math.inf for y in (b, a))
-        if lo > ALPHA_MAX or hi < ALPHA_MIN:
-            continue
         if a and q[0] == 0:  # a root on the left edge (y = 0 is alpha = inf): keep it
             if q[1] == 0:
                 raise NoRoots(f"a multiple root at alpha={hi!r}")
@@ -350,9 +345,9 @@ def _isolate(p: list[int], r: float) -> list[tuple[float, float]]:
             q = q[1:]  # q / t
         signs = [v > 0 for v in _taylor_shift(q[::-1]) if v]  # (1 + t)^deg q(1 / (1 + t))
         changes = sum(u != v for u, v in zip(signs, signs[1:]))
-        if changes == 1:
+        if changes == 1 and a:
             brackets.append((lo, hi))
-        elif changes > 1:
+        elif changes:  # more than one root, or one whose alpha bracket is not yet finite
             if hi - lo <= PROOF_WIDTH * max(lo, 1.0):  # the proof could not tell them apart
                 raise NoRoots(f"a multiple root, or two too close to prove, in alpha [{lo!r}, {hi!r}]")
             left = [v << (len(q) - 1 - i) for i, v in enumerate(q)]
@@ -360,8 +355,8 @@ def _isolate(p: list[int], r: float) -> list[tuple[float, float]]:
     return brackets
 
 
-def _pencil_roots(n: int, d: list, sup: list, sub: list, ca: float, r: float, sturm) -> list:
-    """The window's alpha roots of a c > 0, kappa >= 1 branch, ascending (module docstring)."""
+def _pencil_roots(n: int, d: list, sup: list, sub: list, ca: float, r: float, sturm, top) -> list:
+    """The alpha roots below top of a c > 0, kappa >= 1 branch, ascending (module docstring)."""
     lead, const = [ca + r * dj for dj in d], [ca - r * dj for dj in d]
     if not math.isfinite(lead[-1]):  # the largest entry of L; K0 is smaller in size
         raise NoRoots(f"the pencil at c sqrt(A)={ca!r}, r={r!r} is not finite")
@@ -376,13 +371,13 @@ def _pencil_roots(n: int, d: list, sup: list, sub: list, ca: float, r: float, st
         prev, det = det, [const[j] * u + lead[j] * v - off * w for u, v, w in terms]
     content = math.gcd(*det)  # nonzero: the leading coefficient is prod L_j > 0
     brackets = _isolate([v // content for v in det], r)
-    roots = [lo for lo, hi in brackets if lo == hi and ALPHA_MIN <= lo <= ALPHA_MAX]
+    roots = [lo for lo, hi in brackets if lo == hi < top]
     for lo, hi in brackets:
         # The count on a root reads either side, so an edge there moves in by the proof's width.
-        lo = max(lo + PROOF_WIDTH * max(lo, 1.0) if lo in roots else lo, ALPHA_MIN)
-        hi = min(hi - PROOF_WIDTH * max(hi, 1.0) if hi in roots else hi, ALPHA_MAX)
+        lo = lo + PROOF_WIDTH * max(lo, 1.0) if lo in roots else lo
+        hi = min(hi - PROOF_WIDTH * max(hi, 1.0) if hi in roots else hi, top)
         n_lo, n_hi = (sturm(lo)[0], sturm(hi)[0]) if lo < hi else (0, 0)
-        if abs(n_hi - n_lo) != 1:  # no root in the window; a lost one fails the proof
+        if abs(n_hi - n_lo) != 1:  # the count proves no root here; a lost one fails the sum
             continue
         i = min(n_lo, n_hi)
 
@@ -395,9 +390,9 @@ def _pencil_roots(n: int, d: list, sup: list, sub: list, ca: float, r: float, st
 
 
 def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list[float]:
-    """The roots of a_{n+1}(alpha) = 0 at mu = c sqrt(A + B alpha^2) in
-    [ALPHA_MIN, ALPHA_MAX], ascending, each proven by a step of the eigenvalue
-    count (module docstring); NoRoots names a root that is not, or a lost one."""
+    """The roots alpha > 0 of a_{n+1}(alpha) = 0 at mu = c sqrt(A + B alpha^2),
+    ascending, each proven by a step of the eigenvalue count (module docstring);
+    NoRoots names a root that is not, or a lost one."""
     d = [j + s + 0.5 for j in range(n + 1)]
     sup = [(j + 1.0) * (j + 1.0 + 2.0 * s) for j in range(n)]  # T[j, j+1]
     sub = [2.0 * (n - j) for j in range(n)]  # T[j+1, j]
@@ -419,25 +414,32 @@ def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list
             diag, slope = [mu / dj for dj in d], [dmu / dj - 1.0 for dj in d]
             return _sturm_pass(diag, slope, off2, alpha, pivmin)
 
-    n_lo, n_hi = sturm(ALPHA_MIN)[0], sturm(ALPHA_MAX)[0]
+    n_lo = sturm(PROOF_WIDTH)[0]
     # Constant mu is tested first: at B = inf, c = 0 would make kappa NaN.
     if constant or c < 0.0 or abs(c) * math.sqrt(big_b) < d[0]:  # one step per root
+        top = 1.0
+        while sturm(top)[0] <= n:  # count(inf) = n + 1
+            top *= 2.0
+            if top == math.inf:
+                raise NoRoots(f"the eigenvalue count does not reach {n + 1} at any finite alpha")
         roots = [
-            _sturm_root(sturm, i, ALPHA_MIN, ALPHA_MAX, n_lo, n_hi, None, NEWTON_RTOL)
-            for i in range(n_lo, n_hi)
+            _sturm_root(sturm, i, PROOF_WIDTH, top, n_lo, n + 1, None, NEWTON_RTOL)
+            for i in range(n_lo, n + 1)
         ]
     else:
-        roots = _pencil_roots(n, d, sup, sub, ca, math.sqrt(big_a / big_b), sturm)
+        r = math.sqrt(big_a / big_b)
+        top = r * (1.0 - PROOF_WIDTH) / (2.0 * math.sqrt(PROOF_WIDTH))  # alpha at y = PROOF_WIDTH
+        roots = _pencil_roots(n, d, sup, sub, ca, r, sturm, top)
 
-    steps = 0
+    steps, total = 0, sturm(top)[0] - n_lo
     for alpha in roots:
         delta = PROOF_WIDTH * max(alpha, 1.0)
         step = sturm(alpha + delta)[0] - sturm(alpha - delta)[0]
         if abs(step) != 1:
             raise NoRoots(f"the eigenvalue count does not step at alpha={alpha!r}: not a root")
         steps += step
-    if steps != n_hi - n_lo:
-        raise NoRoots(f"roots {roots} make {steps} of the eigenvalue count's {n_hi - n_lo} steps")
+    if steps != total:
+        raise NoRoots(f"roots {roots} make {steps} of the eigenvalue count's {total} steps")
     return roots
 
 
@@ -450,16 +452,15 @@ def solve_general_n(
     """All bound states of radial index qn.n for the configured scenario.
 
     The slope constraint is solved as an eigenproblem in alpha = 2m/sqrt(nu)
-    (see the module docstring) for its roots in [ALPHA_MIN, ALPHA_MAX] =
-    [0.01, 50.0], each proven by an eigenvalue count; an unproven or lost
-    root, or an empty window, raises NoRoots.  Each root runs the recurrence
-    once through a_{n+1}: the state keeps a_0..a_n, and a_{n+1} gives
-    trunc_rel, a diagnostic that gates only on overflow: a non-finite E or
-    trunc_rel raises NoRoots.  The nu > 0 states are returned sorted
-    ascending in nu (the physics does not single one out for n >= 2).  The
-    Coulomb scenario solves the +E and -E branches separately since the
-    constraint sees the sign of E through mu; free and flux scenarios are
-    sign-blind and carry the full +-E pair per root.
+    (see the module docstring) for every root alpha > 0 that an eigenvalue
+    count proves; an unproven or lost root, or a cell with no root, raises
+    NoRoots.  Each root runs the recurrence once through a_{n+1}: the state
+    keeps a_0..a_n, and a_{n+1} gives trunc_rel, a diagnostic that gates only
+    on overflow: a non-finite E or trunc_rel raises NoRoots.  The nu > 0
+    states are returned sorted ascending in nu (the physics does not single
+    one out for n >= 2).  The Coulomb scenario solves the +E and -E branches
+    separately since the constraint sees the sign of E through mu; free and
+    flux scenarios are sign-blind and carry the full +-E pair per root.
     """
     if not mass_m > 0.0:
         raise ValueError(f"mass must be positive, got {mass_m}")
@@ -495,9 +496,6 @@ def solve_general_n(
             points.append(pt._replace(coeffs=coeffs, trunc_rel=trunc_rel))
 
     if not points:
-        raise NoRoots(
-            f"no nu > 0 root of the order-{n} truncation condition in the "
-            f"alpha window [{ALPHA_MIN}, {ALPHA_MAX}]"
-        )
+        raise NoRoots(f"no nu > 0 root of the order-{n} truncation condition")
     points.sort(key=lambda p: (p.nu_solved, -(p.branch or 0)))
     return points

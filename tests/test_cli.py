@@ -178,6 +178,29 @@ class TestSpectrum:
         assert [r["status"] for r in got] == ["OK"] * rows
         assert max(float(r["truncation_residual"]) for r in got) > 1e-12
 
+    @pytest.mark.parametrize(
+        "argv,rows,nu",
+        [
+            # The closed form nu = m^2 (|eff| + 3/2), at alpha = 0.0099998.
+            ("--scenario free --l 40000 --n 1", 1, 40001.5),
+            # The fourth root is at alpha = 57.48.
+            ("--scenario coulomb --b 0.5 --l 0 --k 1.99 --n 3", 4, 1.2107e-3),
+            # The third root is at alpha = 0.0042, 0.0126 and 0.0416.
+            ("--scenario coulomb --b 0.001 --l 0 --k 0 --n 2", 3, None),
+            ("--scenario coulomb --b 0.003 --l 0 --k 0 --n 2", 3, None),
+            ("--scenario coulomb --b 0.01 --l 0 --k 0 --n 2", 3, None),
+        ],
+    )
+    def test_roots_below_0_01_and_above_50_print(self, capsys, argv, rows, nu):
+        # Every root with alpha > 0 that the eigenvalue count proves is a state,
+        # however far it lies from alpha of order 1.
+        code, out, err = run_cli(capsys, "spectrum", *argv.split())
+        assert (code, err) == (EXIT_OK, "")
+        got = read_csv(out)
+        assert [r["status"] for r in got] == ["OK"] * rows
+        if nu is not None:
+            assert min(abs(float(r["nu_solved"]) / nu - 1.0) for r in got) < 1e-4
+
     def test_nan_truncation_residual_is_no_roots(self, capsys):
         # k = 1e160 overflows E to inf and the truncation residual to NaN.
         code, out, err = run_cli(
@@ -190,8 +213,9 @@ class TestSpectrum:
     @pytest.mark.parametrize("argv", ["--b 0.3 --k 1e160", "--b 0.3 --k 1e300", "--b 1e307 --k 3"])
     def test_degenerate_pencil_cells_are_no_roots(self, capsys, argv):
         # c > 0, kappa >= 1 cells whose pencil degenerates.  At k = 1e160 and
-        # 1e300, k^2 overflows, so r = sqrt(A/B) = 0 and the alpha window's y
-        # underflows to 0; at b = 1e307 its leading coefficient L overflows.
+        # 1e300, k^2 overflows, so r = sqrt(A/B) = 0 and every root maps to
+        # alpha = 0, where the count does not step; at b = 1e307 its leading
+        # coefficient L overflows.
         # Each prints one NO_ROOTS row and exits 2.
         argv = ["--scenario", "coulomb", "--l", "0", "--n", "2", *argv.split()]
         code, out, err = run_cli(capsys, "spectrum", *argv)
@@ -432,8 +456,8 @@ class TestVerify:
         assert lines[-1] == "2 passed, 0 failed, 7 skipped"
 
     def test_minkowski_compares_unconfigured_k0_cells(self, capsys):
-        # The configured cell has eff = 1, but its k = 0 twin (l = 40000) has no
-        # root in the alpha window: both sides print NO_ROOTS, which is a match.
+        # The configured cell has eff = 1, but its k = 0 twin (l = 40000) has its
+        # one root at alpha = 2/sqrt(40001.5), below 0.01: both sides print it.
         code, out, err = run_cli(
             capsys, "verify", "--scenario", "free", "--l", "40000", "--chi", "1", "--k", "39999"
         )
@@ -672,11 +696,11 @@ BY_FLAG_AND_CONFIG = [
     ("spectrum", ["--absolute"], {"absolute": True}, None),
     ("current", ["--q", "-2"], {"q": -2}, None),
     ("current", ["--branch", "minus"], {"branch": "minus"}, None),
-    ("spectrum", ["--m", "abc"], {"m": "abc"}, "could not convert string to float: 'abc'"),
+    ("spectrum", ["--m", "abc"], {"m": "abc"}, "m: could not convert string to float: 'abc'"),
     ("spectrum", ["--scenario", "foo"], {"scenario": "foo"}, "unknown scenario 'foo'"),
     ("current", ["--format", "xml"], {"format": "xml"}, "unknown format 'xml'"),
     ("current", ["--branch", "up"], {"branch": "up"}, "branch must be plus or minus, got 'up'"),
-    ("spectrum", ["--l", "1.."], {"l": "1.."}, "invalid literal for int() with base 10: ''"),
+    ("spectrum", ["--l", "1.."], {"l": "1.."}, "l: invalid literal for int() with base 10: ''"),
 ]
 
 

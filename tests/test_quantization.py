@@ -31,8 +31,6 @@ from dislospec import (
 from dislospec import quantization
 from dislospec.heun import lambda_bar
 from dislospec.quantization import (
-    ALPHA_MAX,
-    ALPHA_MIN,
     NEWTON_RTOL,
     PROOF_WIDTH,
     _alpha_roots,
@@ -335,10 +333,27 @@ def test_pencil_at_a_singular_coefficient(cell, want):
     big_b = ((j + s + 0.5) / c) ** 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        roots = _alpha_roots(n, s, c, 2.0 * (n + s + 1.0), big_b)
-    got = [a for a in roots if ALPHA_MIN <= a <= ALPHA_MAX]
+        got = _alpha_roots(n, s, c, 2.0 * (n + s + 1.0), big_b)
     assert len(got) == 1
     assert abs(got[0] - want) <= 1e-12 * want
+
+
+# CLI cells (m = 1, chi = 0, l = 0) with c sqrt(B) = d_j: s = b at l = 0, so
+# d_j = j + b + 1/2, and c sqrt(B) = b k (b = 0.3, k = 6 gives 1.8 = d_1 only to
+# rounding).  The pencil then has a root at y = 0 (alpha = inf), or one at y of
+# about 1e-16 that hangs on the last bits of c, A and B.  The count cannot tell
+# either from alpha = inf, so neither is a state; the cell's other roots are.
+ROOT_AT_Y_0_CELLS = [
+    (2, 0.5, 6.0), (4, 0.5, 6.0), (2, 0.3, 6.0), (5, 0.3, 6.0), (2, 1.0, 3.5), (7, 1.0, 1.5)
+]
+
+
+@pytest.mark.parametrize("n,b,k", ROOT_AT_Y_0_CELLS)
+def test_pencil_root_at_y_0_is_no_state(n, b, k):
+    s = coulomb_eta(0.0, b)
+    got = _alpha_roots(n, s, 2.0 * b, 2.0 * (n + s + 1.0), 0.25 * k * k)
+    assert got == pytest.approx(qz_pencil_alphas(n, s, 2.0 * b, k), rel=1e-12, abs=0.0)
+    assert solve_general_n(QuantumNumbers(n, 0, k), 1.0, FLAT, Couplings(b=b))
 
 
 def test_pencil_matches_qz_on_seeded_cells():
@@ -351,9 +366,8 @@ def test_pencil_matches_qz_on_seeded_cells():
         # kappa = |c| sqrt(B) / d_0 in [1, 6]: the c > 0 cells take the pencil
         # path, the c < 0 cells the count.
         k = 2.0 * float(rng.uniform(1.0, 6.0)) * (s + 0.5) / abs(c)
-        want = [a for a in qz_pencil_alphas(n, s, c, k) if ALPHA_MIN <= a <= ALPHA_MAX]
-        roots = _alpha_roots(n, s, c, 2.0 * (n + s + 1.0), 0.25 * k * k)
-        got = [a for a in roots if ALPHA_MIN <= a <= ALPHA_MAX]
+        want = qz_pencil_alphas(n, s, c, k)
+        got = _alpha_roots(n, s, c, 2.0 * (n + s + 1.0), 0.25 * k * k)
         assert len(got) == len(want), (n, s, c, k)
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-12 * w, (n, s, c, k)
@@ -374,7 +388,7 @@ def newton_step(n, s, c, big_a, big_b, alpha):
 
 
 # CLI cells (m = 1, chi = 0) past n = 32, where the pencil used to lose real
-# roots: window root counts per branch, and some + alphas, from a
+# roots: root counts per branch, and some + alphas, from a
 # 200001-point dense eigvalsh scan of each branch with brentq polish.
 LARGE_N_PENCIL_CELLS = [
     ((44, 0.3, 3.0, 0), {1: 22, -1: 22}, None),
@@ -390,7 +404,7 @@ def test_pencil_keeps_every_root_at_large_n(cell, counts, plus_alphas):
     big_a, big_b = 2.0 * (n + s + 1.0), 0.25 * k * k
     for sign, want in counts.items():
         c = 2.0 * b * sign
-        got = [a for a in _alpha_roots(n, s, c, big_a, big_b) if ALPHA_MIN <= a <= ALPHA_MAX]
+        got = _alpha_roots(n, s, c, big_a, big_b)
         assert len(got) == want, sign
         for a in got:
             assert abs(newton_step(n, s, c, big_a, big_b, a)) <= 1e-10 * a, (sign, a)
@@ -401,9 +415,10 @@ def test_pencil_keeps_every_root_at_large_n(cell, counts, plus_alphas):
 
 
 def dense_branch_roots(n, s, c, big_a, big_b):
-    """Window roots of a c < 0 or kappa < 1 cell, where each lambda_i(mu(alpha))
-    - alpha falls, so one per eigen-branch that crosses alpha in the window:
-    brentq on lambda_i(mu(alpha)) - alpha, with lambda_i from LAPACK's dense
+    """Roots alpha > 0 of a c < 0 or kappa < 1 cell, where each
+    lambda_i(mu(alpha)) - alpha falls, so one per eigen-branch that is above
+    alpha at alpha = 0: brentq on lambda_i(mu(alpha)) - alpha between 0 and a
+    power of two past the largest eigenvalue, with lambda_i from LAPACK's dense
     eigvalsh of S(mu), so no Sturm count is involved."""
     inv_d, off = slope_matrix(n, s, 1.0)
     base = np.diag(off, 1) + np.diag(off, -1)
@@ -411,11 +426,14 @@ def dense_branch_roots(n, s, c, big_a, big_b):
     def lam(alpha):
         return np.linalg.eigvalsh(base + np.diag(c * math.sqrt(big_a + big_b * alpha**2) * inv_d))
 
-    at_min, at_max = lam(ALPHA_MIN) - ALPHA_MIN, lam(ALPHA_MAX) - ALPHA_MAX
+    hi = 1.0
+    while lam(hi)[-1] >= hi:
+        hi *= 2.0
+    at_zero = lam(0.0)
     return [
-        brentq(lambda a: lam(a)[i] - a, ALPHA_MIN, ALPHA_MAX, xtol=1e-15, rtol=8.9e-16)
+        brentq(lambda a: lam(a)[i] - a, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
         for i in range(n + 1)
-        if at_min[i] > 0.0 > at_max[i]
+        if at_zero[i] > 0.0
     ]
 
 
@@ -573,13 +591,15 @@ def test_isolation_stops_on_a_double_root(monkeypatch):
 
 def test_isolation_keeps_a_root_on_a_bisection_point():
     # (2y - 1)(4y - 1)(4y - 3): the first bisection of (0, 1) lands on the root
-    # y = 1/2.  It comes back once, exact in y, and each half isolates one more.
+    # y = 1/2, which comes back once, exact in y.  (1/2, 1) isolates y = 3/4.
+    # (0, 1/2) holds one root too, but its alpha bracket is not finite, so it
+    # is split, and the second bisection lands on y = 1/4: exact as well.
     brackets = sorted(_isolate([-3, 22, -48, 32], 1.0))
-    mid = alpha_of_y(0.5)
-    assert brackets.count((mid, mid)) == 1
-    others = [b for b in brackets if b != (mid, mid)]
-    assert [lo < alpha_of_y(y) < hi for (lo, hi), y in zip(others, (0.75, 0.25))] == [True] * 2
-    assert len(others) == 2
+    exact = [alpha_of_y(y) for y in (0.5, 0.25)]
+    assert [b for b in brackets if b[0] == b[1]] == [(a, a) for a in exact]
+    others = [b for b in brackets if b[0] != b[1]]
+    assert len(others) == 1
+    assert others[0][0] < alpha_of_y(0.75) < others[0][1]
 
 
 def test_a_bracket_edge_on_an_exact_root_steps_inside(monkeypatch):
@@ -714,10 +734,11 @@ class TestSolveGeneralN:
             # np.float64 subclasses float, so only the exact type tells them apart.
             assert type(pt.nu_solved) is float
 
-    def test_no_roots_reports_window(self):
-        # The one root alpha = 2/sqrt(40001.5) lies just below ALPHA_MIN.
-        with pytest.raises(NoRoots, match=r"\[0\.01, 50\.0\]"):
-            solve_general_n(QuantumNumbers(1, 40000, 0.0), 1.0, FLAT, FREE)
+    def test_root_at_small_alpha_is_solved(self):
+        # The one root alpha = 2/sqrt(40001.5) is below 0.01; the closed form
+        # gives nu = m^2 (|eff| + 3/2).
+        pts = solve_general_n(QuantumNumbers(1, 40000, 0.0), 1.0, FLAT, FREE)
+        assert [p.nu_solved for p in pts] == pytest.approx([40001.5], rel=1e-14)
 
     def test_rejects_bad_mass(self):
         with pytest.raises(ValueError):
@@ -734,8 +755,8 @@ def slope_matrix(n, s, mu):
 
 
 class TestTridiagonalEigh:
-    # At constant mu the roots are the window eigenvalues of S(mu): mu = c sqrt(A)
-    # with A = 1 and B = 0.
+    # At constant mu the roots are the eigenvalues of S(mu) above PROOF_WIDTH:
+    # mu = c sqrt(A) with A = 1 and B = 0.
     @pytest.mark.parametrize("s", [0.0, 0.5, 3.2])
     @pytest.mark.parametrize("mu", [0.0, 2.0, -2.0])
     def test_matches_numpy_eigh(self, s, mu):
@@ -745,14 +766,15 @@ class TestTridiagonalEigh:
             lam = np.linalg.eigvalsh(dense)
             got = _alpha_roots(n, s, mu, 1.0, 0.0)
             assert got == sorted(got)
-            want = lam[(lam >= ALPHA_MIN) & (lam <= ALPHA_MAX)]
+            want = lam[lam > PROOF_WIDTH]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.linalg.norm(dense, 2))
 
     @pytest.mark.parametrize("n", [2, 4, 10, 30])
     def test_odd_free_matrix_zero_eigenvalue_is_dropped(self, n):
         # mu = 0 leaves a zero diagonal, so an odd-sized S has the spectrum
         # -x..., 0, ...x, and rounding leaves the zero at about 1e-16 of either
-        # sign.  ALPHA_MIN drops it: the states are the positive roots alone.
+        # sign.  The count at PROOF_WIDTH holds it either way, so it is not a
+        # root: the states are the positive roots alone.
         diag, off = slope_matrix(n, 1.0, 0.0)
         lam = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
         assert abs(lam[n // 2]) < 1e-14 * lam[-1]
@@ -782,15 +804,20 @@ def test_constant_mu_roots_step_the_exact_count():
     # Each constant-mu root must be within 1e-14 relative of an eigenvalue of
     # the matrix built from the float c sqrt(A) the solver uses: the exact count
     # steps by one across it.  An absolute-accuracy eigensolver misses this on
-    # small roots (about 1e-13 relative at n = 40); the count does not.
-    roots_seen = 0
+    # small roots (about 1e-13 relative at n = 40); the count does not.  The
+    # roots cover alpha > 0 far from 1: c = 1e-4 lifts the zero eigenvalue of
+    # the odd-sized free matrix to a root near 1e-4 (7e-7 at s = 40000),
+    # s = 40000 puts one more near 2e-3, and c = 40 puts roots past 50.
+    roots_seen, small, large = 0, 0, 0
     for n in (8, 16, 24, 30, 40):
-        for s in (0.0, 0.5, 1.25, 2.21, 4.09):
-            for c in (0.0, 0.3, -0.3, -1.148, 2.056):
+        for s in (0.0, 0.5, 1.25, 2.21, 4.09, 40000.0):
+            for c in (0.0, 0.3, -0.3, -1.148, 2.056, 1e-4, 40.0):
                 big_a = 2.0 * (n + s + 1.0)
                 ca = c * math.sqrt(big_a)
                 for alpha in _alpha_roots(n, s, c, big_a, 0.0):
                     below = exact_count(n, s, ca, alpha * (1.0 - 1e-14))
                     assert exact_count(n, s, ca, alpha * (1.0 + 1e-14)) - below == 1, (n, s, c, alpha)
                     roots_seen += 1
-    assert roots_seen == 1544
+                    small += alpha < 0.01
+                    large += alpha > 50.0
+    assert (roots_seen, small, large) == (2964, 37, 106)
