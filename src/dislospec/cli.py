@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
 import math
 import sys
@@ -659,17 +658,15 @@ def cmd_verify(cfg: RunConfig, out: io.TextIOBase, err: io.TextIOBase) -> int:
 
 
 def emit(rows: list[dict], columns: list[str], fmt: str, out: io.TextIOBase) -> None:
+    # Each table is one write.  No CSV field needs quoting (numbers, words, +, -, empty).
     if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+        table = [columns] + [[_fmt(row[c]) for c in columns] for row in rows]
+        out.write("".join(",".join(fields) + "\n" for fields in table))
     else:
         import json
 
         payload = [{c: _json_value(row[c]) for c in columns} for row in rows]
-        out.write(json.dumps(payload, indent=2, allow_nan=False))
-        out.write("\n")
+        out.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -12,7 +12,7 @@ decides whether a difference stencil reaches the kink.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import UndefinedAtZeroFlux
 

@@ -64,8 +64,8 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
+from collections.abc import Callable
 from functools import partial
-from typing import Callable
 
 from .core import (
     AB_FLUX,

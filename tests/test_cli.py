@@ -818,6 +818,38 @@ class TestConfigAndOutput:
         )
         assert read_csv(out)[0]["ode_residual"] == "nan"
 
+    def test_csv_matches_csv_writer_in_one_write(self):
+        class CountingIO(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        # Every kind of value a table holds; every status word and branch.
+        statuses = ["OK", "KINK", *cli._NO_STATE_STATUS.values()]
+        floats = [None, math.nan, math.inf, -math.inf, -0.0, 1e-300, -2.5, 1 / 3]
+        columns = ["scenario", "n", "l", "branch", "nu_solved", "e_minus", "status"]
+        rows = [
+            dict(scenario=scenario, n=i + 1, l=-i, branch=branch, nu_solved=x,
+                 e_minus=floats[-1 - i], status=status)
+            for i, (scenario, branch, x, status) in enumerate(zip(
+                ["free", "ab", "coulomb"] * 3, ["+", "-", ""] * 3, floats, statuses * 2
+            ))
+        ]
+        assert len(rows) == len(floats)
+        for table in (rows, []):
+            reference = io.StringIO()
+            writer = csv.writer(reference, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([cli._fmt(row[c]) for c in columns] for row in table)
+            for fmt in ("csv", "json"):
+                out = CountingIO()
+                cli.emit(table, columns, fmt, out)
+                assert out.writes == 1
+                if fmt == "csv":
+                    assert out.getvalue() == reference.getvalue()
+
     def test_byte_determinism(self, capsys, tmp_path):
         args = [
             "spectrum", "--scenario", "ab", "--flux", "0:0.6:0.3",
@@ -1186,26 +1218,37 @@ class TestEntryPoint:
             assert [code, out] == list(run_cli(capsys, *argv.split())[:2])
 
     def test_start_up_imports(self):
-        # dataclasses pulls in inspect, ast and dis; the oracles and json load
-        # only in the calls that print them.
+        # dataclasses pulls in inspect, ast and dis; annotations need no typing,
+        # and a CSV field never needs csv's quoting.  The oracles and json load
+        # only in the calls that print them.  -S keeps a site .pth from
+        # preloading a module, which would hide its import here.
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+
         def imported(*argv):
             proc = subprocess.run(
-                [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True
+                [sys.executable, "-S", "-X", "importtime", *argv],
+                capture_output=True, text=True, env=env,
             )
             assert proc.returncode == 0, proc.stderr
             lines = proc.stderr.splitlines()
             return {x.rsplit("|", 1)[1].strip() for x in lines if x.startswith("import time:")}
 
-        heavy = {"dataclasses", "inspect"}
+        heavy = {"dataclasses", "inspect", "typing", "csv"}
         lazy = {"json", "dislospec.oracle", "dislospec.observables"}
         assert not heavy & imported("-c", "import dislospec.cli")
-        assert not heavy & imported("-m", "dislospec", "--help")
         spectrum = "spectrum --scenario ab --flux 0:1:0.5 --l=-1..1 --k 0.7 --n 1..3"
-        loaded = imported("-m", "dislospec", *spectrum.split())
-        assert "dislospec.quantization" in loaded
-        assert not (heavy | lazy) & loaded
-        loaded = imported("-m", "dislospec", *spectrum.split(), "--oracle", "--format", "json")
-        assert {"json", "dislospec.oracle"} <= loaded
+        calls = {
+            "--help": set(),
+            spectrum: set(),
+            spectrum + " --oracle --format json": {"json", "dislospec.oracle"},
+            "current --scenario ab --flux 0.5 --l 0 --k 0": {"dislospec.observables"},
+            "verify --scenario free": {"dislospec.oracle"},
+        }
+        for argv, expected in calls.items():
+            loaded = imported("-m", "dislospec", *argv.split())
+            assert "dislospec.cli" in loaded
+            assert not heavy & loaded, argv
+            assert lazy & loaded == expected, argv
 
     def test_bad_flag_exits_usage(self):
         proc = subprocess.run(
