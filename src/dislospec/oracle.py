@@ -12,9 +12,9 @@ Two cross-checks that do not share the series solver's ansatz:
   at its own index in a discretization that never saw the series ansatz.
   It uses only the equation's exponent at rho = 0, not the solution's form.
 
-The level is found by the Sturm count on the matrix's LDL^T pivots that the
-slope solver runs on every branch: generic linear algebra, not the series
-ansatz; each side is tested against LAPACK on its own.
+The level is found by _sturm_root, the slope solver's Sturm count on the
+matrix's LDL^T pivots, in a bracket narrowed around a seed: generic linear
+algebra, not the series ansatz; each side is tested against LAPACK on its own.
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ DEFAULT_FD_RHO_MIN = 1e-3
 FD_FACTORED_MOMENTUM_MAX = 1.0
 # Relative step at which Newton stops: what one double-precision pass resolves.
 FD_STEP_TOL = 1e-11
+# fd_eigensolve_free's search starts in the bracket seed * (1 -+ SEED_WIDTH)
+# if its counts isolate the level: wider than the FD grid's error, about 1e-3
+# of E^2 at n = 60, and narrower than the level spacing, about 1/n.
+SEED_WIDTH = 1e-2
 
 
 class RadialGrid(namedtuple("RadialGrid", "xi_min xi_max n_points")):
@@ -55,7 +59,7 @@ class RadialGrid(namedtuple("RadialGrid", "xi_min xi_max n_points")):
 
 
 def _nodes(grid: RadialGrid) -> list[float]:
-    """The points of grid as numpy.linspace places them, in a list of floats."""
+    """The grid's n_points points, uniform from xi_min; the last is xi_max exactly."""
     h = (grid.xi_max - grid.xi_min) / (grid.n_points - 1)
     return [grid.xi_min + i * h for i in range(grid.n_points - 1)] + [grid.xi_max]
 
@@ -74,7 +78,7 @@ def ode_residual(coeffs: tuple[float, ...], params: HeunParams, grid: RadialGrid
         R' = F (L G + G'),   R'' = F ((L^2 + L') G + 2 L G' + G''),
 
     and G, G' and G'' come from one Horner pass over the coefficients.  The
-    normalization makes the result invariant under rescaling of R.
+    result is invariant under rescaling of R, so F is divided by its peak (L = 0).
 
     At large n the unscaled G(xi) overflows; a non-finite R or LHS at any
     point, or an overflow in the exponential, makes the result NaN.
@@ -83,6 +87,8 @@ def ode_residual(coeffs: tuple[float, ...], params: HeunParams, grid: RadialGrid
     s, mu, alpha, beta = params.nu_abs, params.mu, params.alpha, params.beta
     nu2, half_alpha = s**2, 0.5 * alpha
     exp, log, inf = math.exp, math.log, math.inf
+    peak = 2.0 * s / (math.sqrt(half_alpha * half_alpha + 4.0 * s) + half_alpha) if s else 0.0
+    log_peak = s * log(peak) - peak * (0.5 * peak + half_alpha) if peak else 0.0
     worst_lhs = worst_r = 0.0
     try:
         for xi in _nodes(grid):
@@ -92,7 +98,7 @@ def ode_residual(coeffs: tuple[float, ...], params: HeunParams, grid: RadialGrid
                 dg = dg * xi + g
                 g = g * xi + c
             inv = 1.0 / xi
-            f = exp(s * log(xi) - xi * (0.5 * xi + half_alpha))
+            f = exp(s * log(xi) - xi * (0.5 * xi + half_alpha) - log_peak)
             dlog = s * inv - xi - half_alpha
             # L^2 + L' + L/xi plus the equation's own terms multiply G.
             g_term = dlog * (dlog + inv) - 1.0 - (nu2 + s) * inv * inv + mu * inv
@@ -107,9 +113,7 @@ def ode_residual(coeffs: tuple[float, ...], params: HeunParams, grid: RadialGrid
                 worst_lhs = lhs
     except OverflowError:
         return math.nan
-    if worst_r == 0.0:
-        return float(worst_lhs)
-    return float(worst_lhs / worst_r)
+    return worst_lhs / worst_r if worst_r else worst_lhs
 
 
 def default_fd_grid(mass: MassProfile, n: int, eff_abs: float, n_points: int) -> RadialGrid:
@@ -156,11 +160,11 @@ def fd_eigensolve_free(
     outer grid edge is a Dirichlet wall.  The resulting pencil A w = W M w
     with diagonal M is symmetrized as M^{-1/2} A M^{-1/2}.
 
-    Level index of that tridiagonal matrix is found by _tridiagonal_level,
-    the slope solver's Sturm search (shared linear algebra, not the series
-    ansatz): a count of its LDL^T pivots brackets the level and proves its
-    index, and Newton steps on the determinant refine it.  near, such as the
-    analytic E^2, only chooses where the search starts, not the level found.
+    Level index of that tridiagonal matrix is found by _sturm_root, the slope
+    solver's Sturm search: a count of its LDL^T pivots proves the index, and
+    Newton steps on the determinant refine the level.  Where the counts allow,
+    the Gershgorin bracket is first narrowed to (near - m^2 - k^2)(1 -+ SEED_WIDTH);
+    near, such as the analytic E^2, picks where the search starts, not the level.
     """
     mass.require_confining()
     s = eff_abs
@@ -186,26 +190,25 @@ def fd_eigensolve_free(
     flux = [x ** (q - 1.0) / h for x in face]
     inflow = [0.0] + flux[:-1]
     diag = [(a + b + c) / w for a, b, c, w in zip(inflow, flux, pot, weight)]
-    off = [-f / math.sqrt(w0 * w1) for f, w0, w1 in zip(flux, weight, weight[1:])]
-    shift = mass.m**2 + k * k
-    seed = None if near is None else near - shift
-    return _tridiagonal_level(diag, off, index, seed) + shift
-
-
-def _tridiagonal_level(diag, off, index: int, near: float | None = None) -> float:
-    """Eigenvalue number index (ascending, from 0) of the symmetric tridiagonal
-    matrix with diagonal diag and off-diagonal off (any float sequences):
-    _sturm_root from the Gershgorin interval, seeded at near, to the relative
-    step FD_STEP_TOL."""
-    d = [float(x) for x in diag]
-    if not 0 <= index < len(d):
-        raise ValueError(f"level index {index} outside 0..{len(d) - 1}")
-    off_abs = [abs(float(x)) for x in off]
-    off2 = [0.0] + [x * x for x in off_abs]
+    if not 0 <= index < len(diag):
+        raise ValueError(f"level index {index} outside 0..{len(diag) - 1}")
+    off = [f / math.sqrt(w0 * w1) for f, w0, w1 in zip(flux, weight, weight[1:])]  # -T[i, i+1]
+    off2 = [0.0] + [x * x for x in off]
     pivmin = sys.float_info.min * max(1.0, max(off2))
-    radius = [x + y for x, y in zip([0.0] + off_abs, off_abs + [0.0])]
-    lo = min(x - r for x, r in zip(d, radius))
-    hi = max(x + r for x, r in zip(d, radius))
-    slope = [-1.0] * len(d)  # T is constant: d(d_j - x)/dx = -1
-    sturm = partial(_sturm_pass, d, slope, off2, pivmin=pivmin)
-    return _sturm_root(sturm, index, lo, hi, 0, len(d), near, FD_STEP_TOL)
+    radius = [x + y for x, y in zip([0.0] + off, off + [0.0])]
+    lo = min(x - r for x, r in zip(diag, radius))
+    hi = max(x + r for x, r in zip(diag, radius))
+    n_lo, n_hi = 0, len(diag)
+    slope = [-1.0] * len(diag)  # T is constant: d(d_j - x)/dx = -1
+    sturm = partial(_sturm_pass, diag, slope, off2, pivmin=pivmin)
+    shift = mass.m**2 + k * k
+    if near is not None:
+        seed = near - shift
+        for edge in sorted((seed * (1.0 - SEED_WIDTH), seed * (1.0 + SEED_WIDTH))):
+            if lo < edge < hi:
+                count = sturm(edge)[0]
+                if count <= index:
+                    lo, n_lo = edge, count
+                else:
+                    hi, n_hi = edge, count
+    return _sturm_root(sturm, index, lo, hi, n_lo, n_hi, FD_STEP_TOL) + shift

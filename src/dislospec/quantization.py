@@ -95,11 +95,6 @@ PROOF_WIDTH = 1e-13
 # _sturm_root's relative Newton stop.
 NEWTON_RTOL = 1e-14
 
-# The FD oracle's seed near starts _sturm_root's Newton search if the counts at
-# near * (1 -+ SEED_WIDTH) isolate the step: wider than the FD grid's error, about
-# 1e-3 of E^2 at n = 60, and narrower than the level spacing, about 1/n.
-SEED_WIDTH = 1e-2
-
 
 class SpectrumPoint(
     namedtuple(
@@ -264,18 +259,18 @@ def _sturm_pass(diag: list, slope: list, off2: list, x: float, pivmin: float) ->
 
 def _sturm_root(
     sturm: Callable[[float], tuple[int, float]], index: int,
-    lo: float, hi: float, n_lo: int, n_hi: int, near: float | None, rtol: float,
+    lo: float, hi: float, n_lo: int, n_hi: int, rtol: float,
 ) -> float:
     """Where the count of sturm(x) = (count, d log|det|/dx), which never
     decreases in x, steps past index, to a relative Newton step rtol.
 
     [lo, hi) always holds the step: n_lo = count(lo) <= index < count(hi) =
-    n_hi.  Newton starts at the seed near if the counts around it isolate the
-    step, else once bisection has (n_lo == index == n_hi - 1) or cannot halve
-    the bracket; near only chooses where the search starts.  Newton steps that
-    leave the bracket, or shrink by less than half, become bisection.  A pass
-    with a non-finite d log|det| is followed by a probe one step rtol inside
-    the bracket, which either closes it or moves its edge there."""
+    n_hi.  Newton starts at the bracket's midpoint once bisection has isolated
+    the step (n_lo == index == n_hi - 1) or cannot halve the bracket.  Newton
+    steps that leave the bracket, or shrink by less than half, become
+    bisection.  A pass with a non-finite d log|det| is followed by a probe one
+    step rtol inside the bracket, which either closes it or moves its edge
+    there."""
 
     def probe(x: float) -> float:
         nonlocal lo, hi, n_lo, n_hi
@@ -286,16 +281,9 @@ def _sturm_root(
             hi, n_hi = x, count
         return dlog
 
-    if near is not None:
-        for edge in sorted((near * (1.0 - SEED_WIDTH), near * (1.0 + SEED_WIDTH))):
-            if lo < edge < hi:
-                probe(edge)
-    if near is not None and n_lo == index == n_hi - 1 and lo < near < hi:
-        x = near
-    else:
-        while not n_lo == index == n_hi - 1 and lo < 0.5 * (lo + hi) < hi:
-            probe(0.5 * (lo + hi))
-        x = 0.5 * (lo + hi)
+    while not n_lo == index == n_hi - 1 and lo < 0.5 * (lo + hi) < hi:
+        probe(0.5 * (lo + hi))
+    x = 0.5 * (lo + hi)
 
     step_old = hi - lo
     while True:
@@ -385,7 +373,7 @@ def _pencil_roots(n: int, d: list, sup: list, sub: list, ca: float, r: float, st
             count, dlog = sturm(x)
             return i + (n_hi - n_lo) * (count - n_lo), dlog
 
-        roots.append(_sturm_root(rising, i, lo, hi, i, i + 1, None, NEWTON_RTOL))
+        roots.append(_sturm_root(rising, i, lo, hi, i, i + 1, NEWTON_RTOL))
     return sorted(roots)
 
 
@@ -423,7 +411,7 @@ def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list
             if top == math.inf:
                 raise NoRoots(f"the eigenvalue count does not reach {n + 1} at any finite alpha")
         roots = [
-            _sturm_root(sturm, i, PROOF_WIDTH, top, n_lo, n + 1, None, NEWTON_RTOL)
+            _sturm_root(sturm, i, PROOF_WIDTH, top, n_lo, n + 1, NEWTON_RTOL)
             for i in range(n_lo, n + 1)
         ]
     else:

@@ -677,6 +677,13 @@ class TestOracleGrids:
         assert len(errors) > 100
         assert all(e < 1e-3 for e in errors), max(errors)
 
+    @pytest.mark.xfail(strict=True, reason="FD points grow with n, not with s: root 1 reads 2.2e-3")
+    def test_fd_match_holds_at_large_momentum(self):
+        pts = solve_general_n(QuantumNumbers(3, 1000, 0.0), 1.0, DefectGeometry(0.0), Couplings())
+        errors = [cli._fd_match(pt, 1.0, index) for index, pt in enumerate(pts)]
+        assert len(errors) == 2
+        assert all(e < 1e-3 for e in errors), max(errors)
+
 
 # One valid value of every setting, then invalid ones: (the argv both forms share,
 # the setting's flag argv, the same value as config-file values, the UsageError

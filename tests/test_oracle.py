@@ -1,5 +1,6 @@
 import math
 import sys
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -104,6 +105,16 @@ class TestOdeResidual:
         big = ode_residual(scaled, params, grid)
         assert big == pytest.approx(base, rel=1e-10)
 
+    @pytest.mark.parametrize("n, l", [(1, 40000), (3, 1000)])
+    def test_large_momentum_envelope_stays_finite(self, n, l):
+        # xi^s exp(-xi^2/2 - alpha xi/2) overflows near xi ~ sqrt(s) on the
+        # verify grid; divided by its peak, it cannot.
+        pts = solve_general_n(QuantumNumbers(n, l, 0.0), 1.0, FLAT, FREE)
+        assert pts
+        for pt in pts:
+            grid = RadialGrid(0.01, 8.0 * math.sqrt(n + pt.eff_abs), 200)
+            assert ode_residual(pt.coeffs, pt.params(1.0, 0.0), grid) < 1e-8
+
     def test_zero_wavefunction_degenerate_path(self):
         _, params = ground_state()
         assert ode_residual((0.0, 0.0), params, RadialGrid(0.01, 8.0, 100)) == 0.0
@@ -180,15 +191,17 @@ def solved_states():
 
 class TestLevelFinder:
     def test_seeded_levels_match_lapack(self, monkeypatch):
-        # LAPACK's bisection on the very matrix the finder is handed, at the same index.
-        finder, reference = oracle._tridiagonal_level, []
+        # LAPACK's bisection on the very matrix the search passes over, at the same index.
+        finder, reference = oracle._sturm_root, []
 
-        def checked(diag, off, index, near=None):
+        def checked(sturm, index, *bracket):
+            diag, _, off2 = sturm.args
+            off = np.sqrt(off2[1:])
             lapack = eigvalsh_tridiagonal(diag, off, select="i", select_range=(index, index))
             reference.append(float(lapack[0]))
-            return finder(diag, off, index, near)
+            return finder(sturm, index, *bracket)
 
-        monkeypatch.setattr(oracle, "_tridiagonal_level", checked)
+        monkeypatch.setattr(oracle, "_sturm_root", checked)
         errors = []
         for index, pt in solved_states():
             mass, k = MassProfile(1.0, pt.nu_solved), pt.qn.k
@@ -214,24 +227,16 @@ class TestLevelFinder:
                 assert got == pytest.approx(level, rel=1e-10)
 
     def test_zero_pivot_counts_and_stays_finite(self):
-        # Bisection's first probe, the Gershgorin midpoint (-2 + 5) / 2, is d_0, so
-        # the first pivot is exactly zero there; 1.5 is no eigenvalue.
+        # Bisection's first probe, the midpoint of the Gershgorin bracket (-2, 5), is
+        # d_0, so the first pivot is exactly zero there; 1.5 is no eigenvalue.
         diag, off = np.array([1.5, 0.0, 4.0]), np.array([1.0, 1.0])
         exact = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-        count, _ = oracle._sturm_pass(diag.tolist(), [-1.0] * 3, [0.0, 1.0, 1.0], 1.5, 1e-300)
-        assert count == np.count_nonzero(exact < 1.5) == 1
+        sturm = partial(oracle._sturm_pass, diag.tolist(), [-1.0] * 3, [0.0, 1.0, 1.0], pivmin=1e-300)
+        assert sturm(1.5)[0] == np.count_nonzero(exact < 1.5) == 1
         for index, want in enumerate(exact):
-            got = oracle._tridiagonal_level(diag, off, index)
+            got = oracle._sturm_root(sturm, index, -2.0, 5.0, 0, 3, oracle.FD_STEP_TOL)
             assert math.isfinite(got)
             assert got == pytest.approx(want, rel=1e-10)
-
-    def test_takes_any_float_sequence(self):
-        # fd_eigensolve_free hands it lists; numpy arrays and tuples read the same.
-        diag, off = [2.0, -1.0, 0.5, 3.0], [0.7, 1.3, 0.2]
-        want = [oracle._tridiagonal_level(diag, off, i) for i in range(4)]
-        assert want == sorted(want)
-        for kind in (tuple, np.array):
-            assert [oracle._tridiagonal_level(kind(diag), kind(off), i) for i in range(4)] == want
 
     def test_rejects_index_outside_matrix(self):
         mass, grid = MassProfile(1.0, 2.5), RadialGrid(1e-3, 10.0, 100)

@@ -496,7 +496,7 @@ def test_kappa_lt1_root_on_a_zero_pivot():
         passes.append(x)
         return int(x >= root), math.inf if x == root else 1.0 / (x - root)
 
-    got = _sturm_root(sturm, 0, 0.0, 4.0, 0, 1, None, NEWTON_RTOL)
+    got = _sturm_root(sturm, 0, 0.0, 4.0, 0, 1, NEWTON_RTOL)
     assert passes[0] == root
     assert len(passes) <= 4
     assert got == pytest.approx(root, rel=NEWTON_RTOL, abs=0.0)
