@@ -57,7 +57,6 @@ __all__ = [
     "UndefinedAtZeroFlux",
     "build_coefficients",
     "coulomb_eta",
-    "default_fd_grid",
     "effective_angular_momentum",
     "energy_from_lambda",
     "energy_ground_coulomb",
@@ -76,7 +75,6 @@ __all__ = [
 # the package, or a CLI call that prints no oracle column, does not compile them.
 _LAZY = {
     "RadialGrid": "oracle",
-    "default_fd_grid": "oracle",
     "fd_eigensolve_free": "oracle",
     "ode_residual": "oracle",
     "persistent_current_ground": "observables",

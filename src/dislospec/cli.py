@@ -89,6 +89,8 @@ SPECTRUM_COLUMNS = [
     "status",
 ]
 ORACLE_COLUMNS = ["ode_residual", "fd_match"]
+# A row of the spectrum table; only nu_solved through fd_match may be left blank.
+_SpectrumRow = namedtuple("_SpectrumRow", SPECTRUM_COLUMNS + ORACLE_COLUMNS, defaults=[None] * 7)
 CURRENT_COLUMNS = [
     "n",
     "l",
@@ -101,6 +103,8 @@ CURRENT_COLUMNS = [
     "abs_discrepancy",
     "status",
 ]
+# A row of the current table; only the three currents and status may be left blank.
+_CurrentRow = namedtuple("_CurrentRow", CURRENT_COLUMNS, defaults=[None] * 4)
 
 # Flux-ratio step used by the numeric current derivative.  sigma moves with the
 # flux ratio at unit rate, so the stencil reaches the |sigma| kink exactly when
@@ -321,17 +325,19 @@ def _fd_match(pt, m: float, index: int) -> float:
     i of the Hamiltonian that slope defines (Pryce 1993).
 
     The level is solved on N = FD_POINTS_PER_NODE (n + 1) and 2N - 1 points
-    over default_fd_grid's extent, so h halves, and the second-order error is
+    from rho = 1e-3 to the state's xi-extent, 10 max(1, sqrt(n + s)), mapped
+    back to the dimensionful radius, so h halves, and the second-order error is
     cancelled by Richardson extrapolation, (4 E^2(h/2) - E^2(h)) / 3
     (Richardson, Phil. Trans. R. Soc. A 226 (1927) 299).  A fixed number of
     points per node keeps the error flat in n."""
-    from .oracle import default_fd_grid, fd_eigensolve_free
+    from .oracle import RadialGrid, fd_eigensolve_free
 
     mass = MassProfile(m, pt.nu_solved)
     target = pt.energies[0] * pt.energies[0]
+    rho_max = 10.0 / math.sqrt(pt.nu_solved) * max(1.0, math.sqrt(pt.qn.n + pt.eff_abs))
 
     def level(n_points: int) -> float:
-        grid = default_fd_grid(mass, pt.qn.n, pt.eff_abs, n_points)
+        grid = RadialGrid(1e-3, rho_max, n_points)
         return fd_eigensolve_free(mass, pt.eff_abs, pt.qn.k, grid, index=index, near=target)
 
     coarse = FD_POINTS_PER_NODE * (pt.qn.n + 1)
@@ -359,27 +365,21 @@ _NO_STATE_STATUS = {
 }
 
 
-def _spectrum_rows_for(cfg: RunConfig, n: int, l: int, k: float, t: float) -> list[dict]:
+def _spectrum_rows_for(cfg: RunConfig, n: int, l: int, k: float, t: float) -> list[_SpectrumRow]:
     scale = 1.0 if cfg.absolute else cfg.m
-    base = {"n": n, "l": l, "k": k, "flux": t}
     try:
         points = _solve_cell(cfg, n, l, k, t)
     except tuple(_NO_STATE_STATUS) as exc:
         coup = _couplings(cfg, t)
         eff = effective_angular_momentum(l, k, DefectGeometry(chi=cfg.chi), coup)
-        row = dict(base, scenario=_classify(coup), root_index=0, branch="", eff_momentum=eff)
-        blank = ("nu_solved", "e_plus", "e_minus", "truncation_residual", *ORACLE_COLUMNS)
-        return [dict(row, status=_NO_STATE_STATUS[type(exc)], **dict.fromkeys(blank))]
+        status = _NO_STATE_STATUS[type(exc)]
+        return [_SpectrumRow(_classify(coup), n, l, k, t, 0, "", eff, status=status)]
 
     rows = []
     for idx, pt in enumerate(points):
         # (+E, -E) for a free or flux state, one signed E for a Coulomb one; nu > 0, so E != 0.
-        row = dict(base)
-        row.update(
-            scenario=pt.scenario,
-            root_index=idx,
-            branch={None: "", 1: "+", -1: "-"}[pt.branch],
-            eff_momentum=pt.eff,
+        row = _SpectrumRow(
+            pt.scenario, n, l, k, t, idx, {None: "", 1: "+", -1: "-"}[pt.branch], pt.eff,
             nu_solved=pt.nu_solved,
             e_plus=next((e / scale for e in pt.energies if e > 0), None),
             e_minus=next((e / scale for e in pt.energies if e < 0), None),
@@ -387,8 +387,10 @@ def _spectrum_rows_for(cfg: RunConfig, n: int, l: int, k: float, t: float) -> li
             status="OK",
         )
         if cfg.oracle:
-            row["ode_residual"] = _ode_residual(pt, cfg.m, cfg.b)
-            row["fd_match"] = None if pt.scenario == COULOMB else _fd_match(pt, cfg.m, idx)
+            row = row._replace(
+                ode_residual=_ode_residual(pt, cfg.m, cfg.b),
+                fd_match=None if pt.scenario == COULOMB else _fd_match(pt, cfg.m, idx),
+            )
         rows.append(row)
     return rows
 
@@ -396,15 +398,15 @@ def _spectrum_rows_for(cfg: RunConfig, n: int, l: int, k: float, t: float) -> li
 def cmd_spectrum(cfg: RunConfig, out: io.TextIOBase, err: io.TextIOBase) -> int:
     cells = product(cfg.n, cfg.l, cfg.k, cfg.flux)
     rows = [row for cell in cells for row in _spectrum_rows_for(cfg, *cell)]
-    rows.sort(key=lambda r: (r["n"], r["l"], r["k"], r["flux"], r["root_index"]))
+    rows.sort(key=lambda r: (r.n, r.l, r.k, r.flux, r.root_index))
 
     columns = SPECTRUM_COLUMNS + (ORACLE_COLUMNS if cfg.oracle else [])
     emit(rows, columns, cfg.format, out)
-    bad = [r for r in rows if r["status"] != "OK"]
+    bad = [r for r in rows if r.status != "OK"]
     if bad:
         print(
             f"spectrum: {len(bad)} of {len(rows)} rows failed "
-            f"({sorted({r['status'] for r in bad})})",
+            f"({sorted({r.status for r in bad})})",
             file=err,
         )
         return EXIT_SOLVER
@@ -425,40 +427,29 @@ def _numeric_current(cfg: RunConfig, n: int, l: int, k: float, t: float, branch:
     return cfg.q / TWO_PI * persistent_current_numeric(energy_at, t, CURRENT_STEP_T)
 
 
-def _current_row(cfg: RunConfig, n: int, l: int, k: float, t: float) -> dict:
+def _current_row(cfg: RunConfig, n: int, l: int, k: float, t: float) -> _CurrentRow:
     branch = 1 if cfg.branch == "plus" else -1
     sigma = effective_angular_momentum(l, k, DefectGeometry(chi=cfg.chi), _couplings(cfg, t))
-    kink = abs(sigma) <= CURRENT_STEP_T
-    row = {
-        "n": n,
-        "l": l,
-        "k": k,
-        "flux": t,
-        "sigma": sigma,
-        "branch": "+" if branch > 0 else "-",
-        "current_analytic": None,
-        "current_numeric": None,
-        "abs_discrepancy": None,
-        "status": "KINK" if kink else "OK",
-    }
-    if kink:
-        return row
+    row = partial(_CurrentRow, n, l, k, t, sigma, "+" if branch > 0 else "-")
+    if abs(sigma) <= CURRENT_STEP_T:
+        return row(status="KINK")
 
+    analytic = discrepancy = None
     if n == 1:
         from .observables import persistent_current_ground
 
-        row["current_analytic"] = persistent_current_ground(cfg.m, k, sigma, cfg.q, branch)
-    row["current_numeric"] = _numeric_current(cfg, n, l, k, t, branch)
-    if row["current_analytic"] is not None:
-        row["abs_discrepancy"] = abs(row["current_analytic"] - row["current_numeric"])
-    return row
+        analytic = persistent_current_ground(cfg.m, k, sigma, cfg.q, branch)
+    numeric = _numeric_current(cfg, n, l, k, t, branch)
+    if analytic is not None:
+        discrepancy = abs(analytic - numeric)
+    return row(analytic, numeric, discrepancy, "OK")
 
 
 def cmd_current(cfg: RunConfig, out: io.TextIOBase, err: io.TextIOBase) -> int:
     if cfg.scenario != "ab":
         raise UsageError("current requires --scenario ab")
     rows = [_current_row(cfg, *cell) for cell in product(cfg.n, cfg.l, cfg.k, cfg.flux)]
-    rows.sort(key=lambda r: (r["n"], r["l"], r["k"], r["flux"]))
+    rows.sort(key=lambda r: (r.n, r.l, r.k, r.flux))
     emit(rows, CURRENT_COLUMNS, cfg.format, out)
     return EXIT_OK
 
@@ -508,13 +499,13 @@ def _check_energy_composition(pop: _Population):
         e_closed = energy_ground_free(pop.cfg.m, eff, k)[0]
         e_comp = energy_from_lambda(nu_ground_free(pop.cfg.m, eff), 1, abs(eff), k)[0]
         errors.append(abs(e_comp - e_closed) / abs(e_closed))
-    return errors, 1e-12, ""
+    return errors, ""
 
 
 def _check_closed_form_agreement(pop: _Population):
     cfg = pop.cfg
     if 1 not in cfg.n:
-        return None, 1e-10, _NO_GROUND
+        return None, _NO_GROUND
     errors = []
     for (_, k, _, eff), pts in pop.solved[1]:
         if pop.coulomb:
@@ -527,15 +518,15 @@ def _check_closed_form_agreement(pop: _Population):
             errors.append(math.inf)
         errors.extend(abs(g - w) / abs(w) for g, w in zip(got, want))
     note = f"{pop.skipped} cell(s) without real closed form" if pop.skipped else ""
-    return errors, 1e-10, note
+    return errors, note
 
 
 def _check_coulomb_fixed_point(pop: _Population):
     # E -> nu -> energy relation -> E.
     if not pop.coulomb:
-        return None, 1e-10, "no Coulomb coupling configured"
+        return None, "no Coulomb coupling configured"
     if 1 not in pop.cfg.n:
-        return None, 1e-10, _NO_GROUND
+        return None, _NO_GROUND
     errors = []
     for pt in (p for _, pts in pop.solved[1] for p in pts):
         e = pt.energies[0]
@@ -543,7 +534,7 @@ def _check_coulomb_fixed_point(pop: _Population):
         back = energy_from_lambda(nu, 1, pt.eff_abs, pt.qn.k)
         e_back = back[0] if e > 0 else back[1]
         errors.append(abs(e_back - e) / abs(e))
-    return errors, 1e-10, ""
+    return errors, ""
 
 
 def _max(values) -> float:
@@ -559,23 +550,23 @@ def _check_truncation_cascade(pop: _Population):
         a = [abs(x) for x in build_coefficients(params, max(DEFAULT_N_MAX, pt.qn.n + 1))]
         head = max(_max(a[: pt.qn.n + 1]), 1e-300)
         ratios.append(_max(a[pt.qn.n + 1 :]) / head)
-    return ratios, 1e-10, ""
+    return ratios, ""
 
 
 def _check_ode_residual(pop: _Population):
-    return [_ode_residual(pt, pop.cfg.m, pop.cfg.b) for pt in pop.points], 1e-8, ""
+    return [_ode_residual(pt, pop.cfg.m, pop.cfg.b) for pt in pop.points], ""
 
 
 def _check_fd_match(pop: _Population):
     if pop.coulomb:
-        return None, 1e-3, "the finite-difference oracle has no Coulomb term"
+        return None, "the finite-difference oracle has no Coulomb term"
     errors = [
         _fd_match(pt, pop.cfg.m, index)
         for by_cell in pop.solved.values()
         for _, pts in by_cell
         for index, pt in enumerate(pts)
     ]
-    return errors, 1e-3, ""
+    return errors, ""
 
 
 def _check_minkowski_reduction(pop: _Population):
@@ -587,14 +578,14 @@ def _check_minkowski_reduction(pop: _Population):
         _spectrum_rows_for(flat, n, l, 0.0, t) != _spectrum_rows_for(twisted, n, l, 0.0, t)
         for n, l, t in product(flat.n, flat.l, flat.flux)
     )
-    return [float(mismatches)], 0.5, "k=0 spectra compared bitwise across torsion values"
+    return [float(mismatches)], "k=0 spectra compared bitwise across torsion values"
 
 
 def _check_flux_periodicity(pop: _Population):
     # One flux quantum reproduces the l + 1 spectrum, root by root.
     cfg = pop.cfg
     if cfg.scenario != "ab":
-        return None, 1e-12, "flux scenario not configured"
+        return None, "flux scenario not configured"
     gaps = []
     for n, (l, k, t, _) in product(cfg.n, pop.cells):
         shifted = _solve_cell(cfg, n, l, k, t + 1.0)
@@ -602,7 +593,7 @@ def _check_flux_periodicity(pop: _Population):
         if len(shifted) != len(raised):
             gaps.append(math.inf)
         gaps.extend(abs(a.nu_solved - b.nu_solved) / b.nu_solved for a, b in zip(shifted, raised))
-    return gaps, 1e-12, ""
+    return gaps, ""
 
 
 def _check_current_agreement(pop: _Population):
@@ -610,39 +601,38 @@ def _check_current_agreement(pop: _Population):
     # subnormal q would leave the difference a few significant bits.
     cfg = pop.cfg._replace(q=1.0)
     if cfg.scenario != "ab":
-        return None, 1e-8, "flux scenario not configured"
+        return None, "flux scenario not configured"
     if 1 not in cfg.n:
-        return None, 1e-8, _NO_GROUND
+        return None, _NO_GROUND
     rows = [_current_row(cfg, 1, l, k, t) for l, k, t, _ in pop.cells]
-    errors = [
-        r["abs_discrepancy"] / abs(r["current_analytic"]) for r in rows if r["status"] == "OK"
-    ]
-    return errors, 1e-8, f"{len(errors)} flux point(s)"
+    errors = [r.abs_discrepancy / abs(r.current_analytic) for r in rows if r.status == "OK"]
+    return errors, f"{len(errors)} flux point(s)"
 
 
-# verify's checks in print order.  Each returns (values, threshold, note):
-# values None or empty means SKIP, since nothing was measured; otherwise the
-# check passes when the largest of its per-item values is below threshold.
+# verify's checks in print order, each with its threshold.  A check returns
+# (values, note): values None or empty means SKIP, since nothing was measured;
+# otherwise the check passes when the largest of its per-item values is below
+# the threshold.
 _VERIFY_CHECKS = [
-    ("energy_composition", _check_energy_composition),
-    ("closed_form_agreement", _check_closed_form_agreement),
-    ("coulomb_fixed_point", _check_coulomb_fixed_point),
-    ("truncation_cascade", _check_truncation_cascade),
-    ("ode_residual", _check_ode_residual),
-    ("fd_match", _check_fd_match),
-    ("minkowski_reduction", _check_minkowski_reduction),
-    ("flux_periodicity", _check_flux_periodicity),
-    ("current_agreement", _check_current_agreement),
+    ("energy_composition", 1e-12, _check_energy_composition),
+    ("closed_form_agreement", 1e-10, _check_closed_form_agreement),
+    ("coulomb_fixed_point", 1e-10, _check_coulomb_fixed_point),
+    ("truncation_cascade", 1e-10, _check_truncation_cascade),
+    ("ode_residual", 1e-8, _check_ode_residual),
+    ("fd_match", 1e-3, _check_fd_match),
+    ("minkowski_reduction", 0.5, _check_minkowski_reduction),
+    ("flux_periodicity", 1e-12, _check_flux_periodicity),
+    ("current_agreement", 1e-8, _check_current_agreement),
 ]
 
 
 def cmd_verify(cfg: RunConfig, out: io.TextIOBase, err: io.TextIOBase) -> int:
     pop = _solve_population(cfg)
     # Every check runs before anything prints, so a solver error leaves no partial table.
-    results = [(name, *check(pop)) for name, check in _VERIFY_CHECKS]
-    width = max(len(name) for name, _ in _VERIFY_CHECKS)
+    results = [(name, threshold, *check(pop)) for name, threshold, check in _VERIFY_CHECKS]
+    width = max(len(name) for name, *_ in _VERIFY_CHECKS)
     statuses = []
-    for name, values, threshold, note in results:
+    for name, threshold, values, note in results:
         # _max keeps a NaN, and NaN < threshold is false.
         measured = _max(values) if values else None
         if measured is None:
@@ -657,15 +647,16 @@ def cmd_verify(cfg: RunConfig, out: io.TextIOBase, err: io.TextIOBase) -> int:
     return EXIT_OK if "FAIL" not in statuses else EXIT_VERIFY
 
 
-def emit(rows: list[dict], columns: list[str], fmt: str, out: io.TextIOBase) -> None:
+def emit(rows: list, columns: list[str], fmt: str, out: io.TextIOBase) -> None:
+    """Write rows, _SpectrumRow or _CurrentRow records, as one table of columns."""
     # Each table is one write.  No CSV field needs quoting (numbers, words, +, -, empty).
     if fmt == "csv":
-        table = [columns] + [[_fmt(row[c]) for c in columns] for row in rows]
+        table = [columns] + [[_fmt(getattr(row, c)) for c in columns] for row in rows]
         out.write("".join(",".join(fields) + "\n" for fields in table))
     else:
         import json
 
-        payload = [{c: _json_value(row[c]) for c in columns} for row in rows]
+        payload = [{c: _json_value(getattr(row, c)) for c in columns} for row in rows]
         out.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 

@@ -12,6 +12,9 @@ Two cross-checks that do not share the series solver's ansatz:
   at its own index in a discretization that never saw the series ansatz.
   It uses only the equation's exponent at rho = 0, not the solution's form.
 
+Each oracle discretizes the grid its caller gives it; the rules that size
+those grids to a state are the CLI's (cli._ode_residual and cli._fd_match).
+
 The level is found by _sturm_root, the slope solver's Sturm count on the
 matrix's LDL^T pivots, in a bracket narrowed around a seed: generic linear
 algebra, not the series ansatz; each side is tested against LAPACK on its own.
@@ -27,7 +30,6 @@ from functools import partial
 from .core import HeunParams, MassProfile
 from .quantization import _sturm_pass, _sturm_root
 
-DEFAULT_FD_RHO_MIN = 1e-3
 # Largest effective momentum whose full origin exponent the finite-volume
 # oracle factors out; see fd_eigensolve_free.
 FD_FACTORED_MOMENTUM_MAX = 1.0
@@ -114,14 +116,6 @@ def ode_residual(coeffs: tuple[float, ...], params: HeunParams, grid: RadialGrid
     except OverflowError:
         return math.nan
     return worst_lhs / worst_r if worst_r else worst_lhs
-
-
-def default_fd_grid(mass: MassProfile, n: int, eff_abs: float, n_points: int) -> RadialGrid:
-    """Eigensolver grid of n_points points: the state's xi-extent (~10 units,
-    widened for higher n or momentum) mapped back to the dimensionful radius."""
-    mass.require_confining()
-    rho_max = 10.0 / math.sqrt(mass.nu) * max(1.0, math.sqrt(n + eff_abs))
-    return RadialGrid(DEFAULT_FD_RHO_MIN, rho_max, n_points)
 
 
 def fd_eigensolve_free(

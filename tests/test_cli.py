@@ -340,6 +340,20 @@ class TestVerify:
         assert "failed" in out
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("argv", [
+        "--scenario free --l 0..1 --k 0,0.7",
+        "--scenario coulomb --b 0.1 --l 0..1 --k 0,0.7",
+        "--scenario ab --flux 0:0.5:0.25 --l 0 --k 0,0.7",
+    ])
+    def test_printed_thresholds_are_the_table_s(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "verify", *argv.split())
+        assert code == EXIT_OK
+        lines = out.splitlines()[:-1]
+        assert len(lines) == len(cli._VERIFY_CHECKS)
+        for line, (name, threshold, _) in zip(lines, cli._VERIFY_CHECKS):
+            assert line.split()[1] == name
+            assert float(line.split("threshold=")[1].split()[0]) == threshold, line
+
     def test_detuned_slope_fails(self, capsys, monkeypatch):
         # Give each solved state a 1% detuned printed slope and the degree-n
         # polynomial it builds, as acceptance criterion 3 does.  The truncation
@@ -838,8 +852,8 @@ class TestConfigAndOutput:
         floats = [None, math.nan, math.inf, -math.inf, -0.0, 1e-300, -2.5, 1 / 3]
         columns = ["scenario", "n", "l", "branch", "nu_solved", "e_minus", "status"]
         rows = [
-            dict(scenario=scenario, n=i + 1, l=-i, branch=branch, nu_solved=x,
-                 e_minus=floats[-1 - i], status=status)
+            cli._SpectrumRow(scenario, i + 1, -i, 0.0, 0.0, 0, branch, 0.0, nu_solved=x,
+                             e_minus=floats[-1 - i], status=status)
             for i, (scenario, branch, x, status) in enumerate(zip(
                 ["free", "ab", "coulomb"] * 3, ["+", "-", ""] * 3, floats, statuses * 2
             ))
@@ -849,7 +863,7 @@ class TestConfigAndOutput:
             reference = io.StringIO()
             writer = csv.writer(reference, lineterminator="\n")
             writer.writerow(columns)
-            writer.writerows([cli._fmt(row[c]) for c in columns] for row in table)
+            writer.writerows([cli._fmt(getattr(row, c)) for c in columns] for row in table)
             for fmt in ("csv", "json"):
                 out = CountingIO()
                 cli.emit(table, columns, fmt, out)
@@ -1160,7 +1174,8 @@ class TestEntryPoint:
             "pt, index = scope['pt'], len(out.getvalue().splitlines()) - 1\n"
             "mass = MassProfile(1.0, pt.nu_solved)\n"
             "grid = oracle.RadialGrid(0.01, 8.0, 200)\n"
-            "fd_grid = oracle.default_fd_grid(mass, pt.qn.n, pt.eff_abs, 400)\n"
+            "xi_max = 10.0 * max(1.0, pt.qn.n + pt.eff_abs) ** 0.5\n"
+            "fd_grid = oracle.RadialGrid(1e-3, xi_max / pt.nu_solved ** 0.5, 400)\n"
             "e2 = pt.energies[0] ** 2\n"
             "level = oracle.fd_eigensolve_free(mass, pt.eff_abs, pt.qn.k, fd_grid, index, e2)\n"
             "residual = oracle.ode_residual(pt.coeffs, pt.params(1.0, 0.0), grid)\n"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
-from dislospec import oracle
+from dislospec import cli, oracle
 from dislospec import (
     Couplings,
     DefectGeometry,
@@ -16,7 +16,6 @@ from dislospec import (
     QuantumNumbers,
     RadialGrid,
     build_coefficients,
-    default_fd_grid,
     energy_ground_free,
     fd_eigensolve_free,
     heun_params,
@@ -134,7 +133,7 @@ class TestFdEigensolver:
     def test_detects_slope_momentum_mismatch(self):
         # nu = 1.5 is quantized for |eff| = 0, not 1; none of the lowest six levels is near 6
         mass = MassProfile(1.0, 1.5)
-        grid = default_fd_grid(mass, 1, 1.0, 4000)
+        grid = RadialGrid(1e-3, 10.0 * math.sqrt(2.0 / 1.5), 4000)
         levels = [fd_eigensolve_free(mass, 1.0, 0.0, grid, index=i) for i in range(6)]
         assert min(abs(e - 6.0) / 6.0 for e in levels) > 0.05
 
@@ -156,7 +155,8 @@ class TestFdEigensolver:
         # stay finite and close on the default grid.
         mass = MassProfile(1.0, nu_ground_free(1.0, eff))
         e2 = energy_ground_free(1.0, eff, 0.0)[0] ** 2
-        ground = fd_eigensolve_free(mass, eff, 0.0, default_fd_grid(mass, 1, eff, 4000))
+        grid = RadialGrid(1e-3, 10.0 * math.sqrt((1.0 + eff) / mass.nu), 4000)
+        ground = fd_eigensolve_free(mass, eff, 0.0, grid)
         assert math.isfinite(ground)
         assert abs(ground - e2) / e2 < 1e-3
 
@@ -165,16 +165,27 @@ class TestFdEigensolver:
         levels = [fd_eigensolve_free(mass, 1.0, 0.0, grid, index=i) for i in range(4)]
         assert levels == sorted(set(levels))
 
-    def test_default_grid_scales_with_state(self):
-        mass = MassProfile(1.0, 2.5)
-        grid = default_fd_grid(mass, 1, 1.0, 4000)
-        assert grid.xi_min == 1e-3
-        assert grid.xi_max == pytest.approx(10.0 / math.sqrt(2.5) * math.sqrt(2.0), rel=1e-12)
-        assert grid.n_points == 4000
+    @pytest.mark.parametrize("n, l", [(1, 0), (3, 2), (8, 40)])
+    def test_default_grid_scales_with_state(self, monkeypatch, n, l):
+        # cli._fd_match solves each state on N = 40 (n + 1) and 2N - 1 points over
+        # the state's extent in the dimensionful radius.
+        grids = []
+
+        def recorded(mass, eff_abs, k, grid, **kwargs):
+            grids.append(grid)
+            return fd_eigensolve_free(mass, eff_abs, k, grid, **kwargs)
+
+        monkeypatch.setattr(oracle, "fd_eigensolve_free", recorded)
+        pt = solve_general_n(QuantumNumbers(n, l, 0.7), 1.0, DefectGeometry(chi=0.2), FREE)[0]
+        cli._fd_match(pt, 1.0, 0)
+        root_nu, coarse = math.sqrt(pt.nu_solved), 40 * (n + 1)
+        assert sorted(g.n_points for g in grids) == [coarse, 2 * coarse - 1]
+        for grid in grids:
+            assert grid.xi_min == 1e-3
+            want = 10.0 * max(1.0, math.sqrt(n + pt.eff_abs))
+            assert grid.xi_max * root_nu == pytest.approx(want, rel=1e-12)
 
     def test_requires_confining_slope(self):
-        with pytest.raises(NonPositiveSlope):
-            default_fd_grid(MassProfile(1.0, 0.0), 1, 0.0, 4000)
         with pytest.raises(NonPositiveSlope):
             fd_eigensolve_free(
                 MassProfile(1.0, -1.0), 0.0, 0.0, RadialGrid(1e-3, 10.0, 100)
@@ -205,7 +216,7 @@ class TestLevelFinder:
         errors = []
         for index, pt in solved_states():
             mass, k = MassProfile(1.0, pt.nu_solved), pt.qn.k
-            grid = default_fd_grid(mass, pt.qn.n, pt.eff_abs, 4000)
+            grid = RadialGrid(1e-3, 10.0 * math.sqrt((pt.qn.n + pt.eff_abs) / mass.nu), 4000)
             got = fd_eigensolve_free(mass, pt.eff_abs, k, grid, index, near=pt.energies[0] ** 2)
             want = reference[-1] + 1.0 + k * k
             errors.append(abs(got - want) / want)
@@ -218,7 +229,7 @@ class TestLevelFinder:
         assert len(pts) == 3
         for index, pt in enumerate(pts):
             mass = MassProfile(1.0, pt.nu_solved)
-            grid = default_fd_grid(mass, 5, pt.eff_abs, 4000)
+            grid = RadialGrid(1e-3, 10.0 * math.sqrt((5 + pt.eff_abs) / mass.nu), 4000)
             level = fd_eigensolve_free(mass, pt.eff_abs, 0.7, grid, index)
             neighbour = fd_eigensolve_free(mass, pt.eff_abs, 0.7, grid, index + 1)
             e2 = pt.energies[0] ** 2
