@@ -325,19 +325,20 @@ def _fd_match(pt, m: float, index: int) -> float:
     i of the Hamiltonian that slope defines (Pryce 1993).
 
     The level is solved on N = FD_POINTS_PER_NODE (n + 1) and 2N - 1 points
-    from rho = 1e-3 to the state's xi-extent, 10 max(1, sqrt(n + s)), mapped
-    back to the dimensionful radius, so h halves, and the second-order error is
-    cancelled by Richardson extrapolation, (4 E^2(h/2) - E^2(h)) / 3
-    (Richardson, Phil. Trans. R. Soc. A 226 (1927) 299).  A fixed number of
-    points per node keeps the error flat in n."""
+    from xi = 1e-3 to 10 max(1, sqrt(n + s)) in rho = xi / sqrt(nu): set in xi,
+    as the ODE grid is, so fd_match does not depend on m.  h halves, and the
+    second-order error is cancelled by Richardson extrapolation,
+    (4 E^2(h/2) - E^2(h)) / 3 (Richardson, Phil. Trans. R. Soc. A 226 (1927)
+    299).  A fixed number of points per node keeps the error flat in n."""
     from .oracle import RadialGrid, fd_eigensolve_free
 
     mass = MassProfile(m, pt.nu_solved)
     target = pt.energies[0] * pt.energies[0]
-    rho_max = 10.0 / math.sqrt(pt.nu_solved) * max(1.0, math.sqrt(pt.qn.n + pt.eff_abs))
+    root_nu = math.sqrt(pt.nu_solved)
+    xi_max = 10.0 * max(1.0, math.sqrt(pt.qn.n + pt.eff_abs))
 
     def level(n_points: int) -> float:
-        grid = RadialGrid(1e-3, rho_max, n_points)
+        grid = RadialGrid(1e-3 / root_nu, xi_max / root_nu, n_points)
         return fd_eigensolve_free(mass, pt.eff_abs, pt.qn.k, grid, index=index, near=target)
 
     coarse = FD_POINTS_PER_NODE * (pt.qn.n + 1)
@@ -387,10 +388,9 @@ def _spectrum_rows_for(cfg: RunConfig, n: int, l: int, k: float, t: float) -> li
             status="OK",
         )
         if cfg.oracle:
-            row = row._replace(
-                ode_residual=_ode_residual(pt, cfg.m, cfg.b),
-                fd_match=None if pt.scenario == COULOMB else _fd_match(pt, cfg.m, idx),
-            )
+            ode = _ode_residual(pt, cfg.m, cfg.b)
+            fd = None if pt.scenario == COULOMB else _fd_match(pt, cfg.m, idx)
+            row = row._replace(ode_residual=ode, fd_match=fd)
         rows.append(row)
     return rows
 
@@ -434,14 +434,13 @@ def _current_row(cfg: RunConfig, n: int, l: int, k: float, t: float) -> _Current
     if abs(sigma) <= CURRENT_STEP_T:
         return row(status="KINK")
 
-    analytic = discrepancy = None
+    analytic = None
     if n == 1:
         from .observables import persistent_current_ground
 
         analytic = persistent_current_ground(cfg.m, k, sigma, cfg.q, branch)
     numeric = _numeric_current(cfg, n, l, k, t, branch)
-    if analytic is not None:
-        discrepancy = abs(analytic - numeric)
+    discrepancy = None if analytic is None else abs(analytic - numeric)
     return row(analytic, numeric, discrepancy, "OK")
 
 

@@ -1,6 +1,7 @@
 """Independent numerical verification of the analytic solutions.
 
-Two cross-checks that do not share the series solver's ansatz:
+Two cross-checks that do not share the series solver's ansatz, each on the
+RadialGrid its caller gives it (cli sizes both grids to a state):
 
 * ode_residual substitutes a state's polynomial, times the envelope its
   parameters fix, into the dimensionless radial equation using exact
@@ -11,9 +12,6 @@ Two cross-checks that do not share the series solver's ansatz:
   matrix, so a quantized analytic energy can be matched against the level
   at its own index in a discretization that never saw the series ansatz.
   It uses only the equation's exponent at rho = 0, not the solution's form.
-
-Each oracle discretizes the grid its caller gives it; the rules that size
-those grids to a state are the CLI's (cli._ode_residual and cli._fd_match).
 
 The level is found by _sturm_root, the slope solver's Sturm count on the
 matrix's LDL^T pivots, in a bracket narrowed around a seed: generic linear

@@ -270,7 +270,7 @@ def _sturm_root(
     steps that leave the bracket, or shrink by less than half, become
     bisection.  A pass with a non-finite d log|det| is followed by a probe one
     step rtol inside the bracket, which either closes it or moves its edge
-    there."""
+    there; a second such pass in a row bisects, so the search always ends."""
 
     def probe(x: float) -> float:
         nonlocal lo, hi, n_lo, n_hi
@@ -286,6 +286,7 @@ def _sturm_root(
     x = 0.5 * (lo + hi)
 
     step_old = hi - lo
+    finite = True
     while True:
         tol = rtol * abs(x)
         dlog = probe(x)
@@ -293,10 +294,12 @@ def _sturm_root(
             # A pivot came out 0: x is within rounding of the step, or of a root
             # of a leading block.  Bisecting would crawl toward this edge if the
             # step sits on it; a probe tol inside tells which.
-            x = x - tol if x == hi else x + tol
+            x = (x - tol if x == hi else x + tol) if finite else 0.5 * (lo + hi)
+            finite = False
             if lo < x < hi:
                 continue
             return 0.5 * (lo + hi)
+        finite = True
         step = -1.0 / dlog if dlog != 0.0 else math.nan
         x_new = x + step
         if not lo <= x_new <= hi or abs(step) > 0.5 * step_old:

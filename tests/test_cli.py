@@ -345,7 +345,7 @@ class TestVerify:
         "--scenario coulomb --b 0.1 --l 0..1 --k 0,0.7",
         "--scenario ab --flux 0:0.5:0.25 --l 0 --k 0,0.7",
     ])
-    def test_printed_thresholds_are_the_table_s(self, capsys, argv):
+    def test_printed_thresholds_come_from_the_table(self, capsys, argv):
         code, out, _ = run_cli(capsys, "verify", *argv.split())
         assert code == EXIT_OK
         lines = out.splitlines()[:-1]
@@ -690,6 +690,23 @@ class TestOracleGrids:
         errors = [cli._fd_match(pt, 1.0, index) for index, pt in self.free_states((60,))]
         assert len(errors) > 100
         assert all(e < 1e-3 for e in errors), max(errors)
+
+    def test_fd_match_does_not_depend_on_m(self, capsys):
+        # The FD grid is set in xi, as the ODE grid is.  A grid that starts at a
+        # fixed rho = 1e-3 starts deeper in xi = sqrt(nu) rho as m grows: at
+        # m = 1e3 it read 0.23 here, and from m = 1e4 its start passed its end.
+        # The physics holds k/m and chi k, so the match must not move.
+        matches = []
+        for m in (1.0, 1e3, 1e4, 1e20):
+            argv = f"--scenario free --chi {0.2 / m!r} --l 0..1 --k 0,{0.7 * m!r} --m {m!r}"
+            code, out, _ = run_cli(capsys, "spectrum", *argv.split(), "--n", "1..3", "--oracle")
+            assert code == EXIT_OK
+            matches.append([float(row["fd_match"]) for row in read_csv(out)])
+            code, out, _ = run_cli(capsys, "verify", *argv.split())
+            assert code == EXIT_OK, out
+        assert len(matches[0]) == 16
+        for got in matches[1:]:
+            assert got == pytest.approx(matches[0], rel=0.0, abs=1e-12)
 
     @pytest.mark.xfail(strict=True, reason="FD points grow with n, not with s: root 1 reads 2.2e-3")
     def test_fd_match_holds_at_large_momentum(self):

@@ -152,7 +152,7 @@ class TestFdEigensolver:
     def test_large_momentum_stays_finite_and_accurate(self, eff):
         # A weight rho^(2s+1) at this |eff| underflows, or varies too fast
         # across one cell for the midpoint flux; the matched ground E^2 must
-        # stay finite and close on the default grid.
+        # stay finite and close on the state's grid.
         mass = MassProfile(1.0, nu_ground_free(1.0, eff))
         e2 = energy_ground_free(1.0, eff, 0.0)[0] ** 2
         grid = RadialGrid(1e-3, 10.0 * math.sqrt((1.0 + eff) / mass.nu), 4000)
@@ -165,10 +165,10 @@ class TestFdEigensolver:
         levels = [fd_eigensolve_free(mass, 1.0, 0.0, grid, index=i) for i in range(4)]
         assert levels == sorted(set(levels))
 
-    @pytest.mark.parametrize("n, l", [(1, 0), (3, 2), (8, 40)])
-    def test_default_grid_scales_with_state(self, monkeypatch, n, l):
-        # cli._fd_match solves each state on N = 40 (n + 1) and 2N - 1 points over
-        # the state's extent in the dimensionful radius.
+    def test_default_grid_scales_with_state(self, monkeypatch):
+        # cli._fd_match solves each state on N = 40 (n + 1) and 2N - 1 points from
+        # xi = sqrt(nu) rho = 1e-3 to the state's extent, so the grid is the same
+        # in xi at every m.
         grids = []
 
         def recorded(mass, eff_abs, k, grid, **kwargs):
@@ -176,14 +176,17 @@ class TestFdEigensolver:
             return fd_eigensolve_free(mass, eff_abs, k, grid, **kwargs)
 
         monkeypatch.setattr(oracle, "fd_eigensolve_free", recorded)
-        pt = solve_general_n(QuantumNumbers(n, l, 0.7), 1.0, DefectGeometry(chi=0.2), FREE)[0]
-        cli._fd_match(pt, 1.0, 0)
-        root_nu, coarse = math.sqrt(pt.nu_solved), 40 * (n + 1)
-        assert sorted(g.n_points for g in grids) == [coarse, 2 * coarse - 1]
-        for grid in grids:
-            assert grid.xi_min == 1e-3
-            want = 10.0 * max(1.0, math.sqrt(n + pt.eff_abs))
-            assert grid.xi_max * root_nu == pytest.approx(want, rel=1e-12)
+        for n, l, m in [(1, 0, 1.0), (3, 2, 1e3), (8, 40, 1.0)]:
+            qn, geom = QuantumNumbers(n, l, 0.7 * m), DefectGeometry(chi=0.2 / m)
+            pt = solve_general_n(qn, m, geom, FREE)[0]
+            grids.clear()
+            cli._fd_match(pt, m, 0)
+            root_nu, coarse = math.sqrt(pt.nu_solved), 40 * (n + 1)
+            assert sorted(g.n_points for g in grids) == [coarse, 2 * coarse - 1]
+            for grid in grids:
+                assert grid.xi_min * root_nu == pytest.approx(1e-3, rel=1e-12)
+                want = 10.0 * max(1.0, math.sqrt(n + pt.eff_abs))
+                assert grid.xi_max * root_nu == pytest.approx(want, rel=1e-12)
 
     def test_requires_confining_slope(self):
         with pytest.raises(NonPositiveSlope):

@@ -502,6 +502,24 @@ def test_kappa_lt1_root_on_a_zero_pivot():
     assert got == pytest.approx(root, rel=NEWTON_RTOL, abs=0.0)
 
 
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-2.0, 5.0), (-1e154, 1e152)])
+def test_never_finite_passes_end(lo, hi):
+    # An FD matrix whose squared off-diagonal overflows makes d log|det| NaN on
+    # every pass.  A probe one step rtol inside the bracket after each would take
+    # about 1e11 probes across (-1e154, 1e152); bisecting from the second
+    # non-finite pass in a row takes a few hundred.
+    passes = []
+
+    def sturm(x):
+        passes.append(x)
+        if len(passes) > 10_000:
+            raise RuntimeError("the search does not end")
+        return int(x > 0.3), math.nan
+
+    got = _sturm_root(sturm, 0, lo, hi, 0, 1, NEWTON_RTOL)
+    assert got == pytest.approx(0.3, rel=NEWTON_RTOL, abs=0.0)
+
+
 def test_a_root_on_a_bracket_edge_does_not_crawl(monkeypatch):
     # Newton starts as soon as bisection isolates the step.  Bisecting on to a
     # fixed width first can leave root 1 of this cell within rounding of a
