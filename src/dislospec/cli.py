@@ -3,16 +3,18 @@
 Three subcommands:
 
 * spectrum - one row per (n, l, k, flux, root); bound-state slopes and
-  energies, optionally with oracle columns.  fd_match compares a
-  non-Coulomb state with the finite-difference level at its root_index,
-  extrapolated from two grids sized by the state's n.
+  energies, optionally with oracle columns.  Both oracles take alpha and beta
+  from the printed slope.  fd_match compares a non-Coulomb state's beta with
+  the finite-difference level, in the same xi and beta units, at its
+  root_index, extrapolated from two grids sized by the state's n.
 * current  - persistent current per flux point, analytic (lowest state)
   against the central flux derivative of the solved spectrum.  A row whose
   difference stencil reaches sigma = 0 reads KINK and carries no current.
 * verify   - solves the states of every configured n and cell once and runs
   a table of invariant checks on them, one PASS/FAIL/SKIP line each; a check
-  that measured nothing reads SKIP.  The closed-form, Coulomb fixed-point and
-  current checks cover n = 1 only.
+  that measured nothing reads SKIP.  energy_composition checks every printed
+  E against the energy relation at its printed slope.  The closed-form,
+  Coulomb fixed-point and current checks cover n = 1 only.
 
 Flux is configured as the dimensionless ratio q*Phi_B/(2 pi) everywhere.  A
 state sees the charge only through that ratio, so every cell is solved at unit
@@ -46,7 +48,6 @@ from .core import (
     TWO_PI,
     Couplings,
     DefectGeometry,
-    MassProfile,
     QuantumNumbers,
     coulomb_eta,
     effective_angular_momentum,
@@ -318,32 +319,31 @@ def _ode_residual(pt, m: float, b: float) -> float:
 
 
 def _fd_match(pt, m: float, index: int) -> float:
-    """Relative distance from E^2 of a non-Coulomb state to FD level number index.
+    """nu |beta_FD - beta| / E^2, the relative distance from E^2 of a non-Coulomb
+    state to FD level number index; alpha and beta come from its printed slope.
 
     index is the state's position in its cell's ascending-nu list.  At a fixed
     slope, root i of the cell has i nodes, so by Sturm oscillation it is level
     i of the Hamiltonian that slope defines (Pryce 1993).
 
     The level is solved on N = FD_POINTS_PER_NODE (n + 1) and 2N - 1 points
-    from xi = 1e-3 to 10 max(1, sqrt(n + s)) in rho = xi / sqrt(nu): set in xi,
-    as the ODE grid is, so fd_match does not depend on m.  h halves, and the
-    second-order error is cancelled by Richardson extrapolation,
-    (4 E^2(h/2) - E^2(h)) / 3 (Richardson, Phil. Trans. R. Soc. A 226 (1927)
-    299).  A fixed number of points per node keeps the error flat in n."""
+    from xi = 1e-3 to 10 max(1, sqrt(n + s)), as the ODE grid is set in xi, so
+    fd_match does not depend on m.  h halves, and the second-order error is
+    cancelled by Richardson extrapolation, (4 beta(h/2) - beta(h)) / 3
+    (Richardson, Phil. Trans. R. Soc. A 226 (1927) 299).  A fixed number of
+    points per node keeps the error flat in n."""
     from .oracle import RadialGrid, fd_eigensolve_free
 
-    mass = MassProfile(m, pt.nu_solved)
-    target = pt.energies[0] * pt.energies[0]
-    root_nu = math.sqrt(pt.nu_solved)
+    _, alpha, beta, _ = pt.params(m, 0.0)
     xi_max = 10.0 * max(1.0, math.sqrt(pt.qn.n + pt.eff_abs))
 
     def level(n_points: int) -> float:
-        grid = RadialGrid(1e-3 / root_nu, xi_max / root_nu, n_points)
-        return fd_eigensolve_free(mass, pt.eff_abs, pt.qn.k, grid, index=index, near=target)
+        grid = RadialGrid(1e-3, xi_max, n_points)  # by keyword, as bench/tracing.py reads it
+        return fd_eigensolve_free(pt.eff_abs, alpha, grid=grid, index=index, near=beta)
 
     coarse = FD_POINTS_PER_NODE * (pt.qn.n + 1)
     extrapolated = (4.0 * level(2 * coarse - 1) - level(coarse)) / 3.0
-    return abs(extrapolated - target) / abs(target)
+    return pt.nu_solved * abs(extrapolated - beta) / (pt.energies[0] * pt.energies[0])
 
 
 def _solve_cell(cfg: RunConfig, n: int, l: int, k: float, t: float) -> list:
@@ -492,12 +492,14 @@ def _solve_population(cfg: RunConfig) -> _Population:
 
 
 def _check_energy_composition(pop: _Population):
-    # The two ground-state routes, closed form and lam = 2n relation, must agree.
+    # Every printed E must be the lam = 2n energy of its printed slope, of its sign:
+    # the parameters the other checks rebuild read the energy only through mu.
     errors = []
-    for _, k, _, eff in pop.cells:
-        e_closed = energy_ground_free(pop.cfg.m, eff, k)[0]
-        e_comp = energy_from_lambda(nu_ground_free(pop.cfg.m, eff), 1, abs(eff), k)[0]
-        errors.append(abs(e_comp - e_closed) / abs(e_closed))
+    for pt in pop.points:
+        plus, minus = energy_from_lambda(pt.nu_solved, pt.qn.n, pt.eff_abs, pt.qn.k)
+        for e in pt.energies:
+            want = plus if e > 0 else minus
+            errors.append(abs(e - want) / abs(want))
     return errors, ""
 
 

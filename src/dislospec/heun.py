@@ -24,8 +24,8 @@ That pair of conditions is what the quantization module solves.
 
 The recurrence runs on plain floats, so building a series needs no numpy,
 and the oracles evaluate G by their own Horner pass.  A solved state holds
-a_0..a_n, and its printed slope and energy rebuild its parameters; the solver
-reads its trunc_rel diagnostic from a_{n+1} before it drops that term, and
+a_0..a_n, and its printed slope rebuilds its parameters, its energy only mu; the
+solver reads its trunc_rel diagnostic from a_{n+1} before it drops that term, and
 verify's truncation cascade builds its own series through a_{max(64, n+1)}.
 """
 

@@ -6,12 +6,12 @@ RadialGrid its caller gives it (cli sizes both grids to a state):
 * ode_residual substitutes a state's polynomial, times the envelope its
   parameters fix, into the dimensionless radial equation using exact
   analytic derivatives and reports the normalized residual.
-* fd_eigensolve_free discretizes the original (dimensionful) radial equation
-  as a vertex-centred finite-volume Sturm-Liouville problem, regular at the
-  origin, and returns E^2 of one level of the symmetrized tridiagonal
-  matrix, so a quantized analytic energy can be matched against the level
-  at its own index in a discretization that never saw the series ansatz.
-  It uses only the equation's exponent at rho = 0, not the solution's form.
+* fd_eigensolve_free discretizes the free radial equation for sqrt(xi) R as a
+  vertex-centred finite-volume Sturm-Liouville problem, regular at the
+  origin, and returns beta of one level of the symmetrized tridiagonal
+  matrix, so a quantized state's beta can be matched against the level at
+  its own index in a discretization that never saw the series ansatz.  It
+  uses only the equation's exponent at xi = 0, not the solution's form.
 
 The level is found by _sturm_root, the slope solver's Sturm count on the
 matrix's LDL^T pivots, in a bracket narrowed around a seed: generic linear
@@ -25,7 +25,7 @@ import sys
 from collections import namedtuple
 from functools import partial
 
-from .core import HeunParams, MassProfile
+from .core import HeunParams
 from .quantization import _sturm_pass, _sturm_root
 
 # Largest effective momentum whose full origin exponent the finite-volume
@@ -33,18 +33,14 @@ from .quantization import _sturm_pass, _sturm_root
 FD_FACTORED_MOMENTUM_MAX = 1.0
 # Relative step at which Newton stops: what one double-precision pass resolves.
 FD_STEP_TOL = 1e-11
-# fd_eigensolve_free's search starts in the bracket seed * (1 -+ SEED_WIDTH)
+# fd_eigensolve_free's search starts in the bracket near * (1 -+ SEED_WIDTH)
 # if its counts isolate the level: wider than the FD grid's error, about 1e-3
-# of E^2 at n = 60, and narrower than the level spacing, about 1/n.
+# of beta at n = 60, and narrower than the level spacing, about 1/n of it.
 SEED_WIDTH = 1e-2
 
 
 class RadialGrid(namedtuple("RadialGrid", "xi_min xi_max n_points")):
-    """Uniform grid on [xi_min, xi_max], origin excluded.
-
-    Also used for grids in the dimensionful radial variable; the fields are
-    named for the dimensionless one.
-    """
+    """Uniform grid on [xi_min, xi_max] in xi = sqrt(nu) rho, origin excluded."""
 
     __slots__ = ()
 
@@ -117,66 +113,63 @@ def ode_residual(coeffs: tuple[float, ...], params: HeunParams, grid: RadialGrid
 
 
 def fd_eigensolve_free(
-    mass: MassProfile,
     eff_abs: float,
-    k: float,
+    alpha: float,
     grid: RadialGrid,
     index: int = 0,
     near: float | None = None,
 ) -> float:
-    """E^2 of level number index (0 = ground) of a second-order finite-volume
-    discretization of the dimensionful radial equation.
+    """beta of level number index (0 = ground) of a second-order finite-volume
+    discretization of the free radial equation in xi.
 
-    With u = sqrt(rho) R the radial equation reads
+    With u = sqrt(xi) R the radial equation reads
 
-        -u'' + [ (s^2 - 1/4)/rho^2 + V ] u = W u,
-        V = 2 m nu rho + nu^2 rho^2,   W = E^2 - m^2 - k^2.
+        -u'' + [ (s^2 - 1/4)/xi^2 + V ] u = beta u,   V = alpha xi + xi^2,
 
-    Its regular solution goes as rho^(s+1/2) at the origin.  Factoring out
-    u = rho^(sigma+1/2) w with sigma = min(s, FD_FACTORED_MOMENTUM_MAX) gives
+    the one in rho = xi/sqrt(nu) divided by nu, so nu beta = E^2 - m^2 - k^2.
+    Its regular solution goes as xi^(s+1/2) at the origin.  Factoring out
+    u = xi^(sigma+1/2) w with sigma = min(s, FD_FACTORED_MOMENTUM_MAX) gives
     the Sturm-Liouville form
 
-        -(p w')' + p [ (s^2 - sigma^2)/rho^2 + V ] w = W p w,   p = rho^(2 sigma + 1),
+        -(p w')' + p [ (s^2 - sigma^2)/xi^2 + V ] w = beta p w,   p = xi^(2 sigma + 1),
 
-    where w ~ rho^(s - sigma) is bounded at rho = 0.  Up to s = 1 the whole
+    where w ~ xi^(s - sigma) is bounded at xi = 0.  Up to s = 1 the whole
     exponent is factored out and the centrifugal term cancels; above it the
     remainder stays in the potential, so p stays smooth on the grid (the
-    full weight rho^(2s+1) changes by a factor exp((2s+1) h/rho) per cell,
+    full weight xi^(2s+1) changes by a factor exp((2s+1) h/xi) per cell,
     which costs accuracy at large s).
 
     The nodes are the grid's points.  Node i owns the control volume between
     the midpoints to its neighbours; the first volume reaches down to
-    rho = 0, where p vanishes, so the origin needs no boundary condition and
+    xi = 0, where p vanishes, so the origin needs no boundary condition and
     no wall.  Volume integrals of p and of the potential times p are exact,
     the flux through a midpoint is p(midpoint) (w_{i+1} - w_i)/h, and the
-    outer grid edge is a Dirichlet wall.  The resulting pencil A w = W M w
+    outer grid edge is a Dirichlet wall.  The resulting pencil A w = beta M w
     with diagonal M is symmetrized as M^{-1/2} A M^{-1/2}.
 
     Level index of that tridiagonal matrix is found by _sturm_root, the slope
     solver's Sturm search: a count of its LDL^T pivots proves the index, and
     Newton steps on the determinant refine the level.  Where the counts allow,
-    the Gershgorin bracket is first narrowed to (near - m^2 - k^2)(1 -+ SEED_WIDTH);
-    near, such as the analytic E^2, picks where the search starts, not the level.
+    the Gershgorin bracket is first narrowed to near (1 -+ SEED_WIDTH); near,
+    such as a state's analytic beta, picks where the search starts, not the level.
     """
-    mass.require_confining()
     s = eff_abs
     sigma = min(s, FD_FACTORED_MOMENTUM_MAX)
-    q = 2.0 * sigma + 2.0  # p = rho^(q - 1)
+    q = 2.0 * sigma + 2.0  # p = xi^(q - 1)
 
-    rho = _nodes(grid)
-    h = rho[1] - rho[0]
-    face = [0.5 * (x + y) for x, y in zip(rho, rho[1:])]
+    xi = _nodes(grid)
+    h = xi[1] - xi[0]
+    face = [0.5 * (x + y) for x, y in zip(xi, xi[1:])]
     # Node i (every node but the outer one) owns [edges[i], edges[i+1]].
     edges = [0.0] + face
 
     def moment(j: float) -> list[float]:
-        """Integral of rho^j p over each control volume."""
+        """Integral of xi^j p over each control volume."""
         e = [x ** (q + j) for x in edges]
         return [(y - x) / (q + j) for x, y in zip(e, e[1:])]
 
     weight = moment(0.0)
-    two_m_nu, nu2 = 2.0 * mass.m * mass.nu, mass.nu**2
-    pot = [two_m_nu * x + nu2 * y for x, y in zip(moment(1.0), moment(2.0))]
+    pot = [alpha * x + y for x, y in zip(moment(1.0), moment(2.0))]
     if s > sigma:
         pot = [x + (s * s - sigma * sigma) * y for x, y in zip(pot, moment(-2.0))]
     flux = [x ** (q - 1.0) / h for x in face]
@@ -193,14 +186,12 @@ def fd_eigensolve_free(
     n_lo, n_hi = 0, len(diag)
     slope = [-1.0] * len(diag)  # T is constant: d(d_j - x)/dx = -1
     sturm = partial(_sturm_pass, diag, slope, off2, pivmin=pivmin)
-    shift = mass.m**2 + k * k
     if near is not None:
-        seed = near - shift
-        for edge in sorted((seed * (1.0 - SEED_WIDTH), seed * (1.0 + SEED_WIDTH))):
+        for edge in sorted((near * (1.0 - SEED_WIDTH), near * (1.0 + SEED_WIDTH))):
             if lo < edge < hi:
                 count = sturm(edge)[0]
                 if count <= index:
                     lo, n_lo = edge, count
                 else:
                     hi, n_hi = edge, count
-    return _sturm_root(sturm, index, lo, hi, n_lo, n_hi, FD_STEP_TOL) + shift
+    return _sturm_root(sturm, index, lo, hi, n_lo, n_hi, FD_STEP_TOL)

@@ -74,11 +74,9 @@ from .core import (
     Couplings,
     DefectGeometry,
     HeunParams,
-    MassProfile,
     QuantumNumbers,
     coulomb_eta,
     effective_angular_momentum,
-    heun_params,
 )
 from .errors import DegenerateDenominator, NonPositiveSlope, NoRealSolution, NoRoots
 from .heun import build_coefficients
@@ -108,20 +106,24 @@ class SpectrumPoint(
     constraint is energy-sign blind there), or a single signed energy for a
     Coulomb branch (the constraint depends on the sign of E through mu, so
     each sign is its own solution labeled by branch = +1 or -1).  The state
-    is what spectrum prints and its polynomial: nu_solved and energies[0]
-    fix the radial equation and the envelope exp(-xi^2/2 - alpha xi/2)
-    xi^nu_abs through params(m, b), and coeffs holds a_0..a_n of G.  The
-    other fields: qn (QuantumNumbers), eff and eff_abs (the effective
-    momentum and the s the state was solved at), scenario, and trunc_rel
-    (|a_{n+1}| relative to max |a_0..a_n|).
+    is what spectrum prints and its polynomial: nu_solved fixes the radial
+    equation and the envelope exp(-xi^2/2 - alpha xi/2) xi^nu_abs through
+    params(m, b), energies[0] only its Coulomb term, and coeffs holds a_0..a_n
+    of G.  The other fields: qn (QuantumNumbers), eff and eff_abs (the
+    effective momentum and the s the state was solved at), scenario, and
+    trunc_rel (|a_{n+1}| relative to max |a_0..a_n|).
     """
 
     __slots__ = ()
 
     def params(self, m: float, b: float) -> HeunParams:
-        """The HeunParams of the state at rest mass m and Coulomb strength b."""
-        mass = MassProfile(m, self.nu_solved)
-        return heun_params(mass, self.energies[0], self.qn.k, b, self.eff_abs)
+        """The HeunParams at rest mass m and Coulomb strength b: alpha = 2m/sqrt(nu) and,
+        by the energy relation lam = 2n, beta = 2(n + s + 1) - alpha^2/4 from the printed
+        slope, so no E^2 - m^2 - k^2 cancels; only mu = 2bE/sqrt(nu) reads the printed E."""
+        root_nu = math.sqrt(self.nu_solved)
+        alpha = 2.0 * m / root_nu
+        beta = 2.0 * (self.qn.n + self.eff_abs + 1.0) - 0.25 * alpha * alpha
+        return HeunParams(self.eff_abs, alpha, beta, 2.0 * b * self.energies[0] / root_nu)
 
 
 def energy_from_lambda(nu: float, n: int, eff_abs: float, k: float) -> tuple[float, float]:

@@ -146,9 +146,10 @@ def test_criterion_3_ode_residual_and_detuning(population):
 
 
 def test_criterion_4_fd_eigensolver_match_and_convergence():
-    """Finite-difference eigenvalues on [1e-3, 10] x 4000 match the analytic
-    lowest energies within 1e-3 relative and converge at second order
-    (halving h shrinks the error by a factor in [3.5, 4.5]) on every cell."""
+    """Finite-difference eigenvalues on rho in [1e-3, 10] x 4000 match the
+    analytic lowest energies within 1e-3 relative and converge at second order
+    (halving h shrinks the error by a factor in [3.5, 4.5]) on every cell.  The
+    oracle works in xi = sqrt(nu) rho and returns beta, so E^2 = nu beta + m^2 + k^2."""
     lines = []
     n_bad = 0
     for chi in (0.0, 0.5):
@@ -156,12 +157,12 @@ def test_criterion_4_fd_eigensolver_match_and_convergence():
             for k in (0.0, 1.0):
                 s = abs(l - chi * k)
                 nu = nu_ground_free(1.0, s)
+                root_nu = math.sqrt(nu)
                 e2 = energy_ground_free(1.0, s, k)[0] ** 2
                 errs = []
                 for n_points in (4000, 7999):
-                    ground = fd_eigensolve_free(
-                        MassProfile(1.0, nu), s, k, RadialGrid(1e-3, 10.0, n_points)
-                    )
+                    grid = RadialGrid(1e-3 * root_nu, 10.0 * root_nu, n_points)
+                    ground = nu * fd_eigensolve_free(s, 2.0 / root_nu, grid) + 1.0 + k * k
                     errs.append(abs(ground - e2) / e2)
                 ratio = errs[0] / errs[1] if errs[1] > 0.0 else math.inf
                 ok = errs[0] < 1e-3 and 3.5 <= ratio <= 4.5

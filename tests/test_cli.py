@@ -169,14 +169,15 @@ class TestSpectrum:
         [("--b 0.3 --k 5 --l 1 --n 5", 6), ("--b 1.5 --k 2 --l 1 --n 16", 16)],
     )
     def test_counted_coulomb_roots_all_print(self, capsys, argv, rows):
-        # One root of each cell, at alpha = 27.2 and 28.56, reads a truncation
-        # residual of about 4e-12.  The eigenvalue count proves it; the
-        # residual is a diagnostic and gates nothing.
+        # The roots at alpha = 27.2 and 28.56 read the largest truncation
+        # residuals of their cells, 2.4e-13 and 1.4e-12.  The eigenvalue count
+        # proves them; the residual is a diagnostic and gates nothing.
         code, out, err = run_cli(capsys, "spectrum", "--scenario", "coulomb", *argv.split())
         assert (code, err) == (EXIT_OK, "")
         got = read_csv(out)
         assert [r["status"] for r in got] == ["OK"] * rows
-        assert max(float(r["truncation_residual"]) for r in got) > 1e-12
+        if rows == 16:
+            assert max(float(r["truncation_residual"]) for r in got) > 1e-12
 
     @pytest.mark.parametrize(
         "argv,rows,nu",
@@ -457,6 +458,7 @@ class TestVerify:
         assert code == EXIT_OK
         lines = out.splitlines()
         notes = {
+            "energy_composition": "(no state to measure)",
             "closed_form_agreement": "(1 cell(s) without real closed form)",
             "coulomb_fixed_point": "(no state to measure)",
             "truncation_cascade": "(no state to measure)",
@@ -467,7 +469,7 @@ class TestVerify:
             assert line.startswith(f"SKIP {check} ")
             assert " measured=- " in line
             assert line.endswith(note)
-        assert lines[-1] == "2 passed, 0 failed, 7 skipped"
+        assert lines[-1] == "1 passed, 0 failed, 8 skipped"
 
     def test_minkowski_compares_unconfigured_k0_cells(self, capsys):
         # The configured cell has eff = 1, but its k = 0 twin (l = 40000) has its
@@ -624,22 +626,37 @@ class TestVerify:
     def test_every_printed_fault_fails(self, capsys, monkeypatch):
         # verify checks the printed slope and energy, so each fault exits 3 and
         # the same cells unfaulted exit 0, at every n up to where the ODE residual
-        # still certifies a state.
+        # still certifies a state, and at k = 1e4, where E^2 is k^2 to 8 digits.
+        cells = [(n, "--chi 0.2 --l 0..1 --k 0,0.7") for n in (1, 3, 8, 24)]
+        cells += [(n, "--l 0..1 --k 0,1e4") for n in (1, 3, 8)]
         exits, want = {}, {}
-        for (scenario, argv), n, fault in product(
-            self.FAULT_SCENARIOS.items(), (1, 3, 8, 24), self.PRINTED_FAULTS
+        for (scenario, argv), (n, cell), fault in product(
+            self.FAULT_SCENARIOS.items(), cells, self.PRINTED_FAULTS
         ):
             if fault == "branch_flipped" and scenario != "coulomb":
                 continue
+            if scenario == "ab" and n == 1 and "1e4" in cell:
+                continue  # correct states fail current_agreement here (ROADMAP item 4)
             mutate = self.PRINTED_FAULTS[fault]
             monkeypatch.setattr(
                 cli, "solve_general_n", lambda *a: list(map(mutate, solve_general_n(*a)))
             )
-            cell = "--chi 0.2 --l 0..1 --k 0,0.7 --n".split() + [str(n)]
-            exits[scenario, n, fault] = run_cli(capsys, "verify", *argv.split(), *cell)[0]
-            want[scenario, n, fault] = EXIT_OK if fault is None else EXIT_VERIFY
-        assert len(exits) == 40
+            argv_cell = [*argv.split(), *cell.split(), "--n", str(n)]
+            exits[scenario, n, cell, fault] = run_cli(capsys, "verify", *argv_cell)[0]
+            want[scenario, n, cell, fault] = EXIT_OK if fault is None else EXIT_VERIFY
+        assert len(exits) == 67
         assert exits == want
+
+    @pytest.mark.parametrize("k", ["1e4", "1e8", "1e12"])
+    def test_correct_states_pass_at_large_momentum(self, capsys, k):
+        # The checks take alpha and beta from the printed slope alone, so no
+        # E^2 - m^2 - k^2 cancels.  Taken from the printed E, beta lost about
+        # log10(k^2/nu) digits: the truncation cascade read 2.5e-9 at k = 1e4,
+        # and the ODE residual 0.67 at k = 1e8, on correct states.
+        code, out, _ = run_cli(
+            capsys, "verify", "--scenario", "free", "--l", "0", "--k", k, "--n", "1..3"
+        )
+        assert code == EXIT_OK, out
 
     def test_current_agreement_holds_at_any_charge(self, capsys, tmp_path):
         # q scales both currents alike; a subnormal q must not cost the check
@@ -707,6 +724,23 @@ class TestOracleGrids:
         assert len(matches[0]) == 16
         for got in matches[1:]:
             assert got == pytest.approx(matches[0], rel=0.0, abs=1e-12)
+
+    def test_fd_match_at_extreme_m(self, capsys):
+        # The FD oracle works in xi, where m enters only through alpha = 2m/sqrt(nu).
+        # In rho its control-volume weights underflowed at m = 1e40 (a solver
+        # error), and its squared off-diagonal overflowed at m = 1e76 (fd_match 39.6).
+        argv = "spectrum --scenario free --chi 0.2 --l 0..1 --k 0,0.7 --n 1..3 --oracle"
+        matches = []
+        for m in ("1", "1e40"):
+            code, out, err = run_cli(capsys, *argv.split(), "--m", m)
+            assert (code, err) == (EXIT_OK, "")
+            matches.append([float(r["fd_match"]) for r in read_csv(out) if r["k"] == "0"])
+        assert len(matches[0]) == 8
+        assert matches[1] == pytest.approx(matches[0], rel=1e-8)
+        argv = "spectrum --scenario free --l 0 --n 1 --oracle --m 1e76"
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == EXIT_OK
+        assert float(read_csv(out)[0]["fd_match"]) < 1e-6
 
     @pytest.mark.xfail(strict=True, reason="FD points grow with n, not with s: root 1 reads 2.2e-3")
     def test_fd_match_holds_at_large_momentum(self):
@@ -1181,7 +1215,6 @@ class TestEntryPoint:
             "            code = exc.code\n"
             "    results.append([code, out.getvalue()])\n"
             "import dislospec, dislospec.oracle as oracle\n"
-            "from dislospec import MassProfile\n"
             "missing = [x for x in dislospec.__all__ if not hasattr(dislospec, x)]\n"
             "text = open(sys.argv[2]).read()\n"
             "block = text[text.index('\\n## Library\\n'):].split('```python\\n')[1]\n"
@@ -1189,12 +1222,15 @@ class TestEntryPoint:
             "with contextlib.redirect_stdout(out):\n"
             "    exec(block.split('```')[0], scope)\n"
             "pt, index = scope['pt'], len(out.getvalue().splitlines()) - 1\n"
-            "mass = MassProfile(1.0, pt.nu_solved)\n"
+            "root_nu, shift = pt.nu_solved ** 0.5, 1.0 + pt.qn.k ** 2\n"
             "grid = oracle.RadialGrid(0.01, 8.0, 200)\n"
             "xi_max = 10.0 * max(1.0, pt.qn.n + pt.eff_abs) ** 0.5\n"
-            "fd_grid = oracle.RadialGrid(1e-3, xi_max / pt.nu_solved ** 0.5, 400)\n"
+            "fd_grid = oracle.RadialGrid(1e-3 * root_nu, xi_max, 400)\n"
             "e2 = pt.energies[0] ** 2\n"
-            "level = oracle.fd_eigensolve_free(mass, pt.eff_abs, pt.qn.k, fd_grid, index, e2)\n"
+            "beta = oracle.fd_eigensolve_free(\n"
+            "    pt.eff_abs, 2.0 / root_nu, fd_grid, index, (e2 - shift) / pt.nu_solved\n"
+            ")\n"
+            "level = pt.nu_solved * beta + shift\n"
             "residual = oracle.ode_residual(pt.coeffs, pt.params(1.0, 0.0), grid)\n"
             "fd_error = level / e2 - 1.0\n"
             "print(json.dumps([results, missing, out.getvalue(), index, residual, fd_error]))"

@@ -12,7 +12,6 @@ from dislospec import (
     Couplings,
     DefectGeometry,
     MassProfile,
-    NonPositiveSlope,
     QuantumNumbers,
     RadialGrid,
     build_coefficients,
@@ -119,22 +118,32 @@ class TestOdeResidual:
         assert ode_residual((0.0, 0.0), params, RadialGrid(0.01, 8.0, 100)) == 0.0
 
 
+def fd_e2(mass, eff_abs, k, grid, index=0, near=None):
+    """E^2 of FD level index on a grid in rho, through xi = sqrt(nu) rho and
+    E^2 = nu beta + m^2 + k^2; near is an E^2 too."""
+    root_nu, shift = math.sqrt(mass.nu), mass.m**2 + k * k
+    xi_grid = RadialGrid(grid.xi_min * root_nu, grid.xi_max * root_nu, grid.n_points)
+    seed = None if near is None else (near - shift) / mass.nu
+    beta = fd_eigensolve_free(eff_abs, 2.0 * mass.m / root_nu, xi_grid, index, seed)
+    return mass.nu * beta + shift
+
+
 class TestFdEigensolver:
     def test_half_integer_momentum_match(self):
         # nu = m^2(0.5 + 3/2) = 2, analytic E^2 = 2*2*(0.5+2) + 1 = 11
-        ground = fd_eigensolve_free(MassProfile(1.0, 2.0), 0.5, 1.0, RadialGrid(1e-3, 10.0, 4000))
+        ground = fd_e2(MassProfile(1.0, 2.0), 0.5, 1.0, RadialGrid(1e-3, 10.0, 4000))
         assert abs(ground - 11.0) / 11.0 < 1e-3
 
     def test_integer_momentum_match(self):
         # nu = 2.5, analytic E^2 = 2*2.5*3 = 15
-        ground = fd_eigensolve_free(MassProfile(1.0, 2.5), 1.0, 0.0, RadialGrid(1e-3, 10.0, 4000))
+        ground = fd_e2(MassProfile(1.0, 2.5), 1.0, 0.0, RadialGrid(1e-3, 10.0, 4000))
         assert abs(ground - 15.0) / 15.0 < 1e-4
 
     def test_detects_slope_momentum_mismatch(self):
         # nu = 1.5 is quantized for |eff| = 0, not 1; none of the lowest six levels is near 6
         mass = MassProfile(1.0, 1.5)
         grid = RadialGrid(1e-3, 10.0 * math.sqrt(2.0 / 1.5), 4000)
-        levels = [fd_eigensolve_free(mass, 1.0, 0.0, grid, index=i) for i in range(6)]
+        levels = [fd_e2(mass, 1.0, 0.0, grid, index=i) for i in range(6)]
         assert min(abs(e - 6.0) / 6.0 for e in levels) > 0.05
 
     def test_second_order_convergence(self):
@@ -144,7 +153,7 @@ class TestFdEigensolver:
         e2 = 2.0 * 3.5 * 4.0
         errs = []
         for n_points in (4000, 7999):
-            ground = fd_eigensolve_free(mass, 2.0, 0.0, RadialGrid(1e-3, 10.0, n_points))
+            ground = fd_e2(mass, 2.0, 0.0, RadialGrid(1e-3, 10.0, n_points))
             errs.append(abs(ground - e2) / e2)
         assert 3.5 < errs[0] / errs[1] < 4.5
 
@@ -156,24 +165,25 @@ class TestFdEigensolver:
         mass = MassProfile(1.0, nu_ground_free(1.0, eff))
         e2 = energy_ground_free(1.0, eff, 0.0)[0] ** 2
         grid = RadialGrid(1e-3, 10.0 * math.sqrt((1.0 + eff) / mass.nu), 4000)
-        ground = fd_eigensolve_free(mass, eff, 0.0, grid)
+        ground = fd_e2(mass, eff, 0.0, grid)
         assert math.isfinite(ground)
         assert abs(ground - e2) / e2 < 1e-3
 
     def test_levels_ascend_with_index(self):
         mass, grid = MassProfile(1.0, 2.5), RadialGrid(1e-3, 10.0, 1500)
-        levels = [fd_eigensolve_free(mass, 1.0, 0.0, grid, index=i) for i in range(4)]
+        levels = [fd_e2(mass, 1.0, 0.0, grid, index=i) for i in range(4)]
         assert levels == sorted(set(levels))
 
     def test_default_grid_scales_with_state(self, monkeypatch):
         # cli._fd_match solves each state on N = 40 (n + 1) and 2N - 1 points from
         # xi = sqrt(nu) rho = 1e-3 to the state's extent, so the grid is the same
         # in xi at every m.
+        # The grid comes by keyword, where a tracer that wraps the oracle reads it.
         grids = []
 
-        def recorded(mass, eff_abs, k, grid, **kwargs):
+        def recorded(eff_abs, alpha, *, grid, **kwargs):
             grids.append(grid)
-            return fd_eigensolve_free(mass, eff_abs, k, grid, **kwargs)
+            return fd_eigensolve_free(eff_abs, alpha, grid=grid, **kwargs)
 
         monkeypatch.setattr(oracle, "fd_eigensolve_free", recorded)
         for n, l, m in [(1, 0, 1.0), (3, 2, 1e3), (8, 40, 1.0)]:
@@ -181,18 +191,12 @@ class TestFdEigensolver:
             pt = solve_general_n(qn, m, geom, FREE)[0]
             grids.clear()
             cli._fd_match(pt, m, 0)
-            root_nu, coarse = math.sqrt(pt.nu_solved), 40 * (n + 1)
+            coarse = 40 * (n + 1)
             assert sorted(g.n_points for g in grids) == [coarse, 2 * coarse - 1]
             for grid in grids:
-                assert grid.xi_min * root_nu == pytest.approx(1e-3, rel=1e-12)
+                assert grid.xi_min == pytest.approx(1e-3, rel=1e-12)
                 want = 10.0 * max(1.0, math.sqrt(n + pt.eff_abs))
-                assert grid.xi_max * root_nu == pytest.approx(want, rel=1e-12)
-
-    def test_requires_confining_slope(self):
-        with pytest.raises(NonPositiveSlope):
-            fd_eigensolve_free(
-                MassProfile(1.0, -1.0), 0.0, 0.0, RadialGrid(1e-3, 10.0, 100)
-            )
+                assert grid.xi_max == pytest.approx(want, rel=1e-12)
 
 
 def solved_states():
@@ -220,8 +224,8 @@ class TestLevelFinder:
         for index, pt in solved_states():
             mass, k = MassProfile(1.0, pt.nu_solved), pt.qn.k
             grid = RadialGrid(1e-3, 10.0 * math.sqrt((pt.qn.n + pt.eff_abs) / mass.nu), 4000)
-            got = fd_eigensolve_free(mass, pt.eff_abs, k, grid, index, near=pt.energies[0] ** 2)
-            want = reference[-1] + 1.0 + k * k
+            got = fd_e2(mass, pt.eff_abs, k, grid, index, near=pt.energies[0] ** 2)
+            want = mass.nu * reference[-1] + 1.0 + k * k
             errors.append(abs(got - want) / want)
         assert len(errors) >= 100
         assert max(errors) <= 1e-10
@@ -233,11 +237,11 @@ class TestLevelFinder:
         for index, pt in enumerate(pts):
             mass = MassProfile(1.0, pt.nu_solved)
             grid = RadialGrid(1e-3, 10.0 * math.sqrt((5 + pt.eff_abs) / mass.nu), 4000)
-            level = fd_eigensolve_free(mass, pt.eff_abs, 0.7, grid, index)
-            neighbour = fd_eigensolve_free(mass, pt.eff_abs, 0.7, grid, index + 1)
+            level = fd_e2(mass, pt.eff_abs, 0.7, grid, index)
+            neighbour = fd_e2(mass, pt.eff_abs, 0.7, grid, index + 1)
             e2 = pt.energies[0] ** 2
             for near in (neighbour, 1.01 * e2, -e2):
-                got = fd_eigensolve_free(mass, pt.eff_abs, 0.7, grid, index, near=near)
+                got = fd_e2(mass, pt.eff_abs, 0.7, grid, index, near=near)
                 assert got == pytest.approx(level, rel=1e-10)
 
     def test_zero_pivot_counts_and_stays_finite(self):
@@ -256,4 +260,4 @@ class TestLevelFinder:
         mass, grid = MassProfile(1.0, 2.5), RadialGrid(1e-3, 10.0, 100)
         for index in (-1, 99):
             with pytest.raises(ValueError, match="level index"):
-                fd_eigensolve_free(mass, 1.0, 0.0, grid, index)
+                fd_e2(mass, 1.0, 0.0, grid, index)
