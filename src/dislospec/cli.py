@@ -8,7 +8,8 @@ Three subcommands:
   the finite-difference level, in the same xi and beta units, at its
   root_index, extrapolated from two grids sized by the state's n.
 * current  - persistent current per flux point, analytic (lowest state)
-  against the central flux derivative of the solved spectrum.  A row whose
+  against the central flux derivative of the solved spectrum, taken of
+  E - |k| so that two energies E ~ k do not cancel.  A row whose
   difference stencil reaches sigma = 0 reads KINK and carries no current.
 * verify   - solves the states of every configured n and cell once and runs
   a table of invariant checks on them, one PASS/FAIL/SKIP line each; a check
@@ -58,7 +59,7 @@ from .errors import (
     NoRealSolution,
     NoRoots,
 )
-from .heun import DEFAULT_N_MAX, build_coefficients
+from .heun import build_coefficients
 from .quantization import (
     _classify,
     energy_from_lambda,
@@ -417,12 +418,15 @@ def _numeric_current(cfg: RunConfig, n: int, l: int, k: float, t: float, branch:
     """Central-difference current of the lowest (n, l, k) state on one branch at flux ratio t.
 
     The stencil is t +- CURRENT_STEP_T; dt/dPhi_B = q/(2 pi) turns the t-derivative
-    into the Phi_B-derivative."""
+    into the Phi_B-derivative.  k does not move with the flux, so the difference is
+    taken of E - |k| = 2 nu (n + s + 1) / (E_+ + |k|), from each state's printed slope
+    and negated on the minus branch: two values of E itself cancel to rounding at large k."""
     from .observables import persistent_current_numeric
 
-    def energy_at(flux: float) -> float:
-        pair = _solve_cell(cfg, n, l, k, flux)[0].energies
-        return pair[0] if branch > 0 else pair[1]
+    def energy_at(flux: float) -> float:  # E -+ |k| on the +-E branch
+        pt = _solve_cell(cfg, n, l, k, flux)[0]
+        shifted = 2.0 * pt.nu_solved * (n + pt.eff_abs + 1.0) / (pt.energies[0] + abs(k))
+        return shifted if branch > 0 else -shifted
 
     return cfg.q / TWO_PI * persistent_current_numeric(energy_at, t, CURRENT_STEP_T)
 
@@ -543,12 +547,16 @@ def _max(values) -> float:
     return max(values, key=lambda x: (math.isnan(x), x))
 
 
+# The truncation cascade builds each state's tail through this order.
+CASCADE_ORDER = 64
+
+
 def _check_truncation_cascade(pop: _Population):
-    # A state carries a_0..a_n: the tail through order 64 is built here, from its printed values.
+    # A state carries a_0..a_n: the tail is built here, from its printed values.
     ratios = []
     for pt in pop.points:
         params = pt.params(pop.cfg.m, pop.cfg.b)
-        a = [abs(x) for x in build_coefficients(params, max(DEFAULT_N_MAX, pt.qn.n + 1))]
+        a = [abs(x) for x in build_coefficients(params, max(CASCADE_ORDER, pt.qn.n + 1))]
         head = max(_max(a[: pt.qn.n + 1]), 1e-300)
         ratios.append(_max(a[pt.qn.n + 1 :]) / head)
     return ratios, ""

@@ -33,8 +33,6 @@ from __future__ import annotations
 
 from .core import HeunParams
 
-DEFAULT_N_MAX = 64
-
 
 def lambda_bar(params: HeunParams) -> float:
     """Constant term of the G-equation: beta + alpha^2/4 - 2 - 2*nu_abs."""
@@ -46,7 +44,7 @@ def tau_bar(params: HeunParams) -> float:
     return 0.5 * params.alpha * (2.0 * params.nu_abs + 1.0) - params.mu
 
 
-def build_coefficients(params: HeunParams, n_max: int = DEFAULT_N_MAX) -> tuple[float, ...]:
+def build_coefficients(params: HeunParams, n_max: int) -> tuple[float, ...]:
     """The series a_0..a_{n_max} of G, normalized to a_0 = 1, run through the
     recurrence in one pass.
 

@@ -14,7 +14,8 @@ RadialGrid its caller gives it (cli sizes both grids to a state):
   uses only the equation's exponent at xi = 0, not the solution's form.
 
 The level is found by _sturm_root, the slope solver's Sturm count on the
-matrix's LDL^T pivots, in a bracket narrowed around a seed: generic linear
+matrix's LDL^T pivots, in the matrix's Gershgorin interval (_gershgorin, the
+bound the slope solve starts from too) narrowed around a seed: generic linear
 algebra, not the series ansatz; each side is tested against LAPACK on its own.
 """
 
@@ -26,7 +27,7 @@ from collections import namedtuple
 from functools import partial
 
 from .core import HeunParams
-from .quantization import _sturm_pass, _sturm_root
+from .quantization import _gershgorin, _sturm_pass, _sturm_root
 
 # Largest effective momentum whose full origin exponent the finite-volume
 # oracle factors out; see fd_eigensolve_free.
@@ -180,9 +181,7 @@ def fd_eigensolve_free(
     off = [f / math.sqrt(w0 * w1) for f, w0, w1 in zip(flux, weight, weight[1:])]  # -T[i, i+1]
     off2 = [0.0] + [x * x for x in off]
     pivmin = sys.float_info.min * max(1.0, max(off2))
-    radius = [x + y for x, y in zip([0.0] + off, off + [0.0])]
-    lo = min(x - r for x, r in zip(diag, radius))
-    hi = max(x + r for x, r in zip(diag, radius))
+    lo, hi = _gershgorin(diag, off)
     n_lo, n_hi = 0, len(diag)
     slope = [-1.0] * len(diag)  # T is constant: d(d_j - x)/dx = -1
     sturm = partial(_sturm_pass, diag, slope, off2, pivmin=pivmin)

@@ -54,9 +54,13 @@ alpha -+ PROOF_WIDTH max(alpha, 1) (by +1 on counted branches, by +-1 on the
 pencil's), and the changes over the roots must add up to
 count(top) - count(PROOF_WIDTH): a lost root fails too.  A root the count
 cannot tell from alpha = 0, or from alpha = inf, is not a state.  On counted
-branches top is the first power of two where count reaches count(inf) = n + 1;
-on the pencil's it is alpha at y = PROOF_WIDTH, as a root at smaller y hangs
-on the last bits of c, A and B (c sqrt(B) = d_j puts one at y = 0).
+branches top = 2 max(hi, 1)/(1 - kappa_+), with hi the Gershgorin upper bound of
+S(c sqrt(A)) and kappa_+ = kappa for c > 0, else 0: mu(alpha)/d_j <= c sqrt(A)/d_j
++ kappa_+ alpha, and by Hellmann-Feynman lambda_i rises with mu at a slope at most
+1/d_0, so S(mu(top)) has every eigenvalue below hi + kappa_+ top < top and
+count(top) = n + 1 with no pass (the factor 2 keeps the largest root off the
+edge).  On the pencil's it is alpha at y = PROOF_WIDTH, as a root at smaller y
+hangs on the last bits of c, A and B (c sqrt(B) = d_j puts one at y = 0).
 """
 
 from __future__ import annotations
@@ -259,6 +263,13 @@ def _sturm_pass(diag: list, slope: list, off2: list, x: float, pivmin: float) ->
     return count, dlog
 
 
+def _gershgorin(diag: list, off: list) -> tuple[float, float]:
+    """Gershgorin's [lo, hi], holding every eigenvalue of the symmetric tridiagonal (diag, off)."""
+    e = [0.0, *map(abs, off), 0.0]
+    radius = [x + y for x, y in zip(e, e[1:])]
+    return min(x - r for x, r in zip(diag, radius)), max(x + r for x, r in zip(diag, radius))
+
+
 def _sturm_root(
     sturm: Callable[[float], tuple[int, float]], index: int,
     lo: float, hi: float, n_lo: int, n_hi: int, rtol: float,
@@ -410,11 +421,10 @@ def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list
     n_lo = sturm(PROOF_WIDTH)[0]
     # Constant mu is tested first: at B = inf, c = 0 would make kappa NaN.
     if constant or c < 0.0 or abs(c) * math.sqrt(big_b) < d[0]:  # one step per root
-        top = 1.0
-        while sturm(top)[0] <= n:  # count(inf) = n + 1
-            top *= 2.0
-            if top == math.inf:
-                raise NoRoots(f"the eigenvalue count does not reach {n + 1} at any finite alpha")
+        kappa = c * math.sqrt(big_b) / d[0] if c > 0.0 else 0.0
+        top = 2.0 * max(_gershgorin(diag0, off)[1], 1.0) / (1.0 - kappa)  # count(top) = n + 1
+        if not math.isfinite(top):
+            raise NoRoots(f"the eigenvalue count's bracket top={top!r} is not finite")
         roots = [
             _sturm_root(sturm, i, PROOF_WIDTH, top, n_lo, n + 1, NEWTON_RTOL)
             for i in range(n_lo, n + 1)

@@ -635,8 +635,6 @@ class TestVerify:
         ):
             if fault == "branch_flipped" and scenario != "coulomb":
                 continue
-            if scenario == "ab" and n == 1 and "1e4" in cell:
-                continue  # correct states fail current_agreement here (ROADMAP item 4)
             mutate = self.PRINTED_FAULTS[fault]
             monkeypatch.setattr(
                 cli, "solve_general_n", lambda *a: list(map(mutate, solve_general_n(*a)))
@@ -644,7 +642,7 @@ class TestVerify:
             argv_cell = [*argv.split(), *cell.split(), "--n", str(n)]
             exits[scenario, n, cell, fault] = run_cli(capsys, "verify", *argv_cell)[0]
             want[scenario, n, cell, fault] = EXIT_OK if fault is None else EXIT_VERIFY
-        assert len(exits) == 67
+        assert len(exits) == 70
         assert exits == want
 
     @pytest.mark.parametrize("k", ["1e4", "1e8", "1e12"])

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import re
 import warnings
@@ -483,6 +484,50 @@ def test_kappa_lt1_roots_match_dense_branches():
 
 def test_negative_c_roots_match_dense_branches():
     assert roots_matching_dense_branches(negative_c_cells()) > 400
+
+
+def counted_cells():
+    """Seeded cells of every counted branch, n up to 60 and s up to 4e4: constant mu
+    (c = 0 or B = 0), c < 0, and c > 0 at kappa < 1, kappa = 1 - 1e-6 among them."""
+    rng = np.random.default_rng(2741)
+    for _ in range(12):
+        n = int(rng.integers(1, 61))
+        s = float(rng.choice([rng.uniform(0.0, 5.0), rng.uniform(0.0, 4e4)]))
+        big_a, c = 2.0 * (n + s + 1.0), float(rng.uniform(0.05, 5.0))
+        yield n, s, 0.0, big_a, float(rng.uniform(0.0, 1e4))
+        yield n, s, float(rng.choice([-c, c])), big_a, 0.0
+        yield n, s, -c, big_a, float(rng.uniform(0.0, 1e4))
+        for kappa in (float(rng.uniform(0.0, 1.0)), 1.0 - 1e-6):
+            yield n, s, c, big_a, (kappa * (s + 0.5) / c) ** 2
+
+
+def test_counted_top_is_past_every_eigenvalue(monkeypatch):
+    # A counted branch takes its bracket's top in closed form, with no pass
+    # (module docstring), so count(top) = n + 1 must hold by construction:
+    # LAPACK's eigenvalues of S(mu(top)) all lie below top.  Near kappa = 1 the
+    # largest roots are nearly tangent, and the count may not prove them (ROADMAP
+    # item 20); the top is recorded before the proof either way.
+    tops = []
+    sturm_root = quantization._sturm_root
+
+    def recorded(sturm, index, lo, hi, *args):
+        tops.append(hi)
+        return sturm_root(sturm, index, lo, hi, *args)
+
+    monkeypatch.setattr(quantization, "_sturm_root", recorded)
+    checked = 0
+    for n, s, c, big_a, big_b in counted_cells():
+        tops.clear()
+        with contextlib.suppress(NoRoots):
+            _alpha_roots(n, s, c, big_a, big_b)
+        if not tops:  # no root: every eigenvalue is below alpha from alpha = 0 on
+            continue
+        (top,) = set(tops)
+        diag, off = slope_matrix(n, s, c * math.sqrt(big_a + big_b * top * top))
+        lam = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        assert lam[-1] < top, (n, s, c, big_a, big_b)
+        checked += 1
+    assert checked > 50
 
 
 def test_kappa_lt1_root_on_a_zero_pivot():
