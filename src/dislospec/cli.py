@@ -17,9 +17,9 @@ Three subcommands:
   E against the energy relation at its printed slope.  The closed-form,
   Coulomb fixed-point and current checks cover n = 1 only.
 
-Flux is configured as the dimensionless ratio q*Phi_B/(2 pi) everywhere.  A
-state sees the charge only through that ratio, so every cell is solved at unit
-charge, and q, a flag of current alone, only scales the current.
+Flux is configured as the dimensionless ratio q*Phi_B/(2 pi) everywhere, the
+Couplings flux a state sees, so q, a flag of current alone, only scales the
+current.
 Energies are reported in units of m unless --absolute is given; slopes are
 always raw.  Output is deterministic: identical configuration yields
 byte-identical CSV or JSON.
@@ -46,7 +46,6 @@ from itertools import product
 
 from .core import (
     COULOMB,
-    TWO_PI,
     Couplings,
     DefectGeometry,
     QuantumNumbers,
@@ -286,11 +285,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _couplings(cfg: RunConfig, t: float) -> Couplings:
-    # t = q*Phi_B/(2 pi) is all a state sees of q and Phi_B, so solve at unit charge.
-    return Couplings(b=cfg.b, phi_B=t * TWO_PI)
-
-
 def _json_value(value):
     # RFC 8259 has no NaN or Infinity, so a non-finite float is written as null.
     return None if isinstance(value, float) and not math.isfinite(value) else value
@@ -348,15 +342,17 @@ def _fd_match(pt, m: float, index: int) -> float:
 
 
 def _solve_cell(cfg: RunConfig, n: int, l: int, k: float, t: float) -> list:
-    """Every solved state of one (n, l, k, flux) cell.  A Coulomb n = 1 cell whose
-    closed form has no real branch raises NoRealSolution or DegenerateDenominator
-    before any solve; the solver raises NoRoots."""
-    geom = DefectGeometry(chi=cfg.chi)
-    coup = _couplings(cfg, t)
-    if cfg.b != 0.0 and n == 1:
-        eff = effective_angular_momentum(l, k, geom, coup)
-        energy_ground_coulomb(cfg.m, cfg.b, coulomb_eta(eff, cfg.b), k)
-    return solve_general_n(QuantumNumbers(n=n, l=l, k=k), cfg.m, geom, coup)
+    """Every solved state of one (n, l, k, flux) cell.  A cell with none raises
+    NoRoots, unless it is a Coulomb n = 1 cell whose closed form says why: that
+    raises NoRealSolution or DegenerateDenominator."""
+    geom, coup = DefectGeometry(chi=cfg.chi), Couplings(b=cfg.b, flux=t)
+    try:
+        return solve_general_n(QuantumNumbers(n=n, l=l, k=k), cfg.m, geom, coup)
+    except NoRoots:
+        if cfg.b != 0.0 and n == 1:
+            eff = effective_angular_momentum(l, k, geom, coup)
+            energy_ground_coulomb(cfg.m, cfg.b, coulomb_eta(eff, cfg.b), k)
+        raise
 
 
 # The status row of a cell with no solved state, by the exception that says why.
@@ -372,7 +368,7 @@ def _spectrum_rows_for(cfg: RunConfig, n: int, l: int, k: float, t: float) -> li
     try:
         points = _solve_cell(cfg, n, l, k, t)
     except tuple(_NO_STATE_STATUS) as exc:
-        coup = _couplings(cfg, t)
+        coup = Couplings(b=cfg.b, flux=t)
         eff = effective_angular_momentum(l, k, DefectGeometry(chi=cfg.chi), coup)
         status = _NO_STATE_STATUS[type(exc)]
         return [_SpectrumRow(_classify(coup), n, l, k, t, 0, "", eff, status=status)]
@@ -417,8 +413,8 @@ def cmd_spectrum(cfg: RunConfig, out: io.TextIOBase, err: io.TextIOBase) -> int:
 def _numeric_current(cfg: RunConfig, n: int, l: int, k: float, t: float, branch: int) -> float:
     """Central-difference current of the lowest (n, l, k) state on one branch at flux ratio t.
 
-    The stencil is t +- CURRENT_STEP_T; dt/dPhi_B = q/(2 pi) turns the t-derivative
-    into the Phi_B-derivative.  k does not move with the flux, so the difference is
+    The stencil is t +- CURRENT_STEP_T; I = -(q/2 pi) dE/dt turns the t-derivative
+    into the current.  k does not move with the flux, so the difference is
     taken of E - |k| = 2 nu (n + s + 1) / (E_+ + |k|), from each state's printed slope
     and negated on the minus branch: two values of E itself cancel to rounding at large k."""
     from .observables import persistent_current_numeric
@@ -428,12 +424,13 @@ def _numeric_current(cfg: RunConfig, n: int, l: int, k: float, t: float, branch:
         shifted = 2.0 * pt.nu_solved * (n + pt.eff_abs + 1.0) / (pt.energies[0] + abs(k))
         return shifted if branch > 0 else -shifted
 
-    return cfg.q / TWO_PI * persistent_current_numeric(energy_at, t, CURRENT_STEP_T)
+    return cfg.q / (2.0 * math.pi) * persistent_current_numeric(energy_at, t, CURRENT_STEP_T)
 
 
 def _current_row(cfg: RunConfig, n: int, l: int, k: float, t: float) -> _CurrentRow:
     branch = 1 if cfg.branch == "plus" else -1
-    sigma = effective_angular_momentum(l, k, DefectGeometry(chi=cfg.chi), _couplings(cfg, t))
+    coup = Couplings(b=cfg.b, flux=t)
+    sigma = effective_angular_momentum(l, k, DefectGeometry(chi=cfg.chi), coup)
     row = partial(_CurrentRow, n, l, k, t, sigma, "+" if branch > 0 else "-")
     if abs(sigma) <= CURRENT_STEP_T:
         return row(status="KINK")
@@ -449,8 +446,6 @@ def _current_row(cfg: RunConfig, n: int, l: int, k: float, t: float) -> _Current
 
 
 def cmd_current(cfg: RunConfig, out: io.TextIOBase, err: io.TextIOBase) -> int:
-    if cfg.scenario != "ab":
-        raise UsageError("current requires --scenario ab")
     rows = [_current_row(cfg, *cell) for cell in product(cfg.n, cfg.l, cfg.k, cfg.flux)]
     rows.sort(key=lambda r: (r.n, r.l, r.k, r.flux))
     emit(rows, CURRENT_COLUMNS, cfg.format, out)
@@ -462,7 +457,7 @@ class _Population(namedtuple("_Population", "cfg coulomb cells solved skipped"))
 
     cells holds (l, k, t, effective momentum) for every configured cell, solved
     maps each configured n to [(cell, states)], and skipped counts the Coulomb
-    n = 1 cells with no real closed form, hence not solved."""
+    n = 1 cells with no state whose closed form has no real branch."""
 
     __slots__ = ()
 
@@ -478,7 +473,7 @@ _NO_GROUND = "n = 1 not configured; the closed forms cover n = 1 only"
 def _solve_population(cfg: RunConfig) -> _Population:
     geom = DefectGeometry(chi=cfg.chi)
     cells = [
-        (l, k, t, effective_angular_momentum(l, k, geom, _couplings(cfg, t)))
+        (l, k, t, effective_angular_momentum(l, k, geom, Couplings(b=cfg.b, flux=t)))
         for l, k, t in product(cfg.l, cfg.k, cfg.flux)
     ]
     solved: dict = {n: [] for n in cfg.n}
@@ -511,10 +506,14 @@ def _check_closed_form_agreement(pop: _Population):
     cfg = pop.cfg
     if 1 not in cfg.n:
         return None, _NO_GROUND
-    errors = []
+    errors, without = [], pop.skipped
     for (_, k, _, eff), pts in pop.solved[1]:
         if pop.coulomb:
-            want = sorted(energy_ground_coulomb(cfg.m, cfg.b, coulomb_eta(eff, cfg.b), k))
+            try:  # a solved state's closed form may still degenerate
+                want = sorted(energy_ground_coulomb(cfg.m, cfg.b, coulomb_eta(eff, cfg.b), k))
+            except DegenerateDenominator:
+                without += 1
+                continue
             got = sorted(e for p in pts for e in p.energies)
         else:
             want = [nu_ground_free(cfg.m, eff), energy_ground_free(cfg.m, eff, k)[0]]
@@ -522,7 +521,7 @@ def _check_closed_form_agreement(pop: _Population):
         if len(got) != len(want):  # a lost or extra state
             errors.append(math.inf)
         errors.extend(abs(g - w) / abs(w) for g, w in zip(got, want))
-    note = f"{pop.skipped} cell(s) without real closed form" if pop.skipped else ""
+    note = f"{without} cell(s) without real closed form" if without else ""
     return errors, note
 
 
@@ -690,6 +689,8 @@ def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         cfg = build_config(args)
+        if args.command == "current" and cfg.scenario != "ab":  # before --out is opened
+            raise UsageError("current requires --scenario ab")
         sink = contextlib.nullcontext(sys.stdout)
         if cfg.out:
             sink = open(cfg.out, "w", encoding="utf-8", newline="")

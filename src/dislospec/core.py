@@ -4,8 +4,8 @@ Natural units (hbar = c = 1) throughout.  The particle carries a
 position-dependent mass m(rho) = m + nu*rho, i.e. a linear confining scalar
 potential of slope nu, and lives on a background whose only geometric input
 here is the torsion parameter chi.  An optional Coulomb coupling b and an
-optional magnetic flux phi_B enter the radial problem through a single
-effective angular momentum combination.
+optional magnetic flux, as its ratio q*Phi_B/(2 pi) to the flux quantum, enter
+the radial problem through a single effective angular momentum combination.
 
 After substituting xi = sqrt(nu)*rho, the radial equation is governed by four
 dimensionless numbers collected in HeunParams:
@@ -22,8 +22,6 @@ import math
 from collections import namedtuple
 
 from .errors import NonPositiveSlope
-
-TWO_PI = 2.0 * math.pi
 
 # Scenario tags used by the solver and CLI.
 FREE = "free"
@@ -61,10 +59,10 @@ class DefectGeometry(namedtuple("DefectGeometry", "chi")):
     __slots__ = ()
 
 
-class Couplings(namedtuple("Couplings", "b q phi_B", defaults=(0.0, 1.0, 0.0))):
-    """Coulomb strength b (signed, dimensionless), charge q, and flux phi_B.
-
-    b = 0 and phi_B = 0 recover the free case exactly.
+class Couplings(namedtuple("Couplings", "b flux", defaults=(0.0, 0.0))):
+    """Coulomb strength b (signed, dimensionless) and flux ratio q*Phi_B/(2 pi),
+    all a state sees of the charge and the flux.  b = 0 and flux = 0 recover the
+    free case exactly.
     """
 
     __slots__ = ()
@@ -99,13 +97,13 @@ class HeunParams(namedtuple("HeunParams", "nu_abs alpha beta mu")):
 def effective_angular_momentum(
     l: int, k: float, geom: DefectGeometry, coup: Couplings
 ) -> float:
-    """Angular momentum as shifted by torsion and flux: l - chi*k + q*phi_B/(2 pi).
+    """Angular momentum as shifted by torsion and flux: l - chi*k + flux.
 
     Reduces to l - chi*k at zero flux and to plain l on a flat background.
-    Affine in each argument; adding one flux quantum (q*phi_B/2pi -> +1) is
+    Affine in each argument; adding one flux quantum (flux -> flux + 1) is
     the same as l -> l+1.
     """
-    return l - geom.chi * k + coup.q * coup.phi_B / TWO_PI
+    return l - geom.chi * k + coup.flux
 
 
 def coulomb_eta(gamma_eff: float, b: float) -> float:

@@ -1,12 +1,12 @@
 """Persistent currents from the flux dependence of the spectrum.
 
 A bound state's equilibrium current is the flux derivative of its energy,
-I = -dE/dPhi_B.  For the lowest state the derivative has a closed form; for
-anything else (and as an oracle for the closed form) a central difference of
-a caller-supplied flux -> energy map is used.  Energies depend on the flux
-only through |sigma|, sigma = l - chi k + q Phi_B/(2 pi), so every spectrum
-has a kink where sigma crosses zero.  The caller knows sigma, so the caller
-decides whether a difference stencil reaches the kink.
+I = -dE/dPhi_B = -(q/2 pi) dE/dt in the flux ratio t = q Phi_B/(2 pi).  For
+the lowest state the derivative has a closed form; for anything else (and as
+an oracle for it) a central difference of a caller-supplied t -> energy map
+is used.  Energies depend on the flux only through |sigma|, sigma = l - chi k
++ t, so every spectrum has a kink where sigma crosses zero.  The caller knows
+sigma, so the caller decides whether a difference stencil reaches the kink.
 """
 
 from __future__ import annotations
@@ -48,16 +48,16 @@ def persistent_current_ground(
 
 
 def persistent_current_numeric(
-    spectrum_fn: Callable[[float], float], phi_B: float, step: float
+    spectrum_fn: Callable[[float], float], t: float, step: float
 ) -> float:
-    """Central difference -[E(phi+h) - E(phi-h)] / (2h) of a flux -> energy map.
+    """Central difference -[E(t+h) - E(t-h)] / (2h) of a flux ratio -> energy map.
 
-    Two evaluations, at phi_B + step and phi_B - step.  The difference is the
-    current only where E is smooth on that stencil: the caller must keep it
-    off the |sigma| kink, i.e. sigma must not reach zero on it.
+    Two evaluations, at t + step and t - step.  Times q/(2 pi), the difference
+    is the current only where E is smooth on that stencil: the caller must keep
+    it off the |sigma| kink, i.e. sigma must not reach zero on it.
     """
     if not step > 0.0:
         raise ValueError(f"step must be positive, got {step}")
-    e_plus = spectrum_fn(phi_B + step)
-    e_minus = spectrum_fn(phi_B - step)
+    e_plus = spectrum_fn(t + step)
+    e_minus = spectrum_fn(t - step)
     return -(e_plus - e_minus) / (2.0 * step)

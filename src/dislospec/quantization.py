@@ -231,7 +231,7 @@ def energy_ground_coulomb(
 def _classify(coup: Couplings) -> str:
     if coup.b != 0.0:
         return COULOMB
-    if coup.q * coup.phi_B != 0.0:
+    if coup.flux != 0.0:
         return AB_FLUX
     return FREE
 

@@ -39,7 +39,6 @@ from dislospec import (
     solve_general_n,
 )
 from dislospec.cli import main
-from dislospec.core import TWO_PI
 
 # Pinned populations for the "every solved state" criteria (2 and 3).
 FREE_CELLS = [
@@ -74,7 +73,7 @@ def solved_population():
         points.extend(
             (1.0, 0.0, pt)
             for pt in solve_general_n(
-                QuantumNumbers(1, l, 0.0), 1.0, flat, Couplings(q=1.0, phi_B=t * TWO_PI)
+                QuantumNumbers(1, l, 0.0), 1.0, flat, Couplings(flux=t)
             )
         )
     return points
@@ -241,13 +240,13 @@ def test_criterion_6_flux_periodicity():
                 QuantumNumbers(1, l, 0.0),
                 1.0,
                 flat,
-                Couplings(q=1.0, phi_B=(t + 1.0) * TWO_PI),
+                Couplings(flux=t + 1.0),
             )
             base = solve_general_n(
                 QuantumNumbers(1, l + 1, 0.0),
                 1.0,
                 flat,
-                Couplings(q=1.0, phi_B=t * TWO_PI),
+                Couplings(flux=t),
             )
             assert len(up) == len(base)
             for pa, pb in zip(up, base):
@@ -287,16 +286,13 @@ def test_criterion_8_persistent_current_oracle_and_signs():
                 assert analytic == -persistent_current_ground(1.0, k, -sigma, 1.0, branch)
                 assert analytic == -persistent_current_ground(1.0, k, sigma, 1.0, -branch)
 
-                def energy_at(phi_B, k=k, branch=branch):
-                    eff = effective_angular_momentum(
-                        0, k, geom, Couplings(q=1.0, phi_B=phi_B)
-                    )
+                def energy_at(t, k=k, branch=branch):
+                    eff = effective_angular_momentum(0, k, geom, Couplings(flux=t))
                     pair = energy_ground_free(1.0, eff, k)
                     return pair[0] if branch > 0 else pair[1]
 
-                numeric = persistent_current_numeric(
-                    energy_at, sigma * TWO_PI, 1e-5 * TWO_PI
-                )
+                # I = -(q/2 pi) dE/dt in the flux ratio t, at q = 1.
+                numeric = persistent_current_numeric(energy_at, sigma, 1e-5) / (2.0 * math.pi)
                 worst = max(worst, abs(numeric - analytic) / abs(analytic))
     print(f"criterion 8: worst analytic/numeric deviation {worst:.3e} (tolerance 1e-8)")
     assert worst < 1e-8

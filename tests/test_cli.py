@@ -27,6 +27,9 @@ from dislospec.heun import build_coefficients
 from dislospec.quantization import solve_general_n
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# The Coulomb strength where the n = 1 closed form's branch denominator
+# 4b^2 eta + 8b^2 - 2 eta - 1 vanishes at l = k = 0 (there eta = b).
+B_STAR = "0.43870187285001877"
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -96,6 +99,22 @@ class TestSpectrum:
         eff_end = float(rows[-1]["eff_momentum"])
         assert eff_end == pytest.approx(1.0, abs=1e-12)
 
+    def test_eff_momentum_is_l_minus_chi_k_plus_flux(self, capsys):
+        # The flux ratio t enters the effective momentum as given, so each row
+        # prints l - chi*k + t to the last digit.  A round trip of t through
+        # Phi_B = 2 pi t printed -1.3 for l = -2, t = 0.70000000000000007.
+        chi = 0.1037
+        code, out, _ = run_cli(
+            capsys, "spectrum", "--scenario", "ab", f"--chi={chi}", "--flux", "0:1:0.05",
+            "--l=-2..2", "--k", "0,1.0627", "--n", "1..2",
+        )
+        assert code == EXIT_OK
+        rows = read_csv(out)
+        assert len(rows) == 2 * 21 * 5 * 2
+        for r in rows:
+            want = int(r["l"]) - chi * float(r["k"]) + float(r["flux"])
+            assert r["eff_momentum"] == "%.17g" % want
+
     def test_energies_in_units_of_m(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--m", "2", "--l", "0", "--k", "0")
         rows = read_csv(out)
@@ -132,6 +151,35 @@ class TestSpectrum:
         assert rows[0]["status"] == "NO_REAL_SOLUTION"
         assert rows[0]["nu_solved"] == ""
         assert "NO_REAL_SOLUTION" in err
+
+    def test_underflowing_closed_form_does_not_hide_proven_states(self, capsys):
+        # b^2 underflows to 0, so the n = 1 closed form divides by zero, but the
+        # solver proves both branches of this all but free state, and they print.
+        code, out, _ = run_cli(
+            capsys, "spectrum", "--scenario", "coulomb", "--b", "1e-300", "--l", "0", "--k", "1"
+        )
+        assert code == EXIT_OK
+        rows = read_csv(out)
+        assert [(r["branch"], r["nu_solved"], r["status"]) for r in rows] == [
+            ("+", "1.5", "OK"), ("-", "1.5", "OK")
+        ]
+
+    def test_degenerate_denominator_cell_prints_its_state(self, capsys):
+        # The closed form degenerates here, but the solver proves the state, and
+        # it is the closed form's d -> 0 limit E = (2b+1)(2b+3) / (8b(b+1)).
+        argv = ["spectrum", "--scenario", "coulomb", "--b", B_STAR, "--l", "0", "--n", "1"]
+        code, out, _ = run_cli(capsys, *argv, "--k", "0")
+        assert code == EXIT_OK
+        (row,) = read_csv(out)
+        assert (row["branch"], row["status"]) == ("+", "OK")
+        b = float(B_STAR)
+        want = (2 * b + 1) * (2 * b + 3) / (8 * b * (b + 1))
+        assert float(row["e_plus"]) == pytest.approx(want, rel=1e-14)
+        # At k = 3 no state has nu > 0, and the closed form names the reason.
+        code, out, err = run_cli(capsys, *argv, "--k", "3")
+        assert code == EXIT_SOLVER
+        assert [r["status"] for r in read_csv(out)] == ["DEGENERATE_DENOMINATOR"]
+        assert "DEGENERATE_DENOMINATOR" in err
 
     def test_oracle_columns(self, capsys):
         code, out, _ = run_cli(
@@ -266,6 +314,17 @@ class TestCurrent:
         code, _, err = run_cli(capsys, "current", "--scenario", "free")
         assert code == EXIT_USAGE
         assert "scenario ab" in err
+
+    def test_flux_scenario_rule_leaves_out_file_alone(self, capsys, tmp_path):
+        # The rule is checked with the other scenario rules, before --out is opened.
+        target = tmp_path / "keep.csv"
+        target.write_bytes(b"kept\n")
+        code, _, err = run_cli(
+            capsys, "current", "--scenario", "free", "--l", "0", "--k", "0", "--out", str(target)
+        )
+        assert code == EXIT_USAGE
+        assert err == "dislospec: error: current requires --scenario ab\n"
+        assert target.read_bytes() == b"kept\n"
 
     def test_analytic_numeric_agreement(self, capsys):
         code, out, _ = run_cli(
@@ -471,6 +530,17 @@ class TestVerify:
             assert line.endswith(note)
         assert lines[-1] == "1 passed, 0 failed, 8 skipped"
 
+    def test_solved_cell_with_degenerate_closed_form_has_none(self, capsys):
+        # The l = 0, k = 0 cell is solved though its closed form degenerates, and
+        # the k = 3 cell has no state: both count as without closed form.
+        code, out, _ = run_cli(
+            capsys, "verify", "--scenario", "coulomb", "--b", B_STAR, "--l", "0..1", "--k", "0,3"
+        )
+        assert code == EXIT_OK
+        line = next(x for x in out.splitlines() if " closed_form_agreement " in x)
+        assert line.startswith("PASS closed_form_agreement ")
+        assert line.endswith("(2 cell(s) without real closed form)")
+
     def test_minkowski_compares_unconfigured_k0_cells(self, capsys):
         # The configured cell has eff = 1, but its k = 0 twin (l = 40000) has its
         # one root at alpha = 2/sqrt(40001.5), below 0.01: both sides print it.
@@ -512,7 +582,7 @@ class TestVerify:
         # Perturb the spectrum at one flux quantum and above only.
         def shifted_solve(qn, m, geom, coup):
             points = solve_general_n(qn, m, geom, coup)
-            return points if coup.phi_B < 2.0 * math.pi / coup.q else perturb(points)
+            return points if coup.flux < 1.0 else perturb(points)
 
         monkeypatch.setattr(cli, "solve_general_n", shifted_solve)
         code, out, _ = run_cli(
@@ -1072,7 +1142,7 @@ class TestRejectedInput:
         [
             "spectrum --scenario free --m 1e-200 --l 0 --k 1",
             "spectrum --scenario coulomb --b 1e200 --l 0 --k 0",
-            "spectrum --scenario coulomb --b 1e-300 --l 0 --k 1",
+            "spectrum --scenario coulomb --b 1e-300 --l 0 --k 1e160",
             "current --scenario ab --m 1e-162 --l 0 --k 0 --flux 0.5",
             # chi*k overflows the effective momentum to -inf.
             "spectrum --scenario free --chi 1e200 --k 1e200 --l 0 --n 2",

@@ -15,8 +15,6 @@ from dislospec import (
     heun_params,
 )
 
-TWO_PI = 2.0 * math.pi
-
 
 class TestTypes:
     def test_mass_profile_rejects_nonpositive_mass(self):
@@ -53,9 +51,8 @@ class TestEffectiveAngularMomentum:
         assert effective_angular_momentum(0, 0.0, DefectGeometry(0.0), Couplings()) == 0.0
 
     def test_flux_shift(self):
-        coup = Couplings(q=1.0, phi_B=0.25 * TWO_PI)
-        got = effective_angular_momentum(0, 1.0, DefectGeometry(chi=0.5), coup)
-        assert got == pytest.approx(-0.25, abs=1e-15)
+        coup = Couplings(flux=0.25)
+        assert effective_angular_momentum(0, 1.0, DefectGeometry(chi=0.5), coup) == -0.25
 
     def test_one_flux_quantum_equals_one_angular_step(self):
         rng = np.random.default_rng(7)
@@ -64,9 +61,8 @@ class TestEffectiveAngularMomentum:
             l = int(rng.integers(-5, 6))
             k = float(rng.uniform(-2, 2))
             t = float(rng.uniform(-1, 1))
-            q = float(rng.choice([0.5, 1.0, 2.0]))
-            a = effective_angular_momentum(l + 1, k, geom, Couplings(q=q, phi_B=(t - 1) * TWO_PI / q))
-            b = effective_angular_momentum(l, k, geom, Couplings(q=q, phi_B=t * TWO_PI / q))
+            a = effective_angular_momentum(l + 1, k, geom, Couplings(flux=t - 1))
+            b = effective_angular_momentum(l, k, geom, Couplings(flux=t))
             assert a == pytest.approx(b, abs=1e-12)
 
 

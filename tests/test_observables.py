@@ -12,21 +12,24 @@ from dislospec import (
     persistent_current_ground,
     persistent_current_numeric,
 )
-from dislospec.core import TWO_PI
-
-STEP = TWO_PI * 1e-5
+STEP = 1e-5
 
 
-def ground_energy_fn(l, k, m=1.0, chi=0.0, q=1.0, branch=1):
-    """Positive- or negative-energy lowest state as a flux -> energy map."""
+def ground_energy_fn(l, k, m=1.0, chi=0.0, branch=1):
+    """Positive- or negative-energy lowest state as a flux ratio -> energy map."""
     geom = DefectGeometry(chi=chi)
 
-    def energy_at(phi_B):
-        eff = effective_angular_momentum(l, k, geom, Couplings(q=q, phi_B=phi_B))
+    def energy_at(t):
+        eff = effective_angular_momentum(l, k, geom, Couplings(flux=t))
         pair = energy_ground_free(m, eff, k)
         return pair[0] if branch > 0 else pair[1]
 
     return energy_at
+
+
+def current_numeric(fn, t):
+    """I = -(q/2 pi) dE/dt at q = 1, from the central difference in t."""
+    return persistent_current_numeric(fn, t, STEP) / (2.0 * math.pi)
 
 
 class TestClosedForm:
@@ -67,12 +70,12 @@ class TestClosedForm:
 
 class TestNumericDerivative:
     def test_constant_spectrum(self):
-        assert persistent_current_numeric(lambda phi: 4.2, 0.3, STEP) == 0.0
+        assert persistent_current_numeric(lambda t: 4.2, 0.3, STEP) == 0.0
 
     def test_matches_closed_form(self):
-        # sigma = 0.5 at phi = 0.5 flux quanta for l = 0
+        # sigma = 0.5 at half a flux quantum for l = 0
         fn = ground_energy_fn(l=0, k=0.0)
-        got = persistent_current_numeric(fn, 0.5 * TWO_PI, STEP)
+        got = current_numeric(fn, 0.5)
         want = persistent_current_ground(1.0, 0.0, 0.5, 1.0, 1)
         assert got == pytest.approx(want, rel=1e-8)
 
@@ -85,9 +88,8 @@ class TestNumericDerivative:
             l = int(rng.integers(-2, 3))
             k = float(rng.choice([0.0, 1.0]))
             branch = int(rng.choice([1, -1]))
-            phi = (sigma - l) * TWO_PI
             fn = ground_energy_fn(l=l, k=k, branch=branch)
-            got = persistent_current_numeric(fn, phi, STEP)
+            got = current_numeric(fn, sigma - l)
             want = persistent_current_ground(1.0, k, sigma, 1.0, branch)
             assert got == pytest.approx(want, rel=1e-8)
 
@@ -95,22 +97,17 @@ class TestNumericDerivative:
         # |sigma| = 10 steps away from the kink: stencil stays one-sided
         fn = ground_energy_fn(l=0, k=0.0)
         sigma = 10.0 * 1e-5
-        got = persistent_current_numeric(fn, sigma * TWO_PI, STEP)
+        got = current_numeric(fn, sigma)
         want = persistent_current_ground(1.0, 0.0, sigma, 1.0, 1)
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_period_shift_matches_neighbor_state(self):
         # one flux quantum on state l equals state l+1 at the base flux
         for l in (-1, 0, 2):
-            phi = 0.3 * TWO_PI
-            shifted = persistent_current_numeric(
-                ground_energy_fn(l=l, k=1.0), phi + TWO_PI, STEP
-            )
-            neighbor = persistent_current_numeric(
-                ground_energy_fn(l=l + 1, k=1.0), phi, STEP
-            )
+            shifted = persistent_current_numeric(ground_energy_fn(l=l, k=1.0), 1.3, STEP)
+            neighbor = persistent_current_numeric(ground_energy_fn(l=l + 1, k=1.0), 0.3, STEP)
             assert shifted == pytest.approx(neighbor, rel=1e-10)
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
-            persistent_current_numeric(lambda phi: 1.0, 0.0, 0.0)
+            persistent_current_numeric(lambda t: 1.0, 0.0, 0.0)

@@ -203,7 +203,7 @@ def solved_states():
     """(root index, state) of free (flux 0) and AB (flux 0.3) cells up to n = 16."""
     geom = DefectGeometry(chi=0.2)
     for n, l, k, t in product((1, 16), range(4), (0.0, 0.7), (0.0, 0.3)):
-        coup = Couplings(phi_B=2.0 * math.pi * t)
+        coup = Couplings(flux=t)
         yield from enumerate(solve_general_n(QuantumNumbers(n, l, k), 1.0, geom, coup))
 
 

@@ -3,6 +3,7 @@ import math
 import re
 import warnings
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -271,6 +272,60 @@ class TestGroundCoulombClosedForms:
             energy_ground_coulomb(m, b, eta, 6.0)
 
 
+# n = 1 Coulomb cells (b, l, k, chi): b from +-0.05 to +-3 in steps of 0.05, and
+# +-b* where the closed form's denominator vanishes at l = k = 0 (eta = b).
+B_STAR = 0.43870187285001877
+N1_COULOMB_CELLS = list(
+    product(
+        [s * 0.05 * i for i in range(1, 61) for s in (1, -1)] + [B_STAR, -B_STAR],
+        range(4),
+        (0.0, 0.5, 1.0, 2.0, 3.0, 5.0),
+        (0.0, 0.2),
+    )
+)
+# c sqrt(B) = 3.1 lies within 2.6e-4 of d_1 = 3.1008, so the count cannot prove
+# the pencil root at alpha = 59.59 (ROADMAP item 20).
+N1_NEARLY_TANGENT = [(1.55, 0, 2.0, 0.2), (-1.55, 0, 2.0, 0.2)]
+
+
+def assert_n1_coulomb_matches_closed_form(b, l, k, chi):
+    """The solver has exactly the closed form's n = 1 energies, or none and NoRoots.
+    Where the closed form's denominator d degenerates, its branches are the roots
+    of d E^2 - 2P E + Q = 0 at d -> 0: the one finite root E = Q / (2P)."""
+    eta = coulomb_eta(l - chi * k, b)
+    try:
+        want = sorted(energy_ground_coulomb(1.0, b, eta, k))
+    except NoRealSolution:
+        want = []
+    except DegenerateDenominator:
+        two_p = 4.0 * b * (eta + 2) * (2 * eta + 2)
+        e = (2 * eta + 1) * ((eta + 2) * (2 * eta + 3) + k * k) / two_p
+        want = [e] if nu_ground_coulomb(1.0, b, eta, e) > 0.0 else []
+    args = (QuantumNumbers(1, l, k), 1.0, DefectGeometry(chi), Couplings(b=b))
+    if not want:
+        with pytest.raises(NoRoots):
+            solve_general_n(*args)
+        return
+    got = sorted(e for p in solve_general_n(*args) for e in p.energies)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-10 * abs(w)
+
+
+def test_n1_coulomb_solver_matches_closed_form():
+    # 5854 cells in about 0.6 s: 4194 with states (14 of them where the closed form
+    # degenerates) and 1660 without.
+    for cell in N1_COULOMB_CELLS:
+        if cell not in N1_NEARLY_TANGENT:
+            assert_n1_coulomb_matches_closed_form(*cell)
+
+
+@pytest.mark.xfail(strict=True, raises=NoRoots, reason="ROADMAP item 20: a nearly tangent root")
+@pytest.mark.parametrize("cell", N1_NEARLY_TANGENT)
+def test_n1_coulomb_nearly_tangent_root(cell):
+    assert_n1_coulomb_matches_closed_form(*cell)
+
+
 SCAN_CELLS = (
     [("free", n, l, k, 0.0, 0.0) for n in (1, 3, 5, 8) for l in (0, 2) for k in (0.0, 0.7)]
     + [("ab", n, l, k, 0.0, 0.3) for n in (2, 4, 8) for l in (-1, 1) for k in (0.0, 0.7)]
@@ -301,7 +356,7 @@ def test_eigen_solve_matches_frozen_scan(scenario, n, l, k, b, t):
     }
     qn = QuantumNumbers(n, l, k)
     geom = DefectGeometry(chi=0.25)
-    coup = Couplings(b=b, q=1.0, phi_B=t * 2 * math.pi)
+    coup = Couplings(b=b, flux=t)
     if not any(wants.values()):
         with pytest.raises(NoRoots):
             solve_general_n(qn, 1.0, geom, coup)
@@ -746,7 +801,7 @@ class TestSolveGeneralN:
             assert (p.energies[0] > 0) == (p.branch == 1)
 
     def test_flux_scenario_shifts_momentum(self):
-        coup = Couplings(q=1.0, phi_B=0.25 * 2 * math.pi)
+        coup = Couplings(flux=0.25)
         pts = solve_general_n(QuantumNumbers(1, 0, 0.0), 1.0, DefectGeometry(0.5), coup)
         assert pts[0].scenario == "ab"
         assert pts[0].eff == pytest.approx(0.25, abs=1e-15)
@@ -761,10 +816,10 @@ class TestSolveGeneralN:
             k = float(rng.uniform(-1, 1))
             t = float(rng.uniform(-0.5, 0.5))
             a = solve_general_n(
-                QuantumNumbers(1, l, k), 1.0, geom, Couplings(q=1.0, phi_B=(t + 1) * 2 * math.pi)
+                QuantumNumbers(1, l, k), 1.0, geom, Couplings(flux=t + 1)
             )
             b = solve_general_n(
-                QuantumNumbers(1, l + 1, k), 1.0, geom, Couplings(q=1.0, phi_B=t * 2 * math.pi)
+                QuantumNumbers(1, l + 1, k), 1.0, geom, Couplings(flux=t)
             )
             assert a[0].energies[0] == pytest.approx(b[0].energies[0], abs=1e-12)
 
@@ -791,7 +846,7 @@ class TestSolveGeneralN:
         [(2, 0.0, 0.0), (1, 0.7, 0.1), (2, 3.0, 1.5)],  # constant mu, Sturm count, pencil
     )
     def test_slopes_are_python_floats(self, n, k, b):
-        pts = solve_general_n(QuantumNumbers(n, 1, k), 1.0, FLAT, Couplings(b=b, q=1.0))
+        pts = solve_general_n(QuantumNumbers(n, 1, k), 1.0, FLAT, Couplings(b=b))
         assert pts
         for pt in pts:
             # np.float64 subclasses float, so only the exact type tells them apart.
