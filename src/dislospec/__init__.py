@@ -8,8 +8,6 @@ from .core import (
     AB_FLUX,
     COULOMB,
     FREE,
-    Couplings,
-    DefectGeometry,
     HeunParams,
     MassProfile,
     QuantumNumbers,
@@ -42,8 +40,6 @@ __all__ = [
     "AB_FLUX",
     "COULOMB",
     "FREE",
-    "Couplings",
-    "DefectGeometry",
     "DegenerateDenominator",
     "DislospecError",
     "HeunParams",

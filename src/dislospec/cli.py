@@ -18,8 +18,7 @@ Three subcommands:
   Coulomb fixed-point and current checks cover n = 1 only.
 
 Flux is configured as the dimensionless ratio q*Phi_B/(2 pi) everywhere, the
-Couplings flux a state sees, so q, a flag of current alone, only scales the
-current.
+flux a state sees, so q, a flag of current alone, only scales the current.
 Energies are reported in units of m unless --absolute is given; slopes are
 always raw.  Output is deterministic: identical configuration yields
 byte-identical CSV or JSON.
@@ -44,14 +43,7 @@ from collections import namedtuple
 from functools import partial
 from itertools import product
 
-from .core import (
-    COULOMB,
-    Couplings,
-    DefectGeometry,
-    QuantumNumbers,
-    coulomb_eta,
-    effective_angular_momentum,
-)
+from .core import COULOMB, QuantumNumbers, coulomb_eta, effective_angular_momentum
 from .errors import (
     DegenerateDenominator,
     DislospecError,
@@ -345,12 +337,11 @@ def _solve_cell(cfg: RunConfig, n: int, l: int, k: float, t: float) -> list:
     """Every solved state of one (n, l, k, flux) cell.  A cell with none raises
     NoRoots, unless it is a Coulomb n = 1 cell whose closed form says why: that
     raises NoRealSolution or DegenerateDenominator."""
-    geom, coup = DefectGeometry(chi=cfg.chi), Couplings(b=cfg.b, flux=t)
     try:
-        return solve_general_n(QuantumNumbers(n=n, l=l, k=k), cfg.m, geom, coup)
+        return solve_general_n(QuantumNumbers(n=n, l=l, k=k), cfg.m, chi=cfg.chi, b=cfg.b, flux=t)
     except NoRoots:
         if cfg.b != 0.0 and n == 1:
-            eff = effective_angular_momentum(l, k, geom, coup)
+            eff = effective_angular_momentum(l, k, cfg.chi, t)
             energy_ground_coulomb(cfg.m, cfg.b, coulomb_eta(eff, cfg.b), k)
         raise
 
@@ -368,10 +359,9 @@ def _spectrum_rows_for(cfg: RunConfig, n: int, l: int, k: float, t: float) -> li
     try:
         points = _solve_cell(cfg, n, l, k, t)
     except tuple(_NO_STATE_STATUS) as exc:
-        coup = Couplings(b=cfg.b, flux=t)
-        eff = effective_angular_momentum(l, k, DefectGeometry(chi=cfg.chi), coup)
+        eff = effective_angular_momentum(l, k, cfg.chi, t)
         status = _NO_STATE_STATUS[type(exc)]
-        return [_SpectrumRow(_classify(coup), n, l, k, t, 0, "", eff, status=status)]
+        return [_SpectrumRow(_classify(cfg.b, t), n, l, k, t, 0, "", eff, status=status)]
 
     rows = []
     for idx, pt in enumerate(points):
@@ -429,8 +419,7 @@ def _numeric_current(cfg: RunConfig, n: int, l: int, k: float, t: float, branch:
 
 def _current_row(cfg: RunConfig, n: int, l: int, k: float, t: float) -> _CurrentRow:
     branch = 1 if cfg.branch == "plus" else -1
-    coup = Couplings(b=cfg.b, flux=t)
-    sigma = effective_angular_momentum(l, k, DefectGeometry(chi=cfg.chi), coup)
+    sigma = effective_angular_momentum(l, k, cfg.chi, t)
     row = partial(_CurrentRow, n, l, k, t, sigma, "+" if branch > 0 else "-")
     if abs(sigma) <= CURRENT_STEP_T:
         return row(status="KINK")
@@ -471,9 +460,8 @@ _NO_GROUND = "n = 1 not configured; the closed forms cover n = 1 only"
 
 
 def _solve_population(cfg: RunConfig) -> _Population:
-    geom = DefectGeometry(chi=cfg.chi)
     cells = [
-        (l, k, t, effective_angular_momentum(l, k, geom, Couplings(b=cfg.b, flux=t)))
+        (l, k, t, effective_angular_momentum(l, k, cfg.chi, t))
         for l, k, t in product(cfg.l, cfg.k, cfg.flux)
     ]
     solved: dict = {n: [] for n in cfg.n}

@@ -2,10 +2,11 @@
 
 Natural units (hbar = c = 1) throughout.  The particle carries a
 position-dependent mass m(rho) = m + nu*rho, i.e. a linear confining scalar
-potential of slope nu, and lives on a background whose only geometric input
-here is the torsion parameter chi.  An optional Coulomb coupling b and an
-optional magnetic flux, as its ratio q*Phi_B/(2 pi) to the flux quantum, enter
-the radial problem through a single effective angular momentum combination.
+potential of slope nu, on a background of three plain numbers: the torsion
+chi of the dislocation (chi = 0 is flat Minkowski space), a signed Coulomb
+strength b, and a magnetic flux as its ratio q*Phi_B/(2 pi) to the flux
+quantum.  chi and the flux enter the radial problem only through the effective
+angular momentum l - chi*k + flux; b = 0 and flux = 0 recover the free case.
 
 After substituting xi = sqrt(nu)*rho, the radial equation is governed by four
 dimensionless numbers collected in HeunParams:
@@ -50,24 +51,6 @@ class MassProfile(namedtuple("MassProfile", "m nu")):
             )
 
 
-class DefectGeometry(namedtuple("DefectGeometry", "chi")):
-    """Torsion parameter chi of the dislocated background.
-
-    chi = 0 is the flat (Minkowski) case.
-    """
-
-    __slots__ = ()
-
-
-class Couplings(namedtuple("Couplings", "b flux", defaults=(0.0, 0.0))):
-    """Coulomb strength b (signed, dimensionless) and flux ratio q*Phi_B/(2 pi),
-    all a state sees of the charge and the flux.  b = 0 and flux = 0 recover the
-    free case exactly.
-    """
-
-    __slots__ = ()
-
-
 class QuantumNumbers(namedtuple("QuantumNumbers", "n l k")):
     """Radial index n >= 1, integer angular momentum l, real wavenumber k."""
 
@@ -94,16 +77,14 @@ class HeunParams(namedtuple("HeunParams", "nu_abs alpha beta mu")):
         return tuple.__new__(cls, (nu_abs, alpha, beta, mu))
 
 
-def effective_angular_momentum(
-    l: int, k: float, geom: DefectGeometry, coup: Couplings
-) -> float:
+def effective_angular_momentum(l: int, k: float, chi: float, flux: float) -> float:
     """Angular momentum as shifted by torsion and flux: l - chi*k + flux.
 
     Reduces to l - chi*k at zero flux and to plain l on a flat background.
     Affine in each argument; adding one flux quantum (flux -> flux + 1) is
     the same as l -> l+1.
     """
-    return l - geom.chi * k + coup.flux
+    return l - chi * k + flux
 
 
 def coulomb_eta(gamma_eff: float, b: float) -> float:

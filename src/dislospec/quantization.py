@@ -75,8 +75,6 @@ from .core import (
     AB_FLUX,
     COULOMB,
     FREE,
-    Couplings,
-    DefectGeometry,
     HeunParams,
     QuantumNumbers,
     coulomb_eta,
@@ -228,10 +226,10 @@ def energy_ground_coulomb(
     )
 
 
-def _classify(coup: Couplings) -> str:
-    if coup.b != 0.0:
+def _classify(b: float, flux: float) -> str:
+    if b != 0.0:
         return COULOMB
-    if coup.flux != 0.0:
+    if flux != 0.0:
         return AB_FLUX
     return FREE
 
@@ -447,12 +445,11 @@ def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list
 
 
 def solve_general_n(
-    qn: QuantumNumbers,
-    mass_m: float,
-    geom: DefectGeometry,
-    coup: Couplings,
+    qn: QuantumNumbers, mass_m: float, *, chi: float, b: float = 0.0, flux: float = 0.0
 ) -> list[SpectrumPoint]:
-    """All bound states of radial index qn.n for the configured scenario.
+    """All bound states of radial index qn.n on the background of torsion chi,
+    Coulomb strength b and flux ratio flux = q*Phi_B/(2 pi).  The scenario is
+    Coulomb where b != 0, else ab where flux != 0, else free.
 
     The slope constraint is solved as an eigenproblem in alpha = 2m/sqrt(nu)
     (see the module docstring) for every root alpha > 0 that an eigenvalue
@@ -468,12 +465,12 @@ def solve_general_n(
     if not mass_m > 0.0:
         raise ValueError(f"mass must be positive, got {mass_m}")
     n = qn.n
-    eff = effective_angular_momentum(qn.l, qn.k, geom, coup)
+    eff = effective_angular_momentum(qn.l, qn.k, chi, flux)
     if not math.isfinite(eff):  # chi*k overflowed; every matrix below would be non-finite
         raise OverflowError(f"effective angular momentum {eff!r} is not finite")
-    scenario = _classify(coup)
+    scenario = _classify(b, flux)
     if scenario == COULOMB:
-        eff_abs = coulomb_eta(eff, coup.b)
+        eff_abs = coulomb_eta(eff, b)
         branch_signs: tuple[int | None, ...] = (1, -1)
     else:
         eff_abs = abs(eff)
@@ -483,7 +480,7 @@ def solve_general_n(
     big_b = qn.k * qn.k / (4.0 * mass_m * mass_m)
     points: list[SpectrumPoint] = []
     for sign in branch_signs:
-        c = 2.0 * coup.b * (1 if sign is None else sign)
+        c = 2.0 * b * (1 if sign is None else sign)
         for alpha_root in _alpha_roots(n, eff_abs, c, big_a, big_b):
             nu = 4.0 * mass_m * mass_m / (alpha_root * alpha_root)
             e_pair = energy_from_lambda(nu, n, eff_abs, qn.k)
@@ -491,7 +488,7 @@ def solve_general_n(
             energies = e_pair if sign is None else (e_pair[0] if sign > 0 else e_pair[1],)
             # The polynomial is built from the parameters that the printed values rebuild.
             pt = SpectrumPoint(qn, eff, eff_abs, nu, energies, (), scenario, sign, math.nan)
-            a = build_coefficients(pt.params(mass_m, coup.b), n + 1)
+            a = build_coefficients(pt.params(mass_m, b), n + 1)
             coeffs = a[: n + 1]
             trunc_rel = abs(a[n + 1]) / max(map(abs, coeffs))
             if not (math.isfinite(energies[0]) and math.isfinite(trunc_rel)):

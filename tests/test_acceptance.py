@@ -17,8 +17,6 @@ import numpy as np
 import pytest
 
 from dislospec import (
-    Couplings,
-    DefectGeometry,
     MassProfile,
     NoRealSolution,
     QuantumNumbers,
@@ -55,26 +53,20 @@ def solved_population():
     """Every bound state in the pinned free/Coulomb/flux populations."""
     points = []
     for l, k, chi in FREE_CELLS:
-        geom = DefectGeometry(chi=chi)
         for n in (1, 2, 3):
             points.extend(
                 (1.0, 0.0, pt)
-                for pt in solve_general_n(QuantumNumbers(n, l, k), 1.0, geom, Couplings())
+                for pt in solve_general_n(QuantumNumbers(n, l, k), 1.0, chi=chi)
             )
-    flat = DefectGeometry(chi=0.0)
     for b, l in COULOMB_CELLS:
         points.extend(
             (1.0, b, pt)
-            for pt in solve_general_n(
-                QuantumNumbers(1, l, 0.0), 1.0, flat, Couplings(b=b)
-            )
+            for pt in solve_general_n(QuantumNumbers(1, l, 0.0), 1.0, chi=0.0, b=b)
         )
     for t, l in AB_CELLS:
         points.extend(
             (1.0, 0.0, pt)
-            for pt in solve_general_n(
-                QuantumNumbers(1, l, 0.0), 1.0, flat, Couplings(flux=t)
-            )
+            for pt in solve_general_n(QuantumNumbers(1, l, 0.0), 1.0, chi=0.0, flux=t)
         )
     return points
 
@@ -232,22 +224,11 @@ def test_criterion_5_coulomb_fixed_point_and_weak_coupling_limit():
 def test_criterion_6_flux_periodicity():
     """One flux quantum relabels the spectrum: state l at ratio t+1 equals
     state l+1 at ratio t, below 1e-12."""
-    flat = DefectGeometry(chi=0.0)
     worst = 0.0
     for t in (0.0, 0.3, 0.7):
         for l in range(-5, 5):
-            up = solve_general_n(
-                QuantumNumbers(1, l, 0.0),
-                1.0,
-                flat,
-                Couplings(flux=t + 1.0),
-            )
-            base = solve_general_n(
-                QuantumNumbers(1, l + 1, 0.0),
-                1.0,
-                flat,
-                Couplings(flux=t),
-            )
+            up = solve_general_n(QuantumNumbers(1, l, 0.0), 1.0, chi=0.0, flux=t + 1.0)
+            base = solve_general_n(QuantumNumbers(1, l + 1, 0.0), 1.0, chi=0.0, flux=t)
             assert len(up) == len(base)
             for pa, pb in zip(up, base):
                 worst = max(worst, abs(pa.nu_solved - pb.nu_solved))
@@ -260,15 +241,14 @@ def test_criterion_6_flux_periodicity():
 def test_criterion_7_flat_background_reduction():
     """At k = 0 the torsion parameter cancels exactly: the solver receives
     bitwise-identical inputs and returns bitwise-identical spectra."""
-    flat = DefectGeometry(chi=0.0)
-    twisted = DefectGeometry(chi=0.73)
+    flat, twisted = 0.0, 0.73
     for l in range(-2, 3):
-        eff_flat = effective_angular_momentum(l, 0.0, flat, Couplings())
-        eff_twisted = effective_angular_momentum(l, 0.0, twisted, Couplings())
+        eff_flat = effective_angular_momentum(l, 0.0, flat, 0.0)
+        eff_twisted = effective_angular_momentum(l, 0.0, twisted, 0.0)
         assert eff_flat == eff_twisted == float(l)
         for n in (1, 2):
-            a = solve_general_n(QuantumNumbers(n, l, 0.0), 1.0, flat, Couplings())
-            b = solve_general_n(QuantumNumbers(n, l, 0.0), 1.0, twisted, Couplings())
+            a = solve_general_n(QuantumNumbers(n, l, 0.0), 1.0, chi=flat)
+            b = solve_general_n(QuantumNumbers(n, l, 0.0), 1.0, chi=twisted)
             assert [p.nu_solved for p in a] == [p.nu_solved for p in b]
             assert [p.energies for p in a] == [p.energies for p in b]
     print("criterion 7: flat and twisted k=0 spectra are bitwise identical")
@@ -277,7 +257,6 @@ def test_criterion_7_flat_background_reduction():
 def test_criterion_8_persistent_current_oracle_and_signs():
     """The closed-form current matches the numeric flux derivative below
     1e-8 relative and is odd in the effective momentum and the branch."""
-    geom = DefectGeometry(chi=0.0)
     worst = 0.0
     for sigma in (0.1, -0.1, 0.5, -0.5, 1.3, -1.3):
         for k in (0.0, 1.0):
@@ -287,7 +266,7 @@ def test_criterion_8_persistent_current_oracle_and_signs():
                 assert analytic == -persistent_current_ground(1.0, k, sigma, 1.0, -branch)
 
                 def energy_at(t, k=k, branch=branch):
-                    eff = effective_angular_momentum(0, k, geom, Couplings(flux=t))
+                    eff = effective_angular_momentum(0, k, 0.0, t)
                     pair = energy_ground_free(1.0, eff, k)
                     return pair[0] if branch > 0 else pair[1]
 

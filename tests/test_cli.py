@@ -22,7 +22,7 @@ from dislospec.cli import (
     parse_int_range,
     parse_float_list,
 )
-from dislospec.core import Couplings, DefectGeometry, QuantumNumbers
+from dislospec.core import QuantumNumbers
 from dislospec.heun import build_coefficients
 from dislospec.quantization import solve_general_n
 
@@ -368,9 +368,9 @@ class TestCurrent:
     def test_two_solves_per_row_and_none_on_a_kink(self, capsys, monkeypatch):
         calls = []
 
-        def counting_solve(*args):
+        def counting_solve(*args, **bg):
             calls.append(args)
-            return solve_general_n(*args)
+            return solve_general_n(*args, **bg)
 
         monkeypatch.setattr(cli, "solve_general_n", counting_solve)
         code, out, _ = run_cli(
@@ -418,8 +418,8 @@ class TestVerify:
         # Give each solved state a 1% detuned printed slope and the degree-n
         # polynomial it builds, as acceptance criterion 3 does.  The truncation
         # cascade rebuilds the tail from the printed, detuned slope.
-        def detuned_solve(qn, m, geom, coup):
-            return [_detuned(pt, m, coup) for pt in solve_general_n(qn, m, geom, coup)]
+        def detuned_solve(qn, m, **bg):
+            return [_detuned(pt, m, bg["b"]) for pt in solve_general_n(qn, m, **bg)]
 
         monkeypatch.setattr(cli, "solve_general_n", detuned_solve)
         code, out, _ = run_cli(capsys, "verify", "--scenario", "free")
@@ -444,10 +444,10 @@ class TestVerify:
         # goes into the series built from those.
         marked = []
 
-        def marking_solve(qn, m, geom, coup):
-            points = solve_general_n(qn, m, geom, coup)
+        def marking_solve(qn, m, **bg):
+            points = solve_general_n(qn, m, **bg)
             if qn.l == 2:
-                marked.append(points[-1].params(m, coup.b))
+                marked.append(points[-1].params(m, bg["b"]))
             return points
 
         def nan_tail_build(params, n_max):
@@ -467,8 +467,7 @@ class TestVerify:
     def test_overflowing_residual_is_a_quiet_nan(self):
         # At n = 300 xi^s G(xi) overflows: the NaN is the report (verify FAILs on
         # it, JSON writes null), so numpy must not also warn on stderr.
-        geom, coup = DefectGeometry(chi=0.0), Couplings()
-        pt = solve_general_n(QuantumNumbers(300, 0, 0.0), 1.0, geom, coup)[0]
+        pt = solve_general_n(QuantumNumbers(300, 0, 0.0), 1.0, chi=0.0)[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert math.isnan(cli._ode_residual(pt, 1.0, 0.0))
@@ -560,9 +559,9 @@ class TestVerify:
 
     def test_detuned_excited_states_fail(self, capsys, monkeypatch):
         # Detune only the n >= 2 states, which an n = 1-only suite never solves.
-        def detuned_solve(qn, m, geom, coup):
-            points = solve_general_n(qn, m, geom, coup)
-            return points if qn.n < 2 else [_detuned(pt, m, coup) for pt in points]
+        def detuned_solve(qn, m, **bg):
+            points = solve_general_n(qn, m, **bg)
+            return points if qn.n < 2 else [_detuned(pt, m, bg["b"]) for pt in points]
 
         monkeypatch.setattr(cli, "solve_general_n", detuned_solve)
         code, out, _ = run_cli(capsys, "verify", "--scenario", "free", "--n", "1..2")
@@ -580,9 +579,9 @@ class TestVerify:
     )
     def test_shifted_flux_quantum_fails_periodicity(self, capsys, monkeypatch, perturb, measured):
         # Perturb the spectrum at one flux quantum and above only.
-        def shifted_solve(qn, m, geom, coup):
-            points = solve_general_n(qn, m, geom, coup)
-            return points if coup.flux < 1.0 else perturb(points)
+        def shifted_solve(qn, m, **bg):
+            points = solve_general_n(qn, m, **bg)
+            return points if bg["flux"] < 1.0 else perturb(points)
 
         monkeypatch.setattr(cli, "solve_general_n", shifted_solve)
         code, out, _ = run_cli(
@@ -636,8 +635,8 @@ class TestVerify:
 
     def test_lost_lowest_root_fails_fd_match(self, capsys, monkeypatch):
         # Every later root then sits one FD level above its list position.
-        def lossy_solve(qn, m, geom, coup):
-            points = solve_general_n(qn, m, geom, coup)
+        def lossy_solve(qn, m, **bg):
+            points = solve_general_n(qn, m, **bg)
             return points[1:] if len(points) > 1 else points
 
         monkeypatch.setattr(cli, "solve_general_n", lossy_solve)
@@ -652,25 +651,25 @@ class TestVerify:
         [
             (
                 "--scenario coulomb --b 0.1 --l 0..1 --k 0,0.7",
-                lambda qn, geom, pts: [p for p in pts if p.branch < 0],
+                lambda qn, chi, pts: [p for p in pts if p.branch < 0],
                 "FAIL closed_form_agreement measured=inf ",
             ),
             (
                 "--scenario free",
-                lambda qn, geom, pts: pts + pts[:1] if qn.n == 1 else pts,
+                lambda qn, chi, pts: pts + pts[:1] if qn.n == 1 else pts,
                 "FAIL closed_form_agreement measured=inf ",
             ),
             (
                 "--scenario free --l 0 --n 3",
-                lambda qn, geom, pts: pts[:-1] if geom.chi else pts,
+                lambda qn, chi, pts: pts[:-1] if chi else pts,
                 "FAIL minkowski_reduction   measured=1.000e+00 ",
             ),
         ],
         ids=["coulomb_lost_branch", "free_extra_state", "minkowski_lost_root"],
     )
     def test_lost_or_extra_state_fails(self, capsys, monkeypatch, argv, mutate, line):
-        def mutated_solve(qn, m, geom, coup):
-            return mutate(qn, geom, solve_general_n(qn, m, geom, coup))
+        def mutated_solve(qn, m, **bg):
+            return mutate(qn, bg["chi"], solve_general_n(qn, m, **bg))
 
         monkeypatch.setattr(cli, "solve_general_n", mutated_solve)
         code, out, _ = run_cli(capsys, "verify", *argv.split())
@@ -707,7 +706,8 @@ class TestVerify:
                 continue
             mutate = self.PRINTED_FAULTS[fault]
             monkeypatch.setattr(
-                cli, "solve_general_n", lambda *a: list(map(mutate, solve_general_n(*a)))
+                cli, "solve_general_n",
+                lambda *a, **bg: list(map(mutate, solve_general_n(*a, **bg))),
             )
             argv_cell = [*argv.split(), *cell.split(), "--n", str(n)]
             exits[scenario, n, cell, fault] = run_cli(capsys, "verify", *argv_cell)[0]
@@ -741,10 +741,10 @@ class TestVerify:
             assert float(line.split("measured=")[1].split()[0]) < 1e-12, (q, line)
 
 
-def _detuned(pt, m, coup):
+def _detuned(pt, m, b):
     """pt with a 1% detuned printed slope and the degree-n polynomial it builds."""
     pt = pt._replace(nu_solved=pt.nu_solved * 1.01)
-    coeffs = build_coefficients(pt.params(m, coup.b), n_max=pt.qn.n + 1)[: pt.qn.n + 1]
+    coeffs = build_coefficients(pt.params(m, b), n_max=pt.qn.n + 1)[: pt.qn.n + 1]
     return pt._replace(coeffs=coeffs)
 
 
@@ -755,9 +755,8 @@ class TestOracleGrids:
     @staticmethod
     def free_states(ns):
         """(root index, state) of the free cells l = 0..3, k in {0, 0.7}, chi = 0.2."""
-        geom, coup = DefectGeometry(chi=0.2), Couplings()
         for n, l, k in product(ns, range(4), (0.0, 0.7)):
-            yield from enumerate(solve_general_n(QuantumNumbers(n, l, k), 1.0, geom, coup))
+            yield from enumerate(solve_general_n(QuantumNumbers(n, l, k), 1.0, chi=0.2))
 
     def test_ode_grid_tells_detuned_states(self):
         # The residual grid is coarse, so it must keep the power to separate
@@ -765,7 +764,7 @@ class TestOracleGrids:
         correct, detuned = [], []
         for _, pt in self.free_states(range(1, 25)):
             correct.append(cli._ode_residual(pt, 1.0, 0.0))
-            detuned.append(cli._ode_residual(_detuned(pt, 1.0, Couplings()), 1.0, 0.0))
+            detuned.append(cli._ode_residual(_detuned(pt, 1.0, 0.0), 1.0, 0.0))
         assert len(correct) > 500
         assert all(r < 1e-8 for r in correct), max(correct)
         assert all(r > 1e-4 for r in detuned), min(detuned)
@@ -812,7 +811,7 @@ class TestOracleGrids:
 
     @pytest.mark.xfail(strict=True, reason="FD points grow with n, not with s: root 1 reads 2.2e-3")
     def test_fd_match_holds_at_large_momentum(self):
-        pts = solve_general_n(QuantumNumbers(3, 1000, 0.0), 1.0, DefectGeometry(0.0), Couplings())
+        pts = solve_general_n(QuantumNumbers(3, 1000, 0.0), 1.0, chi=0.0)
         errors = [cli._fd_match(pt, 1.0, index) for index, pt in enumerate(pts)]
         assert len(errors) == 2
         assert all(e < 1e-3 for e in errors), max(errors)

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from dislospec import (
-    Couplings,
-    DefectGeometry,
     HeunParams,
     MassProfile,
     NonPositiveSlope,
@@ -44,25 +42,23 @@ class TestTypes:
 
 class TestEffectiveAngularMomentum:
     def test_exact_cancellation(self):
-        geom = DefectGeometry(chi=0.5)
-        assert effective_angular_momentum(1, 2.0, geom, Couplings()) == 0.0
+        assert effective_angular_momentum(1, 2.0, 0.5, 0.0) == 0.0
 
     def test_all_zero(self):
-        assert effective_angular_momentum(0, 0.0, DefectGeometry(0.0), Couplings()) == 0.0
+        assert effective_angular_momentum(0, 0.0, 0.0, 0.0) == 0.0
 
     def test_flux_shift(self):
-        coup = Couplings(flux=0.25)
-        assert effective_angular_momentum(0, 1.0, DefectGeometry(chi=0.5), coup) == -0.25
+        assert effective_angular_momentum(0, 1.0, 0.5, 0.25) == -0.25
 
     def test_one_flux_quantum_equals_one_angular_step(self):
         rng = np.random.default_rng(7)
-        geom = DefectGeometry(chi=0.37)
+        chi = 0.37
         for _ in range(50):
             l = int(rng.integers(-5, 6))
             k = float(rng.uniform(-2, 2))
             t = float(rng.uniform(-1, 1))
-            a = effective_angular_momentum(l + 1, k, geom, Couplings(flux=t - 1))
-            b = effective_angular_momentum(l, k, geom, Couplings(flux=t))
+            a = effective_angular_momentum(l + 1, k, chi, t - 1)
+            b = effective_angular_momentum(l, k, chi, t)
             assert a == pytest.approx(b, abs=1e-12)
 
 

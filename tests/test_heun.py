@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from dislospec import (
-    Couplings,
-    DefectGeometry,
     HeunParams,
     MassProfile,
     QuantumNumbers,
@@ -167,8 +165,7 @@ def test_state_series_is_the_one_shot_recurrence():
         states = solved_population()  # (m, b, state)
         for n in (30, 60):
             qn = QuantumNumbers(n, 1, 0.7)
-            geom = DefectGeometry(chi=0.2)
-            states += [(1.0, 0.0, pt) for pt in solve_general_n(qn, 1.0, geom, Couplings())]
+            states += [(1.0, 0.0, pt) for pt in solve_general_n(qn, 1.0, chi=0.2)]
         return states
 
     # A state is a plain value: comparing, hashing or printing it reads what

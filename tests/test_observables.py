@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from dislospec import (
-    Couplings,
-    DefectGeometry,
     UndefinedAtZeroFlux,
     effective_angular_momentum,
     energy_ground_free,
@@ -17,10 +15,8 @@ STEP = 1e-5
 
 def ground_energy_fn(l, k, m=1.0, chi=0.0, branch=1):
     """Positive- or negative-energy lowest state as a flux ratio -> energy map."""
-    geom = DefectGeometry(chi=chi)
-
     def energy_at(t):
-        eff = effective_angular_momentum(l, k, geom, Couplings(flux=t))
+        eff = effective_angular_momentum(l, k, chi, t)
         pair = energy_ground_free(m, eff, k)
         return pair[0] if branch > 0 else pair[1]
 

@@ -9,8 +9,6 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from dislospec import cli, oracle
 from dislospec import (
-    Couplings,
-    DefectGeometry,
     MassProfile,
     QuantumNumbers,
     RadialGrid,
@@ -23,12 +21,9 @@ from dislospec import (
     solve_general_n,
 )
 
-FLAT = DefectGeometry(chi=0.0)
-FREE = Couplings()
-
 
 def ground_state():
-    pt = solve_general_n(QuantumNumbers(1, 0, 0.0), 1.0, FLAT, FREE)[0]
+    pt = solve_general_n(QuantumNumbers(1, 0, 0.0), 1.0, chi=0.0)[0]
     params = heun_params(MassProfile(1.0, pt.nu_solved), pt.energies[0], 0.0, 0.0, 0.0)
     return pt, params
 
@@ -68,7 +63,7 @@ class TestOdeResidual:
 
     def test_all_third_level_roots(self):
         grid = RadialGrid(0.01, 8.0 * math.sqrt(3.0), 2000)
-        for pt in solve_general_n(QuantumNumbers(3, 0, 0.0), 1.0, FLAT, FREE):
+        for pt in solve_general_n(QuantumNumbers(3, 0, 0.0), 1.0, chi=0.0):
             params = heun_params(
                 MassProfile(1.0, pt.nu_solved), pt.energies[0], 0.0, 0.0, 0.0
             )
@@ -76,7 +71,7 @@ class TestOdeResidual:
 
     def test_coulomb_branches_satisfy_equation(self):
         grid = RadialGrid(0.01, 8.0, 2000)
-        for pt in solve_general_n(QuantumNumbers(1, 0, 0.0), 1.0, FLAT, Couplings(b=0.1)):
+        for pt in solve_general_n(QuantumNumbers(1, 0, 0.0), 1.0, chi=0.0, b=0.1):
             params = heun_params(
                 MassProfile(1.0, pt.nu_solved), pt.energies[0], 0.0, 0.1, pt.eff_abs
             )
@@ -107,7 +102,7 @@ class TestOdeResidual:
     def test_large_momentum_envelope_stays_finite(self, n, l):
         # xi^s exp(-xi^2/2 - alpha xi/2) overflows near xi ~ sqrt(s) on the
         # verify grid; divided by its peak, it cannot.
-        pts = solve_general_n(QuantumNumbers(n, l, 0.0), 1.0, FLAT, FREE)
+        pts = solve_general_n(QuantumNumbers(n, l, 0.0), 1.0, chi=0.0)
         assert pts
         for pt in pts:
             grid = RadialGrid(0.01, 8.0 * math.sqrt(n + pt.eff_abs), 200)
@@ -187,8 +182,7 @@ class TestFdEigensolver:
 
         monkeypatch.setattr(oracle, "fd_eigensolve_free", recorded)
         for n, l, m in [(1, 0, 1.0), (3, 2, 1e3), (8, 40, 1.0)]:
-            qn, geom = QuantumNumbers(n, l, 0.7 * m), DefectGeometry(chi=0.2 / m)
-            pt = solve_general_n(qn, m, geom, FREE)[0]
+            pt = solve_general_n(QuantumNumbers(n, l, 0.7 * m), m, chi=0.2 / m)[0]
             grids.clear()
             cli._fd_match(pt, m, 0)
             coarse = 40 * (n + 1)
@@ -201,10 +195,8 @@ class TestFdEigensolver:
 
 def solved_states():
     """(root index, state) of free (flux 0) and AB (flux 0.3) cells up to n = 16."""
-    geom = DefectGeometry(chi=0.2)
     for n, l, k, t in product((1, 16), range(4), (0.0, 0.7), (0.0, 0.3)):
-        coup = Couplings(flux=t)
-        yield from enumerate(solve_general_n(QuantumNumbers(n, l, k), 1.0, geom, coup))
+        yield from enumerate(solve_general_n(QuantumNumbers(n, l, k), 1.0, chi=0.2, flux=t))
 
 
 class TestLevelFinder:
@@ -232,7 +224,7 @@ class TestLevelFinder:
 
     def test_bad_seed_finds_the_same_level(self):
         # The seed only picks where the search starts; the count proves the index.
-        pts = solve_general_n(QuantumNumbers(5, 1, 0.7), 1.0, DefectGeometry(chi=0.2), FREE)
+        pts = solve_general_n(QuantumNumbers(5, 1, 0.7), 1.0, chi=0.2)
         assert len(pts) == 3
         for index, pt in enumerate(pts):
             mass = MassProfile(1.0, pt.nu_solved)

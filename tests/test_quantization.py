@@ -12,8 +12,6 @@ from scipy.linalg import eig
 from scipy.optimize import brentq
 
 from dislospec import (
-    Couplings,
-    DefectGeometry,
     DegenerateDenominator,
     MassProfile,
     NonPositiveSlope,
@@ -39,9 +37,6 @@ from dislospec.quantization import (
     _isolate,
     _sturm_root,
 )
-
-FLAT = DefectGeometry(chi=0.0)
-FREE = Couplings()
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +296,12 @@ def assert_n1_coulomb_matches_closed_form(b, l, k, chi):
         two_p = 4.0 * b * (eta + 2) * (2 * eta + 2)
         e = (2 * eta + 1) * ((eta + 2) * (2 * eta + 3) + k * k) / two_p
         want = [e] if nu_ground_coulomb(1.0, b, eta, e) > 0.0 else []
-    args = (QuantumNumbers(1, l, k), 1.0, DefectGeometry(chi), Couplings(b=b))
+    qn = QuantumNumbers(1, l, k)
     if not want:
         with pytest.raises(NoRoots):
-            solve_general_n(*args)
+            solve_general_n(qn, 1.0, chi=chi, b=b)
         return
-    got = sorted(e for p in solve_general_n(*args) for e in p.energies)
+    got = sorted(e for p in solve_general_n(qn, 1.0, chi=chi, b=b) for e in p.energies)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-10 * abs(w)
@@ -355,13 +350,11 @@ def test_eigen_solve_matches_frozen_scan(scenario, n, l, k, b, t):
         for sign in ((1, -1) if b else (None,))
     }
     qn = QuantumNumbers(n, l, k)
-    geom = DefectGeometry(chi=0.25)
-    coup = Couplings(b=b, flux=t)
     if not any(wants.values()):
         with pytest.raises(NoRoots):
-            solve_general_n(qn, 1.0, geom, coup)
+            solve_general_n(qn, 1.0, chi=0.25, b=b, flux=t)
         return
-    pts = solve_general_n(qn, 1.0, geom, coup)
+    pts = solve_general_n(qn, 1.0, chi=0.25, b=b, flux=t)
     assert {p.scenario for p in pts} == {scenario}
     for sign, want in wants.items():
         got = [p.nu_solved for p in pts if p.branch == sign]
@@ -409,7 +402,7 @@ def test_pencil_root_at_y_0_is_no_state(n, b, k):
     s = coulomb_eta(0.0, b)
     got = _alpha_roots(n, s, 2.0 * b, 2.0 * (n + s + 1.0), 0.25 * k * k)
     assert got == pytest.approx(qz_pencil_alphas(n, s, 2.0 * b, k), rel=1e-12, abs=0.0)
-    assert solve_general_n(QuantumNumbers(n, 0, k), 1.0, FLAT, Couplings(b=b))
+    assert solve_general_n(QuantumNumbers(n, 0, k), 1.0, chi=0.0, b=b)
 
 
 def test_pencil_matches_qz_on_seeded_cells():
@@ -466,7 +459,7 @@ def test_pencil_keeps_every_root_at_large_n(cell, counts, plus_alphas):
             assert abs(newton_step(n, s, c, big_a, big_b, a)) <= 1e-10 * a, (sign, a)
         if sign == 1 and plus_alphas is not None:
             assert got == pytest.approx(plus_alphas, rel=1e-12, abs=0.0)
-    pts = solve_general_n(QuantumNumbers(n, l, k), 1.0, FLAT, Couplings(b=b))
+    pts = solve_general_n(QuantumNumbers(n, l, k), 1.0, chi=0.0, b=b)
     assert {sign: sum(p.branch == sign for p in pts) for sign in counts} == counts
 
 
@@ -643,9 +636,9 @@ def test_a_root_on_a_bracket_edge_does_not_crawl(monkeypatch):
 # (the c > 0, kappa < 1 branch is solved first), and the pencil (the c > 0,
 # kappa >= 1 branch, with three roots).
 PATH_CELLS = {
-    "constant": (QuantumNumbers(4, 1, 0.5), Couplings()),
-    "count": (QuantumNumbers(4, 1, 0.7), Couplings(b=0.1)),
-    "pencil": (QuantumNumbers(8, 0, 3.0), Couplings(b=1.5)),
+    "constant": (QuantumNumbers(4, 1, 0.5), 0.0),
+    "count": (QuantumNumbers(4, 1, 0.7), 0.1),
+    "pencil": (QuantumNumbers(8, 0, 3.0), 1.5),
 }
 
 
@@ -656,8 +649,8 @@ PATH_CELLS = {
 def test_a_detuned_root_fails_its_proof(monkeypatch, path, target):
     # A solver whose roots are 1% off: the eigenvalue count does not step at
     # the first of them, so the cell has no proven spectrum.
-    qn, coup = PATH_CELLS[path]
-    assert len(solve_general_n(qn, 1.0, FLAT, coup)) >= 2
+    qn, b = PATH_CELLS[path]
+    assert len(solve_general_n(qn, 1.0, chi=0.0, b=b)) >= 2
     solver = getattr(quantization, target)
 
     def detuned(*args):
@@ -666,15 +659,15 @@ def test_a_detuned_root_fails_its_proof(monkeypatch, path, target):
 
     monkeypatch.setattr(quantization, target, detuned)
     with pytest.raises(NoRoots, match="does not step at alpha="):
-        solve_general_n(qn, 1.0, FLAT, coup)
+        solve_general_n(qn, 1.0, chi=0.0, b=b)
 
 
 def test_a_lost_pencil_root_fails_the_window_count(monkeypatch):
-    qn, coup = PATH_CELLS["pencil"]
+    qn, b = PATH_CELLS["pencil"]
     pencil = quantization._pencil_roots
     monkeypatch.setattr(quantization, "_pencil_roots", lambda *args: pencil(*args)[1:])
     with pytest.raises(NoRoots, match="of the eigenvalue count's [0-9]+ steps"):
-        solve_general_n(qn, 1.0, FLAT, coup)
+        solve_general_n(qn, 1.0, chi=0.0, b=b)
 
 
 def alpha_of_y(y):
@@ -744,7 +737,7 @@ def test_a_bracket_edge_on_an_exact_root_steps_inside(monkeypatch):
 
 class TestSolveGeneralN:
     def test_ground_free_unique_root(self):
-        pts = solve_general_n(QuantumNumbers(1, 0, 0.0), 1.0, FLAT, FREE)
+        pts = solve_general_n(QuantumNumbers(1, 0, 0.0), 1.0, chi=0.0)
         assert len(pts) == 1
         assert pts[0].nu_solved == pytest.approx(1.5, rel=1e-12)
         assert pts[0].energies[0] == pytest.approx(math.sqrt(6), rel=1e-12)
@@ -757,9 +750,8 @@ class TestSolveGeneralN:
             for l in (-2, 0, 3):
                 for k in (0.0, 1.0):
                     for chi in (0.0, 0.25):
-                        geom = DefectGeometry(chi=chi)
                         eff = l - chi * k
-                        pts = solve_general_n(QuantumNumbers(1, l, k), m, geom, FREE)
+                        pts = solve_general_n(QuantumNumbers(1, l, k), m, chi=chi)
                         assert pts[0].nu_solved == pytest.approx(
                             nu_ground_free(m, eff), rel=1e-10
                         )
@@ -770,7 +762,7 @@ class TestSolveGeneralN:
     def test_second_level_matches_polynomial_oracle(self):
         want = free_nu_roots_oracle(2, 0.0)
         assert want == pytest.approx([15.0 / 28.0], rel=1e-12)
-        pts = solve_general_n(QuantumNumbers(2, 0, 0.0), 1.0, FLAT, FREE)
+        pts = solve_general_n(QuantumNumbers(2, 0, 0.0), 1.0, chi=0.0)
         assert [p.nu_solved for p in pts] == pytest.approx(want, rel=1e-10)
 
     def test_third_level_matches_polynomial_oracle(self):
@@ -778,22 +770,21 @@ class TestSolveGeneralN:
         assert want == pytest.approx(
             [0.3061829328248656, 3.175298548656614], rel=1e-12
         )
-        pts = solve_general_n(QuantumNumbers(3, 0, 0.0), 1.0, FLAT, FREE)
+        pts = solve_general_n(QuantumNumbers(3, 0, 0.0), 1.0, chi=0.0)
         assert [p.nu_solved for p in pts] == pytest.approx(want, rel=1e-10)
         # multiple roots come back ascending in nu
         assert pts[0].nu_solved < pts[1].nu_solved
 
     def test_coulomb_matches_closed_branch_set(self):
         for b in (0.1, 1.0):
-            coup = Couplings(b=b)
-            pts = solve_general_n(QuantumNumbers(1, 0, 0.0), 1.0, FLAT, coup)
+            pts = solve_general_n(QuantumNumbers(1, 0, 0.0), 1.0, chi=0.0, b=b)
             got = sorted(e for p in pts for e in p.energies)
             eta = coulomb_eta(0.0, b)
             want = sorted(energy_ground_coulomb(1.0, b, eta, 0.0))
             assert got == pytest.approx(want, rel=1e-10)
 
     def test_coulomb_branches_are_separated(self):
-        pts = solve_general_n(QuantumNumbers(1, 0, 0.0), 1.0, FLAT, Couplings(b=0.1))
+        pts = solve_general_n(QuantumNumbers(1, 0, 0.0), 1.0, chi=0.0, b=0.1)
         branches = {p.branch for p in pts}
         assert branches == {1, -1}
         for p in pts:
@@ -801,8 +792,7 @@ class TestSolveGeneralN:
             assert (p.energies[0] > 0) == (p.branch == 1)
 
     def test_flux_scenario_shifts_momentum(self):
-        coup = Couplings(flux=0.25)
-        pts = solve_general_n(QuantumNumbers(1, 0, 0.0), 1.0, DefectGeometry(0.5), coup)
+        pts = solve_general_n(QuantumNumbers(1, 0, 0.0), 1.0, chi=0.5, flux=0.25)
         assert pts[0].scenario == "ab"
         assert pts[0].eff == pytest.approx(0.25, abs=1e-15)
         assert pts[0].nu_solved == pytest.approx(1.75, rel=1e-10)
@@ -810,27 +800,22 @@ class TestSolveGeneralN:
 
     def test_flux_periodicity(self):
         rng = np.random.default_rng(13)
-        geom = DefectGeometry(chi=0.3)
         for _ in range(10):
             l = int(rng.integers(-3, 4))
             k = float(rng.uniform(-1, 1))
             t = float(rng.uniform(-0.5, 0.5))
-            a = solve_general_n(
-                QuantumNumbers(1, l, k), 1.0, geom, Couplings(flux=t + 1)
-            )
-            b = solve_general_n(
-                QuantumNumbers(1, l + 1, k), 1.0, geom, Couplings(flux=t)
-            )
+            a = solve_general_n(QuantumNumbers(1, l, k), 1.0, chi=0.3, flux=t + 1)
+            b = solve_general_n(QuantumNumbers(1, l + 1, k), 1.0, chi=0.3, flux=t)
             assert a[0].energies[0] == pytest.approx(b[0].energies[0], abs=1e-12)
 
     def test_momentum_sign_symmetry(self):
-        up = solve_general_n(QuantumNumbers(1, 2, 0.0), 1.0, FLAT, FREE)
-        down = solve_general_n(QuantumNumbers(1, -2, 0.0), 1.0, FLAT, FREE)
+        up = solve_general_n(QuantumNumbers(1, 2, 0.0), 1.0, chi=0.0)
+        down = solve_general_n(QuantumNumbers(1, -2, 0.0), 1.0, chi=0.0)
         assert up[0].nu_solved == down[0].nu_solved
         assert up[0].energies == down[0].energies
 
     def test_point_invariants(self):
-        pts = solve_general_n(QuantumNumbers(2, 1, 0.5), 1.0, DefectGeometry(0.25), FREE)
+        pts = solve_general_n(QuantumNumbers(2, 1, 0.5), 1.0, chi=0.25)
         for p in pts:
             assert abs(lambda_bar(p.params(1.0, 0.0)) - 2 * p.qn.n) < 1e-10
             assert p.trunc_rel < 1e-12
@@ -846,7 +831,7 @@ class TestSolveGeneralN:
         [(2, 0.0, 0.0), (1, 0.7, 0.1), (2, 3.0, 1.5)],  # constant mu, Sturm count, pencil
     )
     def test_slopes_are_python_floats(self, n, k, b):
-        pts = solve_general_n(QuantumNumbers(n, 1, k), 1.0, FLAT, Couplings(b=b))
+        pts = solve_general_n(QuantumNumbers(n, 1, k), 1.0, chi=0.0, b=b)
         assert pts
         for pt in pts:
             # np.float64 subclasses float, so only the exact type tells them apart.
@@ -855,12 +840,21 @@ class TestSolveGeneralN:
     def test_root_at_small_alpha_is_solved(self):
         # The one root alpha = 2/sqrt(40001.5) is below 0.01; the closed form
         # gives nu = m^2 (|eff| + 3/2).
-        pts = solve_general_n(QuantumNumbers(1, 40000, 0.0), 1.0, FLAT, FREE)
+        pts = solve_general_n(QuantumNumbers(1, 40000, 0.0), 1.0, chi=0.0)
         assert [p.nu_solved for p in pts] == pytest.approx([40001.5], rel=1e-14)
 
     def test_rejects_bad_mass(self):
         with pytest.raises(ValueError):
-            solve_general_n(QuantumNumbers(1, 0, 0.0), -1.0, FLAT, FREE)
+            solve_general_n(QuantumNumbers(1, 0, 0.0), -1.0, chi=0.0)
+
+    def test_background_is_keyword_only(self):
+        # chi, b and flux are three floats; passed by position they would bind silently.
+        with pytest.raises(TypeError):
+            solve_general_n(QuantumNumbers(1, 0, 0.0), 1.0, 0.2, 0.1)
+        with pytest.raises(TypeError):
+            solve_general_n(QuantumNumbers(1, 0, 0.0), 1.0)
+        free = solve_general_n(QuantumNumbers(1, 0, 0.7), 1.0, chi=0.2)
+        assert free == solve_general_n(QuantumNumbers(1, 0, 0.7), 1.0, chi=0.2, b=0.0, flux=0.0)
 
 
 def slope_matrix(n, s, mu):
@@ -896,7 +890,7 @@ class TestTridiagonalEigh:
         diag, off = slope_matrix(n, 1.0, 0.0)
         lam = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
         assert abs(lam[n // 2]) < 1e-14 * lam[-1]
-        pts = solve_general_n(QuantumNumbers(n, 1, 0.0), 1.0, FLAT, FREE)
+        pts = solve_general_n(QuantumNumbers(n, 1, 0.0), 1.0, chi=0.0)
         alphas = sorted(2.0 / math.sqrt(p.nu_solved) for p in pts)
         assert alphas == pytest.approx(lam[n // 2 + 1 :], rel=1e-14)
 
