@@ -336,13 +336,15 @@ def _fd_match(pt, m: float, index: int) -> float:
 def _solve_cell(cfg: RunConfig, n: int, l: int, k: float, t: float) -> list:
     """Every solved state of one (n, l, k, flux) cell.  A cell with none raises
     NoRoots, unless it is a Coulomb n = 1 cell whose closed form says why: that
-    raises NoRealSolution or DegenerateDenominator."""
+    raises NoRealSolution or DegenerateDenominator.  A closed form that cannot
+    be evaluated (its arithmetic fails) names no reason, and NoRoots stands."""
     try:
         return solve_general_n(QuantumNumbers(n=n, l=l, k=k), cfg.m, chi=cfg.chi, b=cfg.b, flux=t)
     except NoRoots:
         if cfg.b != 0.0 and n == 1:
             eff = effective_angular_momentum(l, k, cfg.chi, t)
-            energy_ground_coulomb(cfg.m, cfg.b, coulomb_eta(eff, cfg.b), k)
+            with contextlib.suppress(ArithmeticError):
+                energy_ground_coulomb(cfg.m, cfg.b, coulomb_eta(eff, cfg.b), k)
         raise
 
 

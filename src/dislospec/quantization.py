@@ -360,8 +360,10 @@ def _isolate(p: list[int], r: float) -> list[tuple[float, float]]:
 def _pencil_roots(n: int, d: list, sup: list, sub: list, ca: float, r: float, sturm, top) -> list:
     """The alpha roots below top of a c > 0, kappa >= 1 branch, ascending (module docstring)."""
     lead, const = [ca + r * dj for dj in d], [ca - r * dj for dj in d]
-    if not math.isfinite(lead[-1]):  # the largest entry of L; K0 is smaller in size
-        raise NoRoots(f"the pencil at c sqrt(A)={ca!r}, r={r!r} is not finite")
+    # lead[-1] is the largest entry of L, and K0 is smaller in size.  r = 0 (B = inf)
+    # would map every y to alpha = 0 or inf, so no bracket could isolate a root.
+    if not (math.isfinite(lead[-1]) and r > 0.0):
+        raise NoRoots(f"the pencil at c sqrt(A)={ca!r}, r={r!r} is not finite, or has r = 0")
     # One power of two z makes every entry an integer; det P gains a factor z^(n+1).
     ratios = [list(map(float.as_integer_ratio, w)) for w in (lead, const, sup, sub)]
     z = max(v for w in ratios for _, v in w)

@@ -141,6 +141,35 @@ class TestSpectrum:
             -3.640663733231899, rel=1e-10
         )
 
+    def test_coulomb_cell_with_flux(self, capsys):
+        # A cell with b != 0 and flux != 0 is a Coulomb cell (b is tested first),
+        # and the flux reaches its eta through the effective momentum.
+        t, argv = 0.3, "--scenario coulomb --b 0.1 --chi 0.2 --flux 0.3 --k 0.7 --n 2"
+        code, out, _ = run_cli(capsys, "spectrum", *argv.split(), "--l", "0..1")
+        assert code == EXIT_OK
+        rows = read_csv(out)
+        assert {r["scenario"] for r in rows} == {"coulomb"}
+        want = [
+            (l, pt)
+            for l in (0, 1)
+            for pt in solve_general_n(QuantumNumbers(2, l, 0.7), 1.0, chi=0.2, b=0.1, flux=t)
+        ]
+        assert len(rows) == len(want) >= 4
+        for row, (l, pt) in zip(rows, want):
+            assert int(row["l"]) == l
+            assert float(row["eff_momentum"]) == pt.eff
+            assert float(row["nu_solved"]) == pt.nu_solved
+            assert float(row["e_plus"] or row["e_minus"]) == pt.energies[0]
+        # One flux quantum is one step of l.
+        for l in (0, 1):
+            up = solve_general_n(QuantumNumbers(2, l, 0.7), 1.0, chi=0.2, b=0.1, flux=t + 1)
+            base = solve_general_n(QuantumNumbers(2, l + 1, 0.7), 1.0, chi=0.2, b=0.1, flux=t)
+            assert len(up) == len(base)
+            for pa, pb in zip(up, base):
+                assert pa.branch == pb.branch
+                assert pa.nu_solved == pytest.approx(pb.nu_solved, rel=1e-12, abs=0.0)
+                assert pa.energies == pytest.approx(pb.energies, rel=1e-12, abs=0.0)
+
     def test_no_real_solution_row_exits_solver(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -1140,8 +1169,6 @@ class TestRejectedInput:
         "argv",
         [
             "spectrum --scenario free --m 1e-200 --l 0 --k 1",
-            "spectrum --scenario coulomb --b 1e200 --l 0 --k 0",
-            "spectrum --scenario coulomb --b 1e-300 --l 0 --k 1e160",
             "current --scenario ab --m 1e-162 --l 0 --k 0 --flux 0.5",
             # chi*k overflows the effective momentum to -inf.
             "spectrum --scenario free --chi 1e200 --k 1e200 --l 0 --n 2",
@@ -1155,6 +1182,27 @@ class TestRejectedInput:
         assert code == EXIT_SOLVER
         assert "dislospec: solver error:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv,statuses",
+        [
+            # (eta + 2)**2 overflows in the n = 1 closed form, which only names a reason.
+            ("--b 1e200 --l 0 --k 0", ["NO_ROOTS"]),
+            # k^2/(4m^2) = inf puts the pencil's r = sqrt(A/B) at 0; the closed form
+            # divides by b^2 = 0.
+            ("--b 1e-300 --l 0 --k 1e160", ["NO_ROOTS"]),
+            # The cell beside it keeps its two proven states.
+            ("--b 1e-300 --l 0 --k 1,1e160", ["OK", "OK", "NO_ROOTS"]),
+            ("--b 1e-300 --l 0 --k 1,1e160 --n 2", ["OK", "OK", "NO_ROOTS"]),
+        ],
+    )
+    def test_overflowing_coulomb_cell_is_a_no_roots_row(self, capsys, argv, statuses):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "spectrum", "--scenario", "coulomb", *argv.split())
+        assert code == EXIT_SOLVER
+        assert [r["status"] for r in read_csv(out)] == statuses
+        assert err == f"spectrum: 1 of {len(statuses)} rows failed (['NO_ROOTS'])\n"
 
     def test_memory_error_is_solver_error(self, capsys, monkeypatch):
         # A large --n asks for dense (n+1) x (n+1) matrices; simulated, never allocated.
