@@ -9,11 +9,9 @@ from .core import (
     COULOMB,
     FREE,
     HeunParams,
-    MassProfile,
     QuantumNumbers,
     coulomb_eta,
     effective_angular_momentum,
-    heun_params,
 )
 from .errors import (
     DegenerateDenominator,
@@ -43,7 +41,6 @@ __all__ = [
     "DegenerateDenominator",
     "DislospecError",
     "HeunParams",
-    "MassProfile",
     "NoRealSolution",
     "NoRoots",
     "NonPositiveSlope",
@@ -58,7 +55,6 @@ __all__ = [
     "energy_ground_coulomb",
     "energy_ground_free",
     "fd_eigensolve_free",
-    "heun_params",
     "nu_ground_coulomb",
     "nu_ground_free",
     "ode_residual",

@@ -335,17 +335,17 @@ def _fd_match(pt, m: float, index: int) -> float:
 
 def _solve_cell(cfg: RunConfig, n: int, l: int, k: float, t: float) -> list:
     """Every solved state of one (n, l, k, flux) cell.  A cell with none raises
-    NoRoots, unless it is a Coulomb n = 1 cell whose closed form says why: that
-    raises NoRealSolution or DegenerateDenominator.  A closed form that cannot
-    be evaluated (its arithmetic fails) names no reason, and NoRoots stands."""
+    NoRoots, naming the cell, unless it is a Coulomb n = 1 cell whose closed form
+    says why: that raises NoRealSolution or DegenerateDenominator.  A closed form
+    that cannot be evaluated (its arithmetic fails) names no reason, and NoRoots stands."""
     try:
         return solve_general_n(QuantumNumbers(n=n, l=l, k=k), cfg.m, chi=cfg.chi, b=cfg.b, flux=t)
-    except NoRoots:
+    except NoRoots as exc:
         if cfg.b != 0.0 and n == 1:
             eff = effective_angular_momentum(l, k, cfg.chi, t)
             with contextlib.suppress(ArithmeticError):
                 energy_ground_coulomb(cfg.m, cfg.b, coulomb_eta(eff, cfg.b), k)
-        raise
+        raise NoRoots(f"cell n={n}, l={l}, k={_fmt(k)}, flux={_fmt(t)}: {exc}") from exc
 
 
 # The status row of a cell with no solved state, by the exception that says why.
@@ -443,7 +443,7 @@ def cmd_current(cfg: RunConfig, out: io.TextIOBase, err: io.TextIOBase) -> int:
     return EXIT_OK
 
 
-class _Population(namedtuple("_Population", "cfg coulomb cells solved skipped")):
+class _Population(namedtuple("_Population", "cfg cells solved skipped")):
     """verify's states for every configured n and cell, solved once.
 
     cells holds (l, k, t, effective momentum) for every configured cell, solved
@@ -474,10 +474,7 @@ def _solve_population(cfg: RunConfig) -> _Population:
             solved[n].append((cell, _solve_cell(cfg, n, l, k, t)))
         except (NoRealSolution, DegenerateDenominator):
             skipped += 1
-        except NoRoots as exc:
-            # Name the cell as spectrum's NO_ROOTS row for it does.
-            raise NoRoots(f"cell n={n}, l={l}, k={_fmt(k)}, flux={_fmt(t)}: {exc}") from exc
-    return _Population(cfg, cfg.b != 0.0, cells, solved, skipped)
+    return _Population(cfg, cells, solved, skipped)
 
 
 def _check_energy_composition(pop: _Population):
@@ -498,7 +495,7 @@ def _check_closed_form_agreement(pop: _Population):
         return None, _NO_GROUND
     errors, without = [], pop.skipped
     for (_, k, _, eff), pts in pop.solved[1]:
-        if pop.coulomb:
+        if cfg.b != 0.0:
             try:  # a solved state's closed form may still degenerate
                 want = sorted(energy_ground_coulomb(cfg.m, cfg.b, coulomb_eta(eff, cfg.b), k))
             except DegenerateDenominator:
@@ -517,7 +514,7 @@ def _check_closed_form_agreement(pop: _Population):
 
 def _check_coulomb_fixed_point(pop: _Population):
     # E -> nu -> energy relation -> E.
-    if not pop.coulomb:
+    if pop.cfg.b == 0.0:
         return None, "no Coulomb coupling configured"
     if 1 not in pop.cfg.n:
         return None, _NO_GROUND
@@ -556,7 +553,7 @@ def _check_ode_residual(pop: _Population):
 
 
 def _check_fd_match(pop: _Population):
-    if pop.coulomb:
+    if pop.cfg.b != 0.0:
         return None, "the finite-difference oracle has no Coulomb term"
     errors = [
         _fd_match(pt, pop.cfg.m, index)

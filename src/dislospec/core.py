@@ -1,4 +1,4 @@
-"""Domain types and dimensionless parameter assembly.
+"""Domain types of the radial problem.
 
 Natural units (hbar = c = 1) throughout.  The particle carries a
 position-dependent mass m(rho) = m + nu*rho, i.e. a linear confining scalar
@@ -15,6 +15,9 @@ dimensionless numbers collected in HeunParams:
     beta  = (E^2 - m^2 - k^2) / nu
     mu    = 2 b E / sqrt(nu)
     nu_abs = |effective angular momentum| (or its Coulomb-shifted modulus)
+
+SpectrumPoint.params builds a state's HeunParams, beta as 2(n+s+1) - alpha^2/4
+from its printed slope; on a state that equals (E^2 - m^2 - k^2)/nu.
 """
 
 from __future__ import annotations
@@ -22,33 +25,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import NonPositiveSlope
-
 # Scenario tags used by the solver and CLI.
 FREE = "free"
 COULOMB = "coulomb"
 AB_FLUX = "ab"
-
-
-class MassProfile(namedtuple("MassProfile", "m nu")):
-    """Rest mass m > 0 and linear slope nu of m(rho) = m + nu*rho.
-
-    nu <= 0 is representable (useful for error-path tests) but is rejected
-    at every boundary where xi = sqrt(nu)*rho would be formed.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, m: float, nu: float) -> "MassProfile":
-        if not m > 0.0:
-            raise ValueError(f"rest mass must be positive, got {m}")
-        return tuple.__new__(cls, (m, nu))
-
-    def require_confining(self) -> None:
-        if not self.nu > 0.0:
-            raise NonPositiveSlope(
-                f"slope nu must be positive to form xi = sqrt(nu)*rho, got {self.nu}"
-            )
 
 
 class QuantumNumbers(namedtuple("QuantumNumbers", "n l k")):
@@ -91,20 +71,3 @@ def coulomb_eta(gamma_eff: float, b: float) -> float:
     """Coulomb-shifted modulus sqrt(gamma_eff^2 + b^2); equals |gamma_eff| at b=0."""
     return math.hypot(gamma_eff, b)
 
-
-def heun_params(
-    mass: MassProfile, E: float, k: float, b: float, eff_abs: float
-) -> HeunParams:
-    """Assemble the dimensionless radial parameters at energy E.
-
-    Raises NonPositiveSlope if mass.nu <= 0 (the xi substitution needs nu > 0).
-    mu vanishes identically when b = 0, embedding the free case.
-    """
-    mass.require_confining()
-    sqrt_nu = math.sqrt(mass.nu)
-    return HeunParams(
-        nu_abs=eff_abs,
-        alpha=2.0 * mass.m / sqrt_nu,
-        beta=(E * E - mass.m * mass.m - k * k) / mass.nu,
-        mu=2.0 * b * E / sqrt_nu,
-    )

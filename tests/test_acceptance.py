@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from dislospec import (
-    MassProfile,
+    HeunParams,
     NoRealSolution,
     QuantumNumbers,
     RadialGrid,
@@ -28,7 +28,6 @@ from dislospec import (
     energy_ground_coulomb,
     energy_ground_free,
     fd_eigensolve_free,
-    heun_params,
     nu_ground_coulomb,
     nu_ground_free,
     ode_residual,
@@ -69,6 +68,13 @@ def solved_population():
             for pt in solve_general_n(QuantumNumbers(1, l, 0.0), 1.0, chi=0.0, flux=t)
         )
     return points
+
+
+def params_at_energy(m, nu, E, k, b, s):
+    """The HeunParams at energy E, slope nu and effective momentum s:
+    alpha = 2m/sqrt(nu), beta = (E^2 - m^2 - k^2)/nu and mu = 2bE/sqrt(nu)."""
+    sqrt_nu = math.sqrt(nu)
+    return HeunParams(s, 2.0 * m / sqrt_nu, (E * E - m * m - k * k) / nu, 2.0 * b * E / sqrt_nu)
 
 
 @pytest.fixture(scope="module")
@@ -120,12 +126,10 @@ def test_criterion_3_ode_residual_and_detuning(population):
         # Each polynomial is checked against parameters rebuilt here from the
         # state's printed nu and E, not through SpectrumPoint.params.
         e_ref = pt.energies[0]
-        params = heun_params(MassProfile(m, pt.nu_solved), e_ref, pt.qn.k, b, pt.eff_abs)
+        params = params_at_energy(m, pt.nu_solved, e_ref, pt.qn.k, b, pt.eff_abs)
         worst = max(worst, ode_residual(pt.coeffs, params, grid))
 
-        detuned = heun_params(
-            MassProfile(m, pt.nu_solved * 1.01), e_ref, pt.qn.k, b, pt.eff_abs
-        )
+        detuned = params_at_energy(m, pt.nu_solved * 1.01, e_ref, pt.qn.k, b, pt.eff_abs)
         coeffs = build_coefficients(detuned, n_max=max(pt.qn.n, 1))
         worst_detuned = min(worst_detuned, ode_residual(coeffs, detuned, grid))
     print(

@@ -518,6 +518,11 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", *argv)
         assert (code, out) == (EXIT_SOLVER, "")
         assert "dislospec: solver error: cell n=2, l=0, k=3, flux=0: no nu > 0 root" in err
+        # current names the stencil point it could not solve.
+        argv = "--scenario ab --flux 0.3 --l 0 --k 0,1e160".split()
+        code, out, err = run_cli(capsys, "current", *argv)
+        assert (code, out) == (EXIT_SOLVER, "")
+        assert "dislospec: solver error: cell n=1, l=0, k=1e+160, flux=0.30001: " in err
 
     def test_flux_scenario_runs_current_checks(self, capsys):
         code, out, _ = run_cli(

@@ -5,14 +5,12 @@ import pytest
 
 from dislospec import (
     HeunParams,
-    MassProfile,
     QuantumNumbers,
     build_coefficients,
-    heun_params,
     solve_general_n,
 )
 from dislospec.heun import lambda_bar, tau_bar
-from test_acceptance import solved_population
+from test_acceptance import params_at_energy, solved_population
 
 
 def params_for(alpha=1.0, beta=0.0, mu=0.0, nu_abs=0.0):
@@ -23,7 +21,7 @@ def ground_free_params(m=1.0, gamma_abs=0.0, k=0.0):
     """Exact lowest free state: nu = m^2(|g|+3/2), E^2 = 2 nu (|g|+2) + k^2."""
     nu = m * m * (gamma_abs + 1.5)
     e = math.sqrt(2.0 * nu * (gamma_abs + 2.0) + k * k)
-    return heun_params(MassProfile(m, nu), e, k, 0.0, gamma_abs)
+    return params_at_energy(m, nu, e, k, 0.0, gamma_abs)
 
 
 class TestRecurrence:
@@ -123,7 +121,7 @@ class TestTruncationResidual:
         m, g = 1.0, 0.5
         nu = 2.0 * m * m * (g + 1.5)
         e = math.sqrt(2.0 * nu * (1 + g + 1.0))
-        p = heun_params(MassProfile(m, nu), e, 0.0, 0.0, g)
+        p = params_at_energy(m, nu, e, 0.0, 0.0, g)
         assert abs(lambda_bar(p) - 2.0) < 1e-12
         assert abs(truncation_coefficient(p, 1)) > 0.1
 
@@ -134,7 +132,7 @@ class TestTruncationResidual:
         m, b, eta, k = 1.0, 0.1, 0.1, 0.0
         for e in energy_ground_coulomb(m, b, eta, k):
             nu = nu_ground_coulomb(m, b, eta, e)
-            p = heun_params(MassProfile(m, nu), e, k, b, eta)
+            p = params_at_energy(m, nu, e, k, b, eta)
             assert abs(lambda_bar(p) - 2.0) < 1e-12
             assert abs(truncation_coefficient(p, 1)) < 1e-13
 

@@ -9,22 +9,21 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from dislospec import cli, oracle
 from dislospec import (
-    MassProfile,
     QuantumNumbers,
     RadialGrid,
     build_coefficients,
     energy_ground_free,
     fd_eigensolve_free,
-    heun_params,
     nu_ground_free,
     ode_residual,
     solve_general_n,
 )
+from test_acceptance import params_at_energy
 
 
 def ground_state():
     pt = solve_general_n(QuantumNumbers(1, 0, 0.0), 1.0, chi=0.0)[0]
-    params = heun_params(MassProfile(1.0, pt.nu_solved), pt.energies[0], 0.0, 0.0, 0.0)
+    params = params_at_energy(1.0, pt.nu_solved, pt.energies[0], 0.0, 0.0, 0.0)
     return pt, params
 
 
@@ -64,17 +63,13 @@ class TestOdeResidual:
     def test_all_third_level_roots(self):
         grid = RadialGrid(0.01, 8.0 * math.sqrt(3.0), 2000)
         for pt in solve_general_n(QuantumNumbers(3, 0, 0.0), 1.0, chi=0.0):
-            params = heun_params(
-                MassProfile(1.0, pt.nu_solved), pt.energies[0], 0.0, 0.0, 0.0
-            )
+            params = params_at_energy(1.0, pt.nu_solved, pt.energies[0], 0.0, 0.0, 0.0)
             assert ode_residual(pt.coeffs, params, grid) < 1e-8
 
     def test_coulomb_branches_satisfy_equation(self):
         grid = RadialGrid(0.01, 8.0, 2000)
         for pt in solve_general_n(QuantumNumbers(1, 0, 0.0), 1.0, chi=0.0, b=0.1):
-            params = heun_params(
-                MassProfile(1.0, pt.nu_solved), pt.energies[0], 0.0, 0.1, pt.eff_abs
-            )
+            params = params_at_energy(1.0, pt.nu_solved, pt.energies[0], 0.0, 0.1, pt.eff_abs)
             assert ode_residual(pt.coeffs, params, grid) < 1e-8
 
     def test_detuned_slope_is_detected(self):
@@ -82,7 +77,7 @@ class TestOdeResidual:
         # residual must rise far above the quantized-solution floor
         pt, _ = ground_state()
         nu = pt.nu_solved * 1.01
-        params = heun_params(MassProfile(1.0, nu), pt.energies[0], 0.0, 0.0, 0.0)
+        params = params_at_energy(1.0, nu, pt.energies[0], 0.0, 0.0, 0.0)
         coeffs = build_coefficients(params, n_max=1)
         grid = RadialGrid(0.01, 8.0, 2000)
         assert ode_residual(coeffs, params, grid) > 1e-4
@@ -90,7 +85,7 @@ class TestOdeResidual:
     def test_invariant_under_amplitude_rescaling(self):
         pt, _ = ground_state()
         nu = pt.nu_solved * 1.01
-        params = heun_params(MassProfile(1.0, nu), pt.energies[0], 0.0, 0.0, 0.0)
+        params = params_at_energy(1.0, nu, pt.energies[0], 0.0, 0.0, 0.0)
         coeffs = build_coefficients(params, n_max=1)
         scaled = tuple(1e6 * x for x in coeffs)
         grid = RadialGrid(0.01, 8.0, 2000)
@@ -113,42 +108,40 @@ class TestOdeResidual:
         assert ode_residual((0.0, 0.0), params, RadialGrid(0.01, 8.0, 100)) == 0.0
 
 
-def fd_e2(mass, eff_abs, k, grid, index=0, near=None):
+def fd_e2(m, nu, eff_abs, k, grid, index=0, near=None):
     """E^2 of FD level index on a grid in rho, through xi = sqrt(nu) rho and
     E^2 = nu beta + m^2 + k^2; near is an E^2 too."""
-    root_nu, shift = math.sqrt(mass.nu), mass.m**2 + k * k
+    root_nu, shift = math.sqrt(nu), m**2 + k * k
     xi_grid = RadialGrid(grid.xi_min * root_nu, grid.xi_max * root_nu, grid.n_points)
-    seed = None if near is None else (near - shift) / mass.nu
-    beta = fd_eigensolve_free(eff_abs, 2.0 * mass.m / root_nu, xi_grid, index, seed)
-    return mass.nu * beta + shift
+    seed = None if near is None else (near - shift) / nu
+    beta = fd_eigensolve_free(eff_abs, 2.0 * m / root_nu, xi_grid, index, seed)
+    return nu * beta + shift
 
 
 class TestFdEigensolver:
     def test_half_integer_momentum_match(self):
         # nu = m^2(0.5 + 3/2) = 2, analytic E^2 = 2*2*(0.5+2) + 1 = 11
-        ground = fd_e2(MassProfile(1.0, 2.0), 0.5, 1.0, RadialGrid(1e-3, 10.0, 4000))
+        ground = fd_e2(1.0, 2.0, 0.5, 1.0, RadialGrid(1e-3, 10.0, 4000))
         assert abs(ground - 11.0) / 11.0 < 1e-3
 
     def test_integer_momentum_match(self):
         # nu = 2.5, analytic E^2 = 2*2.5*3 = 15
-        ground = fd_e2(MassProfile(1.0, 2.5), 1.0, 0.0, RadialGrid(1e-3, 10.0, 4000))
+        ground = fd_e2(1.0, 2.5, 1.0, 0.0, RadialGrid(1e-3, 10.0, 4000))
         assert abs(ground - 15.0) / 15.0 < 1e-4
 
     def test_detects_slope_momentum_mismatch(self):
         # nu = 1.5 is quantized for |eff| = 0, not 1; none of the lowest six levels is near 6
-        mass = MassProfile(1.0, 1.5)
         grid = RadialGrid(1e-3, 10.0 * math.sqrt(2.0 / 1.5), 4000)
-        levels = [fd_e2(mass, 1.0, 0.0, grid, index=i) for i in range(6)]
+        levels = [fd_e2(1.0, 1.5, 1.0, 0.0, grid, index=i) for i in range(6)]
         assert min(abs(e - 6.0) / 6.0 for e in levels) > 0.05
 
     def test_second_order_convergence(self):
         # |eff| = 2, above the fully factored momentum range; halving h must
         # shrink the eigenvalue error by ~4x
-        mass = MassProfile(1.0, 3.5)
         e2 = 2.0 * 3.5 * 4.0
         errs = []
         for n_points in (4000, 7999):
-            ground = fd_e2(mass, 2.0, 0.0, RadialGrid(1e-3, 10.0, n_points))
+            ground = fd_e2(1.0, 3.5, 2.0, 0.0, RadialGrid(1e-3, 10.0, n_points))
             errs.append(abs(ground - e2) / e2)
         assert 3.5 < errs[0] / errs[1] < 4.5
 
@@ -157,16 +150,16 @@ class TestFdEigensolver:
         # A weight rho^(2s+1) at this |eff| underflows, or varies too fast
         # across one cell for the midpoint flux; the matched ground E^2 must
         # stay finite and close on the state's grid.
-        mass = MassProfile(1.0, nu_ground_free(1.0, eff))
+        nu = nu_ground_free(1.0, eff)
         e2 = energy_ground_free(1.0, eff, 0.0)[0] ** 2
-        grid = RadialGrid(1e-3, 10.0 * math.sqrt((1.0 + eff) / mass.nu), 4000)
-        ground = fd_e2(mass, eff, 0.0, grid)
+        grid = RadialGrid(1e-3, 10.0 * math.sqrt((1.0 + eff) / nu), 4000)
+        ground = fd_e2(1.0, nu, eff, 0.0, grid)
         assert math.isfinite(ground)
         assert abs(ground - e2) / e2 < 1e-3
 
     def test_levels_ascend_with_index(self):
-        mass, grid = MassProfile(1.0, 2.5), RadialGrid(1e-3, 10.0, 1500)
-        levels = [fd_e2(mass, 1.0, 0.0, grid, index=i) for i in range(4)]
+        grid = RadialGrid(1e-3, 10.0, 1500)
+        levels = [fd_e2(1.0, 2.5, 1.0, 0.0, grid, index=i) for i in range(4)]
         assert levels == sorted(set(levels))
 
     def test_default_grid_scales_with_state(self, monkeypatch):
@@ -214,10 +207,10 @@ class TestLevelFinder:
         monkeypatch.setattr(oracle, "_sturm_root", checked)
         errors = []
         for index, pt in solved_states():
-            mass, k = MassProfile(1.0, pt.nu_solved), pt.qn.k
-            grid = RadialGrid(1e-3, 10.0 * math.sqrt((pt.qn.n + pt.eff_abs) / mass.nu), 4000)
-            got = fd_e2(mass, pt.eff_abs, k, grid, index, near=pt.energies[0] ** 2)
-            want = mass.nu * reference[-1] + 1.0 + k * k
+            nu, k = pt.nu_solved, pt.qn.k
+            grid = RadialGrid(1e-3, 10.0 * math.sqrt((pt.qn.n + pt.eff_abs) / nu), 4000)
+            got = fd_e2(1.0, nu, pt.eff_abs, k, grid, index, near=pt.energies[0] ** 2)
+            want = nu * reference[-1] + 1.0 + k * k
             errors.append(abs(got - want) / want)
         assert len(errors) >= 100
         assert max(errors) <= 1e-10
@@ -227,13 +220,13 @@ class TestLevelFinder:
         pts = solve_general_n(QuantumNumbers(5, 1, 0.7), 1.0, chi=0.2)
         assert len(pts) == 3
         for index, pt in enumerate(pts):
-            mass = MassProfile(1.0, pt.nu_solved)
-            grid = RadialGrid(1e-3, 10.0 * math.sqrt((5 + pt.eff_abs) / mass.nu), 4000)
-            level = fd_e2(mass, pt.eff_abs, 0.7, grid, index)
-            neighbour = fd_e2(mass, pt.eff_abs, 0.7, grid, index + 1)
+            nu = pt.nu_solved
+            grid = RadialGrid(1e-3, 10.0 * math.sqrt((5 + pt.eff_abs) / nu), 4000)
+            level = fd_e2(1.0, nu, pt.eff_abs, 0.7, grid, index)
+            neighbour = fd_e2(1.0, nu, pt.eff_abs, 0.7, grid, index + 1)
             e2 = pt.energies[0] ** 2
             for near in (neighbour, 1.01 * e2, -e2):
-                got = fd_e2(mass, pt.eff_abs, 0.7, grid, index, near=near)
+                got = fd_e2(1.0, nu, pt.eff_abs, 0.7, grid, index, near=near)
                 assert got == pytest.approx(level, rel=1e-10)
 
     def test_zero_pivot_counts_and_stays_finite(self):
@@ -249,7 +242,7 @@ class TestLevelFinder:
             assert got == pytest.approx(want, rel=1e-10)
 
     def test_rejects_index_outside_matrix(self):
-        mass, grid = MassProfile(1.0, 2.5), RadialGrid(1e-3, 10.0, 100)
+        grid = RadialGrid(1e-3, 10.0, 100)
         for index in (-1, 99):
             with pytest.raises(ValueError, match="level index"):
-                fd_e2(mass, 1.0, 0.0, grid, index)
+                fd_e2(1.0, 2.5, 1.0, 0.0, grid, index)

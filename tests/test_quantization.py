@@ -12,18 +12,18 @@ from scipy.linalg import eig
 from scipy.optimize import brentq
 
 from dislospec import (
+    FREE,
     DegenerateDenominator,
-    MassProfile,
     NonPositiveSlope,
     NoRealSolution,
     NoRoots,
     QuantumNumbers,
+    SpectrumPoint,
     build_coefficients,
     coulomb_eta,
     energy_from_lambda,
     energy_ground_coulomb,
     energy_ground_free,
-    heun_params,
     nu_ground_coulomb,
     nu_ground_free,
     solve_general_n,
@@ -37,6 +37,7 @@ from dislospec.quantization import (
     _isolate,
     _sturm_root,
 )
+from test_acceptance import params_at_energy
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +143,42 @@ def qz_pencil_alphas(n, s, c, k):
             roots.append(brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16) if f(lo) * f(hi) < 0 else a)
     roots.sort()
     return [a for i, a in enumerate(roots) if i == 0 or a - roots[i - 1] > 1e-9 * max(1.0, a)]
+
+
+def hand_point(n, s, nu, energy):
+    """A state built by hand at k = 0: params reads only n, s, the slope and energies[0]."""
+    qn = QuantumNumbers(n, 0, 0.0)
+    return SpectrumPoint(qn, s, s, nu, (energy, -energy), (1.0,), FREE, None, 0.0)
+
+
+class TestSpectrumPointParams:
+    def test_unit_substitution(self):
+        # m = nu = 1, n = 1, s = 0: alpha = 2, beta = 2(n+s+1) - alpha^2/4 = 3, E = 2
+        p = hand_point(1, 0.0, 1.0, 2.0).params(1.0, 0.0)
+        assert (p.nu_abs, p.alpha, p.beta, p.mu) == (0.0, 2.0, 3.0, 0.0)
+
+    def test_direct_evaluation(self):
+        # nu = 4: alpha = 1; n = 2, s = 0.5: beta = 7 - 1/4, which is (E^2 - m^2)/nu
+        # at the state's E^2 = 2 nu (n + s + 1) = 28
+        p = hand_point(2, 0.5, 4.0, math.sqrt(28.0)).params(1.0, 0.0)
+        assert (p.nu_abs, p.alpha, p.beta, p.mu) == (0.5, 1.0, 6.75, 0.0)
+        assert p.beta == (28.0 - 1.0) / 4.0
+
+    def test_coulomb_scale(self):
+        # mu = 2 b E / sqrt(nu)
+        p = hand_point(1, 0.0, 1.0, 2.0).params(1.0, 0.5)
+        assert (p.alpha, p.beta, p.mu) == (2.0, 3.0, 2.0)
+
+    def test_free_case_always_has_zero_mu(self):
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            pt = hand_point(
+                int(rng.integers(1, 6)),
+                float(rng.uniform(0, 3)),
+                float(rng.uniform(0.1, 5)),
+                float(rng.uniform(-4, 4)),
+            )
+            assert pt.params(float(rng.uniform(0.2, 3)), 0.0).mu == 0.0
 
 
 class TestEnergyFromLambda:
@@ -820,10 +857,8 @@ class TestSolveGeneralN:
             assert abs(lambda_bar(p.params(1.0, 0.0)) - 2 * p.qn.n) < 1e-10
             assert p.trunc_rel < 1e-12
             assert len(p.coeffs) == p.qn.n + 1
-            # re-derive the truncation residual through the public path
-            params = heun_params(
-                MassProfile(1.0, p.nu_solved), p.energies[0], p.qn.k, 0.0, p.eff_abs
-            )
+            # re-derive the truncation residual from the printed energy
+            params = params_at_energy(1.0, p.nu_solved, p.energies[0], p.qn.k, 0.0, p.eff_abs)
             assert abs(build_coefficients(params, n_max=p.qn.n + 1)[p.qn.n + 1]) < 1e-10
 
     @pytest.mark.parametrize(
