@@ -13,10 +13,11 @@ RadialGrid its caller gives it (cli sizes both grids to a state):
   its own index in a discretization that never saw the series ansatz.  It
   uses only the equation's exponent at xi = 0, not the solution's form.
 
-The level is found by _sturm_root, the slope solver's Sturm count on the
-matrix's LDL^T pivots, in the matrix's Gershgorin interval (_gershgorin, the
-bound the slope solve starts from too) narrowed around a seed: generic linear
-algebra, not the series ansatz; each side is tested against LAPACK on its own.
+The level is found by _sturm_roots, the slope solver's search over brackets
+of the Sturm count of the matrix's LDL^T pivots, in the matrix's Gershgorin
+interval (_gershgorin, the bound the slope solve starts from too) cut around
+a seed: generic linear algebra, not the series ansatz; each side is tested
+against LAPACK on its own.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from collections import namedtuple
 from functools import partial
 
 from .core import HeunParams
-from .quantization import _gershgorin, _sturm_pass, _sturm_root
+from .quantization import _gershgorin, _sturm_pass, _sturm_roots
 
 # Largest effective momentum whose full origin exponent the finite-volume
 # oracle factors out; see fd_eigensolve_free.
@@ -35,7 +36,7 @@ FD_FACTORED_MOMENTUM_MAX = 1.0
 # Relative step at which Newton stops: what one double-precision pass resolves.
 FD_STEP_TOL = 1e-11
 # fd_eigensolve_free's search starts in the bracket near * (1 -+ SEED_WIDTH)
-# if its counts isolate the level: wider than the FD grid's error, about 1e-3
+# if its counts hold the level: wider than the FD grid's error, about 1e-3
 # of beta at n = 60, and narrower than the level spacing, about 1/n of it.
 SEED_WIDTH = 1e-2
 
@@ -50,8 +51,8 @@ class RadialGrid(namedtuple("RadialGrid", "xi_min xi_max n_points")):
             raise ValueError(f"xi_min must be > 0 (origin excluded), got {xi_min}")
         if not xi_max > xi_min:
             raise ValueError(f"xi_max must exceed xi_min, got {xi_max}")
-        if n_points < 3:
-            raise ValueError(f"n_points must be >= 3, got {n_points}")
+        if not isinstance(n_points, int) or n_points < 3:
+            raise ValueError(f"n_points must be an integer >= 3, got {n_points!r}")
         return tuple.__new__(cls, (xi_min, xi_max, n_points))
 
 
@@ -148,11 +149,12 @@ def fd_eigensolve_free(
     outer grid edge is a Dirichlet wall.  The resulting pencil A w = beta M w
     with diagonal M is symmetrized as M^{-1/2} A M^{-1/2}.
 
-    Level index of that tridiagonal matrix is found by _sturm_root, the slope
-    solver's Sturm search: a count of its LDL^T pivots proves the index, and
-    Newton steps on the determinant refine the level.  Where the counts allow,
-    the Gershgorin bracket is first narrowed to near (1 -+ SEED_WIDTH); near,
-    such as a state's analytic beta, picks where the search starts, not the level.
+    Level index of that tridiagonal matrix is found by _sturm_roots, the slope
+    solver's Sturm search, asked for that one step of the count: a count of its
+    LDL^T pivots proves the index, and Newton steps on the determinant refine
+    the level.  The points near (1 -+ SEED_WIDTH) cut the Gershgorin bracket
+    first; near, such as a state's analytic beta, picks where the search
+    starts, not the level.
     """
     s = eff_abs
     sigma = min(s, FD_FACTORED_MOMENTUM_MAX)
@@ -176,21 +178,16 @@ def fd_eigensolve_free(
     flux = [x ** (q - 1.0) / h for x in face]
     inflow = [0.0] + flux[:-1]
     diag = [(a + b + c) / w for a, b, c, w in zip(inflow, flux, pot, weight)]
-    if not 0 <= index < len(diag):
-        raise ValueError(f"level index {index} outside 0..{len(diag) - 1}")
+    if not isinstance(index, int) or not 0 <= index < len(diag):
+        raise ValueError(f"level index {index!r} outside 0..{len(diag) - 1}")
     off = [f / math.sqrt(w0 * w1) for f, w0, w1 in zip(flux, weight, weight[1:])]  # -T[i, i+1]
     off2 = [0.0] + [x * x for x in off]
     pivmin = sys.float_info.min * max(1.0, max(off2))
     lo, hi = _gershgorin(diag, off)
-    n_lo, n_hi = 0, len(diag)
     slope = [-1.0] * len(diag)  # T is constant: d(d_j - x)/dx = -1
     sturm = partial(_sturm_pass, diag, slope, off2, pivmin=pivmin)
-    if near is not None:
-        for edge in sorted((near * (1.0 - SEED_WIDTH), near * (1.0 + SEED_WIDTH))):
-            if lo < edge < hi:
-                count = sturm(edge)[0]
-                if count <= index:
-                    lo, n_lo = edge, count
-                else:
-                    hi, n_hi = edge, count
-    return _sturm_root(sturm, index, lo, hi, n_lo, n_hi, FD_STEP_TOL)
+    seeds = () if near is None else sorted((near * (1.0 - SEED_WIDTH), near * (1.0 + SEED_WIDTH)))
+    # The seeds cut the Gershgorin bracket in up to three; the search keeps the level's.
+    edges = [(lo, 0), *((x, sturm(x)[0]) for x in seeds if lo < x < hi), (hi, len(diag))]
+    brackets = [(x, y, n_x, n_y) for (x, n_x), (y, n_y) in zip(edges, edges[1:])]
+    return _sturm_roots(sturm, brackets, FD_STEP_TOL, range(index, index + 1))[0]

@@ -30,8 +30,9 @@ lambda_i(mu(alpha)):
 * constant mu (b k = 0, kappa = 0), c < 0 or kappa < 1: each
   lambda_i(mu(alpha)) - alpha strictly decreases (for c < 0, mu and so
   lambda_i fall as alpha grows), so root i is where the count of eigenvalues
-  of S(mu(alpha)) below alpha steps to i + 1; the FD oracle's Sturm search
-  finds it, bisecting to the step and then taking Newton steps on
+  of S(mu(alpha)) below alpha steps to i + 1; one Sturm search, the FD
+  oracle's, finds them all, halving the branch's one bracket until each
+  bracket holds one step and then taking Newton steps on
   det(S(mu(alpha)) - alpha);
 * c > 0 and kappa >= 1: a branch may cross several times or not at all.
   With alpha = r(w - 1/w)/2 and r = sqrt(A/B), mu = c sqrt(A)(w + 1/w)/2,
@@ -43,9 +44,9 @@ lambda_i(mu(alpha)):
   the off-diagonal products 4 sup_j sub_j y gives det exactly, of degree
   n + 1.  Descartes' rule of signs with bisection isolates its roots in (0, 1)
   (Collins & Akritas, SYMSAC 1976).  The count's parity flips once across each
-  isolating interval's alpha bracket, where _sturm_root refines the root.  A
-  multiple root never isolates and raises NoRoots.  The pencil is used only
-  here, where r <= c sqrt(A)/d_0.
+  isolating interval's alpha bracket, and the same search refines the root
+  where the count steps by one, up or down.  A multiple root never isolates
+  and raises NoRoots.  The pencil is used only here, where r <= c sqrt(A)/d_0.
 
 One rule accepts a root on every path.  count(x), the number of eigenvalues
 of S(mu(x)) below x, is the number of negative LDL^T pivots of S(mu(x)) - x.
@@ -92,7 +93,7 @@ DEGENERATE_TOL = 1e-12
 # free Jacobi matrix is no root).
 PROOF_WIDTH = 1e-13
 
-# _sturm_root's relative Newton stop.
+# _sturm_roots' relative Newton stop on the slope solve.
 NEWTON_RTOL = 1e-14
 
 
@@ -268,58 +269,60 @@ def _gershgorin(diag: list, off: list) -> tuple[float, float]:
     return min(x - r for x, r in zip(diag, radius)), max(x + r for x, r in zip(diag, radius))
 
 
-def _sturm_root(
-    sturm: Callable[[float], tuple[int, float]], index: int,
-    lo: float, hi: float, n_lo: int, n_hi: int, rtol: float,
-) -> float:
-    """Where the count of sturm(x) = (count, d log|det|/dx), which never
-    decreases in x, steps past index, to a relative Newton step rtol.
+def _sturm_roots(
+    sturm: Callable[[float], tuple[int, float]], brackets: list, rtol: float, wanted: range
+) -> list[float]:
+    """The steps numbered in wanted of the count of sturm(x) = (count, d log|det|/dx),
+    bracket by bracket and ascending in each, each to a relative Newton step rtol.
 
-    [lo, hi) always holds the step: n_lo = count(lo) <= index < count(hi) =
-    n_hi.  Newton starts at the bracket's midpoint once bisection has isolated
-    the step (n_lo == index == n_hi - 1) or cannot halve the bracket.  Newton
-    steps that leave the bracket, or shrink by less than half, become
-    bisection.  A pass with a non-finite d log|det| is followed by a probe one
-    step rtol inside the bracket, which either closes it or moves its edge
-    there; a second such pass in a row bisects, so the search always ends."""
-
-    def probe(x: float) -> float:
-        nonlocal lo, hi, n_lo, n_hi
-        count, dlog = sturm(x)
-        if count <= index:
-            lo, n_lo = x, count
-        else:
-            hi, n_hi = x, count
-        return dlog
-
-    while not n_lo == index == n_hi - 1 and lo < 0.5 * (lo + hi) < hi:
-        probe(0.5 * (lo + hi))
-    x = 0.5 * (lo + hi)
-
-    step_old = hi - lo
-    finite = True
-    while True:
-        tol = rtol * abs(x)
-        dlog = probe(x)
-        if not math.isfinite(dlog):
-            # A pivot came out 0: x is within rounding of the step, or of a root
-            # of a leading block.  Bisecting would crawl toward this edge if the
-            # step sits on it; a probe tol inside tells which.
-            x = (x - tol if x == hi else x + tol) if finite else 0.5 * (lo + hi)
-            finite = False
+    Each bracket (lo, hi, count(lo), count(hi)) holds the steps between its counts
+    (step i between counts i and i + 1), whether the count rises or falls across it.
+    A bracket is halved until it holds one step, and only halves that hold a step in
+    wanted are kept; one that cannot be halved and still holds two steps gives no
+    root.  Newton starts at an isolating bracket's midpoint.  Newton steps that leave
+    the bracket, or shrink by less than half, become bisection.  A pass with a
+    non-finite d log|det| is followed by a probe one step rtol inside the bracket,
+    which either closes it or moves its edge there; a second such pass in a row
+    bisects, so the search always ends."""
+    roots, todo = [], brackets[::-1]
+    while todo:
+        lo, hi, n_lo, n_hi = todo.pop()
+        x = 0.5 * (lo + hi)
+        if not max(min(n_lo, n_hi), wanted.start) < min(max(n_lo, n_hi), wanted.stop):
+            continue
+        if abs(n_hi - n_lo) > 1:
             if lo < x < hi:
-                continue
-            return 0.5 * (lo + hi)
-        finite = True
-        step = -1.0 / dlog if dlog != 0.0 else math.nan
-        x_new = x + step
-        if not lo <= x_new <= hi or abs(step) > 0.5 * step_old:
-            x_new = 0.5 * (lo + hi)
-            step = x_new - x
-        if abs(step) <= tol or hi - lo <= tol:
-            return x_new
-        step_old = abs(step)
-        x = x_new
+                count = sturm(x)[0]
+                todo += [(x, hi, count, n_hi), (lo, x, n_lo, count)]
+            continue
+
+        sign, step_old, finite = n_hi - n_lo, hi - lo, True
+        while True:
+            tol = rtol * abs(x)
+            count, dlog = sturm(x)
+            lo, hi = (x, hi) if sign * (count - n_lo) <= 0 else (lo, x)
+            if not math.isfinite(dlog):
+                # A pivot came out 0: x is within rounding of the step, or of a root
+                # of a leading block.  Bisecting would crawl toward this edge if the
+                # step sits on it; a probe tol inside tells which.
+                x = (x - tol if x == hi else x + tol) if finite else 0.5 * (lo + hi)
+                finite = False
+                if lo < x < hi:
+                    continue
+                roots.append(0.5 * (lo + hi))
+                break
+            finite = True
+            step = -1.0 / dlog if dlog != 0.0 else math.nan
+            x_new = x + step
+            if not lo <= x_new <= hi or abs(step) > 0.5 * step_old:
+                x_new = 0.5 * (lo + hi)
+                step = x_new - x
+            if abs(step) <= tol or hi - lo <= tol:
+                roots.append(x_new)
+                break
+            step_old = abs(step)
+            x = x_new
+    return roots
 
 
 def _taylor_shift(p: list[int]) -> list[int]:
@@ -375,22 +378,14 @@ def _pencil_roots(n: int, d: list, sup: list, sub: list, ca: float, r: float, st
         prev, det = det, [const[j] * u + lead[j] * v - off * w for u, v, w in terms]
     content = math.gcd(*det)  # nonzero: the leading coefficient is prod L_j > 0
     brackets = _isolate([v // content for v in det], r)
-    roots = [lo for lo, hi in brackets if lo == hi < top]
+    roots, edges = [lo for lo, hi in brackets if lo == hi < top], []
     for lo, hi in brackets:
         # The count on a root reads either side, so an edge there moves in by the proof's width.
         lo = lo + PROOF_WIDTH * max(lo, 1.0) if lo in roots else lo
         hi = min(hi - PROOF_WIDTH * max(hi, 1.0) if hi in roots else hi, top)
-        n_lo, n_hi = (sturm(lo)[0], sturm(hi)[0]) if lo < hi else (0, 0)
-        if abs(n_hi - n_lo) != 1:  # the count proves no root here; a lost one fails the sum
-            continue
-        i = min(n_lo, n_hi)
-
-        def rising(x: float) -> tuple[int, float]:  # the count, or 2i + 1 - count if it falls
-            count, dlog = sturm(x)
-            return i + (n_hi - n_lo) * (count - n_lo), dlog
-
-        roots.append(_sturm_root(rising, i, lo, hi, i, i + 1, NEWTON_RTOL))
-    return sorted(roots)
+        if lo < hi:  # a bracket whose count proves no root gives none; a lost one fails the sum
+            edges.append((lo, hi, sturm(lo)[0], sturm(hi)[0]))
+    return sorted(roots + _sturm_roots(sturm, edges, NEWTON_RTOL, range(n + 1)))
 
 
 def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list[float]:
@@ -425,10 +420,7 @@ def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list
         top = 2.0 * max(_gershgorin(diag0, off)[1], 1.0) / (1.0 - kappa)  # count(top) = n + 1
         if not math.isfinite(top):
             raise NoRoots(f"the eigenvalue count's bracket top={top!r} is not finite")
-        roots = [
-            _sturm_root(sturm, i, PROOF_WIDTH, top, n_lo, n + 1, NEWTON_RTOL)
-            for i in range(n_lo, n + 1)
-        ]
+        roots = _sturm_roots(sturm, [(PROOF_WIDTH, top, n_lo, n + 1)], NEWTON_RTOL, range(n + 1))
     else:
         r = math.sqrt(big_a / big_b)
         top = r * (1.0 - PROOF_WIDTH) / (2.0 * math.sqrt(PROOF_WIDTH))  # alpha at y = PROOF_WIDTH

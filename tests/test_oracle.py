@@ -41,6 +41,11 @@ class TestRadialGrid:
         with pytest.raises(ValueError):
             RadialGrid(1.0, 2.0, 2)
 
+    def test_rejects_a_non_integer_point_count(self):
+        # A float count would pass construction and fail later inside _nodes.
+        with pytest.raises(ValueError, match="n_points must be an integer"):
+            RadialGrid(0.01, 8.0, 200.0)
+
     def test_nodes_span_the_grid_uniformly(self):
         # Both oracles evaluate on these points: n_points of them, the ends
         # exactly xi_min and xi_max, uniformly spaced to rounding.
@@ -195,16 +200,17 @@ def solved_states():
 class TestLevelFinder:
     def test_seeded_levels_match_lapack(self, monkeypatch):
         # LAPACK's bisection on the very matrix the search passes over, at the same index.
-        finder, reference = oracle._sturm_root, []
+        finder, reference = oracle._sturm_roots, []
 
-        def checked(sturm, index, *bracket):
+        def checked(sturm, brackets, rtol, wanted):
+            (index,) = wanted
             diag, _, off2 = sturm.args
             off = np.sqrt(off2[1:])
             lapack = eigvalsh_tridiagonal(diag, off, select="i", select_range=(index, index))
             reference.append(float(lapack[0]))
-            return finder(sturm, index, *bracket)
+            return finder(sturm, brackets, rtol, wanted)
 
-        monkeypatch.setattr(oracle, "_sturm_root", checked)
+        monkeypatch.setattr(oracle, "_sturm_roots", checked)
         errors = []
         for index, pt in solved_states():
             nu, k = pt.nu_solved, pt.qn.k
@@ -237,7 +243,8 @@ class TestLevelFinder:
         sturm = partial(oracle._sturm_pass, diag.tolist(), [-1.0] * 3, [0.0, 1.0, 1.0], pivmin=1e-300)
         assert sturm(1.5)[0] == np.count_nonzero(exact < 1.5) == 1
         for index, want in enumerate(exact):
-            got = oracle._sturm_root(sturm, index, -2.0, 5.0, 0, 3, oracle.FD_STEP_TOL)
+            (got,) = oracle._sturm_roots(
+                sturm, [(-2.0, 5.0, 0, 3)], oracle.FD_STEP_TOL, range(index, index + 1))
             assert math.isfinite(got)
             assert got == pytest.approx(want, rel=1e-10)
 
@@ -246,3 +253,8 @@ class TestLevelFinder:
         for index in (-1, 99):
             with pytest.raises(ValueError, match="level index"):
                 fd_e2(1.0, 2.5, 1.0, 0.0, grid, index)
+
+    def test_rejects_a_non_integer_index(self):
+        # Index 1.5 names no level; the search must not settle on level 1.
+        with pytest.raises(ValueError, match="level index 1.5 outside"):
+            fd_eigensolve_free(0.0, 2.0, RadialGrid(0.01, 8.0, 200), index=1.5)

@@ -35,7 +35,7 @@ from dislospec.quantization import (
     PROOF_WIDTH,
     _alpha_roots,
     _isolate,
-    _sturm_root,
+    _sturm_roots,
 )
 from test_acceptance import params_at_energy
 
@@ -593,13 +593,13 @@ def test_counted_top_is_past_every_eigenvalue(monkeypatch):
     # largest roots are nearly tangent, and the count may not prove them (ROADMAP
     # item 20); the top is recorded before the proof either way.
     tops = []
-    sturm_root = quantization._sturm_root
+    sturm_roots = quantization._sturm_roots
 
-    def recorded(sturm, index, lo, hi, *args):
-        tops.append(hi)
-        return sturm_root(sturm, index, lo, hi, *args)
+    def recorded(sturm, brackets, *args):
+        tops.extend(hi for lo, hi, n_lo, n_hi in brackets if n_lo != n_hi)
+        return sturm_roots(sturm, brackets, *args)
 
-    monkeypatch.setattr(quantization, "_sturm_root", recorded)
+    monkeypatch.setattr(quantization, "_sturm_roots", recorded)
     checked = 0
     for n, s, c, big_a, big_b in counted_cells():
         tops.clear()
@@ -626,7 +626,7 @@ def test_kappa_lt1_root_on_a_zero_pivot():
         passes.append(x)
         return int(x >= root), math.inf if x == root else 1.0 / (x - root)
 
-    got = _sturm_root(sturm, 0, 0.0, 4.0, 0, 1, NEWTON_RTOL)
+    (got,) = _sturm_roots(sturm, [(0.0, 4.0, 0, 1)], NEWTON_RTOL, range(1))
     assert passes[0] == root
     assert len(passes) <= 4
     assert got == pytest.approx(root, rel=NEWTON_RTOL, abs=0.0)
@@ -646,7 +646,7 @@ def test_never_finite_passes_end(lo, hi):
             raise RuntimeError("the search does not end")
         return int(x > 0.3), math.nan
 
-    got = _sturm_root(sturm, 0, lo, hi, 0, 1, NEWTON_RTOL)
+    (got,) = _sturm_roots(sturm, [(lo, hi, 0, 1)], NEWTON_RTOL, range(1))
     assert got == pytest.approx(0.3, rel=NEWTON_RTOL, abs=0.0)
 
 
@@ -654,8 +654,9 @@ def test_a_root_on_a_bracket_edge_does_not_crawl(monkeypatch):
     # Newton starts as soon as bisection isolates the step.  Bisecting on to a
     # fixed width first can leave root 1 of this cell within rounding of a
     # bracket edge, where every Newton step is about half the bracket and
-    # becomes bisection: 60 passes for the cell.  Here the two window edges,
-    # 10 and 14 passes for the two roots and the proof's 4 make 30.
+    # becomes bisection: 60 passes for the cell.  Here the count at
+    # alpha = PROOF_WIDTH, 11 search passes for both roots, the count at the
+    # bracket's top and the proof's 4 make 17.
     passes = []
     sturm_pass = quantization._sturm_pass
 
@@ -667,6 +668,61 @@ def test_a_root_on_a_bracket_edge_does_not_crawl(monkeypatch):
     roots = _alpha_roots(3, 2.2, 0.2, 12.4, 2.25)
     assert len(passes) <= 30
     assert roots == pytest.approx(dense_branch_roots(3, 2.2, 0.2, 12.4, 2.25), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        (3, 2.2, 0.2, 12.4, 2.25),  # c > 0, kappa = 0.11
+        (16, 0.0, 0.0, 34.0, 0.0),  # constant mu
+        (24, 0.7, 0.6, 51.4, 3.24),  # c > 0, kappa = 0.9
+        (24, 3.0, -1.0, 56.0, 2.0),  # c < 0
+        (60, 0.5, 0.0, 123.0, 0.0),  # constant mu
+    ],
+)
+def test_a_branch_probes_each_point_once(monkeypatch, cell):
+    # One search splits the branch's bracket among its roots, so no count is
+    # taken twice at one alpha.  A search that restarts from the whole bracket
+    # for every root repeats its bisection probes: 150 of 421 passes at n = 60.
+    xs = []
+    sturm_pass = quantization._sturm_pass
+
+    def counted(diag, slope, off2, x, pivmin):
+        xs.append(x)
+        return sturm_pass(diag, slope, off2, x, pivmin)
+
+    monkeypatch.setattr(quantization, "_sturm_pass", counted)
+    assert len(_alpha_roots(*cell)) >= 2
+    assert len(set(xs)) == len(xs)
+
+
+def steps_at(roots, rising=True):
+    """A synthetic count over one eigenvalue per root: (count, d log|det|/dx)."""
+
+    def sturm(x):
+        below = sum(x >= r for r in roots)
+        dlog = math.inf if x in roots else sum(1.0 / (x - r) for r in roots)
+        return below if rising else len(roots) - below, dlog
+
+    return sturm
+
+
+def test_sturm_roots_on_a_falling_step():
+    # The pencil's brackets may see the count fall across a root.
+    (got,) = _sturm_roots(steps_at([2.3], rising=False), [(0.0, 4.0, 1, 0)], NEWTON_RTOL, range(1))
+    assert got == pytest.approx(2.3, rel=NEWTON_RTOL, abs=0.0)
+
+
+@pytest.mark.parametrize("rising", [True, False])
+def test_sturm_roots_splits_a_bracket_of_three_steps(rising):
+    roots = [0.7, 1.9, 3.1]
+    counts = (0, 3) if rising else (3, 0)
+    got = _sturm_roots(steps_at(roots, rising), [(0.0, 4.0, *counts)], NEWTON_RTOL, range(3))
+    assert got == pytest.approx(roots, rel=NEWTON_RTOL, abs=0.0)
+    assert got == sorted(got)
+    # wanted picks one step: the one between counts 1 and 2, rising or falling.
+    (middle,) = _sturm_roots(steps_at(roots, rising), [(0.0, 4.0, *counts)], NEWTON_RTOL, range(1, 2))
+    assert middle == got[1]
 
 
 # One cell per solver path (m = 1, chi = 0): constant mu (free), the count
@@ -681,7 +737,7 @@ PATH_CELLS = {
 
 @pytest.mark.parametrize(
     "path,target",
-    [("constant", "_sturm_root"), ("count", "_sturm_root"), ("pencil", "_pencil_roots")],
+    [("constant", "_sturm_roots"), ("count", "_sturm_roots"), ("pencil", "_pencil_roots")],
 )
 def test_a_detuned_root_fails_its_proof(monkeypatch, path, target):
     # A solver whose roots are 1% off: the eigenvalue count does not step at
@@ -691,8 +747,7 @@ def test_a_detuned_root_fails_its_proof(monkeypatch, path, target):
     solver = getattr(quantization, target)
 
     def detuned(*args):
-        roots = solver(*args)
-        return 1.01 * roots if target == "_sturm_root" else [1.01 * a for a in roots]
+        return [1.01 * a for a in solver(*args)]
 
     monkeypatch.setattr(quantization, target, detuned)
     with pytest.raises(NoRoots, match="does not step at alpha="):
