@@ -13,22 +13,17 @@ RadialGrid its caller gives it (cli sizes both grids to a state):
   its own index in a discretization that never saw the series ansatz.  It
   uses only the equation's exponent at xi = 0, not the solution's form.
 
-The level is found by _sturm_roots, the slope solver's search over brackets
-of the Sturm count of the matrix's LDL^T pivots, in the matrix's Gershgorin
-interval (_gershgorin, the bound the slope solve starts from too) cut around
-a seed: generic linear algebra, not the series ansatz; each side is tested
-against LAPACK on its own.
+The level is a step of the matrix's Sturm count, found by the sturm module,
+which the slope solve shares: generic linear algebra, not the series ansatz.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
-from functools import partial
 
 from .core import HeunParams
-from .quantization import _gershgorin, _sturm_pass, _sturm_roots
+from .sturm import counter, find_steps, gershgorin
 
 # Largest effective momentum whose full origin exponent the finite-volume
 # oracle factors out; see fd_eigensolve_free.
@@ -149,12 +144,9 @@ def fd_eigensolve_free(
     outer grid edge is a Dirichlet wall.  The resulting pencil A w = beta M w
     with diagonal M is symmetrized as M^{-1/2} A M^{-1/2}.
 
-    Level index of that tridiagonal matrix is found by _sturm_roots, the slope
-    solver's Sturm search, asked for that one step of the count: a count of its
-    LDL^T pivots proves the index, and Newton steps on the determinant refine
-    the level.  The points near (1 -+ SEED_WIDTH) cut the Gershgorin bracket
-    first; near, such as a state's analytic beta, picks where the search
-    starts, not the level.
+    The level is step index of the matrix's Sturm count, which proves the index;
+    sturm.find_steps finds it in the Gershgorin interval cut at near (1 -+
+    SEED_WIDTH), so near, such as a state's analytic beta, picks only the start.
     """
     s = eff_abs
     sigma = min(s, FD_FACTORED_MOMENTUM_MAX)
@@ -181,13 +173,10 @@ def fd_eigensolve_free(
     if not isinstance(index, int) or not 0 <= index < len(diag):
         raise ValueError(f"level index {index!r} outside 0..{len(diag) - 1}")
     off = [f / math.sqrt(w0 * w1) for f, w0, w1 in zip(flux, weight, weight[1:])]  # -T[i, i+1]
-    off2 = [0.0] + [x * x for x in off]
-    pivmin = sys.float_info.min * max(1.0, max(off2))
-    lo, hi = _gershgorin(diag, off)
-    slope = [-1.0] * len(diag)  # T is constant: d(d_j - x)/dx = -1
-    sturm = partial(_sturm_pass, diag, slope, off2, pivmin=pivmin)
+    lo, hi = gershgorin(diag, off)
+    sturm = counter(diag, off)
     seeds = () if near is None else sorted((near * (1.0 - SEED_WIDTH), near * (1.0 + SEED_WIDTH)))
     # The seeds cut the Gershgorin bracket in up to three; the search keeps the level's.
     edges = [(lo, 0), *((x, sturm(x)[0]) for x in seeds if lo < x < hi), (hi, len(diag))]
     brackets = [(x, y, n_x, n_y) for (x, n_x), (y, n_y) in zip(edges, edges[1:])]
-    return _sturm_roots(sturm, brackets, FD_STEP_TOL, range(index, index + 1))[0]
+    return find_steps(sturm, brackets, FD_STEP_TOL, range(index, index + 1))[0]

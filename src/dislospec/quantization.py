@@ -30,10 +30,8 @@ lambda_i(mu(alpha)):
 * constant mu (b k = 0, kappa = 0), c < 0 or kappa < 1: each
   lambda_i(mu(alpha)) - alpha strictly decreases (for c < 0, mu and so
   lambda_i fall as alpha grows), so root i is where the count of eigenvalues
-  of S(mu(alpha)) below alpha steps to i + 1; one Sturm search, the FD
-  oracle's, finds them all, halving the branch's one bracket until each
-  bracket holds one step and then taking Newton steps on
-  det(S(mu(alpha)) - alpha);
+  of S(mu(alpha)) below alpha steps to i + 1, and the sturm module's search
+  finds them all in the branch's one bracket;
 * c > 0 and kappa >= 1: a branch may cross several times or not at all.
   With alpha = r(w - 1/w)/2 and r = sqrt(A/B), mu = c sqrt(A)(w + 1/w)/2,
   and in x = 1/w the condition is the quadratic eigenproblem
@@ -44,16 +42,15 @@ lambda_i(mu(alpha)):
   the off-diagonal products 4 sup_j sub_j y gives det exactly, of degree
   n + 1.  Descartes' rule of signs with bisection isolates its roots in (0, 1)
   (Collins & Akritas, SYMSAC 1976).  The count's parity flips once across each
-  isolating interval's alpha bracket, and the same search refines the root
-  where the count steps by one, up or down.  A multiple root never isolates
+  isolating interval's alpha bracket, and the sturm module's search refines the
+  root where the count steps by one, up or down.  A multiple root never isolates
   and raises NoRoots.  The pencil is used only here, where r <= c sqrt(A)/d_0.
 
-One rule accepts a root on every path.  count(x), the number of eigenvalues
-of S(mu(x)) below x, is the number of negative LDL^T pivots of S(mu(x)) - x.
-A root alpha stands only if count changes by one across it, between
-alpha -+ PROOF_WIDTH max(alpha, 1) (by +1 on counted branches, by +-1 on the
-pencil's), and the changes over the roots must add up to
-count(top) - count(PROOF_WIDTH): a lost root fails too.  A root the count
+One rule accepts a root on every path.  count(x), the sturm module's count, is
+the number of eigenvalues of S(mu(x)) below x.  A root alpha stands only if
+count changes by one across it, between alpha -+ PROOF_WIDTH max(alpha, 1) (by
++1 on counted branches, by +-1 on the pencil's), and the changes over the roots
+must add up to count(top) - count(PROOF_WIDTH): a lost root fails too.  A root the count
 cannot tell from alpha = 0, or from alpha = inf, is not a state.  On counted
 branches top = 2 max(hi, 1)/(1 - kappa_+), with hi the Gershgorin upper bound of
 S(c sqrt(A)) and kappa_+ = kappa for c > 0, else 0: mu(alpha)/d_j <= c sqrt(A)/d_j
@@ -67,10 +64,8 @@ hangs on the last bits of c, A and B (c sqrt(B) = d_j puts one at y = 0).
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
-from collections.abc import Callable
-from functools import partial
+from functools import cache
 
 from .core import (
     AB_FLUX,
@@ -83,6 +78,7 @@ from .core import (
 )
 from .errors import DegenerateDenominator, NonPositiveSlope, NoRealSolution, NoRoots
 from .heun import build_coefficients
+from .sturm import counter, find_steps, gershgorin
 
 # Quadratic branch formula degenerates when its denominator is this close to 0.
 DEGENERATE_TOL = 1e-12
@@ -93,7 +89,7 @@ DEGENERATE_TOL = 1e-12
 # free Jacobi matrix is no root).
 PROOF_WIDTH = 1e-13
 
-# _sturm_roots' relative Newton stop on the slope solve.
+# sturm.find_steps' relative Newton stop on the slope solve.
 NEWTON_RTOL = 1e-14
 
 
@@ -235,96 +231,6 @@ def _classify(b: float, flux: float) -> str:
     return FREE
 
 
-def _sturm_pass(diag: list, slope: list, off2: list, x: float, pivmin: float) -> tuple[int, float]:
-    """Number of eigenvalues of T below x, and d log|det(T - x)|/dx.
-
-    The pivots of T - x = L D L^T are q_j = diag_j - x - e_{j-1}^2 / q_{j-1};
-    as many are negative as T has eigenvalues below x (Barth, Martin &
-    Wilkinson, Numer. Math. 9 (1967) 386).  det(T - x) is their product, so
-    the log derivative is the sum of q_j'/q_j.  T may depend on x: slope_j
-    is the derivative of diag_j - x (-1 for a constant T).  A pivot below
-    pivmin in magnitude is set to -pivmin, as LAPACK's dstebz does, which
-    keeps e^2/q finite.  off2 holds e_{j-1}^2 with a leading 0.
-    """
-    count = 0
-    dlog = 0.0
-    q = 1.0
-    r = 0.0  # q_{j-1}' / q_{j-1}
-    for d, sl, e2 in zip(diag, slope, off2):
-        t = e2 / q
-        q = d - x - t
-        if q < pivmin:
-            if q > -pivmin:
-                q = -pivmin
-            count += 1
-        r = (t * r + sl) / q
-        dlog += r
-    return count, dlog
-
-
-def _gershgorin(diag: list, off: list) -> tuple[float, float]:
-    """Gershgorin's [lo, hi], holding every eigenvalue of the symmetric tridiagonal (diag, off)."""
-    e = [0.0, *map(abs, off), 0.0]
-    radius = [x + y for x, y in zip(e, e[1:])]
-    return min(x - r for x, r in zip(diag, radius)), max(x + r for x, r in zip(diag, radius))
-
-
-def _sturm_roots(
-    sturm: Callable[[float], tuple[int, float]], brackets: list, rtol: float, wanted: range
-) -> list[float]:
-    """The steps numbered in wanted of the count of sturm(x) = (count, d log|det|/dx),
-    bracket by bracket and ascending in each, each to a relative Newton step rtol.
-
-    Each bracket (lo, hi, count(lo), count(hi)) holds the steps between its counts
-    (step i between counts i and i + 1), whether the count rises or falls across it.
-    A bracket is halved until it holds one step, and only halves that hold a step in
-    wanted are kept; one that cannot be halved and still holds two steps gives no
-    root.  Newton starts at an isolating bracket's midpoint.  Newton steps that leave
-    the bracket, or shrink by less than half, become bisection.  A pass with a
-    non-finite d log|det| is followed by a probe one step rtol inside the bracket,
-    which either closes it or moves its edge there; a second such pass in a row
-    bisects, so the search always ends."""
-    roots, todo = [], brackets[::-1]
-    while todo:
-        lo, hi, n_lo, n_hi = todo.pop()
-        x = 0.5 * (lo + hi)
-        if not max(min(n_lo, n_hi), wanted.start) < min(max(n_lo, n_hi), wanted.stop):
-            continue
-        if abs(n_hi - n_lo) > 1:
-            if lo < x < hi:
-                count = sturm(x)[0]
-                todo += [(x, hi, count, n_hi), (lo, x, n_lo, count)]
-            continue
-
-        sign, step_old, finite = n_hi - n_lo, hi - lo, True
-        while True:
-            tol = rtol * abs(x)
-            count, dlog = sturm(x)
-            lo, hi = (x, hi) if sign * (count - n_lo) <= 0 else (lo, x)
-            if not math.isfinite(dlog):
-                # A pivot came out 0: x is within rounding of the step, or of a root
-                # of a leading block.  Bisecting would crawl toward this edge if the
-                # step sits on it; a probe tol inside tells which.
-                x = (x - tol if x == hi else x + tol) if finite else 0.5 * (lo + hi)
-                finite = False
-                if lo < x < hi:
-                    continue
-                roots.append(0.5 * (lo + hi))
-                break
-            finite = True
-            step = -1.0 / dlog if dlog != 0.0 else math.nan
-            x_new = x + step
-            if not lo <= x_new <= hi or abs(step) > 0.5 * step_old:
-                x_new = 0.5 * (lo + hi)
-                step = x_new - x
-            if abs(step) <= tol or hi - lo <= tol:
-                roots.append(x_new)
-                break
-            step_old = abs(step)
-            x = x_new
-    return roots
-
-
 def _taylor_shift(p: list[int]) -> list[int]:
     """p(t + 1), coefficients lowest first."""
     p = list(p)
@@ -379,13 +285,14 @@ def _pencil_roots(n: int, d: list, sup: list, sub: list, ca: float, r: float, st
     content = math.gcd(*det)  # nonzero: the leading coefficient is prod L_j > 0
     brackets = _isolate([v // content for v in det], r)
     roots, edges = [lo for lo, hi in brackets if lo == hi < top], []
+    count = cache(lambda x: sturm(x)[0])  # adjacent brackets share an edge
     for lo, hi in brackets:
         # The count on a root reads either side, so an edge there moves in by the proof's width.
         lo = lo + PROOF_WIDTH * max(lo, 1.0) if lo in roots else lo
         hi = min(hi - PROOF_WIDTH * max(hi, 1.0) if hi in roots else hi, top)
         if lo < hi:  # a bracket whose count proves no root gives none; a lost one fails the sum
-            edges.append((lo, hi, sturm(lo)[0], sturm(hi)[0]))
-    return sorted(roots + _sturm_roots(sturm, edges, NEWTON_RTOL, range(n + 1)))
+            edges.append((lo, hi, count(lo), count(hi)))
+    return sorted(roots + find_steps(sturm, edges, NEWTON_RTOL, range(n + 1)))
 
 
 def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list[float]:
@@ -397,30 +304,25 @@ def _alpha_roots(n: int, s: float, c: float, big_a: float, big_b: float) -> list
     sub = [2.0 * (n - j) for j in range(n)]  # T[j+1, j]
     # Off-diagonal of S ~ D^{-1} T; S(mu) = S_0 + mu D^{-1} has diagonal mu / d.
     off = [math.sqrt(sup[j] * sub[j] / (d[j] * d[j + 1])) for j in range(n)]
-    off2 = [0.0] + [e * e for e in off]
-    pivmin = sys.float_info.min * max(1.0, *off2)
-
     ca = c * math.sqrt(big_a)
     diag0 = [ca / dj for dj in d]
-    constant = c == 0.0 or big_b == 0.0
-    if constant:  # the pass on S(mu) - alpha, on a fixed diagonal
-        sturm = partial(_sturm_pass, diag0, [-1.0] * (n + 1), off2, pivmin=pivmin)
-    else:
 
-        def sturm(alpha: float) -> tuple[int, float]:  # the pass on S(mu(alpha)) - alpha
-            root = math.sqrt(big_a + big_b * alpha * alpha)
-            mu, dmu = c * root, c * big_b * alpha / root
-            diag, slope = [mu / dj for dj in d], [dmu / dj - 1.0 for dj in d]
-            return _sturm_pass(diag, slope, off2, alpha, pivmin)
+    def diag(alpha: float) -> tuple[list, list]:  # S(mu(alpha))'s diagonal and its slope
+        root = math.sqrt(big_a + big_b * alpha * alpha)
+        mu, dmu = c * root, c * big_b * alpha / root
+        return [mu / dj for dj in d], [dmu / dj - 1.0 for dj in d]
+
+    constant = c == 0.0 or big_b == 0.0
+    sturm = counter(diag0 if constant else diag, off)
 
     n_lo = sturm(PROOF_WIDTH)[0]
     # Constant mu is tested first: at B = inf, c = 0 would make kappa NaN.
     if constant or c < 0.0 or abs(c) * math.sqrt(big_b) < d[0]:  # one step per root
         kappa = c * math.sqrt(big_b) / d[0] if c > 0.0 else 0.0
-        top = 2.0 * max(_gershgorin(diag0, off)[1], 1.0) / (1.0 - kappa)  # count(top) = n + 1
+        top = 2.0 * max(gershgorin(diag0, off)[1], 1.0) / (1.0 - kappa)  # count(top) = n + 1
         if not math.isfinite(top):
             raise NoRoots(f"the eigenvalue count's bracket top={top!r} is not finite")
-        roots = _sturm_roots(sturm, [(PROOF_WIDTH, top, n_lo, n + 1)], NEWTON_RTOL, range(n + 1))
+        roots = find_steps(sturm, [(PROOF_WIDTH, top, n_lo, n + 1)], NEWTON_RTOL, range(n + 1))
     else:
         r = math.sqrt(big_a / big_b)
         top = r * (1.0 - PROOF_WIDTH) / (2.0 * math.sqrt(PROOF_WIDTH))  # alpha at y = PROOF_WIDTH

