@@ -14,7 +14,6 @@ from .core import (
     effective_angular_momentum,
 )
 from .errors import (
-    DegenerateDenominator,
     DislospecError,
     NonPositiveSlope,
     NoRealSolution,
@@ -38,7 +37,6 @@ __all__ = [
     "AB_FLUX",
     "COULOMB",
     "FREE",
-    "DegenerateDenominator",
     "DislospecError",
     "HeunParams",
     "NoRealSolution",

@@ -44,12 +44,7 @@ from functools import partial
 from itertools import product
 
 from .core import COULOMB, QuantumNumbers, coulomb_eta, effective_angular_momentum
-from .errors import (
-    DegenerateDenominator,
-    DislospecError,
-    NoRealSolution,
-    NoRoots,
-)
+from .errors import DislospecError, NoRealSolution, NoRoots
 from .heun import build_coefficients
 from .quantization import (
     _classify,
@@ -336,8 +331,9 @@ def _fd_match(pt, m: float, index: int) -> float:
 def _solve_cell(cfg: RunConfig, n: int, l: int, k: float, t: float) -> list:
     """Every solved state of one (n, l, k, flux) cell.  A cell with none raises
     NoRoots, naming the cell, unless it is a Coulomb n = 1 cell whose closed form
-    says why: that raises NoRealSolution or DegenerateDenominator.  A closed form
-    that cannot be evaluated (its arithmetic fails) names no reason, and NoRoots stands."""
+    has a negative discriminant: that raises NoRealSolution.  A closed form with
+    real branches, or one that cannot be evaluated (its arithmetic fails), names
+    no reason, and NoRoots stands."""
     try:
         return solve_general_n(QuantumNumbers(n=n, l=l, k=k), cfg.m, chi=cfg.chi, b=cfg.b, flux=t)
     except NoRoots as exc:
@@ -351,7 +347,6 @@ def _solve_cell(cfg: RunConfig, n: int, l: int, k: float, t: float) -> list:
 # The status row of a cell with no solved state, by the exception that says why.
 _NO_STATE_STATUS = {
     NoRealSolution: "NO_REAL_SOLUTION",
-    DegenerateDenominator: "DEGENERATE_DENOMINATOR",
     NoRoots: "NO_ROOTS",
 }
 
@@ -448,7 +443,8 @@ class _Population(namedtuple("_Population", "cfg cells solved skipped")):
 
     cells holds (l, k, t, effective momentum) for every configured cell, solved
     maps each configured n to [(cell, states)], and skipped counts the Coulomb
-    n = 1 cells with no state whose closed form has no real branch."""
+    n = 1 cells with no state whose closed form has a negative discriminant (the
+    NoRealSolution cells of _solve_cell; every other cell is solved or NoRoots)."""
 
     __slots__ = ()
 
@@ -472,7 +468,7 @@ def _solve_population(cfg: RunConfig) -> _Population:
         l, k, t = cell[:3]
         try:
             solved[n].append((cell, _solve_cell(cfg, n, l, k, t)))
-        except (NoRealSolution, DegenerateDenominator):
+        except NoRealSolution:
             skipped += 1
     return _Population(cfg, cells, solved, skipped)
 
@@ -493,14 +489,10 @@ def _check_closed_form_agreement(pop: _Population):
     cfg = pop.cfg
     if 1 not in cfg.n:
         return None, _NO_GROUND
-    errors, without = [], pop.skipped
+    errors = []
     for (_, k, _, eff), pts in pop.solved[1]:
         if cfg.b != 0.0:
-            try:  # a solved state's closed form may still degenerate
-                want = sorted(energy_ground_coulomb(cfg.m, cfg.b, coulomb_eta(eff, cfg.b), k))
-            except DegenerateDenominator:
-                without += 1
-                continue
+            want = sorted(energy_ground_coulomb(cfg.m, cfg.b, coulomb_eta(eff, cfg.b), k))
             got = sorted(e for p in pts for e in p.energies)
         else:
             want = [nu_ground_free(cfg.m, eff), energy_ground_free(cfg.m, eff, k)[0]]
@@ -508,7 +500,7 @@ def _check_closed_form_agreement(pop: _Population):
         if len(got) != len(want):  # a lost or extra state
             errors.append(math.inf)
         errors.extend(abs(g - w) / abs(w) for g, w in zip(got, want))
-    note = f"{without} cell(s) without real closed form" if without else ""
+    note = f"{pop.skipped} cell(s) without real closed form" if pop.skipped else ""
     return errors, note
 
 

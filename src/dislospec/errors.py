@@ -10,11 +10,7 @@ class NonPositiveSlope(DislospecError):
 
 
 class NoRealSolution(DislospecError):
-    """The closed-form ground-state energy has a negative radicand for these parameters."""
-
-
-class DegenerateDenominator(DislospecError):
-    """The quadratic energy branch formula degenerates (leading coefficient ~ 0)."""
+    """The closed-form ground-state energy's quadratic has a negative discriminant."""
 
 
 class NoRoots(DislospecError):

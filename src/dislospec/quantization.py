@@ -76,11 +76,13 @@ from .core import (
     coulomb_eta,
     effective_angular_momentum,
 )
-from .errors import DegenerateDenominator, NonPositiveSlope, NoRealSolution, NoRoots
+from .errors import NonPositiveSlope, NoRealSolution, NoRoots
 from .heun import build_coefficients
 from .sturm import counter, find_steps, gershgorin
 
-# Quadratic branch formula degenerates when its denominator is this close to 0.
+# Where the n = 1 Coulomb quadratic's leading coefficient d is this close to 0, its
+# root t/d is dropped: it lies past |E| = 2|P|/DEGENERATE_TOL, where alpha = 2m/sqrt(nu)
+# is far below any root the slope solve proves (about 4e-17 at d = 0, l = k = 0).
 DEGENERATE_TOL = 1e-12
 
 # A root alpha is proven by the counts at alpha -+ PROOF_WIDTH * max(alpha, 1): wider
@@ -178,16 +180,16 @@ def energy_ground_coulomb(
     """Both quadratic branches of the lowest Coulomb state energy.
 
     Eliminating nu between the energy relation (n=1) and the Coulomb slope
-    expression gives a quadratic in E whose solutions are
+    expression gives d E^2 - 2 P E + Q = 0 with
 
-        E = pref * (1 +- sqrt(radicand)),
-        pref = 2 m b (eta+2)(2 eta+2) / D,
-        D    = 4 b^2 eta + 8 b^2 - 2 eta - 1,
-        radicand = 1 - D (2 eta+1) [m^2 (eta+2)(2 eta+3) + k^2]
-                       / [4 m^2 b^2 (eta+2)^2 (2 eta+2)^2].
+        d = 4 b^2 eta + 8 b^2 - 2 eta - 1,
+        P = 2 m b (eta+2)(2 eta+2),
+        Q = (2 eta+1) [m^2 (eta+2)(2 eta+3) + k^2].
 
-    Branches whose back-substituted slope is not positive are dropped (the
-    confining picture needs nu > 0); the (1+sqrt) branch is returned first.
+    With t = P + sign(P) sqrt(P^2 - d Q) its roots are t/d = (P/d)(1 + sqrt(1 - d Q/P^2)),
+    returned first, and Q/t, so neither cancels nor divides by b^2 (Goldberg, ACM
+    Comput. Surv. 23 (1991) 5); near d = 0 only Q/t is (DEGENERATE_TOL).  Branches
+    whose slope is not positive are dropped (the confining picture needs nu > 0).
     b = 0 dispatches to the free closed form.
     """
     if not mass_m > 0.0:
@@ -196,31 +198,17 @@ def energy_ground_coulomb(
         return energy_ground_free(mass_m, eta_abs, k)
 
     d = 4.0 * b * b * eta_abs + 8.0 * b * b - 2.0 * eta_abs - 1.0
-    if abs(d) < DEGENERATE_TOL:
-        raise DegenerateDenominator(
-            f"branch denominator 4b^2 eta + 8b^2 - 2 eta - 1 = {d!r} is degenerate"
-        )
-    pref = 2.0 * mass_m * b * (eta_abs + 2.0) * (2.0 * eta_abs + 2.0) / d
-    radicand = 1.0 - d * (2.0 * eta_abs + 1.0) * (
-        mass_m * mass_m * (eta_abs + 2.0) * (2.0 * eta_abs + 3.0) + k * k
-    ) / (
-        4.0
-        * mass_m
-        * mass_m
-        * b
-        * b
-        * (eta_abs + 2.0) ** 2
-        * (2.0 * eta_abs + 2.0) ** 2
-    )
-    if radicand < 0.0:
+    two_eta = 2.0 * eta_abs
+    p = 2.0 * mass_m * b * (eta_abs + 2.0) * (two_eta + 2.0)
+    q = (two_eta + 1.0) * (mass_m * mass_m * (eta_abs + 2.0) * (two_eta + 3.0) + k * k)
+    disc = p * p - d * q
+    if disc < 0.0:
         raise NoRealSolution(
-            f"negative radicand {radicand!r} for m={mass_m}, b={b}, eta={eta_abs}, k={k}"
+            f"negative discriminant {disc!r} for m={mass_m}, b={b}, eta={eta_abs}, k={k}"
         )
-    root = math.sqrt(radicand)
-    branches = (pref * (1.0 + root), pref * (1.0 - root))
-    return tuple(
-        e for e in branches if nu_ground_coulomb(mass_m, b, eta_abs, e) > 0.0
-    )
+    t = p + math.copysign(math.sqrt(disc), p)
+    branches = (q / t,) if abs(d) < DEGENERATE_TOL else (t / d, q / t)
+    return tuple(e for e in branches if nu_ground_coulomb(mass_m, b, eta_abs, e) > 0.0)
 
 
 def _classify(b: float, flux: float) -> str:

@@ -204,11 +204,11 @@ class TestSpectrum:
         b = float(B_STAR)
         want = (2 * b + 1) * (2 * b + 3) / (8 * b * (b + 1))
         assert float(row["e_plus"]) == pytest.approx(want, rel=1e-14)
-        # At k = 3 no state has nu > 0, and the closed form names the reason.
+        # At k = 3 the closed form has a real branch, but none with nu > 0.
         code, out, err = run_cli(capsys, *argv, "--k", "3")
         assert code == EXIT_SOLVER
-        assert [r["status"] for r in read_csv(out)] == ["DEGENERATE_DENOMINATOR"]
-        assert "DEGENERATE_DENOMINATOR" in err
+        assert [r["status"] for r in read_csv(out)] == ["NO_ROOTS"]
+        assert "NO_ROOTS" in err
 
     def test_oracle_columns(self, capsys):
         code, out, _ = run_cli(
@@ -563,16 +563,31 @@ class TestVerify:
             assert line.endswith(note)
         assert lines[-1] == "1 passed, 0 failed, 8 skipped"
 
-    def test_solved_cell_with_degenerate_closed_form_has_none(self, capsys):
-        # The l = 0, k = 0 cell is solved though its closed form degenerates, and
-        # the k = 3 cell has no state: both count as without closed form.
-        code, out, _ = run_cli(
-            capsys, "verify", "--scenario", "coulomb", "--b", B_STAR, "--l", "0..1", "--k", "0,3"
-        )
+    def test_solved_cell_with_degenerate_closed_form_is_compared(self, capsys):
+        # The l = 0, k = 0 cell's closed form degenerates to its one finite root,
+        # which the solved state matches.
+        argv = ["verify", "--scenario", "coulomb", "--b", B_STAR, "--l", "0..1"]
+        code, out, _ = run_cli(capsys, *argv, "--k", "0")
         assert code == EXIT_OK
         line = next(x for x in out.splitlines() if " closed_form_agreement " in x)
         assert line.startswith("PASS closed_form_agreement ")
-        assert line.endswith("(2 cell(s) without real closed form)")
+        assert "without" not in line
+        # At k = 3 the closed form has real branches, none with nu > 0, so the
+        # stateless l = 0 cell is a solver error, as such a cell is elsewhere.
+        code, _, err = run_cli(capsys, *argv, "--k", "3")
+        assert code == EXIT_SOLVER
+        assert "cell n=1, l=0, k=3, flux=0" in err
+
+    @pytest.mark.parametrize("b", ["1e-150", "1e-160", "1e-300"])
+    def test_closed_form_holds_at_tiny_coupling(self, capsys, b):
+        # The closed form never divides by b^2, so it neither underflows to nan
+        # nor divides by zero where the solver still prints both states.
+        code, out, err = run_cli(
+            capsys, "verify", "--scenario", "coulomb", "--l", "0", "--k", "0", "--b", b
+        )
+        assert (code, err) == (EXIT_OK, "")
+        line = next(x for x in out.splitlines() if " closed_form_agreement " in x)
+        assert line.startswith("PASS closed_form_agreement ")
 
     def test_minkowski_compares_unconfigured_k0_cells(self, capsys):
         # The configured cell has eff = 1, but its k = 0 twin (l = 40000) has its

@@ -1,7 +1,9 @@
 import contextlib
+import decimal
 import math
 import re
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -13,7 +15,6 @@ from scipy.optimize import brentq
 
 from dislospec import (
     FREE,
-    DegenerateDenominator,
     NonPositiveSlope,
     NoRealSolution,
     NoRoots,
@@ -286,11 +287,16 @@ class TestGroundCoulombClosedForms:
         with pytest.raises(NoRealSolution):
             energy_ground_coulomb(1.0, 1.0, 1.0, 10.0)
 
-    def test_degenerate_denominator_raises(self):
-        # 4 b^2 eta + 8 b^2 - 2 eta - 1 = 0 along eta = b (gamma = 0)
+    def test_degenerate_denominator_returns_the_finite_root(self):
+        # 4 b^2 eta + 8 b^2 - 2 eta - 1 = 0 along eta = b (gamma = 0).  There the
+        # branches are the roots of d E^2 - 2P E + Q = 0 at d -> 0: the one finite
+        # root E = Q / (2P).
         b_star = brentq(lambda b: 4 * b**3 + 8 * b**2 - 2 * b - 1, 0.4, 0.5, xtol=1e-15)
-        with pytest.raises(DegenerateDenominator):
-            energy_ground_coulomb(1.0, b_star, b_star, 0.0)
+        for b in (b_star, -b_star):
+            two_p = 4.0 * b * (b_star + 2) * (2 * b_star + 2)
+            want = (2 * b_star + 1) * (b_star + 2) * (2 * b_star + 3) / two_p
+            (got,) = energy_ground_coulomb(1.0, b, b_star, 0.0)
+            assert got == pytest.approx(want, rel=1e-14)
 
     def test_radicand_sign_change_scan(self):
         # walk k upward at fixed strong coupling until the radicand flips
@@ -300,6 +306,22 @@ class TestGroundCoulombClosedForms:
         assert len(good) == 2
         with pytest.raises(NoRealSolution):
             energy_ground_coulomb(m, b, eta, 6.0)
+
+
+@pytest.mark.parametrize("m", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize(
+    "closed_form, args",
+    [
+        (nu_ground_free, (0.5,)),
+        (energy_ground_free, (0.5, 0.7)),
+        (nu_ground_coulomb, (0.1, 0.5, 1.0)),
+        (energy_ground_coulomb, (0.1, 0.5, 0.7)),
+    ],
+    ids=lambda x: getattr(x, "__name__", ""),
+)
+def test_closed_forms_reject_a_nonpositive_mass(closed_form, args, m):
+    with pytest.raises(ValueError, match="mass must be positive"):
+        closed_form(m, *args)
 
 
 # n = 1 Coulomb cells (b, l, k, chi): b from +-0.05 to +-3 in steps of 0.05, and
@@ -319,18 +341,12 @@ N1_NEARLY_TANGENT = [(1.55, 0, 2.0, 0.2), (-1.55, 0, 2.0, 0.2)]
 
 
 def assert_n1_coulomb_matches_closed_form(b, l, k, chi):
-    """The solver has exactly the closed form's n = 1 energies, or none and NoRoots.
-    Where the closed form's denominator d degenerates, its branches are the roots
-    of d E^2 - 2P E + Q = 0 at d -> 0: the one finite root E = Q / (2P)."""
+    """The solver has exactly the closed form's n = 1 energies, or none and NoRoots."""
     eta = coulomb_eta(l - chi * k, b)
     try:
         want = sorted(energy_ground_coulomb(1.0, b, eta, k))
     except NoRealSolution:
         want = []
-    except DegenerateDenominator:
-        two_p = 4.0 * b * (eta + 2) * (2 * eta + 2)
-        e = (2 * eta + 1) * ((eta + 2) * (2 * eta + 3) + k * k) / two_p
-        want = [e] if nu_ground_coulomb(1.0, b, eta, e) > 0.0 else []
     qn = QuantumNumbers(1, l, k)
     if not want:
         with pytest.raises(NoRoots):
@@ -354,6 +370,53 @@ def test_n1_coulomb_solver_matches_closed_form():
 @pytest.mark.parametrize("cell", N1_NEARLY_TANGENT)
 def test_n1_coulomb_nearly_tangent_root(cell):
     assert_n1_coulomb_matches_closed_form(*cell)
+
+
+def coulomb_ground_roots_60_digits(m, b, eta, k):
+    """Roots of d E^2 - 2P E + Q = 0, the n = 1 Coulomb quadratic of
+    energy_ground_coulomb, to 60 digits: the float inputs are taken exactly, d, P, Q
+    and the discriminant formed in rationals, and its square root in decimal.  None
+    where the discriminant is negative."""
+    m, b, eta, k = map(Fraction, (m, b, eta, k))
+    d = 4 * b * b * eta + 8 * b * b - 2 * eta - 1
+    p = 2 * m * b * (eta + 2) * (2 * eta + 2)
+    q = (2 * eta + 1) * (m * m * (eta + 2) * (2 * eta + 3) + k * k)
+    disc = p * p - d * q
+    if disc < 0:
+        return None
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        d, p, q, disc = (Decimal(x.numerator) / Decimal(x.denominator) for x in (d, p, q, disc))
+        t = p + disc.sqrt().copy_sign(p)
+        return ([t / d] if d else []) + [q / t]
+
+
+# Tiny |b| of both signs (where b^2 underflows), +-b* (d about 1e-16, one root
+# returned) and +-1.5 at k = 2, l = 0 and 2, where one root is E = +-k at nu = 0.
+COULOMB_EDGE_CELLS = (
+    [(s * x, l, k, 0.0) for x in (1e-150, 1e-160, 1e-300) for s in (1, -1)
+     for l in (0, 2) for k in (0.0, 1.0)]
+    + [(B_STAR, 0, 0.0, 0.0), (-B_STAR, 0, 0.0, 0.0)]
+    + [(s * 1.5, l, 2.0, 0.0) for s in (1, -1) for l in (0, 2)]
+)
+
+
+@pytest.mark.parametrize("cells", [COULOMB_EDGE_CELLS, N1_COULOMB_CELLS], ids=["edges", "grid"])
+def test_coulomb_closed_form_matches_60_digit_roots(cells):
+    # Every returned branch lies within 1.5e-14 of an exact root of the quadratic
+    # (the worst, 9.5e-15, is where d's terms cancel 273-fold: b*, l = 0, k = 0.5,
+    # chi = 0.2), and the closed form raises exactly where no root is real.
+    for b, l, k, chi in cells:
+        eta = coulomb_eta(l - chi * k, b)
+        exact = coulomb_ground_roots_60_digits(1.0, b, eta, k)
+        if exact is None:
+            with pytest.raises(NoRealSolution):
+                energy_ground_coulomb(1.0, b, eta, k)
+            continue
+        got = energy_ground_coulomb(1.0, b, eta, k)
+        assert k == 0.0 or k not in map(abs, got)  # the nu = 0 root E = +-k is dropped
+        for e in got:
+            assert min(abs(Decimal(e) - x) / abs(x) for x in exact) <= Decimal("1.5e-14")
 
 
 SCAN_CELLS = (
