@@ -438,46 +438,28 @@ def cmd_current(cfg: RunConfig, out: io.TextIOBase, err: io.TextIOBase) -> int:
     return EXIT_OK
 
 
-class _Population(namedtuple("_Population", "cfg cells solved skipped")):
-    """verify's states for every configured n and cell, solved once.
-
-    cells holds (l, k, t, effective momentum) for every configured cell, solved
-    maps each configured n to [(cell, states)], and skipped counts the Coulomb
-    n = 1 cells with no state whose closed form has a negative discriminant (the
-    NoRealSolution cells of _solve_cell; every other cell is solved or NoRoots)."""
-
-    __slots__ = ()
-
-    @property
-    def points(self) -> list:
-        return [pt for by_cell in self.solved.values() for _, pts in by_cell for pt in pts]
-
-
 # The note of a check that covers only n = 1, where the closed forms hold.
 _NO_GROUND = "n = 1 not configured; the closed forms cover n = 1 only"
 
 
-def _solve_population(cfg: RunConfig) -> _Population:
-    cells = [
-        (l, k, t, effective_angular_momentum(l, k, cfg.chi, t))
-        for l, k, t in product(cfg.l, cfg.k, cfg.flux)
-    ]
-    solved: dict = {n: [] for n in cfg.n}
-    skipped = 0
-    for n, cell in product(cfg.n, cells):
-        l, k, t = cell[:3]
-        try:
-            solved[n].append((cell, _solve_cell(cfg, n, l, k, t)))
-        except NoRealSolution:
-            skipped += 1
-    return _Population(cfg, cells, solved, skipped)
+def _solve_population(cfg: RunConfig) -> list:
+    """verify's states, solved once: [((n, l, k, t), states)] in
+    product(cfg.n, cfg.l, cfg.k, cfg.flux) order.  A configured cell is missing
+    only if it is a Coulomb n = 1 cell with no state whose closed form has a
+    negative discriminant (the NoRealSolution cells of _solve_cell); every other
+    cell is solved or raises NoRoots."""
+    solved = []
+    for cell in product(cfg.n, cfg.l, cfg.k, cfg.flux):
+        with contextlib.suppress(NoRealSolution):
+            solved.append((cell, _solve_cell(cfg, *cell)))
+    return solved
 
 
-def _check_energy_composition(pop: _Population):
+def _check_energy_composition(cfg: RunConfig, solved: list):
     # Every printed E must be the lam = 2n energy of its printed slope, of its sign:
     # the parameters the other checks rebuild read the energy only through mu.
     errors = []
-    for pt in pop.points:
+    for pt in (pt for _, pts in solved for pt in pts):
         plus, minus = energy_from_lambda(pt.nu_solved, pt.qn.n, pt.eff_abs, pt.qn.k)
         for e in pt.energies:
             want = plus if e > 0 else minus
@@ -485,12 +467,14 @@ def _check_energy_composition(pop: _Population):
     return errors, ""
 
 
-def _check_closed_form_agreement(pop: _Population):
-    cfg = pop.cfg
+def _check_closed_form_agreement(cfg: RunConfig, solved: list):
     if 1 not in cfg.n:
         return None, _NO_GROUND
     errors = []
-    for (_, k, _, eff), pts in pop.solved[1]:
+    for (n, l, k, t), pts in solved:
+        if n != 1:
+            continue
+        eff = effective_angular_momentum(l, k, cfg.chi, t)
         if cfg.b != 0.0:
             want = sorted(energy_ground_coulomb(cfg.m, cfg.b, coulomb_eta(eff, cfg.b), k))
             got = sorted(e for p in pts for e in p.energies)
@@ -500,20 +484,20 @@ def _check_closed_form_agreement(pop: _Population):
         if len(got) != len(want):  # a lost or extra state
             errors.append(math.inf)
         errors.extend(abs(g - w) / abs(w) for g, w in zip(got, want))
-    note = f"{pop.skipped} cell(s) without real closed form" if pop.skipped else ""
-    return errors, note
+    skipped = math.prod(map(len, (cfg.n, cfg.l, cfg.k, cfg.flux))) - len(solved)
+    return errors, f"{skipped} cell(s) without real closed form" if skipped else ""
 
 
-def _check_coulomb_fixed_point(pop: _Population):
+def _check_coulomb_fixed_point(cfg: RunConfig, solved: list):
     # E -> nu -> energy relation -> E.
-    if pop.cfg.b == 0.0:
+    if cfg.b == 0.0:
         return None, "no Coulomb coupling configured"
-    if 1 not in pop.cfg.n:
+    if 1 not in cfg.n:
         return None, _NO_GROUND
     errors = []
-    for pt in (p for _, pts in pop.solved[1] for p in pts):
+    for pt in (p for (n, *_), pts in solved if n == 1 for p in pts):
         e = pt.energies[0]
-        nu = nu_ground_coulomb(pop.cfg.m, pop.cfg.b, pt.eff_abs, e)
+        nu = nu_ground_coulomb(cfg.m, cfg.b, pt.eff_abs, e)
         back = energy_from_lambda(nu, 1, pt.eff_abs, pt.qn.k)
         e_back = back[0] if e > 0 else back[1]
         errors.append(abs(e_back - e) / abs(e))
@@ -529,37 +513,31 @@ def _max(values) -> float:
 CASCADE_ORDER = 64
 
 
-def _check_truncation_cascade(pop: _Population):
+def _check_truncation_cascade(cfg: RunConfig, solved: list):
     # A state carries a_0..a_n: the tail is built here, from its printed values.
     ratios = []
-    for pt in pop.points:
-        params = pt.params(pop.cfg.m, pop.cfg.b)
+    for pt in (pt for _, pts in solved for pt in pts):
+        params = pt.params(cfg.m, cfg.b)
         a = [abs(x) for x in build_coefficients(params, max(CASCADE_ORDER, pt.qn.n + 1))]
         head = max(_max(a[: pt.qn.n + 1]), 1e-300)
         ratios.append(_max(a[pt.qn.n + 1 :]) / head)
     return ratios, ""
 
 
-def _check_ode_residual(pop: _Population):
-    return [_ode_residual(pt, pop.cfg.m, pop.cfg.b) for pt in pop.points], ""
+def _check_ode_residual(cfg: RunConfig, solved: list):
+    return [_ode_residual(pt, cfg.m, cfg.b) for _, pts in solved for pt in pts], ""
 
 
-def _check_fd_match(pop: _Population):
-    if pop.cfg.b != 0.0:
+def _check_fd_match(cfg: RunConfig, solved: list):
+    if cfg.b != 0.0:
         return None, "the finite-difference oracle has no Coulomb term"
-    errors = [
-        _fd_match(pt, pop.cfg.m, index)
-        for by_cell in pop.solved.values()
-        for _, pts in by_cell
-        for index, pt in enumerate(pts)
-    ]
-    return errors, ""
+    return [_fd_match(pt, cfg.m, index) for _, pts in solved for index, pt in enumerate(pts)], ""
 
 
-def _check_minkowski_reduction(pop: _Population):
+def _check_minkowski_reduction(cfg: RunConfig, solved: list):
     # k = 0 spectra must not depend on the torsion parameter at all.  The printed
     # rows are compared, so a status row counts like a solved one.
-    flat = pop.cfg._replace(oracle=False)
+    flat = cfg._replace(oracle=False)
     twisted = flat._replace(chi=flat.chi + 0.5)
     mismatches = sum(
         _spectrum_rows_for(flat, n, l, 0.0, t) != _spectrum_rows_for(twisted, n, l, 0.0, t)
@@ -568,13 +546,12 @@ def _check_minkowski_reduction(pop: _Population):
     return [float(mismatches)], "k=0 spectra compared bitwise across torsion values"
 
 
-def _check_flux_periodicity(pop: _Population):
+def _check_flux_periodicity(cfg: RunConfig, solved: list):
     # One flux quantum reproduces the l + 1 spectrum, root by root.
-    cfg = pop.cfg
     if cfg.scenario != "ab":
         return None, "flux scenario not configured"
     gaps = []
-    for n, (l, k, t, _) in product(cfg.n, pop.cells):
+    for n, l, k, t in product(cfg.n, cfg.l, cfg.k, cfg.flux):
         shifted = _solve_cell(cfg, n, l, k, t + 1.0)
         raised = _solve_cell(cfg, n, l + 1, k, t)
         if len(shifted) != len(raised):
@@ -583,23 +560,23 @@ def _check_flux_periodicity(pop: _Population):
     return gaps, ""
 
 
-def _check_current_agreement(pop: _Population):
+def _check_current_agreement(cfg: RunConfig, solved: list):
     # q scales both currents alike, so they are compared at unit charge: a
     # subnormal q would leave the difference a few significant bits.
-    cfg = pop.cfg._replace(q=1.0)
+    cfg = cfg._replace(q=1.0)
     if cfg.scenario != "ab":
         return None, "flux scenario not configured"
     if 1 not in cfg.n:
         return None, _NO_GROUND
-    rows = [_current_row(cfg, 1, l, k, t) for l, k, t, _ in pop.cells]
+    rows = [_current_row(cfg, 1, l, k, t) for l, k, t in product(cfg.l, cfg.k, cfg.flux)]
     errors = [r.abs_discrepancy / abs(r.current_analytic) for r in rows if r.status == "OK"]
     return errors, f"{len(errors)} flux point(s)"
 
 
-# verify's checks in print order, each with its threshold.  A check returns
-# (values, note): values None or empty means SKIP, since nothing was measured;
-# otherwise the check passes when the largest of its per-item values is below
-# the threshold.
+# verify's checks in print order, each with its threshold.  A check takes cfg and
+# _solve_population's list and returns (values, note): values None or empty means
+# SKIP, since nothing was measured; otherwise the check passes when the largest of
+# its per-item values is below the threshold.
 _VERIFY_CHECKS = [
     ("energy_composition", 1e-12, _check_energy_composition),
     ("closed_form_agreement", 1e-10, _check_closed_form_agreement),
@@ -614,9 +591,9 @@ _VERIFY_CHECKS = [
 
 
 def cmd_verify(cfg: RunConfig, out: io.TextIOBase, err: io.TextIOBase) -> int:
-    pop = _solve_population(cfg)
+    solved = _solve_population(cfg)
     # Every check runs before anything prints, so a solver error leaves no partial table.
-    results = [(name, threshold, *check(pop)) for name, threshold, check in _VERIFY_CHECKS]
+    results = [(name, threshold, *check(cfg, solved)) for name, threshold, check in _VERIFY_CHECKS]
     width = max(len(name) for name, *_ in _VERIFY_CHECKS)
     statuses = []
     for name, threshold, values, note in results:

@@ -229,12 +229,15 @@ def _taylor_shift(p: list[int]) -> list[int]:
 
 
 def _isolate(p: list[int], r: float) -> list[tuple[float, float]]:
-    """Finite brackets in alpha = r (1 - y) / (2 sqrt(y)), one per root y in (0, 1) of
-    p (integers, lowest first); lo == hi for an exact one (module docstring)."""
+    """Finite brackets in alpha = r (1 - y) / (2 sqrt(y)), one per root y in
+    (PROOF_WIDTH, 1) of p (integers, lowest first); lo == hi for an exact one
+    (module docstring)."""
     # (c, k, q): y in (c, c + 1) / 2^k, q(t) = p((c + t) / 2^k) times a positive factor.
     todo, brackets = [(0, 0, p)], []
     while todo:
         c, k, q = todo.pop()
+        if (c + 1) / (1 << k) <= PROOF_WIDTH:  # alpha past top: _pencil_roots keeps no root here
+            continue
         a, b = math.ldexp(c, -k), math.ldexp(c + 1, -k)
         lo, hi = (0.5 * r * (1.0 - y) / math.sqrt(y) if y else math.inf for y in (b, a))
         if a and q[0] == 0:  # a root on the left edge (y = 0 is alpha = inf): keep it

@@ -563,6 +563,24 @@ class TestVerify:
             assert line.endswith(note)
         assert lines[-1] == "1 passed, 0 failed, 8 skipped"
 
+    def test_closed_form_note_counts_every_configured_cell_without_state(self, capsys, tmp_path):
+        # At b = 1.5 the k = 3 cells' closed forms have a negative discriminant, so
+        # they hold no state; the k = 0 cells are solved and compared.
+        argv = ["verify", "--scenario", "coulomb", "--b", "1.5", "--k", "0,3"]
+        code, out, err = run_cli(capsys, *argv, "--l", "0..2")
+        assert (code, err) == (EXIT_OK, "")
+        lines = out.splitlines()
+        line = next(x for x in lines if " closed_form_agreement " in x)
+        assert line.startswith("PASS closed_form_agreement ")
+        assert line.endswith("(3 cell(s) without real closed form)")
+        assert lines[-1] == "6 passed, 0 failed, 3 skipped"
+        # A repeated l is configured, and counted, twice.
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"l": [0, 0]}))
+        code, out, _ = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == EXIT_OK
+        assert "(2 cell(s) without real closed form)" in out
+
     def test_solved_cell_with_degenerate_closed_form_is_compared(self, capsys):
         # The l = 0, k = 0 cell's closed form degenerates to its one finite root,
         # which the solved state matches.
@@ -713,8 +731,13 @@ class TestVerify:
                 lambda qn, chi, pts: pts[:-1] if chi else pts,
                 "FAIL minkowski_reduction   measured=1.000e+00 ",
             ),
+            (
+                "--scenario free --l 0..1",
+                lambda qn, chi, pts: [] if qn.l == 0 else pts,
+                "FAIL closed_form_agreement measured=inf ",
+            ),
         ],
-        ids=["coulomb_lost_branch", "free_extra_state", "minkowski_lost_root"],
+        ids=["coulomb_lost_branch", "free_extra_state", "minkowski_lost_root", "free_stateless_cell"],
     )
     def test_lost_or_extra_state_fails(self, capsys, monkeypatch, argv, mutate, line):
         def mutated_solve(qn, m, **bg):
@@ -914,6 +937,18 @@ class TestConfigAndOutput:
         assert sorted({int(r["l"]) for r in rows}) == [0, 2, 3]
         assert sorted({int(r["n"]) for r in rows}) == [1, 2]
         assert sorted({float(r["flux"]) for r in rows}) == [0.25, 0.5, 1.0]
+
+    @pytest.mark.parametrize(
+        "values,column,want",
+        [({"n": 2}, "n", 2.0), ({"k": 0.7}, "k", 0.7), ({"scenario": "ab", "flux": 0.25}, "flux", 0.25)],
+        ids=["n", "k", "flux"],
+    )
+    def test_config_number_is_a_one_value_list(self, capsys, tmp_path, values, column, want):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        code, out, _ = run_cli(capsys, "spectrum", "--config", str(cfg), "--l", "0")
+        assert code == EXIT_OK
+        assert [float(r[column]) for r in read_csv(out)] == [want]
 
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -1214,6 +1249,13 @@ class TestRejectedInput:
             # The cell beside it keeps its two proven states.
             ("--b 1e-300 --l 0 --k 1,1e160", ["OK", "OK", "NO_ROOTS"]),
             ("--b 1e-300 --l 0 --k 1,1e160 --n 2", ["OK", "OK", "NO_ROOTS"]),
+            # c = 2b overflows, so the eigenvalue count's bracket top is not finite.
+            ("--b 1e308 --l 0 --k 0", ["NO_ROOTS"]),
+            # At kappa = 1 to rounding the k = 1 cell's pencil bisects toward y = 0
+            # and stops at y = PROOF_WIDTH: from b = 1e170 the call once aborted, with
+            # no table, on "int too large to convert to float".
+            ("--b 1e170 --l 0 --k 0,1", ["NO_ROOTS", "NO_ROOTS"]),
+            ("--b 1e200 --l 0 --k 0,1", ["NO_ROOTS", "NO_ROOTS"]),
         ],
     )
     def test_overflowing_coulomb_cell_is_a_no_roots_row(self, capsys, argv, statuses):
@@ -1222,7 +1264,29 @@ class TestRejectedInput:
             code, out, err = run_cli(capsys, "spectrum", "--scenario", "coulomb", *argv.split())
         assert code == EXIT_SOLVER
         assert [r["status"] for r in read_csv(out)] == statuses
-        assert err == f"spectrum: 1 of {len(statuses)} rows failed (['NO_ROOTS'])\n"
+        failed = statuses.count("NO_ROOTS")
+        assert err == f"spectrum: {failed} of {len(statuses)} rows failed (['NO_ROOTS'])\n"
+
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_nonpositive_mass_is_usage_error(self, capsys, m):
+        code, out, err = run_cli(capsys, "spectrum", "--m", m)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"dislospec: error: mass must be positive, got {float(m)}\n"
+
+    @pytest.mark.parametrize("argv", ["spectrum --n 0", "verify --n 0..2"])
+    def test_zero_radial_index_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "dislospec: error: radial index n must be >= 1\n"
+
+    @pytest.mark.parametrize("values", [{"l": []}, {"k": None}, {"n": {}}], ids=["l", "k", "n"])
+    def test_config_value_that_is_no_list_is_usage_error(self, capsys, tmp_path, values):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        code, out, err = run_cli(capsys, "spectrum", "--config", str(cfg))
+        assert (code, out) == (EXIT_USAGE, "")
+        (value,) = values.values()
+        assert err == f"dislospec: error: cannot interpret config value {value!r}\n"
 
     def test_memory_error_is_solver_error(self, capsys, monkeypatch):
         # A large --n asks for dense (n+1) x (n+1) matrices; simulated, never allocated.

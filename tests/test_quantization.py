@@ -676,6 +676,12 @@ def test_counted_top_is_past_every_eigenvalue(monkeypatch):
     assert checked > 50
 
 
+def test_counted_top_that_is_not_finite_is_no_roots():
+    # c = 2b overflows at b = 1e308, so the count's bracket top is not finite.
+    with pytest.raises(NoRoots, match="bracket top=nan is not finite"):
+        solve_general_n(QuantumNumbers(1, 0, 0.0), 1.0, chi=0.0, b=1e308)
+
+
 def test_a_root_on_a_bracket_edge_does_not_crawl(monkeypatch):
     # Newton starts as soon as bisection isolates the step.  Bisecting on to a
     # fixed width first can leave root 1 of this cell within rounding of a
@@ -804,6 +810,14 @@ def test_isolation_keeps_a_root_on_a_bisection_point():
     others = [b for b in brackets if b[0] != b[1]]
     assert len(others) == 1
     assert others[0][0] < alpha_of_y(0.75) < others[0][1]
+
+
+def test_isolation_drops_roots_at_y_below_the_proof_width():
+    # y <= PROOF_WIDTH is alpha past the pencil's top, so no bracket is kept there:
+    # 2^52 y - 3 has its root at y = 6.7e-16, and 10^13 y - 3 at y = 3e-13.
+    assert _isolate([-3, 2**52], 1.0) == []
+    ((lo, hi),) = _isolate([-3, 10**13], 1.0)
+    assert lo < alpha_of_y(3e-13) < hi
 
 
 def test_a_bracket_edge_on_an_exact_root_steps_inside(monkeypatch):
