@@ -4,15 +4,7 @@ optional Coulomb coupling and magnetic flux."""
 
 from importlib import import_module
 
-from .core import (
-    AB_FLUX,
-    COULOMB,
-    FREE,
-    HeunParams,
-    QuantumNumbers,
-    coulomb_eta,
-    effective_angular_momentum,
-)
+from .core import HeunParams, QuantumNumbers, coulomb_eta, effective_angular_momentum
 from .errors import (
     DislospecError,
     NonPositiveSlope,
@@ -34,9 +26,6 @@ from .quantization import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AB_FLUX",
-    "COULOMB",
-    "FREE",
     "DislospecError",
     "HeunParams",
     "NoRealSolution",

@@ -43,11 +43,10 @@ from collections import namedtuple
 from functools import partial
 from itertools import product
 
-from .core import COULOMB, QuantumNumbers, coulomb_eta, effective_angular_momentum
+from .core import QuantumNumbers, coulomb_eta, effective_angular_momentum
 from .errors import DislospecError, NoRealSolution, NoRoots
 from .heun import build_coefficients
 from .quantization import (
-    _classify,
     energy_from_lambda,
     energy_ground_coulomb,
     energy_ground_free,
@@ -320,7 +319,8 @@ def _fd_match(pt, m: float, index: int) -> float:
     xi_max = 10.0 * max(1.0, math.sqrt(pt.qn.n + pt.eff_abs))
 
     def level(n_points: int) -> float:
-        grid = RadialGrid(1e-3, xi_max, n_points)  # by keyword, as bench/tracing.py reads it
+        grid = RadialGrid(1e-3, xi_max, n_points)
+        # grid by keyword, as bench/tracing.py reads it
         return fd_eigensolve_free(pt.eff_abs, alpha, grid=grid, index=index, near=beta)
 
     coarse = FD_POINTS_PER_NODE * (pt.qn.n + 1)
@@ -353,18 +353,19 @@ _NO_STATE_STATUS = {
 
 def _spectrum_rows_for(cfg: RunConfig, n: int, l: int, k: float, t: float) -> list[_SpectrumRow]:
     scale = 1.0 if cfg.absolute else cfg.m
+    # The cell's label and signed momentum lead its status row or each of its solved rows.
+    cell = partial(_SpectrumRow, "coulomb" if cfg.b else "ab" if t else "free", n, l, k, t,
+                   eff_momentum=effective_angular_momentum(l, k, cfg.chi, t))
     try:
         points = _solve_cell(cfg, n, l, k, t)
     except tuple(_NO_STATE_STATUS) as exc:
-        eff = effective_angular_momentum(l, k, cfg.chi, t)
-        status = _NO_STATE_STATUS[type(exc)]
-        return [_SpectrumRow(_classify(cfg.b, t), n, l, k, t, 0, "", eff, status=status)]
+        return [cell(0, "", status=_NO_STATE_STATUS[type(exc)])]
 
     rows = []
     for idx, pt in enumerate(points):
         # (+E, -E) for a free or flux state, one signed E for a Coulomb one; nu > 0, so E != 0.
-        row = _SpectrumRow(
-            pt.scenario, n, l, k, t, idx, {None: "", 1: "+", -1: "-"}[pt.branch], pt.eff,
+        row = cell(
+            idx, {None: "", 1: "+", -1: "-"}[pt.branch],
             nu_solved=pt.nu_solved,
             e_plus=next((e / scale for e in pt.energies if e > 0), None),
             e_minus=next((e / scale for e in pt.energies if e < 0), None),
@@ -373,7 +374,7 @@ def _spectrum_rows_for(cfg: RunConfig, n: int, l: int, k: float, t: float) -> li
         )
         if cfg.oracle:
             ode = _ode_residual(pt, cfg.m, cfg.b)
-            fd = None if pt.scenario == COULOMB else _fd_match(pt, cfg.m, idx)
+            fd = None if cfg.b else _fd_match(pt, cfg.m, idx)
             row = row._replace(ode_residual=ode, fd_match=fd)
         rows.append(row)
     return rows

@@ -25,12 +25,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-# Scenario tags used by the solver and CLI.
-FREE = "free"
-COULOMB = "coulomb"
-AB_FLUX = "ab"
-
-
 class QuantumNumbers(namedtuple("QuantumNumbers", "n l k")):
     """Radial index n >= 1, integer angular momentum l, real wavenumber k."""
 

@@ -74,7 +74,9 @@ def ode_residual(coeffs: tuple[float, ...], params: HeunParams, grid: RadialGrid
     result is invariant under rescaling of R, so F is divided by its peak (L = 0).
 
     At large n the unscaled G(xi) overflows; a non-finite R or LHS at any
-    point, or an overflow in the exponential, makes the result NaN.
+    point, or an overflow in the exponential, makes the result NaN.  So does
+    an R that underflows to 0 at every point (l of about 3e7 and up at k = 0):
+    a state the grid cannot see reads NaN, never 0.
     """
     a = coeffs[::-1]
     s, mu, alpha, beta = params.nu_abs, params.mu, params.alpha, params.beta
@@ -106,7 +108,7 @@ def ode_residual(coeffs: tuple[float, ...], params: HeunParams, grid: RadialGrid
                 worst_lhs = lhs
     except OverflowError:
         return math.nan
-    return worst_lhs / worst_r if worst_r else worst_lhs
+    return worst_lhs / worst_r if worst_r else math.nan
 
 
 def fd_eigensolve_free(

@@ -67,15 +67,7 @@ import math
 from collections import namedtuple
 from functools import cache
 
-from .core import (
-    AB_FLUX,
-    COULOMB,
-    FREE,
-    HeunParams,
-    QuantumNumbers,
-    coulomb_eta,
-    effective_angular_momentum,
-)
+from .core import HeunParams, QuantumNumbers, coulomb_eta, effective_angular_momentum
 from .errors import NonPositiveSlope, NoRealSolution, NoRoots
 from .heun import build_coefficients
 from .sturm import counter, find_steps, gershgorin
@@ -98,21 +90,21 @@ NEWTON_RTOL = 1e-14
 class SpectrumPoint(
     namedtuple(
         "SpectrumPoint",
-        "qn eff eff_abs nu_solved energies coeffs scenario branch trunc_rel",
+        "qn eff_abs nu_solved energies coeffs branch trunc_rel",
     )
 ):
     """One solved bound state.
 
-    energies is the (+E, -E) pair for the free and flux scenarios (the slope
-    constraint is energy-sign blind there), or a single signed energy for a
-    Coulomb branch (the constraint depends on the sign of E through mu, so
-    each sign is its own solution labeled by branch = +1 or -1).  The state
-    is what spectrum prints and its polynomial: nu_solved fixes the radial
-    equation and the envelope exp(-xi^2/2 - alpha xi/2) xi^nu_abs through
-    params(m, b), energies[0] only its Coulomb term, and coeffs holds a_0..a_n
-    of G.  The other fields: qn (QuantumNumbers), eff and eff_abs (the
-    effective momentum and the s the state was solved at), scenario, and
-    trunc_rel (|a_{n+1}| relative to max |a_0..a_n|).
+    energies is the (+E, -E) pair at b = 0, with branch None (the slope
+    constraint is energy-sign blind there), or a single signed energy at
+    b != 0 (the constraint depends on the sign of E through mu, so each sign
+    is its own solution labeled by branch = +1 or -1).  The state is what
+    spectrum prints and its polynomial: nu_solved fixes the radial equation and
+    the envelope exp(-xi^2/2 - alpha xi/2) xi^nu_abs through params(m, b),
+    energies[0] only its Coulomb term, and coeffs holds a_0..a_n of G.  The
+    other fields: qn (QuantumNumbers), eff_abs (the s it was solved at,
+    coulomb_eta(effective_angular_momentum(l, k, chi, flux), b)) and trunc_rel
+    (|a_{n+1}| relative to max |a_0..a_n|).
     """
 
     __slots__ = ()
@@ -209,14 +201,6 @@ def energy_ground_coulomb(
     t = p + math.copysign(math.sqrt(disc), p)
     branches = (q / t,) if abs(d) < DEGENERATE_TOL else (t / d, q / t)
     return tuple(e for e in branches if nu_ground_coulomb(mass_m, b, eta_abs, e) > 0.0)
-
-
-def _classify(b: float, flux: float) -> str:
-    if b != 0.0:
-        return COULOMB
-    if flux != 0.0:
-        return AB_FLUX
-    return FREE
 
 
 def _taylor_shift(p: list[int]) -> list[int]:
@@ -335,8 +319,8 @@ def solve_general_n(
     qn: QuantumNumbers, mass_m: float, *, chi: float, b: float = 0.0, flux: float = 0.0
 ) -> list[SpectrumPoint]:
     """All bound states of radial index qn.n on the background of torsion chi,
-    Coulomb strength b and flux ratio flux = q*Phi_B/(2 pi).  The scenario is
-    Coulomb where b != 0, else ab where flux != 0, else free.
+    Coulomb strength b and flux ratio flux = q*Phi_B/(2 pi), which enter as
+    s = coulomb_eta(l - chi*k + flux, b) and mu.
 
     The slope constraint is solved as an eigenproblem in alpha = 2m/sqrt(nu)
     (see the module docstring) for every root alpha > 0 that an eigenvalue
@@ -345,9 +329,9 @@ def solve_general_n(
     keeps a_0..a_n, and a_{n+1} gives trunc_rel, a diagnostic that gates only
     on overflow: a non-finite E or trunc_rel raises NoRoots.  The nu > 0
     states are returned sorted ascending in nu (the physics does not single
-    one out for n >= 2).  The Coulomb scenario solves the +E and -E branches
-    separately since the constraint sees the sign of E through mu; free and
-    flux scenarios are sign-blind and carry the full +-E pair per root.
+    one out for n >= 2).  At b != 0 the +E and -E branches are solved
+    separately since the constraint sees the sign of E through mu; at b = 0 it
+    is sign-blind and each root carries the full +-E pair.
     """
     if not mass_m > 0.0:
         raise ValueError(f"mass must be positive, got {mass_m}")
@@ -355,13 +339,8 @@ def solve_general_n(
     eff = effective_angular_momentum(qn.l, qn.k, chi, flux)
     if not math.isfinite(eff):  # chi*k overflowed; every matrix below would be non-finite
         raise OverflowError(f"effective angular momentum {eff!r} is not finite")
-    scenario = _classify(b, flux)
-    if scenario == COULOMB:
-        eff_abs = coulomb_eta(eff, b)
-        branch_signs: tuple[int | None, ...] = (1, -1)
-    else:
-        eff_abs = abs(eff)
-        branch_signs = (None,)
+    eff_abs = coulomb_eta(eff, b)  # |eff| at b = 0
+    branch_signs: tuple[int | None, ...] = (1, -1) if b != 0.0 else (None,)
 
     big_a = 2.0 * (n + eff_abs + 1.0)
     big_b = qn.k * qn.k / (4.0 * mass_m * mass_m)
@@ -371,10 +350,10 @@ def solve_general_n(
         for alpha_root in _alpha_roots(n, eff_abs, c, big_a, big_b):
             nu = 4.0 * mass_m * mass_m / (alpha_root * alpha_root)
             e_pair = energy_from_lambda(nu, n, eff_abs, qn.k)
-            # The pair for a sign-blind scenario, the branch's own E for a Coulomb one.
+            # The pair where b = 0 leaves the constraint sign-blind, else the branch's own E.
             energies = e_pair if sign is None else (e_pair[0] if sign > 0 else e_pair[1],)
             # The polynomial is built from the parameters that the printed values rebuild.
-            pt = SpectrumPoint(qn, eff, eff_abs, nu, energies, (), scenario, sign, math.nan)
+            pt = SpectrumPoint(qn, eff_abs, nu, energies, (), sign, math.nan)
             a = build_coefficients(pt.params(mass_m, b), n + 1)
             coeffs = a[: n + 1]
             trunc_rel = abs(a[n + 1]) / max(map(abs, coeffs))

@@ -24,7 +24,8 @@ from dislospec.cli import (
 )
 from dislospec.core import QuantumNumbers
 from dislospec.heun import build_coefficients
-from dislospec.quantization import solve_general_n
+from dislospec.quantization import energy_from_lambda, solve_general_n
+from test_quantization import SCAN_CELLS
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # The Coulomb strength where the n = 1 closed form's branch denominator
@@ -115,6 +116,20 @@ class TestSpectrum:
             want = int(r["l"]) - chi * float(r["k"]) + float(r["flux"])
             assert r["eff_momentum"] == "%.17g" % want
 
+    @pytest.mark.parametrize("label,n,l,k,b,t", SCAN_CELLS)
+    def test_every_row_names_its_cell(self, capsys, label, n, l, k, b, t):
+        # The label is "coulomb" where b != 0, else "ab" where the flux is nonzero,
+        # else "free", and eff_momentum is l - chi*k + t, on solved and status rows
+        # alike; fd_match is blank exactly where b != 0.
+        argv = f"--scenario {label} --b {b!r} --flux {t!r} --chi 0.25 --n {n} --l {l} --k {k!r}"
+        code, out, _ = run_cli(capsys, "spectrum", *argv.split(), "--oracle")
+        rows = read_csv(out)
+        assert code == (EXIT_OK if rows[0]["status"] == "OK" else EXIT_SOLVER)
+        for row in rows:
+            assert row["scenario"] == label
+            assert row["eff_momentum"] == "%.17g" % (l - 0.25 * k + t)
+            assert (row["fd_match"] == "") == (b != 0.0 or row["status"] != "OK")
+
     def test_energies_in_units_of_m(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--m", "2", "--l", "0", "--k", "0")
         rows = read_csv(out)
@@ -157,7 +172,7 @@ class TestSpectrum:
         assert len(rows) == len(want) >= 4
         for row, (l, pt) in zip(rows, want):
             assert int(row["l"]) == l
-            assert float(row["eff_momentum"]) == pt.eff
+            assert row["eff_momentum"] == "%.17g" % (l - 0.2 * 0.7 + t)
             assert float(row["nu_solved"]) == pt.nu_solved
             assert float(row["e_plus"] or row["e_minus"]) == pt.energies[0]
         # One flux quantum is one step of l.
@@ -786,6 +801,26 @@ class TestVerify:
             want[scenario, n, cell, fault] = EXIT_OK if fault is None else EXIT_VERIFY
         assert len(exits) == 70
         assert exits == want
+
+    def test_detuned_state_the_grid_cannot_see_fails(self, capsys, monkeypatch):
+        # Every slope 1% off, with the energies and polynomial that slope gives, so
+        # only the oracles can tell.  At l = 1e10 R underflows on the whole ODE grid,
+        # and the truncation cascade and fd_match pass the fault: the residual must
+        # read NaN and FAIL, not 0.0 and PASS.
+        def detuned(pt):
+            pt = _detuned(pt, 1.0, 0.0)
+            plus, minus = energy_from_lambda(pt.nu_solved, pt.qn.n, pt.eff_abs, pt.qn.k)
+            return pt._replace(energies=tuple(plus if e > 0 else minus for e in pt.energies))
+
+        monkeypatch.setattr(
+            cli, "solve_general_n", lambda *a, **bg: list(map(detuned, solve_general_n(*a, **bg)))
+        )
+        argv = "verify --scenario free --l 10000000000 --n 2"
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == EXIT_VERIFY
+        assert "PASS energy_composition" in out
+        assert "FAIL ode_residual          measured=nan" in out
+        assert "1 failed" in out
 
     @pytest.mark.parametrize("k", ["1e4", "1e8", "1e12"])
     def test_correct_states_pass_at_large_momentum(self, capsys, k):
@@ -1421,17 +1456,15 @@ class TestEntryPoint:
             "with contextlib.redirect_stdout(out):\n"
             "    exec(block.split('```')[0], scope)\n"
             "pt, index = scope['pt'], len(out.getvalue().splitlines()) - 1\n"
-            "root_nu, shift = pt.nu_solved ** 0.5, 1.0 + pt.qn.k ** 2\n"
+            "params = pt.params(1.0, 0.0)\n"
             "grid = oracle.RadialGrid(0.01, 8.0, 200)\n"
             "xi_max = 10.0 * max(1.0, pt.qn.n + pt.eff_abs) ** 0.5\n"
-            "fd_grid = oracle.RadialGrid(1e-3 * root_nu, xi_max, 400)\n"
-            "e2 = pt.energies[0] ** 2\n"
+            "fd_grid = oracle.RadialGrid(1e-3, xi_max, 400)\n"
             "beta = oracle.fd_eigensolve_free(\n"
-            "    pt.eff_abs, 2.0 / root_nu, fd_grid, index, (e2 - shift) / pt.nu_solved\n"
+            "    pt.eff_abs, params.alpha, fd_grid, index, params.beta\n"
             ")\n"
-            "level = pt.nu_solved * beta + shift\n"
-            "residual = oracle.ode_residual(pt.coeffs, pt.params(1.0, 0.0), grid)\n"
-            "fd_error = level / e2 - 1.0\n"
+            "residual = oracle.ode_residual(pt.coeffs, params, grid)\n"
+            "fd_error = pt.nu_solved * (beta - params.beta) / pt.energies[0] ** 2\n"
             "print(json.dumps([results, missing, out.getvalue(), index, residual, fd_error]))"
         )
         blocked, unblocked = (

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -58,6 +59,15 @@ class TestCoulombEta:
         assert coulomb_eta(-0.5, 0.5) == pytest.approx(math.sqrt(0.5), rel=1e-15)
 
     def test_reduces_to_abs_without_coupling(self):
-        for x in np.linspace(-3, 3, 31):
-            assert coulomb_eta(float(x), 0.0) == abs(float(x))
+        # Every b = 0 state takes its s from coulomb_eta, so it must be |x| bit for
+        # bit: at the signed zeros, subnormals, the smallest normal, the largest
+        # magnitudes, and random magnitudes from 1e-320 to 1e308.
+        rng = np.random.default_rng(45)
+        edges = [0.0, 5e-324, 2.2250738585072014e-308, 1e308, sys.float_info.max]
+        randoms = 10.0 ** rng.uniform(-320.0, 308.0, 2000) * rng.choice([-1.0, 1.0], 2000)
+        xs = [*np.linspace(-3, 3, 31), *edges, *(-x for x in edges), *randoms]
+        for x in map(float, xs):
+            for b in (0.0, -0.0):
+                got = coulomb_eta(x, b)
+                assert got == abs(x) and math.copysign(1.0, got) == 1.0, (x, b)
 

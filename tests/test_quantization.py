@@ -14,7 +14,6 @@ from scipy.linalg import eig
 from scipy.optimize import brentq
 
 from dislospec import (
-    FREE,
     NonPositiveSlope,
     NoRealSolution,
     NoRoots,
@@ -147,7 +146,7 @@ def qz_pencil_alphas(n, s, c, k):
 def hand_point(n, s, nu, energy):
     """A state built by hand at k = 0: params reads only n, s, the slope and energies[0]."""
     qn = QuantumNumbers(n, 0, 0.0)
-    return SpectrumPoint(qn, s, s, nu, (energy, -energy), (1.0,), FREE, None, 0.0)
+    return SpectrumPoint(qn, s, nu, (energy, -energy), (1.0,), None, 0.0)
 
 
 class TestSpectrumPointParams:
@@ -453,7 +452,8 @@ def test_eigen_solve_matches_frozen_scan(scenario, n, l, k, b, t):
             solve_general_n(qn, 1.0, chi=0.25, b=b, flux=t)
         return
     pts = solve_general_n(qn, 1.0, chi=0.25, b=b, flux=t)
-    assert {p.scenario for p in pts} == {scenario}
+    # s is coulomb_eta(eff, b) on every cell; at b = 0 it is |eff|, bit for bit.
+    assert {p.eff_abs for p in pts} == {s}
     for sign, want in wants.items():
         got = [p.nu_solved for p in pts if p.branch == sign]
         assert len(got) == len(want)
@@ -849,7 +849,7 @@ class TestSolveGeneralN:
         assert pts[0].nu_solved == pytest.approx(1.5, rel=1e-12)
         assert pts[0].energies[0] == pytest.approx(math.sqrt(6), rel=1e-12)
         assert pts[0].energies[1] == -pts[0].energies[0]
-        assert pts[0].scenario == "free"
+        assert pts[0].eff_abs == 0.0
         assert pts[0].branch is None
 
     def test_matches_closed_form_over_grid(self):
@@ -900,8 +900,7 @@ class TestSolveGeneralN:
 
     def test_flux_scenario_shifts_momentum(self):
         pts = solve_general_n(QuantumNumbers(1, 0, 0.0), 1.0, chi=0.5, flux=0.25)
-        assert pts[0].scenario == "ab"
-        assert pts[0].eff == pytest.approx(0.25, abs=1e-15)
+        assert pts[0].eff_abs == pytest.approx(0.25, abs=1e-15)
         assert pts[0].nu_solved == pytest.approx(1.75, rel=1e-10)
         assert pts[0].energies[0] == pytest.approx(2.806243040080456, rel=1e-10)
 
