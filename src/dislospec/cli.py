@@ -532,7 +532,14 @@ def _check_ode_residual(cfg: RunConfig, solved: list):
 def _check_fd_match(cfg: RunConfig, solved: list):
     if cfg.b != 0.0:
         return None, "the finite-difference oracle has no Coulomb term"
-    return [_fd_match(pt, cfg.m, index) for _, pts in solved for index, pt in enumerate(pts)], ""
+    # At alpha = 0 the radial operator is the 2-D oscillator, with levels 4i + 2s + 2,
+    # so every b = 0 cell holds (n + 1) // 2 states: a lost or extra one fails.
+    errors = []
+    for (n, *_), pts in solved:
+        if len(pts) != (n + 1) // 2:
+            errors.append(math.inf)
+        errors.extend(_fd_match(pt, cfg.m, index) for index, pt in enumerate(pts))
+    return errors, ""
 
 
 def _check_minkowski_reduction(cfg: RunConfig, solved: list):

@@ -1,11 +1,18 @@
 """Independent numerical verification of the analytic solutions.
 
-Two cross-checks that do not share the series solver's ansatz, each on the
-RadialGrid its caller gives it (cli sizes both grids to a state):
+Two checks, each on the RadialGrid its caller gives it (cli sizes both grids
+to a state).  Only the second is free of the series solver's ansatz:
 
 * ode_residual substitutes a state's polynomial, times the envelope its
   parameters fix, into the dimensionless radial equation using exact
-  analytic derivatives and reports the normalized residual.
+  analytic derivatives and reports the normalized residual.  With R = F G the
+  equation reads F H[G], where H is the equation the series solves; that
+  reduction holds for every polynomial G and is the check's only content
+  apart from the ansatz.  On a series a_0..a_n of the recurrence every power
+  of H[G] cancels but one, so the residual is
+  (n+1)(n+1+2s) |a_{n+1}| max|F xi^(n-1)| / max|F G|: a weighted truncation
+  residual, which restates the truncation condition as verify's truncation
+  cascade and a state's truncation residual do.
 * fd_eigensolve_free discretizes the free radial equation for sqrt(xi) R as a
   vertex-centred finite-volume Sturm-Liouville problem, regular at the
   origin, and returns beta of one level of the symmetrized tridiagonal

@@ -8,6 +8,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from dislospec import cli, oracle
 from dislospec import (
+    HeunParams,
     QuantumNumbers,
     RadialGrid,
     build_coefficients,
@@ -17,6 +18,7 @@ from dislospec import (
     ode_residual,
     solve_general_n,
 )
+from dislospec.heun import lambda_bar, tau_bar
 from test_acceptance import params_at_energy
 
 
@@ -106,6 +108,52 @@ class TestOdeResidual:
         for pt in pts:
             grid = RadialGrid(0.01, 8.0 * math.sqrt(n + pt.eff_abs), 200)
             assert ode_residual(pt.coeffs, pt.params(1.0, 0.0), grid) < 1e-8
+
+    @staticmethod
+    def envelope(params, xi):
+        return xi**params.nu_abs * np.exp(-0.5 * xi**2 - 0.5 * params.alpha * xi)
+
+    def test_residual_is_the_envelope_times_the_series_equation(self):
+        # With R = F G, the radial equation reads F H[G], where
+        # H[G] = G'' + ((2s+1)/xi - 2xi - alpha) G' + (lam - tau/xi) G is the
+        # equation the series solves: this holds for any parameters and any G,
+        # so the residual checks the series' own equation, not the ansatz.
+        rng = np.random.default_rng(28)
+        for _ in range(200):
+            s, alpha, mu = rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0), rng.uniform(-3.0, 3.0)
+            params = HeunParams(s, alpha, rng.uniform(-5.0, 10.0), mu)
+            lam = params.beta + alpha**2 / 4 - 2 * (s + 1)
+            tau = alpha * (s + 0.5) - mu
+            assert (lam, tau) == pytest.approx((lambda_bar(params), tau_bar(params)), abs=1e-12)
+            g = np.polynomial.Polynomial(rng.normal(size=rng.integers(1, 8)))
+            lo = rng.uniform(0.01, 2.0)
+            grid = RadialGrid(lo, lo + rng.uniform(0.1, 6.0), 7)
+            xi = np.linspace(*grid)
+            h = g.deriv(2)(xi) + ((2 * s + 1) / xi - 2 * xi - alpha) * g.deriv()(xi)
+            h += (lam - tau / xi) * g(xi)
+            f = self.envelope(params, xi)
+            want = np.max(np.abs(f * h)) / np.max(np.abs(f * g(xi)))
+            assert ode_residual(tuple(g.coef), params, grid) == pytest.approx(want, rel=1e-9)
+
+    def test_residual_of_a_detuned_state_is_its_truncation_term(self):
+        # For the recurrence's a_0..a_n every power of H[G] cancels but one:
+        # H[G] = -(n+1)(n+1+2s) a_{n+1} xi^(n-1).  So on a state the CLI's residual
+        # is a weighted truncation residual, and restates the truncation condition.
+        rng = np.random.default_rng(3)
+        for n in (2, 3, 5, 8, 12, 24, 40, 60):
+            l, k, b = int(rng.integers(0, 4)), rng.choice([0.0, 0.7]), rng.choice([0.0, 0.1])
+            for pt in solve_general_n(QuantumNumbers(n, l, k), 1.0, chi=0.2, b=b):
+                pt = pt._replace(nu_solved=pt.nu_solved * 1.01)
+                params = pt.params(1.0, b)
+                a = build_coefficients(params, n + 1)
+                s = params.nu_abs
+                xi = np.linspace(0.01, 8.0 * max(1.0, math.sqrt(n + s)), cli.ODE_POINTS)
+                f = self.envelope(params, xi)
+                g = np.polynomial.Polynomial(a[: n + 1])(xi)
+                want = (n + 1) * (n + 1 + 2 * s) * abs(a[n + 1]) * np.max(f * xi ** (n - 1))
+                want /= np.max(np.abs(f * g))
+                got = cli._ode_residual(pt._replace(coeffs=a[: n + 1]), 1.0, b)
+                assert got == pytest.approx(want, rel=1e-4), (n, l, k, b)
 
     def test_zero_wavefunction_degenerate_path(self):
         # R = 0 at every point: no residual is measured, so none may read 0.

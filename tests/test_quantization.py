@@ -866,6 +866,21 @@ class TestSolveGeneralN:
                             energy_ground_free(m, eff, k)[0], rel=1e-10
                         )
 
+    def test_b0_cell_holds_half_its_radial_index_states(self):
+        # At alpha = 0 and mu = 0 the radial operator is the 2-D oscillator, with
+        # levels 4i + 2s + 2, and each level's state condition rises with alpha:
+        # so (n + 1) // 2 states, whatever l, k, chi, m and the flux.
+        rng = np.random.default_rng(27)
+        for _ in range(200):
+            n = int(rng.integers(1, 41))
+            l = int(rng.integers(-40000, 40001) if rng.random() < 0.3 else rng.integers(-20, 21))
+            k = float(10 ** rng.uniform(-3, 12)) if rng.random() < 0.8 else 0.0
+            m = float(10 ** rng.uniform(-2, 3))
+            chi = float(rng.uniform(0, 0.5)) if rng.random() < 0.7 else 0.0
+            flux = float(rng.uniform(0, 1)) if rng.random() < 0.5 else 0.0
+            pts = solve_general_n(QuantumNumbers(n, l, k), m, chi=chi, flux=flux)
+            assert len(pts) == (n + 1) // 2, (n, l, k, m, chi, flux)
+
     def test_second_level_matches_polynomial_oracle(self):
         want = free_nu_roots_oracle(2, 0.0)
         assert want == pytest.approx([15.0 / 28.0], rel=1e-12)
