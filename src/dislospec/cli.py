@@ -408,7 +408,10 @@ def _numeric_current(cfg: RunConfig, n: int, l: int, k: float, t: float, branch:
     from .observables import persistent_current_numeric
 
     def energy_at(flux: float) -> float:  # E -+ |k| on the +-E branch
-        pt = _solve_cell(cfg, n, l, k, flux)[0]
+        points = _solve_cell(cfg, n, l, k, flux)
+        if not points:  # a lost state (a real solve raises NoRoots): NaN, so verify FAILs
+            return math.nan
+        pt = points[0]
         shifted = 2.0 * pt.nu_solved * (n + pt.eff_abs + 1.0) / (pt.energies[0] + abs(k))
         return shifted if branch > 0 else -shifted
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import namedtuple
 from itertools import product
 
 import pytest
@@ -477,19 +478,6 @@ class TestVerify:
             assert line.split()[1] == name
             assert float(line.split("threshold=")[1].split()[0]) == threshold, line
 
-    def test_detuned_slope_fails(self, capsys, monkeypatch):
-        # Give each solved state a 1% detuned printed slope and the degree-n
-        # polynomial it builds, as acceptance criterion 3 does.  The truncation
-        # cascade rebuilds the tail from the printed, detuned slope.
-        def detuned_solve(qn, m, **bg):
-            return [_detuned(pt, m, bg["b"]) for pt in solve_general_n(qn, m, **bg)]
-
-        monkeypatch.setattr(cli, "solve_general_n", detuned_solve)
-        code, out, _ = run_cli(capsys, "verify", "--scenario", "free")
-        assert code == EXIT_VERIFY
-        assert "FAIL" in out
-        assert "FAIL ode_residual" in out
-
     def test_nan_measurement_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(oracle, "ode_residual", lambda *args: math.nan)
         code, out, _ = run_cli(capsys, "verify", "--scenario", "free")
@@ -658,39 +646,6 @@ class TestVerify:
         assert "coulomb_fixed_point" in out
         assert "FAIL" not in out
 
-    def test_detuned_excited_states_fail(self, capsys, monkeypatch):
-        # Detune only the n >= 2 states, which an n = 1-only suite never solves.
-        def detuned_solve(qn, m, **bg):
-            points = solve_general_n(qn, m, **bg)
-            return points if qn.n < 2 else [_detuned(pt, m, bg["b"]) for pt in points]
-
-        monkeypatch.setattr(cli, "solve_general_n", detuned_solve)
-        code, out, _ = run_cli(capsys, "verify", "--scenario", "free", "--n", "1..2")
-        assert code == EXIT_VERIFY
-        assert "FAIL ode_residual" in out
-
-    @pytest.mark.parametrize(
-        "perturb,measured",
-        [
-            (lambda pts: [p._replace(nu_solved=p.nu_solved * (1 + 1e-9)) for p in pts],
-             "1.000e-09"),
-            (lambda pts: pts[:-1], "inf"),  # a lost root is an infinite gap
-        ],
-        ids=["slope", "lost_root"],
-    )
-    def test_shifted_flux_quantum_fails_periodicity(self, capsys, monkeypatch, perturb, measured):
-        # Perturb the spectrum at one flux quantum and above only.
-        def shifted_solve(qn, m, **bg):
-            points = solve_general_n(qn, m, **bg)
-            return points if bg["flux"] < 1.0 else perturb(points)
-
-        monkeypatch.setattr(cli, "solve_general_n", shifted_solve)
-        code, out, _ = run_cli(
-            capsys, "verify", "--scenario", "ab", "--flux", "0.3", "--l", "0..1", "--k", "0"
-        )
-        assert code == EXIT_VERIFY
-        assert f"FAIL flux_periodicity      measured={measured} " in out
-
     @pytest.mark.parametrize(
         "argv,check",
         [
@@ -736,157 +691,6 @@ class TestVerify:
         # The discretization error is never exactly zero, so 0 means no state was compared.
         assert 0.0 < float(line.split("measured=")[1].split()[0]) < 1e-3
 
-    def test_lost_lowest_root_fails_fd_match(self, capsys, monkeypatch):
-        # Every later root then sits one FD level above its list position.
-        def lossy_solve(qn, m, **bg):
-            points = solve_general_n(qn, m, **bg)
-            return points[1:] if len(points) > 1 else points
-
-        monkeypatch.setattr(cli, "solve_general_n", lossy_solve)
-        code, out, _ = run_cli(
-            capsys, "verify", "--scenario", "free", "--n", "1..3", "--k", "0,0.7"
-        )
-        assert code == EXIT_VERIFY
-        assert "FAIL fd_match " in out
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            "--scenario free",
-            "--scenario ab --flux 0.25",
-            pytest.param(
-                "--scenario coulomb --b 0.1",
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="ROADMAP item 27, Coulomb half: no check counts a Coulomb cell's states",
-                ),
-            ),
-        ],
-    )
-    def test_dropped_root_fails(self, capsys, monkeypatch, argv):
-        # Every b = 0 cell holds (n + 1) // 2 states, and fd_match counts them.
-        # Nothing else sees a lost highest root: flux periodicity and the
-        # Minkowski reduction compare two solves of the same faulty solver.
-        drops = {
-            None: lambda pts: pts,
-            "highest": lambda pts: pts[:-1],
-            "lowest": lambda pts: pts[1:],
-        }
-        exits, want = {}, {}
-        for n, (drop, mutate) in product(range(3, 9), drops.items()):
-            monkeypatch.setattr(
-                cli, "solve_general_n", lambda *a, **bg: mutate(solve_general_n(*a, **bg))
-            )
-            argv_n = [*argv.split(), "--chi", "0.2", "--l", "0..1", "--k", "0,0.7", "--n", str(n)]
-            exits[n, drop] = run_cli(capsys, "verify", *argv_n)[0]
-            want[n, drop] = EXIT_OK if drop is None else EXIT_VERIFY
-        assert exits == want
-
-    @pytest.mark.parametrize(
-        "argv,mutate,line",
-        [
-            (
-                "--scenario coulomb --b 0.1 --l 0..1 --k 0,0.7",
-                lambda qn, chi, pts: [p for p in pts if p.branch < 0],
-                "FAIL closed_form_agreement measured=inf ",
-            ),
-            (
-                "--scenario free",
-                lambda qn, chi, pts: pts + pts[:1] if qn.n == 1 else pts,
-                "FAIL closed_form_agreement measured=inf ",
-            ),
-            (
-                "--scenario free --l 0 --n 3",
-                lambda qn, chi, pts: pts[:-1] if chi else pts,
-                "FAIL minkowski_reduction   measured=1.000e+00 ",
-            ),
-            (
-                "--scenario free --l 0..1",
-                lambda qn, chi, pts: [] if qn.l == 0 else pts,
-                "FAIL closed_form_agreement measured=inf ",
-            ),
-        ],
-        ids=["coulomb_lost_branch", "free_extra_state", "minkowski_lost_root", "free_stateless_cell"],
-    )
-    def test_lost_or_extra_state_fails(self, capsys, monkeypatch, argv, mutate, line):
-        def mutated_solve(qn, m, **bg):
-            return mutate(qn, bg["chi"], solve_general_n(qn, m, **bg))
-
-        monkeypatch.setattr(cli, "solve_general_n", mutated_solve)
-        code, out, _ = run_cli(capsys, "verify", *argv.split())
-        assert code == EXIT_VERIFY
-        assert line in out
-
-    # Faults in what spectrum prints, each applied to every solved state; the
-    # polynomial is kept.  A branch flip negates the energy and the branch label.
-    PRINTED_FAULTS = {
-        None: lambda pt: pt,
-        "slope_1pct": lambda pt: pt._replace(nu_solved=pt.nu_solved * 1.01),
-        "energy_1e-6": lambda pt: pt._replace(energies=tuple(e * (1 + 1e-6) for e in pt.energies)),
-        "branch_flipped": lambda pt: pt._replace(
-            energies=tuple(-e for e in pt.energies), branch=-pt.branch
-        ),
-    }
-    FAULT_SCENARIOS = {
-        "free": "--scenario free",
-        "ab": "--scenario ab --flux 0.25",
-        "coulomb": "--scenario coulomb --b 0.1",
-    }
-
-    def test_every_printed_fault_fails(self, capsys, monkeypatch):
-        # verify checks the printed slope and energy, so each fault exits 3 and
-        # the same cells unfaulted exit 0, at every n up to where the ODE residual
-        # still certifies a state, and at k = 1e4, where E^2 is k^2 to 8 digits.
-        cells = [(n, "--chi 0.2 --l 0..1 --k 0,0.7") for n in (1, 3, 8, 24)]
-        cells += [(n, "--l 0..1 --k 0,1e4") for n in (1, 3, 8)]
-        exits, want = {}, {}
-        for (scenario, argv), (n, cell), fault in product(
-            self.FAULT_SCENARIOS.items(), cells, self.PRINTED_FAULTS
-        ):
-            if fault == "branch_flipped" and scenario != "coulomb":
-                continue
-            mutate = self.PRINTED_FAULTS[fault]
-            monkeypatch.setattr(
-                cli, "solve_general_n",
-                lambda *a, **bg: list(map(mutate, solve_general_n(*a, **bg))),
-            )
-            argv_cell = [*argv.split(), *cell.split(), "--n", str(n)]
-            exits[scenario, n, cell, fault] = run_cli(capsys, "verify", *argv_cell)[0]
-            want[scenario, n, cell, fault] = EXIT_OK if fault is None else EXIT_VERIFY
-        assert len(exits) == 70
-        assert exits == want
-
-    def test_detuned_state_the_grid_cannot_see_fails(self, capsys, monkeypatch):
-        # Every slope 1% off, with the energies and polynomial that slope gives, so
-        # only the oracles can tell.  At l = 1e10 R underflows on the whole ODE grid,
-        # and the truncation cascade and fd_match pass the fault: the residual must
-        # read NaN and FAIL, not 0.0 and PASS.
-        def detuned(pt):
-            pt = _detuned(pt, 1.0, 0.0)
-            plus, minus = energy_from_lambda(pt.nu_solved, pt.qn.n, pt.eff_abs, pt.qn.k)
-            return pt._replace(energies=tuple(plus if e > 0 else minus for e in pt.energies))
-
-        monkeypatch.setattr(
-            cli, "solve_general_n", lambda *a, **bg: list(map(detuned, solve_general_n(*a, **bg)))
-        )
-        argv = "verify --scenario free --l 10000000000 --n 2"
-        code, out, _ = run_cli(capsys, *argv.split())
-        assert code == EXIT_VERIFY
-        assert "PASS energy_composition" in out
-        assert "FAIL ode_residual          measured=nan" in out
-        assert "1 failed" in out
-
-    @pytest.mark.parametrize("k", ["1e4", "1e8", "1e12"])
-    def test_correct_states_pass_at_large_momentum(self, capsys, k):
-        # The checks take alpha and beta from the printed slope alone, so no
-        # E^2 - m^2 - k^2 cancels.  Taken from the printed E, beta lost about
-        # log10(k^2/nu) digits: the truncation cascade read 2.5e-9 at k = 1e4,
-        # and the ODE residual 0.67 at k = 1e8, on correct states.
-        code, out, _ = run_cli(
-            capsys, "verify", "--scenario", "free", "--l", "0", "--k", k, "--n", "1..3"
-        )
-        assert code == EXIT_OK, out
-
     def test_current_agreement_holds_at_any_charge(self, capsys, tmp_path):
         # q scales both currents alike; a subnormal q must not cost the check
         # its precision.
@@ -902,11 +706,167 @@ class TestVerify:
             assert float(line.split("measured=")[1].split()[0]) < 1e-12, (q, line)
 
 
-def _detuned(pt, m, b):
-    """pt with a 1% detuned printed slope and the degree-n polynomial it builds."""
+def _detuned(pt, m, b, energies=False):
+    """pt with a 1% detuned printed slope and the degree-n polynomial it builds
+    (with energies, also the energies that slope gives)."""
     pt = pt._replace(nu_solved=pt.nu_solved * 1.01)
     coeffs = build_coefficients(pt.params(m, b), n_max=pt.qn.n + 1)[: pt.qn.n + 1]
+    if energies:
+        plus, minus = energy_from_lambda(pt.nu_solved, pt.qn.n, pt.eff_abs, pt.qn.k)
+        pt = pt._replace(energies=tuple(plus if e > 0 else minus for e in pt.energies))
     return pt._replace(coeffs=coeffs)
+
+
+# verify's fault matrix.  A fault is a mutate(qn, bg, pts) of one cell's solved
+# states; bg holds the rest mass m and solve_general_n's keywords.
+FAULTS = {
+    None: lambda qn, bg, pts: pts,
+    # What spectrum prints.  A branch flip negates the energy and the branch label.
+    "slope_1pct": lambda qn, bg, pts: [pt._replace(nu_solved=pt.nu_solved * 1.01) for pt in pts],
+    "energy_1e-6": lambda qn, bg, pts: [
+        pt._replace(energies=tuple(e * (1 + 1e-6) for e in pt.energies)) for pt in pts],
+    "branch_flipped": lambda qn, bg, pts: [
+        pt._replace(energies=tuple(-e for e in pt.energies), branch=-pt.branch) for pt in pts],
+    # And the polynomial, as acceptance criterion 3 detunes: the truncation cascade
+    # rebuilds the tail from it.  With the energies too, only the oracles can tell.
+    "detuned": lambda qn, bg, pts: [_detuned(pt, bg["m"], bg["b"]) for pt in pts],
+    "detuned_excited": lambda qn, bg, pts: FAULTS["detuned"](qn, bg, pts) if qn.n > 1 else pts,
+    "detuned_with_energies": lambda qn, bg, pts: [
+        _detuned(pt, bg["m"], bg["b"], energies=True) for pt in pts],
+    # Lost and extra states.  Without its lowest root, each later root of a cell
+    # sits one FD level above its list position.
+    "highest": lambda qn, bg, pts: pts[:-1],
+    "lowest": lambda qn, bg, pts: pts[1:],
+    "lowest_of_several": lambda qn, bg, pts: pts[1:] if len(pts) > 1 else pts,
+    "minus_branch_only": lambda qn, bg, pts: [pt for pt in pts if pt.branch < 0],
+    "extra_ground_state": lambda qn, bg, pts: pts + pts[:1] if qn.n == 1 else pts,
+    "stateless_l0": lambda qn, bg, pts: [] if qn.l == 0 else pts,
+    "torsion_lost_root": lambda qn, bg, pts: pts[:-1] if bg["chi"] else pts,
+    # From one flux quantum on.
+    "flux_quantum_slope": lambda qn, bg, pts: pts if bg["flux"] < 1.0 else [
+        pt._replace(nu_solved=pt.nu_solved * (1 + 1e-9)) for pt in pts],
+    "flux_quantum_lost_root": lambda qn, bg, pts: pts if bg["flux"] < 1.0 else pts[:-1],
+}
+# A row: a verify call, its fault, exit code, the names of all its FAIL lines and other output
+# fragments.  A strict xfail names its ROADMAP item; fails is None where that item adds the line.
+_Row = namedtuple("_Row", "argv fault exit fails fragments xfail", defaults=((), None))
+LOST_COULOMB_ROOT = "ROADMAP item 27, Coulomb half: no check counts a Coulomb cell's states"
+# The lines a fault FAILs on a one-n cell, by scenario: (at every n, added at n = 1,
+# where the closed forms hold).  An ab cell FAILs as a free one, and on
+# current_agreement too at n = 1.  Above n = 1 a lost Coulomb root passes (None).
+SERIES = "truncation_cascade ode_residual"  # the checks that rebuild a state's series
+CELL_FAILS = {"--scenario free": {
+    None: ("", ""),
+    "slope_1pct": (f"energy_composition {SERIES} fd_match", "closed_form_agreement"),
+    "energy_1e-6": ("energy_composition", "closed_form_agreement"),
+    "highest": ("fd_match", "closed_form_agreement"),
+    "lowest": ("fd_match", "closed_form_agreement"),
+}, "--scenario coulomb --b 0.1": {
+    None: ("", ""),
+    "slope_1pct": (f"energy_composition {SERIES}", ""),
+    "energy_1e-6": (f"energy_composition {SERIES}", "closed_form_agreement coulomb_fixed_point"),
+    "branch_flipped": (SERIES, "closed_form_agreement coulomb_fixed_point"),
+    "highest": (None, "closed_form_agreement"),
+    "lowest": (None, "closed_form_agreement"),
+}}
+CELL_FAILS["--scenario ab --flux 0.25"] = {
+    fault: (every_n, f"{at_n1} current_agreement" if fault else at_n1)
+    for fault, (every_n, at_n1) in CELL_FAILS["--scenario free"].items()
+}
+
+
+def _cell_rows(cells, faults):
+    """{(argv, fault): row} over the scenarios x cells x faults in CELL_FAILS."""
+    rows = {}
+    for (scenario, expected), (n, cell), fault in product(CELL_FAILS.items(), cells, faults):
+        if fault in expected:
+            every_n, at_n1 = expected[fault]
+            fails = f"{every_n or ''} {at_n1}".strip() if n == 1 else every_n
+            argv = f"{scenario} {cell} --n {n}"
+            rows[argv, fault] = _Row(argv, fault, EXIT_OK if fails == "" else EXIT_VERIFY, fails,
+                                     xfail=LOST_COULOMB_ROOT if fails is None else None)
+    return rows
+
+
+# The printed-value faults, at every n up to where the ODE residual still
+# certifies a state, and at k = 1e4, where E^2 is k^2 to 8 digits.
+CHI_CELL = "--chi 0.2 --l 0..1 --k 0,0.7"
+FAULT_CELLS = [(n, CHI_CELL) for n in (1, 3, 8, 24)]
+FAULT_CELLS += [(n, "--l 0..1 --k 0,1e4") for n in (1, 3, 8)]
+PRINTED_FAULT_ROWS = _cell_rows(FAULT_CELLS, [None, "slope_1pct", "energy_1e-6", "branch_flipped"])
+# fd_match counts a b = 0 cell's (n + 1) // 2 states.  Flux periodicity and the Minkowski
+# reduction compare two solves of the same faulty solver, so they miss a lost root.
+DROPPED_ROOT_ROWS = _cell_rows([(n, CHI_CELL) for n in range(3, 9)], [None, "highest", "lowest"])
+FAULT_ROWS = [
+    *(PRINTED_FAULT_ROWS | DROPPED_ROOT_ROWS
+      | _cell_rows(FAULT_CELLS, ["highest", "lowest"])).values(),
+    _Row("--scenario free", "detuned", EXIT_VERIFY,
+         f"energy_composition closed_form_agreement {SERIES} fd_match"),
+    # Only the n >= 2 states, which an n = 1-only suite never solves.
+    _Row("--scenario free --n 1..2", "detuned_excited", EXIT_VERIFY,
+         f"energy_composition {SERIES} fd_match"),
+    _Row("--scenario ab --flux 0.3 --l 0..1 --k 0", "flux_quantum_slope", EXIT_VERIFY,
+         "flux_periodicity", ("FAIL flux_periodicity      measured=1.000e-09 ",)),
+    _Row("--scenario ab --flux 0.3 --l 0..1 --k 0", "flux_quantum_lost_root", EXIT_VERIFY,
+         "flux_periodicity", ("FAIL flux_periodicity      measured=inf ",)),
+    _Row("--scenario free --n 1..3 --k 0,0.7", "lowest_of_several", EXIT_VERIFY, "fd_match"),
+    _Row("--scenario coulomb --b 0.1 --l 0..1 --k 0,0.7", "minus_branch_only", EXIT_VERIFY,
+         "closed_form_agreement", ("FAIL closed_form_agreement measured=inf ",)),
+    _Row("--scenario free", "extra_ground_state", EXIT_VERIFY,
+         "closed_form_agreement fd_match", ("FAIL closed_form_agreement measured=inf ",)),
+    _Row("--scenario free --l 0 --n 3", "torsion_lost_root", EXIT_VERIFY, "minkowski_reduction",
+         ("FAIL minkowski_reduction   measured=1.000e+00 ",)),
+    _Row("--scenario free --l 0..1", "stateless_l0", EXIT_VERIFY,
+         "closed_form_agreement fd_match", ("FAIL closed_form_agreement measured=inf ",)),
+    # alpha and beta come from the printed slope.  Taken from the printed E, beta lost about
+    # log10(k^2/nu) digits: truncation cascade 2.5e-9 at k = 1e4, ODE residual 0.67 at 1e8.
+    *(_Row(f"--scenario free --l 0 --k {k} --n 1..3", None, EXIT_OK, "")
+      for k in ("1e4", "1e8", "1e12")),
+    # At l = 1e7 only the ODE residual tells the detuned state (2.0e-2) from the
+    # solved one (3.7e-9).  From l of about 3e7, R underflows on the whole ODE
+    # grid, so the residual reads NaN and FAILs on both: not 0.0 and PASS.
+    _Row("--scenario free --l 10000000 --n 2", None, EXIT_OK, ""),
+    *(_Row(f"--scenario free --l {l} --n 2", None, EXIT_OK, "",
+           xfail="ROADMAP items 3 and 29: no check sees a state past l of about 3e7")
+      for l in (100000000, 10000000000)),
+    *(_Row(f"--scenario free --l {l} --n 2", "detuned_with_energies", EXIT_VERIFY, "ode_residual",
+           ("PASS energy_composition",)) for l in (10000000, 100000000)),
+    _Row("--scenario free --l 10000000000 --n 2", "detuned_with_energies", EXIT_VERIFY,
+         "ode_residual", ("PASS energy_composition", "FAIL ode_residual          measured=nan")),
+]
+
+
+class TestFaultMatrix:
+    """verify under FAULT_ROWS, one test per row.  A cell or a fault joins the
+    matrix as a row, with the exit code and FAIL lines a run of it measures."""
+
+    @pytest.mark.parametrize("row", [pytest.param(
+        row,
+        id=f"{row.argv.removeprefix('--scenario ').replace('--', '')} {row.fault or 'unfaulted'}",
+        marks=[pytest.mark.xfail(strict=True, reason=row.xfail)] if row.xfail else [],
+    ) for row in FAULT_ROWS])
+    def test_row(self, capsys, monkeypatch, row):
+        def faulty_solve(qn, m, **bg):
+            return FAULTS[row.fault](qn, {"m": m, **bg}, solve_general_n(qn, m, **bg))
+
+        monkeypatch.setattr(cli, "solve_general_n", faulty_solve)
+        code, out, _ = run_cli(capsys, "verify", *row.argv.split())
+        assert code == row.exit, out
+        if row.fails is not None:
+            failed = {x.split()[1] for x in out.splitlines() if x.startswith("FAIL ")}
+            assert failed == set(row.fails.split()), out
+        assert [x for x in row.fragments if x not in out] == []
+
+    def test_rows_hold_the_generated_products(self):
+        assert (len(PRINTED_FAULT_ROWS), len(DROPPED_ROOT_ROWS)) == (70, 54)
+        pairs = {(row.argv, row.fault) for row in FAULT_ROWS}
+        assert len(pairs) == len(FAULT_ROWS)
+        assert pairs >= PRINTED_FAULT_ROWS.keys() | DROPPED_ROOT_ROWS.keys()
+
+    def test_every_check_fails_in_some_row(self):
+        # Each row names all its FAIL lines, so a check gone silent fails a row.
+        failing = {name for row in FAULT_ROWS for name in (row.fails or "").split()}
+        assert failing == {name for name, *_ in cli._VERIFY_CHECKS}
 
 
 class TestOracleGrids:
