@@ -12,10 +12,14 @@ Three subcommands:
   E - |k| so that two energies E ~ k do not cancel.  A row whose
   difference stencil reaches sigma = 0 reads KINK and carries no current.
 * verify   - solves the states of every configured n and cell once and runs
-  a table of invariant checks on them, one PASS/FAIL/SKIP line each; a check
-  that measured nothing reads SKIP.  energy_composition checks every printed
-  E against the energy relation at its printed slope.  The closed-form,
-  Coulomb fixed-point and current checks cover n = 1 only.
+  a table of invariant checks, one PASS/FAIL/SKIP line each; a check that
+  measured nothing reads SKIP.  Three checks also solve cells of their own:
+  minkowski_reduction the k = 0 twin of every (n, l, flux) at chi and at
+  chi + 0.5, flux_periodicity (l, flux + 1) and (l + 1, flux) of every
+  configured cell, and current_agreement two stencil points per n = 1 cell
+  off the kink.  energy_composition checks every printed E against the
+  energy relation at its printed slope.  The closed-form, Coulomb
+  fixed-point and current checks cover n = 1 only.
 
 Flux is configured as the dimensionless ratio q*Phi_B/(2 pi) everywhere, the
 flux a state sees, so q, a flag of current alone, only scales the current.

