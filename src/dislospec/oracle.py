@@ -87,12 +87,13 @@ def ode_residual(coeffs: tuple[float, ...], params: HeunParams, grid: RadialGrid
     """
     a = coeffs[::-1]
     s, mu, alpha, beta = params.nu_abs, params.mu, params.alpha, params.beta
-    nu2, half_alpha = s**2, 0.5 * alpha
+    half_alpha = 0.5 * alpha
     exp, log, inf = math.exp, math.log, math.inf
     peak = 2.0 * s / (math.sqrt(half_alpha * half_alpha + 4.0 * s) + half_alpha) if s else 0.0
     log_peak = s * log(peak) - peak * (0.5 * peak + half_alpha) if peak else 0.0
     worst_lhs = worst_r = 0.0
     try:
+        nu2 = s**2  # overflows from s of about 1.3e154
         for xi in _nodes(grid):
             g = dg = d2g = 0.0
             for c in a:

@@ -12,7 +12,7 @@ from itertools import product
 
 import pytest
 
-from dislospec import cli, oracle
+from dislospec import cli, oracle, sturm
 from dislospec.cli import (
     EXIT_OK,
     EXIT_SOLVER,
@@ -187,17 +187,6 @@ class TestSpectrum:
                 assert pa.nu_solved == pytest.approx(pb.nu_solved, rel=1e-12, abs=0.0)
                 assert pa.energies == pytest.approx(pb.energies, rel=1e-12, abs=0.0)
 
-    def test_no_real_solution_row_exits_solver(self, capsys):
-        code, out, err = run_cli(
-            capsys,
-            "spectrum", "--scenario", "coulomb", "--b", "1", "--l", "0", "--k", "10",
-        )
-        assert code == EXIT_SOLVER
-        rows = read_csv(out)
-        assert rows[0]["status"] == "NO_REAL_SOLUTION"
-        assert rows[0]["nu_solved"] == ""
-        assert "NO_REAL_SOLUTION" in err
-
     def test_underflowing_closed_form_does_not_hide_proven_states(self, capsys):
         # b^2 underflows to 0, so the n = 1 closed form divides by zero, but the
         # solver proves both branches of this all but free state, and they print.
@@ -221,11 +210,6 @@ class TestSpectrum:
         b = float(B_STAR)
         want = (2 * b + 1) * (2 * b + 3) / (8 * b * (b + 1))
         assert float(row["e_plus"]) == pytest.approx(want, rel=1e-14)
-        # At k = 3 the closed form has a real branch, but none with nu > 0.
-        code, out, err = run_cli(capsys, *argv, "--k", "3")
-        assert code == EXIT_SOLVER
-        assert [r["status"] for r in read_csv(out)] == ["NO_ROOTS"]
-        assert "NO_ROOTS" in err
 
     def test_oracle_columns(self, capsys):
         code, out, _ = run_cli(
@@ -280,67 +264,17 @@ class TestSpectrum:
             ("--scenario free --l 40000 --n 1", 1, 40001.5),
             # The fourth root is at alpha = 57.48.
             ("--scenario coulomb --b 0.5 --l 0 --k 1.99 --n 3", 4, 1.2107e-3),
-            # The third root is at alpha = 0.0042, 0.0126 and 0.0416.
-            ("--scenario coulomb --b 0.001 --l 0 --k 0 --n 2", 3, None),
-            ("--scenario coulomb --b 0.003 --l 0 --k 0 --n 2", 3, None),
-            ("--scenario coulomb --b 0.01 --l 0 --k 0 --n 2", 3, None),
-            # One search splits each branch's bracket among all its roots: all
-            # 480 cells, n up to 60, print their 7440 states.
-            ("--scenario free --l 0..3 --k 0,0.7 --chi 0.2 --n 1..60", 7440, None),
-            # Past n = 32 the c > 0 branch takes the pencil and the c < 0 branch
-            # the count; each proves 22 roots with alpha > 0.
-            ("--scenario coulomb --b 0.3 --k 3 --l 0 --n 44", 44, None),
         ],
     )
     def test_roots_below_0_01_and_above_50_print(self, capsys, argv, rows, nu):
         # Every root with alpha > 0 that the eigenvalue count proves is a state,
-        # however far it lies from alpha of order 1.
+        # however far it lies from alpha of order 1.  CONTRACT_ROWS holds the
+        # cells whose statuses alone are checked.
         code, out, err = run_cli(capsys, "spectrum", *argv.split())
         assert (code, err) == (EXIT_OK, "")
         got = read_csv(out)
         assert [r["status"] for r in got] == ["OK"] * rows
-        if nu is not None:
-            assert min(abs(float(r["nu_solved"]) / nu - 1.0) for r in got) < 1e-4
-
-    def test_nan_truncation_residual_is_no_roots(self, capsys):
-        # k = 1e160 overflows E to inf and the truncation residual to NaN.
-        code, out, err = run_cli(
-            capsys, "spectrum", "--scenario", "free", "--l", "0", "--k", "1e160"
-        )
-        assert code == EXIT_SOLVER
-        assert read_csv(out)[0]["status"] == "NO_ROOTS"
-        assert "NO_ROOTS" in err
-
-    @pytest.mark.parametrize("argv", ["--b 0.3 --k 1e160", "--b 0.3 --k 1e300", "--b 1e307 --k 3"])
-    def test_degenerate_pencil_cells_are_no_roots(self, capsys, argv):
-        # c > 0, kappa >= 1 cells whose pencil degenerates.  At k = 1e160 and
-        # 1e300, k^2 overflows, so r = sqrt(A/B) = 0 and every root maps to
-        # alpha = 0, where the count does not step; at b = 1e307 its leading
-        # coefficient L overflows.
-        # Each prints one NO_ROOTS row and exits 2.
-        argv = ["--scenario", "coulomb", "--l", "0", "--n", "2", *argv.split()]
-        code, out, err = run_cli(capsys, "spectrum", *argv)
-        assert code == EXIT_SOLVER
-        assert [r["status"] for r in read_csv(out)] == ["NO_ROOTS"]
-        assert "NO_ROOTS" in err
-
-    @pytest.mark.parametrize(
-        "argv,want",
-        [
-            (
-                "--scenario ab --flux 0:0.5:0.5",
-                [("free", "OK"), ("ab", "OK"), ("free", "NO_ROOTS"), ("ab", "NO_ROOTS")],
-            ),
-            ("--scenario coulomb --b 0", [("free", "OK"), ("free", "NO_ROOTS")]),
-        ],
-    )
-    def test_status_row_labels_its_couplings(self, capsys, argv, want):
-        # The k = 1e160 cells read NO_ROOTS.  Their rows name the couplings as the
-        # solved k = 0 rows of the same flux do: zero flux and b = 0 are free.
-        code, out, _ = run_cli(capsys, "spectrum", *argv.split(), "--l", "0", "--k", "0,1e160")
-        assert code == EXIT_SOLVER
-        assert [(r["scenario"], r["status"]) for r in read_csv(out)] == want
-        assert "free,1,0,1e+160,0,0,,0,,,,,NO_ROOTS" in out.splitlines()
+        assert min(abs(float(r["nu_solved"]) / nu - 1.0) for r in got) < 1e-4
 
     def test_output_does_not_depend_on_charge(self, capsys, tmp_path):
         # --flux is q*Phi_B/(2 pi) already, so q must not enter a cell: dividing
@@ -356,22 +290,8 @@ class TestSpectrum:
         assert code == EXIT_OK
         assert read_csv(out)[0]["status"] == "OK"
 
-    def test_free_with_coulomb_coupling_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "spectrum", "--scenario", "free", "--b", "0.1")
-        assert code == EXIT_USAGE
-        assert "error" in err
-
-    def test_free_with_flux_is_usage_error(self, capsys):
-        code, _, _ = run_cli(capsys, "spectrum", "--scenario", "free", "--flux", "0.3")
-        assert code == EXIT_USAGE
-
 
 class TestCurrent:
-    def test_requires_flux_scenario(self, capsys):
-        code, _, err = run_cli(capsys, "current", "--scenario", "free")
-        assert code == EXIT_USAGE
-        assert "scenario ab" in err
-
     def test_flux_scenario_rule_leaves_out_file_alone(self, capsys, tmp_path):
         # The rule is checked with the other scenario rules, before --out is opened.
         target = tmp_path / "keep.csv"
@@ -411,24 +331,6 @@ class TestCurrent:
         b = float(read_csv(out_m)[0]["current_analytic"])
         assert a == -b
 
-    # The stencil t +- 1e-5 reaches sigma = 0 for every |sigma| <= 1e-5.
-    @pytest.mark.parametrize("flux", ["0", "0.000001", "0.0000099"])
-    def test_kink_row(self, capsys, flux):
-        code, out, _ = run_cli(
-            capsys, "current", "--scenario", "ab", "--flux", flux, "--l", "0", "--k", "0"
-        )
-        assert code == EXIT_OK
-        row = read_csv(out)[0]
-        assert row["status"] == "KINK"
-        assert row["current_analytic"] == row["current_numeric"] == row["abs_discrepancy"] == ""
-        # In JSON the row type's blank columns are null.
-        argv = ["current", "--scenario", "ab", "--flux", flux, "--l", "0", "--k", "0"]
-        code, out, _ = run_cli(capsys, *argv, "--format", "json")
-        assert code == EXIT_OK
-        (row,) = json.loads(out)
-        assert row["status"] == "KINK"
-        assert row["current_analytic"] is row["current_numeric"] is row["abs_discrepancy"] is None
-
     def test_two_solves_per_row_and_none_on_a_kink(self, capsys, monkeypatch):
         calls = []
 
@@ -458,8 +360,8 @@ class TestCurrent:
 
 
 class TestVerify:
-    """verify's tests that a FAULT_ROWS row cannot make: each patches a function
-    other than the solver, reads a config file, or asserts an absence or a bound."""
+    """verify's tests that a CALL_ROWS row cannot make: each patches a function
+    other than the solver, or asserts an absence or a bound."""
 
     def test_nan_measurement_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(oracle, "ode_residual", lambda *args: math.nan)
@@ -515,31 +417,6 @@ class TestVerify:
         assert "dislospec: solver error:" in err
         assert "np.float64" not in err
 
-    def test_rootless_cell_error_names_the_cell(self, capsys):
-        # spectrum prints this cell as a NO_ROOTS row; verify names it in the error.
-        argv = "--scenario coulomb --b -1.5 --l 0..2 --k 0,3 --n 1..2".split()
-        _, rows, _ = run_cli(capsys, "spectrum", *argv)
-        assert "coulomb,2,0,3,0,0,,0,,,,,NO_ROOTS" in rows.splitlines()
-        code, out, err = run_cli(capsys, "verify", *argv)
-        assert (code, out) == (EXIT_SOLVER, "")
-        assert "dislospec: solver error: cell n=2, l=0, k=3, flux=0: no nu > 0 root" in err
-        # current names the stencil point it could not solve.
-        argv = "--scenario ab --flux 0.3 --l 0 --k 0,1e160".split()
-        code, out, err = run_cli(capsys, "current", *argv)
-        assert (code, out) == (EXIT_SOLVER, "")
-        assert "dislospec: solver error: cell n=1, l=0, k=1e+160, flux=0.30001: " in err
-
-    def test_closed_form_note_counts_every_configured_cell_without_state(self, capsys, tmp_path):
-        # A repeated l is configured, and counted, twice: the b = 1.5, k = 3 cells'
-        # closed forms have a negative discriminant, so they hold no state.
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"l": [0, 0]}))
-        code, out, _ = run_cli(
-            capsys, "verify", "--scenario", "coulomb", "--b", "1.5", "--k", "0,3", "--config", str(cfg)
-        )
-        assert code == EXIT_OK
-        assert "(2 cell(s) without real closed form)" in out
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -586,7 +463,6 @@ def _detuned(pt, m, b, energies=False):
 # verify's fault matrix.  A fault is a mutate(qn, bg, pts) of one cell's solved
 # states; bg holds the rest mass m and solve_general_n's keywords.
 FAULTS = {
-    None: lambda qn, bg, pts: pts,
     # What spectrum prints.  A branch flip negates the energy and the branch label.
     "slope_1pct": lambda qn, bg, pts: [pt._replace(nu_solved=pt.nu_solved * 1.01) for pt in pts],
     "energy_1e-6": lambda qn, bg, pts: [
@@ -613,10 +489,16 @@ FAULTS = {
         pt._replace(nu_solved=pt.nu_solved * (1 + 1e-9)) for pt in pts],
     "flux_quantum_lost_root": lambda qn, bg, pts: pts if bg["flux"] < 1.0 else pts[:-1],
 }
-# A row: a verify call, its fault, exit code, the names of all its FAIL lines and other output
-# fragments (in stderr on a solver error).  A strict xfail names its ROADMAP item.  fails is
-# None where that item adds the line, or where a cell's faulted lines are not pinned one by one.
-_Row = namedtuple("_Row", "argv fault exit fails fragments xfail", defaults=((), None))
+# A row: a CLI call, whose argv names its subcommand, and what a run of it must show.  A
+# verify row may carry a fault, and names all its FAIL lines (fails is None where a ROADMAP
+# item adds the line, or where a cell's faulted lines are not pinned one by one); a spectrum
+# or current row that prints a table names its status column, in order.  Every row has an
+# exit code, and may carry other output fragments (looked for in stderr where no table
+# prints), a config file's text (passed with --config), the most Sturm passes the call may
+# make, and a strict xfail's reason, which names its ROADMAP item.  A code_path row is also
+# one of TestEntryPoint's CODE_PATHS.
+_Row = namedtuple("_Row", "argv fault exit fails fragments xfail statuses config passes code_path",
+                  defaults=(None, EXIT_OK, None, (), None, None, None, None, False))
 LOST_COULOMB_ROOT = "ROADMAP item 27, Coulomb half: no check counts a Coulomb cell's states"
 # The lines a fault FAILs on a one-n cell, by scenario: (at every n, added at n = 1,
 # where the closed forms hold).  An ab cell FAILs as a free one, and on
@@ -649,7 +531,7 @@ def _cell_rows(cells, faults):
         if fault in expected:
             every_n, at_n1 = expected[fault]
             fails = f"{every_n or ''} {at_n1}".strip() if n == 1 else every_n
-            argv = f"{scenario} {cell} --n {n}"
+            argv = f"verify {scenario} {cell} --n {n}"
             rows[argv, fault] = _Row(argv, fault, EXIT_OK if fails == "" else EXIT_VERIFY, fails,
                                      xfail=LOST_COULOMB_ROOT if fails is None else None)
     return rows
@@ -669,7 +551,7 @@ DROPPED_ROOT_ROWS = _cell_rows([(n, CHI_CELL) for n in range(3, 9)], [None, "hig
 # ROADMAP item 23's robustness envelope, one cell per call, all at chi = 0.2: every n <= 8
 # cell, and at n = 24, where a call costs most, the smallest and the largest l and k.
 def _envelope_cell(scenario, n, l, k, m):
-    return f"{scenario} --chi 0.2 --n {n} --l {l} --k {k} --m {m}"
+    return f"verify {scenario} --chi 0.2 --n {n} --l {l} --k {k} --m {m}"
 
 
 ENVELOPE_SCENARIOS = ("--scenario free", "--scenario ab --flux 0.25",
@@ -678,7 +560,8 @@ ENVELOPE_CELLS = [_envelope_cell(*cell) for cell in [
     *product(ENVELOPE_SCENARIOS, (1, 3, 8), (0, 3, 150, 1000), (0, 0.7, 10, "1e4"), (1, "1e3")),
     *((scenario, 24, l, k, 1) for scenario in ENVELOPE_SCENARIOS for l, k in ((0, 0), (1000, "1e4")))]]
 # The tiny-coupling cells: at k = 0 chi drops out, so their solved rows are the ones below.
-TINY_B_CELLS = [f"--scenario coulomb --l 0 --k 0 --b {b}" for b in ("1e-150", "1e-160", "1e-300")]
+TINY_B_CELLS = [f"verify --scenario coulomb --l 0 --k 0 --b {b}"
+                for b in ("1e-150", "1e-160", "1e-300")]
 # The envelope cells that FAIL a line as solved, as measured: {(reason, scenarios, n): "l k m"
 # cells}.  Each reason names the line and the ROADMAP items that own it.
 ODE_RESIDUAL = "ROADMAP items 3 and 28: ode_residual cannot certify states at large n or s"
@@ -709,59 +592,57 @@ ENVELOPE_ROWS |= {(argv, "slope_1pct"): _Row(argv, "slope_1pct", EXIT_VERIFY, No
 FAULT_ROWS = [
     *(PRINTED_FAULT_ROWS | DROPPED_ROOT_ROWS | ENVELOPE_ROWS
       | _cell_rows(FAULT_CELLS, ["highest", "lowest"])).values(),
-    _Row("--scenario free", "detuned", EXIT_VERIFY,
+    _Row("verify --scenario free", "detuned", EXIT_VERIFY,
          f"energy_composition closed_form_agreement {SERIES} fd_match"),
     # Only the n >= 2 states, which an n = 1-only suite never solves.
-    _Row("--scenario free --n 1..2", "detuned_excited", EXIT_VERIFY,
+    _Row("verify --scenario free --n 1..2", "detuned_excited", EXIT_VERIFY,
          f"energy_composition {SERIES} fd_match"),
-    _Row("--scenario ab --flux 0.3 --l 0..1 --k 0", "flux_quantum_slope", EXIT_VERIFY,
+    _Row("verify --scenario ab --flux 0.3 --l 0..1 --k 0", "flux_quantum_slope", EXIT_VERIFY,
          "flux_periodicity", ("FAIL flux_periodicity      measured=1.000e-09 ",)),
-    _Row("--scenario ab --flux 0.3 --l 0..1 --k 0", "flux_quantum_lost_root", EXIT_VERIFY,
+    _Row("verify --scenario ab --flux 0.3 --l 0..1 --k 0", "flux_quantum_lost_root", EXIT_VERIFY,
          "flux_periodicity", ("FAIL flux_periodicity      measured=inf ",)),
-    _Row("--scenario free --n 1..3 --k 0,0.7", "lowest_of_several", EXIT_VERIFY, "fd_match"),
-    _Row("--scenario coulomb --b 0.1 --l 0..1 --k 0,0.7", "minus_branch_only", EXIT_VERIFY,
+    _Row("verify --scenario free --n 1..3 --k 0,0.7", "lowest_of_several", EXIT_VERIFY, "fd_match"),
+    _Row("verify --scenario coulomb --b 0.1 --l 0..1 --k 0,0.7", "minus_branch_only", EXIT_VERIFY,
          "closed_form_agreement", ("FAIL closed_form_agreement measured=inf ",)),
-    _Row("--scenario free", "extra_ground_state", EXIT_VERIFY,
+    _Row("verify --scenario free", "extra_ground_state", EXIT_VERIFY,
          "closed_form_agreement fd_match", ("FAIL closed_form_agreement measured=inf ",)),
-    _Row("--scenario free --l 0 --n 3", "torsion_lost_root", EXIT_VERIFY, "minkowski_reduction",
-         ("FAIL minkowski_reduction   measured=1.000e+00 ",)),
-    _Row("--scenario free --l 0..1", "stateless_l0", EXIT_VERIFY,
+    _Row("verify --scenario free --l 0 --n 3", "torsion_lost_root", EXIT_VERIFY,
+         "minkowski_reduction", ("FAIL minkowski_reduction   measured=1.000e+00 ",)),
+    _Row("verify --scenario free --l 0..1", "stateless_l0", EXIT_VERIFY,
          "closed_form_agreement fd_match", ("FAIL closed_form_agreement measured=inf ",)),
     # alpha and beta come from the printed slope.  Taken from the printed E, beta lost about
     # log10(k^2/nu) digits: truncation cascade 2.5e-9 at k = 1e4, ODE residual 0.67 at 1e8.
-    *(_Row(f"--scenario free --l 0 --k {k} --n 1..3", None, EXIT_OK, "")
+    *(_Row(f"verify --scenario free --l 0 --k {k} --n 1..3", None, EXIT_OK, "")
       for k in ("1e4", "1e8", "1e12")),
     # At l = 1e7 only the ODE residual tells the detuned state (2.0e-2) from the
     # solved one (3.7e-9).  From l of about 3e7, R underflows on the whole ODE
     # grid, so the residual reads NaN and FAILs on both: not 0.0 and PASS.
-    _Row("--scenario free --l 10000000 --n 2", None, EXIT_OK, ""),
-    *(_Row(f"--scenario free --l {l} --n 2", None, EXIT_OK, "",
+    _Row("verify --scenario free --l 10000000 --n 2", None, EXIT_OK, ""),
+    *(_Row(f"verify --scenario free --l {l} --n 2", None, EXIT_OK, "",
            xfail="ROADMAP items 3 and 29: no check sees a state past l of about 3e7")
       for l in (100000000, 10000000000)),
-    *(_Row(f"--scenario free --l {l} --n 2", "detuned_with_energies", EXIT_VERIFY, "ode_residual",
-           ("PASS energy_composition",)) for l in (10000000, 100000000)),
-    _Row("--scenario free --l 10000000000 --n 2", "detuned_with_energies", EXIT_VERIFY,
+    *(_Row(f"verify --scenario free --l {l} --n 2", "detuned_with_energies", EXIT_VERIFY,
+           "ode_residual", ("PASS energy_composition",)) for l in (10000000, 100000000)),
+    _Row("verify --scenario free --l 10000000000 --n 2", "detuned_with_energies", EXIT_VERIFY,
          "ode_residual", ("PASS energy_composition", "FAIL ode_residual          measured=nan")),
     # Correct states, in each scenario and at every n up to 3.
-    *(_Row(argv, None, EXIT_OK, "") for argv in (
-        "--scenario free", "--scenario ab --flux 0.3 --l 0..1 --k 0",
-        "--scenario coulomb --b 0.1 --l 0..1 --k 0", "--scenario free --n 1..3",
-        "--scenario coulomb --b 0.1 --k 0,0.7 --n 1..3",
-        "--scenario ab --flux 0.3 --l 0..1 --k 0,0.7 --n 1..3")),
-    _Row("--scenario ab --flux 0.00005 --l 0..1 --k 0", None, EXIT_OK, "",
+    *(_Row(f"verify --scenario {argv}", None, EXIT_OK, "") for argv in (
+        "free", "ab --flux 0.3 --l 0..1 --k 0", "coulomb --b 0.1 --l 0..1 --k 0", "free --n 1..3",
+        "coulomb --b 0.1 --k 0,0.7 --n 1..3", "ab --flux 0.3 --l 0..1 --k 0,0.7 --n 1..3")),
+    _Row("verify --scenario ab --flux 0.00005 --l 0..1 --k 0", None, EXIT_OK, "",
          ("PASS current_agreement ", "  (2 flux point(s))\n")),
     # The configured cell has eff = 1, but its k = 0 twin (l = 40000) has its
     # one root at alpha = 2/sqrt(40001.5), below 0.01: both sides print it.
-    _Row("--scenario free --l 40000 --chi 1 --k 39999", None, EXIT_OK, "",
+    _Row("verify --scenario free --l 40000 --chi 1 --k 39999", None, EXIT_OK, "",
          ("PASS minkowski_reduction   measured=0.000e+00 ",)),
-    *(_Row(f"--scenario {argv}", None, EXIT_OK, "",
+    *(_Row(f"verify --scenario {argv}", None, EXIT_OK, "",
            (f"SKIP {line}  (n = 1 not configured; the closed forms cover n = 1 only)\n",))
       for argv, line in [
           ("free --n 2..3", "closed_form_agreement measured=- threshold=1.0e-10"),
           ("coulomb --b 0.1 --n 2", "coulomb_fixed_point   measured=- threshold=1.0e-10"),
           ("ab --flux 0.3 --n 2", "current_agreement     measured=- threshold=1.0e-08")]),
     # The one cell has no real closed form, so no state is solved.
-    _Row("--scenario coulomb --b 1.5 --l 0 --k 3", None, EXIT_OK, "", (
+    _Row("verify --scenario coulomb --b 1.5 --l 0 --k 3", None, EXIT_OK, "", (
         "SKIP energy_composition    measured=- threshold=1.0e-12  (no state to measure)\n",
         "SKIP closed_form_agreement measured=- threshold=1.0e-10  (1 cell(s) without real closed form)\n",
         "SKIP coulomb_fixed_point   measured=- threshold=1.0e-10  (no state to measure)\n",
@@ -770,52 +651,234 @@ FAULT_ROWS = [
         "1 passed, 0 failed, 8 skipped")),
     # At b = 1.5 the k = 3 cells' closed forms have a negative discriminant, so
     # they hold no state; the k = 0 cells are solved and compared.
-    _Row("--scenario coulomb --b 1.5 --k 0,3 --l 0..2", None, EXIT_OK, "", (
+    _Row("verify --scenario coulomb --b 1.5 --k 0,3 --l 0..2", None, EXIT_OK, "", (
         "PASS closed_form_agreement ", "  (3 cell(s) without real closed form)\n",
         "6 passed, 0 failed, 3 skipped")),
+    # A repeated l is configured, and counted, twice.
+    _Row("verify --scenario coulomb --b 1.5 --k 0,3", None, EXIT_OK, "",
+         ("  (2 cell(s) without real closed form)\n",), config='{"l": [0, 0]}'),
     # The l = 0, k = 0 cell's closed form degenerates to its one finite root, which
     # the solved state matches: its line ends at the threshold, with no note.
-    _Row(f"--scenario coulomb --b {B_STAR} --l 0..1 --k 0", None, EXIT_OK, "",
+    _Row(f"verify --scenario coulomb --b {B_STAR} --l 0..1 --k 0", None, EXIT_OK, "",
          ("PASS closed_form_agreement ", "threshold=1.0e-10\nPASS coulomb_fixed_point ")),
     # At k = 3 the closed form has real branches, none with nu > 0, so the
     # stateless l = 0 cell is a solver error, as such a cell is elsewhere.
-    _Row(f"--scenario coulomb --b {B_STAR} --l 0..1 --k 3", None, EXIT_SOLVER, "",
+    _Row(f"verify --scenario coulomb --b {B_STAR} --l 0..1 --k 3", None, EXIT_SOLVER, "",
          ("cell n=1, l=0, k=3, flux=0",)),
     # The closed form never divides by b^2, so it neither underflows to nan
     # nor divides by zero where the solver still prints both states.
-    *(_Row(argv, None, EXIT_OK, "", ("PASS closed_form_agreement ",)) for argv in TINY_B_CELLS),
+    *(_Row(argv, None, EXIT_OK, "", ("PASS closed_form_agreement ",), code_path=True)
+      for argv in TINY_B_CELLS),
 ]
 
 
+def _usage(argv, *fragments, config=None):
+    """A usage-error row: exit 1, nothing on stdout, and fragments on stderr."""
+    return _Row(argv, exit=EXIT_USAGE, fragments=fragments, config=config)
+
+
+# spectrum's and current's status rows, and the usage and solver errors of the
+# subcommands.  A row whose status is not OK leaves its solved columns blank, and
+# makes spectrum exit 2.
+CONTRACT_ROWS = [
+    _Row("spectrum --scenario coulomb --b 1 --l 0 --k 10", exit=EXIT_SOLVER,
+         statuses="NO_REAL_SOLUTION"),
+    # k = 1e160 overflows E to inf and the truncation residual to NaN.
+    _Row("spectrum --scenario free --l 0 --k 1e160", exit=EXIT_SOLVER, statuses="NO_ROOTS"),
+    # At k = 3 the closed form has a real branch, but none with nu > 0.
+    _Row(f"spectrum --scenario coulomb --b {B_STAR} --l 0 --n 1 --k 3", exit=EXIT_SOLVER,
+         statuses="NO_ROOTS"),
+    # c > 0, kappa >= 1 cells whose pencil degenerates.  At k = 1e160 and 1e300, k^2
+    # overflows, so r = sqrt(A/B) = 0 and every root maps to alpha = 0, where the count
+    # does not step; at b = 1e307 its leading coefficient L overflows.
+    *(_Row(f"spectrum --scenario coulomb --l 0 --n 2 {argv}", exit=EXIT_SOLVER, statuses="NO_ROOTS")
+      for argv in ("--b 0.3 --k 1e160", "--b 0.3 --k 1e300", "--b 1e307 --k 3")),
+    # The k = 1e160 cells read NO_ROOTS.  Their rows name the couplings as the solved
+    # k = 0 rows of the same flux do: zero flux and b = 0 are free.
+    _Row("spectrum --scenario ab --flux 0:0.5:0.5 --l 0 --k 0,1e160", exit=EXIT_SOLVER,
+         statuses="OK OK NO_ROOTS NO_ROOTS", fragments=(
+             "\nfree,1,0,0,0,", "\nab,1,0,0,0.5,", "\nfree,1,0,1e+160,0,0,,0,,,,,NO_ROOTS\n",
+             "\nab,1,0,1e+160,0.5,0,,0.5,,,,,NO_ROOTS\n")),
+    _Row("spectrum --scenario coulomb --b 0 --l 0 --k 0,1e160", exit=EXIT_SOLVER,
+         statuses="OK NO_ROOTS",
+         fragments=("\nfree,1,0,0,0,", "\nfree,1,0,1e+160,0,0,,0,,,,,NO_ROOTS\n")),
+    # Overflow in a Coulomb cell is a NO_ROOTS row.  (eta + 2)**2 overflows in the
+    # n = 1 closed form, which only names a reason.
+    _Row("spectrum --scenario coulomb --b 1e200 --l 0 --k 0", exit=EXIT_SOLVER,
+         statuses="NO_ROOTS"),
+    # k^2/(4m^2) = inf puts the pencil's r = sqrt(A/B) at 0; the closed form divides by
+    # b^2 = 0.  The cell beside it keeps its two proven states.
+    _Row("spectrum --scenario coulomb --b 1e-300 --l 0 --k 1e160", exit=EXIT_SOLVER,
+         statuses="NO_ROOTS"),
+    _Row("spectrum --scenario coulomb --b 1e-300 --l 0 --k 1,1e160", exit=EXIT_SOLVER,
+         statuses="OK OK NO_ROOTS", code_path=True),
+    _Row("spectrum --scenario coulomb --b 1e-300 --l 0 --k 1,1e160 --n 2", exit=EXIT_SOLVER,
+         statuses="OK OK NO_ROOTS"),
+    # c = 2b overflows, so the eigenvalue count's bracket top is not finite.
+    _Row("spectrum --scenario coulomb --b 1e308 --l 0 --k 0", exit=EXIT_SOLVER,
+         statuses="NO_ROOTS"),
+    # At kappa = 1 to rounding the k = 1 cell's pencil bisects toward y = 0 and stops
+    # at y = PROOF_WIDTH: from b = 1e170 the call once aborted, with no table, on "int
+    # too large to convert to float".
+    _Row("spectrum --scenario coulomb --b 1e170 --l 0 --k 0,1", exit=EXIT_SOLVER,
+         statuses="NO_ROOTS NO_ROOTS"),
+    _Row("spectrum --scenario coulomb --b 1e200 --l 0 --k 0,1", exit=EXIT_SOLVER,
+         statuses="NO_ROOTS NO_ROOTS", code_path=True),
+    # Every root with alpha > 0 that the eigenvalue count proves is a state, however
+    # far it lies from alpha of order 1.  The third root is at alpha = 0.0042, 0.0126
+    # and 0.0416.
+    *(_Row(f"spectrum --scenario coulomb --b {b} --l 0 --k 0 --n 2", statuses="OK OK OK")
+      for b in ("0.001", "0.003", "0.01")),
+    # One search splits each branch's bracket among all its roots: all 480 cells, n up
+    # to 60, print their 7440 states, in the 66496 Sturm passes measured.
+    _Row("spectrum --scenario free --l 0..3 --k 0,0.7 --chi 0.2 --n 1..60", statuses="OK " * 7440,
+         passes=66496),
+    # Past n = 32 the c > 0 branch takes the pencil and the c < 0 branch the count;
+    # each proves 22 roots with alpha > 0.
+    _Row("spectrum --scenario coulomb --b 0.3 --k 3 --l 0 --n 44", statuses="OK " * 44),
+    # The stencil t +- 1e-5 reaches sigma = 0 for every |sigma| <= 1e-5: a KINK row
+    # with blank currents, null in JSON.
+    *(_Row(f"current --scenario ab --flux {flux} --l 0 --k 0{fmt}", statuses="KINK")
+      for flux, fmt in product(("0", "0.000001", "0.0000099"), ("", " --format json"))),
+    # spectrum prints a rootless cell as a NO_ROOTS row, and verify names it in a solver
+    # error; current names the stencil point it could not solve.
+    _Row("spectrum --scenario coulomb --b -1.5 --l 0..2 --k 0,3 --n 1..2", exit=EXIT_SOLVER,
+         statuses="OK OK NO_REAL_SOLUTION " * 3 + "OK OK OK NO_ROOTS " + "OK " * 9,
+         fragments=("\ncoulomb,2,0,3,0,0,,0,,,,,NO_ROOTS\n",)),
+    _Row("verify --scenario coulomb --b -1.5 --l 0..2 --k 0,3 --n 1..2", exit=EXIT_SOLVER,
+         fragments=("dislospec: solver error: cell n=2, l=0, k=3, flux=0: no nu > 0 root",)),
+    _Row("current --scenario ab --flux 0.3 --l 0 --k 0,1e160", exit=EXIT_SOLVER,
+         fragments=("dislospec: solver error: cell n=1, l=0, k=1e+160, flux=0.30001: ",)),
+    # Arithmetic that fails inside the solver is a solver error.
+    *(_Row(argv, exit=EXIT_SOLVER) for argv in (
+        "spectrum --scenario free --m 1e-200 --l 0 --k 1",
+        "current --scenario ab --m 1e-162 --l 0 --k 0 --flux 0.5",
+        # chi*k overflows the effective momentum to -inf.
+        "spectrum --scenario free --chi 1e200 --k 1e200 --l 0 --n 2",
+        "spectrum --scenario coulomb --b 0.1 --chi 1e200 --k 1e200 --l 0 --n 1")),
+    _usage("current --scenario free", "dislospec: error: current requires --scenario ab\n"),
+    *(_usage(f"spectrum --scenario free {flag}",
+             "dislospec: error: scenario 'free' requires b = 0 and zero flux\n")
+      for flag in ("--b 0.1", "--flux 0.3")),
+    *(_usage(argv, "dislospec: error: scenario 'ab' requires b = 0\n") for argv in (
+        "spectrum --scenario ab --b 0.5 --flux 0.3",
+        "current --scenario ab --b 0.5 --flux 0.3 --l 0 --k 0",
+        "verify --scenario ab --b 0.5 --flux 0.3")),
+    *(_usage(f"spectrum --scenario ab --l 0 {flag}") for flag in (
+        "--k nan", "--k inf", "--flux nan", "--flux 0:inf:0.5", "--chi inf", "--m inf")),
+    _usage("spectrum --scenario coulomb", "dislospec: error: numeric values must be finite\n",
+           config='{"b": Infinity}'),
+    _usage("spectrum", "dislospec: error: unknown config keys: ['scenarioo']\n",
+           config='{"scenarioo": "free"}'),
+    *(_usage(f"spectrum --m {m}", f"dislospec: error: mass must be positive, got {float(m)}\n")
+      for m in ("0", "-1")),
+    *(_usage(argv, "dislospec: error: radial index n must be >= 1\n")
+      for argv in ("spectrum --n 0", "verify --n 0..2")),
+]
+
+# One call per code path: each subcommand and output format, the flux sweep, the
+# eigenvalue count on both Coulomb branches and at large n, the c > 0, kappa >= 1
+# pencil, status rows, both oracles, and the checks at extreme momentum, mass and
+# coupling.  The rows marked code_path above join them.
+CODE_PATH_ROWS = [row._replace(code_path=True) for row in [
+    # The flux sweep's 420 states, in the 3560 Sturm passes measured.
+    _Row("spectrum --scenario ab --flux 0:1:0.05 --l=-2..2 --k 0.7 --n 1..3",
+         statuses="OK " * 420, passes=3560),
+    _Row("spectrum --scenario coulomb --b 0.1 --l 0..1 --k 0,0.7 --n 1..3", statuses="OK " * 36),
+    _Row("spectrum --scenario coulomb --b 0.1 --l 0..1 --k 0.7 --n 30", statuses="OK " * 62),
+    # kappa = 0.97 on the + branch: both branches are counted.
+    _Row("spectrum --scenario coulomb --b 0.3 --k 5 --l 1 --n 5", statuses="OK " * 6),
+    *(_Row(f"spectrum --scenario coulomb --b {b} --k 3 --l 1..2 --n 2..4", statuses="OK " * 11)
+      for b in ("1.5", "-1.5")),
+    *(_Row(f"current --scenario ab --flux 0:1:0.5 --l 0 --k 0,0.7 --n 1..3{fmt}",
+           statuses="KINK OK OK " * 6) for fmt in ("", " --format json")),
+    _Row("spectrum --scenario free --l 0..1 --k 0,0.7 --n 1..3 --oracle", statuses="OK " * 16),
+    _Row("spectrum --scenario ab --flux 0:0.5:0.25 --l 0 --k 0,0.7 --oracle", statuses="OK " * 6),
+    *(_Row(f"spectrum --scenario coulomb --b {b} --l 0..1 --k 0,0.7 --n 1..3 --oracle",
+           statuses="OK " * 36) for b in ("0.1", "-0.1")),
+    _Row("spectrum --scenario free --chi 0.2 --l 0..1 --k 0,0.7 --n 1..3 --oracle --m 1e40",
+         statuses="OK " * 16),
+    *(_Row(argv, None, EXIT_OK, "") for argv in (
+        "verify --scenario free --k 0,0.7 --n 1..3",
+        # The ODE envelope is divided by its peak, so it stays finite.
+        "verify --scenario free --l 40000 --n 1",
+        # alpha and beta come from the printed slope: no E^2 - m^2 - k^2 cancels.
+        "verify --scenario free --l 0 --k 1e4,1e8 --n 1..3",
+        # The current's difference is taken of E - |k|, so energies E ~ k do not cancel.
+        "verify --scenario ab --flux 0.25 --l 0..1 --k 1e4 --n 1",
+        "verify --scenario ab --flux 0:0.5:0.25 --l 0 --k 0,0.7",
+        "verify --scenario coulomb --b 0.1 --l 0..1 --k 0,0.7")),
+]]
+CALL_ROWS = FAULT_ROWS + CONTRACT_ROWS + CODE_PATH_ROWS
+# The columns a row whose status is not OK leaves blank, in either table.
+SOLVED_COLUMNS = ("nu_solved e_plus e_minus truncation_residual ode_residual fd_match "
+                  "current_analytic current_numeric abs_discrepancy").split()
+
+
+def _row_id(row):
+    """A verify row's id is its cell and fault, as "free l 0 n 2 unfaulted"; any other
+    row's is its argv."""
+    words = row.argv.removeprefix("verify --scenario ").replace("--", "")
+    if row.config is not None:
+        words += f" config {row.config}"
+    return f"{words} {row.fault or 'unfaulted'}" if row.argv.startswith("verify") else words
+
+
 class TestFaultMatrix:
-    """verify under FAULT_ROWS, one test per row.  A cell or a fault joins the
-    matrix as a row, with the exit code and FAIL lines a run of it measures."""
+    """The CLI's contract, one test per CALL_ROWS row.  A call joins the table as a
+    row, with the exit code, FAIL lines or statuses, and fragments a run of it shows."""
 
     @pytest.mark.parametrize("row", [pytest.param(
-        row,
-        id=f"{row.argv.removeprefix('--scenario ').replace('--', '')} {row.fault or 'unfaulted'}",
-        marks=[pytest.mark.xfail(reason=row.xfail)] if row.xfail else [],
-    ) for row in FAULT_ROWS])
-    def test_row(self, capsys, monkeypatch, row):
-        def faulty_solve(qn, m, **bg):
-            return FAULTS[row.fault](qn, {"m": m, **bg}, solve_general_n(qn, m, **bg))
+        row, id=_row_id(row), marks=[pytest.mark.xfail(reason=row.xfail)] if row.xfail else [],
+    ) for row in CALL_ROWS])
+    def test_row(self, capsys, monkeypatch, request, row):
+        argv = row.argv.split()
+        if row.config is not None:
+            path = request.getfixturevalue("tmp_path") / "run.json"
+            path.write_text(row.config)
+            argv += ["--config", str(path)]
+        if row.fault:
+            def faulty_solve(qn, m, **bg):
+                return FAULTS[row.fault](qn, {"m": m, **bg}, solve_general_n(qn, m, **bg))
 
-        monkeypatch.setattr(cli, "solve_general_n", faulty_solve)
-        code, out, err = run_cli(capsys, "verify", *row.argv.split())
+            monkeypatch.setattr(cli, "solve_general_n", faulty_solve)
+        passes = 0
+        if row.passes:
+            sturm_pass = sturm._pass
+
+            def counted(*args, **kwargs):
+                nonlocal passes
+                passes += 1
+                return sturm_pass(*args, **kwargs)
+
+            monkeypatch.setattr(sturm, "_pass", counted)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        out, err = capsys.readouterr()
         if code != row.exit:
-            # The report is verify's output: a traceback through this long module
+            # The report is the call's output: a traceback through this long module
             # costs about 0.1 s to format, on every strict-xfail row.
             pytest.fail(f"exit {code}, not {row.exit}\n{out}{err}", pytrace=False)
-        failed = {x.split()[1] for x in out.splitlines() if x.startswith("FAIL ")}
-        if row.fails is not None:
-            assert failed == set(row.fails.split()), out
-        elif row.fault:
-            # ode_residual restates the truncation condition (ROADMAP item 28).
-            assert failed - {"ode_residual"}, out
-        if code == EXIT_SOLVER:  # every check runs before anything prints
+        assert [str(w.message) for w in caught] == []
+        assert passes <= (row.passes or 0)
+        if row.statuses is None and code in (EXIT_USAGE, EXIT_SOLVER):
+            # No table: the call is not valid, or the solver failed; one message says which.
             assert out == ""
+            assert "Traceback" not in err
+            head = "dislospec: error: " if code == EXIT_USAGE else "dislospec: solver error: "
+            assert err.startswith(head) or code == EXIT_USAGE and err.startswith("usage: "), err
             out = err
-        else:
+        elif argv[0] == "verify":
+            failed = {x.split()[1] for x in out.splitlines() if x.startswith("FAIL ")}
+            if row.fails is not None:
+                assert failed == set(row.fails.split()), out
+            elif row.fault:
+                # ode_residual restates the truncation condition (ROADMAP item 28).
+                assert failed - {"ode_residual"}, out
             # The table's checks in order, each with its threshold, then their counts.
             assert err == ""
             *lines, summary = out.splitlines()
@@ -824,6 +887,16 @@ class TestFaultMatrix:
             statuses = [x.split()[0] for x in lines]
             assert summary == "%d passed, %d failed, %d skipped" % tuple(
                 map(statuses.count, ("PASS", "FAIL", "SKIP")))
+        else:
+            table = json.loads(out) if out.startswith("[") else read_csv(out)
+            statuses = [r["status"] for r in table]
+            assert statuses == row.statuses.split()
+            for r in table:
+                if r["status"] != "OK":
+                    assert [c for c in SOLVED_COLUMNS if r.get(c, "") not in ("", None)] == [], r
+            bad = [x for x in statuses if x != "OK"]
+            summary = f"spectrum: {len(bad)} of {len(table)} rows failed ({sorted(set(bad))})\n"
+            assert err == (summary if code == EXIT_SOLVER else "")
         assert [x for x in row.fragments if x not in out] == []
 
     def test_rows_hold_the_generated_products(self):
@@ -832,8 +905,9 @@ class TestFaultMatrix:
         # couplings' faulted rows; and the measured failures' strict xfails.
         assert (len(ENVELOPE_ROWS), len(ENVELOPE_XFAILS)) == (787, 44)
         assert ENVELOPE_XFAILS.keys() <= set(ENVELOPE_CELLS)
+        ids = [_row_id(row) for row in CALL_ROWS]
+        assert len(set(ids)) == len(ids)
         pairs = {(row.argv, row.fault) for row in FAULT_ROWS}
-        assert len(pairs) == len(FAULT_ROWS)
         tiny = {(argv, None) for argv in TINY_B_CELLS}
         assert pairs >= PRINTED_FAULT_ROWS.keys() | DROPPED_ROOT_ROWS.keys() | ENVELOPE_ROWS.keys() | tiny
 
@@ -1022,13 +1096,6 @@ class TestConfigAndOutput:
         valid = [values for _, _, values, message in BY_FLAG_AND_CONFIG if message is None]
         assert sorted(key for values in valid for key in values) == sorted(cli.RunConfig._fields)
 
-    def test_unknown_config_key_rejected(self, capsys, tmp_path):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"scenarioo": "free"}))
-        code, _, err = run_cli(capsys, "spectrum", "--config", str(cfg))
-        assert code == EXIT_USAGE
-        assert "scenarioo" in err
-
     def test_config_must_be_object(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text("[1, 2]")
@@ -1151,28 +1218,6 @@ class TestRejectedInput:
         assert code == EXIT_OK
         assert "PASS current_agreement" in out
 
-    @pytest.mark.parametrize(
-        "flag,value",
-        [
-            ("--k", "nan"),
-            ("--k", "inf"),
-            ("--flux", "nan"),
-            ("--flux", "0:inf:0.5"),
-            ("--chi", "inf"),
-            ("--m", "inf"),
-        ],
-    )
-    def test_non_finite_value_is_usage_error(self, capsys, flag, value):
-        code, _, err = run_cli(capsys, "spectrum", "--scenario", "ab", "--l", "0", flag, value)
-        assert code == EXIT_USAGE
-        assert "dislospec: error:" in err
-
-    def test_non_finite_config_value_is_usage_error(self, capsys, tmp_path):
-        cfg = tmp_path / "run.json"
-        cfg.write_text('{"b": Infinity}')
-        code, _, _ = run_cli(capsys, "spectrum", "--scenario", "coulomb", "--config", str(cfg))
-        assert code == EXIT_USAGE
-
     @pytest.mark.parametrize("text", [None, "{not json", "\xff"])
     def test_unreadable_config_is_usage_error(self, tmp_path, capsys, text):
         cfg = tmp_path / "run.json"
@@ -1260,65 +1305,6 @@ class TestRejectedInput:
         assert code == EXIT_USAGE
         assert "unknown config keys" in err
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            "spectrum --scenario free --m 1e-200 --l 0 --k 1",
-            "current --scenario ab --m 1e-162 --l 0 --k 0 --flux 0.5",
-            # chi*k overflows the effective momentum to -inf.
-            "spectrum --scenario free --chi 1e200 --k 1e200 --l 0 --n 2",
-            "spectrum --scenario coulomb --b 0.1 --chi 1e200 --k 1e200 --l 0 --n 1",
-        ],
-    )
-    def test_arithmetic_failure_is_solver_error(self, capsys, argv):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, _, err = run_cli(capsys, *argv.split())
-        assert code == EXIT_SOLVER
-        assert "dislospec: solver error:" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize(
-        "argv,statuses",
-        [
-            # (eta + 2)**2 overflows in the n = 1 closed form, which only names a reason.
-            ("--b 1e200 --l 0 --k 0", ["NO_ROOTS"]),
-            # k^2/(4m^2) = inf puts the pencil's r = sqrt(A/B) at 0; the closed form
-            # divides by b^2 = 0.
-            ("--b 1e-300 --l 0 --k 1e160", ["NO_ROOTS"]),
-            # The cell beside it keeps its two proven states.
-            ("--b 1e-300 --l 0 --k 1,1e160", ["OK", "OK", "NO_ROOTS"]),
-            ("--b 1e-300 --l 0 --k 1,1e160 --n 2", ["OK", "OK", "NO_ROOTS"]),
-            # c = 2b overflows, so the eigenvalue count's bracket top is not finite.
-            ("--b 1e308 --l 0 --k 0", ["NO_ROOTS"]),
-            # At kappa = 1 to rounding the k = 1 cell's pencil bisects toward y = 0
-            # and stops at y = PROOF_WIDTH: from b = 1e170 the call once aborted, with
-            # no table, on "int too large to convert to float".
-            ("--b 1e170 --l 0 --k 0,1", ["NO_ROOTS", "NO_ROOTS"]),
-            ("--b 1e200 --l 0 --k 0,1", ["NO_ROOTS", "NO_ROOTS"]),
-        ],
-    )
-    def test_overflowing_coulomb_cell_is_a_no_roots_row(self, capsys, argv, statuses):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, "spectrum", "--scenario", "coulomb", *argv.split())
-        assert code == EXIT_SOLVER
-        assert [r["status"] for r in read_csv(out)] == statuses
-        failed = statuses.count("NO_ROOTS")
-        assert err == f"spectrum: {failed} of {len(statuses)} rows failed (['NO_ROOTS'])\n"
-
-    @pytest.mark.parametrize("m", ["0", "-1"])
-    def test_nonpositive_mass_is_usage_error(self, capsys, m):
-        code, out, err = run_cli(capsys, "spectrum", "--m", m)
-        assert (code, out) == (EXIT_USAGE, "")
-        assert err == f"dislospec: error: mass must be positive, got {float(m)}\n"
-
-    @pytest.mark.parametrize("argv", ["spectrum --n 0", "verify --n 0..2"])
-    def test_zero_radial_index_is_usage_error(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv.split())
-        assert (code, out) == (EXIT_USAGE, "")
-        assert err == "dislospec: error: radial index n must be >= 1\n"
-
     @pytest.mark.parametrize("values", [{"l": []}, {"k": None}, {"n": {}}], ids=["l", "k", "n"])
     def test_config_value_that_is_no_list_is_usage_error(self, capsys, tmp_path, values):
         cfg = tmp_path / "run.json"
@@ -1337,20 +1323,6 @@ class TestRejectedInput:
         code, out, err = run_cli(capsys, "spectrum", "--l", "0", "--k", "0")
         assert (code, out) == (EXIT_SOLVER, "")
         assert "dislospec: solver error: Unable to allocate" in err
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            "spectrum --scenario ab --b 0.5 --flux 0.3",
-            "current --scenario ab --b 0.5 --flux 0.3 --l 0 --k 0",
-            "verify --scenario ab --b 0.5 --flux 0.3",
-        ],
-    )
-    def test_flux_scenario_with_coulomb_coupling_is_usage_error(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv.split())
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert "scenario 'ab' requires b = 0" in err
 
     def test_config_flags_take_json_booleans(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -1373,46 +1345,10 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0].startswith("scenario,")
 
-    # One call per code path: each subcommand and output format, the flux sweep,
-    # the eigenvalue count on both Coulomb branches and at large n, the c > 0,
-    # kappa >= 1 pencil, status rows, both oracles, and the checks at extreme
-    # momentum, mass and coupling; each with its exit code.
-    CODE_PATHS = [
-        ("--help", EXIT_OK),
-        ("spectrum --scenario ab --flux 0:1:0.05 --l=-2..2 --k 0.7 --n 1..3", EXIT_OK),
-        ("spectrum --scenario coulomb --b 0.1 --l 0..1 --k 0,0.7 --n 1..3", EXIT_OK),
-        ("spectrum --scenario coulomb --b 0.1 --l 0..1 --k 0.7 --n 30", EXIT_OK),
-        # kappa = 0.97 on the + branch: both branches are counted.
-        ("spectrum --scenario coulomb --b 0.3 --k 5 --l 1 --n 5", EXIT_OK),
-        ("spectrum --scenario coulomb --b 1.5 --k 3 --l 1..2 --n 2..4", EXIT_OK),
-        ("spectrum --scenario coulomb --b -1.5 --k 3 --l 1..2 --n 2..4", EXIT_OK),
-        # k^2/(4m^2) overflows at k = 1e160: a NO_ROOTS row beside two proven states.
-        ("spectrum --scenario coulomb --b 1e-300 --l 0 --k 1,1e160", EXIT_SOLVER),
-        # At kappa = 1 to rounding the pencil stops at y = PROOF_WIDTH: NO_ROOTS rows.
-        ("spectrum --scenario coulomb --b 1e200 --l 0 --k 0,1", EXIT_SOLVER),
-        ("current --scenario ab --flux 0:1:0.5 --l 0 --k 0,0.7 --n 1..3", EXIT_OK),
-        ("current --scenario ab --flux 0:1:0.5 --l 0 --k 0,0.7 --n 1..3 --format json", EXIT_OK),
-        ("spectrum --scenario free --l 0..1 --k 0,0.7 --n 1..3 --oracle", EXIT_OK),
-        ("spectrum --scenario ab --flux 0:0.5:0.25 --l 0 --k 0,0.7 --oracle", EXIT_OK),
-        ("spectrum --scenario coulomb --b 0.1 --l 0..1 --k 0,0.7 --n 1..3 --oracle", EXIT_OK),
-        ("spectrum --scenario coulomb --b -0.1 --l 0..1 --k 0,0.7 --n 1..3 --oracle", EXIT_OK),
-        (
-            "spectrum --scenario free --chi 0.2 --l 0..1 --k 0,0.7 --n 1..3 --oracle --m 1e40",
-            EXIT_OK,
-        ),
-        ("verify --scenario free --k 0,0.7 --n 1..3", EXIT_OK),
-        # The ODE envelope is divided by its peak, so it stays finite.
-        ("verify --scenario free --l 40000 --n 1", EXIT_OK),
-        # alpha and beta come from the printed slope: no E^2 - m^2 - k^2 cancels.
-        ("verify --scenario free --l 0 --k 1e4,1e8 --n 1..3", EXIT_OK),
-        # The current's difference is taken of E - |k|, so energies E ~ k do not cancel.
-        ("verify --scenario ab --flux 0.25 --l 0..1 --k 1e4 --n 1", EXIT_OK),
-        ("verify --scenario ab --flux 0:0.5:0.25 --l 0 --k 0,0.7", EXIT_OK),
-        ("verify --scenario coulomb --b 0.1 --l 0..1 --k 0,0.7", EXIT_OK),
-        # The n = 1 closed form never divides by b^2.
-        ("verify --scenario coulomb --b 1e-160 --l 0 --k 0", EXIT_OK),
-        ("verify --scenario coulomb --b 1e-300 --l 0 --k 0", EXIT_OK),
-    ]
+    # One call per code path: --help and every CALL_ROWS row marked code_path, each
+    # with its exit code.
+    CODE_PATHS = [("--help", EXIT_OK),
+                  *((row.argv, row.exit) for row in CALL_ROWS if row.code_path)]
 
     # Runs every CODE_PATHS call through main, then the README's library example
     # and both oracles on the last state it prints, and prints the results and the

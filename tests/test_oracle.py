@@ -160,6 +160,12 @@ class TestOdeResidual:
         _, params = ground_state()
         assert math.isnan(ode_residual((0.0, 0.0), params, RadialGrid(0.01, 8.0, 100)))
 
+    @pytest.mark.parametrize("s", [1e154, 1e155, 1e300])
+    def test_overflowing_s_squared_is_nan(self, s):
+        # From s of about 1.3e154, s^2 overflows: the result is NaN, not an OverflowError.
+        params = HeunParams(s, 1.0, 2.0, 0.0)
+        assert math.isnan(ode_residual((1.0, 0.5), params, RadialGrid(0.01, 8.0, 20)))
+
 
 def fd_e2(m, nu, eff_abs, k, grid, index=0, near=None):
     """E^2 of FD level index on a grid in rho, through xi = sqrt(nu) rho and
