@@ -138,9 +138,14 @@ def parse_flux(text: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise UsageError(f"flux sweep must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
+        if not all(math.isfinite(x) for x in (start, stop, step)):
+            raise UsageError("numeric values must be finite")
         if step <= 0.0 or stop < start:
             raise UsageError(f"empty flux sweep {text!r}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        steps = (stop - start) / step
+        if not math.isfinite(steps):
+            raise UsageError(f"flux sweep {text!r} has too many points")
+        count = int(math.floor(steps + 1e-9)) + 1
         return tuple(start + i * step for i in range(count))
     return (float(text),)
 

@@ -489,14 +489,14 @@ FAULTS = {
         pt._replace(nu_solved=pt.nu_solved * (1 + 1e-9)) for pt in pts],
     "flux_quantum_lost_root": lambda qn, bg, pts: pts if bg["flux"] < 1.0 else pts[:-1],
 }
-# A row: a CLI call, whose argv names its subcommand, and what a run of it must show.  A
-# verify row may carry a fault, and names all its FAIL lines (fails is None where a ROADMAP
-# item adds the line, or where a cell's faulted lines are not pinned one by one); a spectrum
-# or current row that prints a table names its status column, in order.  Every row has an
-# exit code, and may carry other output fragments (looked for in stderr where no table
-# prints), a config file's text (passed with --config), the most Sturm passes the call may
-# make, and a strict xfail's reason, which names its ROADMAP item.  A code_path row is also
-# one of TestEntryPoint's CODE_PATHS.
+# A row: a CLI call, whose argv names its subcommand (or is --help), and what a run of it
+# must show.  A verify row may carry a fault, and names all its FAIL lines (fails is None
+# where a ROADMAP item adds the line, or where a cell's faulted lines are not pinned one by
+# one); a spectrum or current row that prints a table names its status column, in order.
+# Every row has an exit code, and may carry other output fragments (looked for in stderr
+# where no table prints), a config file's text (passed with --config), the most Sturm
+# passes the call may make, and a strict xfail's reason, which names its ROADMAP item.  A
+# code_path row is also one of TestEntryPoint's CODE_PATHS.
 _Row = namedtuple("_Row", "argv fault exit fails fragments xfail statuses config passes code_path",
                   defaults=(None, EXIT_OK, None, (), None, None, None, None, False))
 LOST_COULOMB_ROOT = "ROADMAP item 27, Coulomb half: no check counts a Coulomb cell's states"
@@ -764,23 +764,62 @@ CONTRACT_ROWS = [
         "spectrum --scenario ab --b 0.5 --flux 0.3",
         "current --scenario ab --b 0.5 --flux 0.3 --l 0 --k 0",
         "verify --scenario ab --b 0.5 --flux 0.3")),
-    *(_usage(f"spectrum --scenario ab --l 0 {flag}") for flag in (
-        "--k nan", "--k inf", "--flux nan", "--flux 0:inf:0.5", "--chi inf", "--m inf")),
+    *(_usage(f"spectrum --scenario ab --l 0 {flag}",
+             "dislospec: error: numeric values must be finite\n") for flag in (
+        "--k nan", "--k inf", "--flux nan", "--flux 0:inf:0.5", "--flux 0:nan:0.5", "--chi inf",
+        "--m inf")),
+    # Finite sweeps of more points than a float counts.
+    *(_usage(f"spectrum --scenario ab --l 0 --flux {sweep}",
+             f"dislospec: error: flux sweep '{sweep}' has too many points\n")
+      for sweep in ("0:1e300:1e-300", "0:1:1e-320")),
     _usage("spectrum --scenario coulomb", "dislospec: error: numeric values must be finite\n",
            config='{"b": Infinity}'),
-    _usage("spectrum", "dislospec: error: unknown config keys: ['scenarioo']\n",
-           config='{"scenarioo": "free"}'),
     *(_usage(f"spectrum --m {m}", f"dislospec: error: mass must be positive, got {float(m)}\n")
       for m in ("0", "-1")),
     *(_usage(argv, "dislospec: error: radial index n must be >= 1\n")
       for argv in ("spectrum --n 0", "verify --n 0..2")),
+    # q is read by current alone, but every subcommand takes it as a config key.
+    _usage("current --scenario ab --q 0", "dislospec: error: charge q must be nonzero\n"),
+    *(_usage(f"spectrum --scenario {scenario}", "dislospec: error: charge q must be nonzero\n",
+             config='{"q": 0}') for scenario in ("free", "coulomb", "ab")),
+    # Each subcommand's parser takes only the flags it reads.
+    *(_usage(f"{argv} {flag}", f"\ndislospec: error: unrecognized arguments: {flag}\n")
+      for argv, flag in [
+          ("verify", "--format json"), ("verify", "--oracle"), ("verify", "--absolute"),
+          ("current --scenario ab", "--oracle"), ("current --scenario ab", "--absolute"),
+          ("spectrum", "--q 2"), ("verify", "--q 2"), ("spectrum", "--branch plus"),
+          ("verify", "--branch plus"), ("verify", "--detune-nu 0.01")]),
+    # A config file holds one JSON object of known keys, and each value goes through
+    # its flag's converter, which takes only the JSON types that mean what it reads.
+    _usage("spectrum", "dislospec: error: config file must hold a JSON object\n", config="[1, 2]"),
+    *(_usage(argv, f"dislospec: error: unknown config keys: ['{key}']\n",
+             config=json.dumps({key: value}))
+      for argv, key, value in (("spectrum", "scenarioo", "free"), ("verify", "detune_nu", 0.01))),
+    *(_usage("spectrum", "dislospec: error: oracle and absolute must be true or false, got "
+             f"{value!r}\n", config=json.dumps({key: value}))
+      for key, value in product(("oracle", "absolute"), ("false", "true", 0, 1, None))),
+    *(_usage("spectrum", "dislospec: error: m, chi, b and q must be numbers, got True\n",
+             config=json.dumps({key: True})) for key in ("m", "chi", "b", "q")),
+    *(_usage("spectrum", f"dislospec: error: cannot interpret config value {value!r}\n",
+             config=json.dumps({key: value}))
+      for key, value in (("l", []), ("k", None), ("n", {}))),
+    # A flag and a config-file value of a setting share its converter, and so its message.
+    *(_usage(argv, f"dislospec: error: {message}\n", config=config)
+      for base, flag, values, message in [
+          ("spectrum", "--m abc", {"m": "abc"}, "m: could not convert string to float: 'abc'"),
+          ("spectrum", "--scenario foo", {"scenario": "foo"}, "unknown scenario 'foo'"),
+          ("current", "--format xml", {"format": "xml"}, "unknown format 'xml'"),
+          ("current", "--branch up", {"branch": "up"}, "branch must be plus or minus, got 'up'"),
+          ("spectrum", "--l 1..", {"l": "1.."}, "l: invalid literal for int() with base 10: ''")]
+      for argv, config in ((f"{base} {flag}", None), (base, json.dumps(values)))),
 ]
 
-# One call per code path: each subcommand and output format, the flux sweep, the
-# eigenvalue count on both Coulomb branches and at large n, the c > 0, kappa >= 1
+# One call per code path: --help, each subcommand and output format, the flux sweep,
+# the eigenvalue count on both Coulomb branches and at large n, the c > 0, kappa >= 1
 # pencil, status rows, both oracles, and the checks at extreme momentum, mass and
 # coupling.  The rows marked code_path above join them.
 CODE_PATH_ROWS = [row._replace(code_path=True) for row in [
+    _Row("--help"),
     # The flux sweep's 420 states, in the 3560 Sturm passes measured.
     _Row("spectrum --scenario ab --flux 0:1:0.05 --l=-2..2 --k 0.7 --n 1..3",
          statuses="OK " * 420, passes=3560),
@@ -824,6 +863,51 @@ def _row_id(row):
     return f"{words} {row.fault or 'unfaulted'}" if row.argv.startswith("verify") else words
 
 
+def _check_call(row, code, out, err):
+    """The checks of a row's call on its exit code, stdout and stderr, made alike on a
+    run in process and in a child process."""
+    if code != row.exit:
+        # The report is the call's output: a traceback through this long module
+        # costs about 0.1 s to format, on every strict-xfail row.
+        pytest.fail(f"exit {code}, not {row.exit}\n{out}{err}", pytrace=False)
+    command = row.argv.split()[0]
+    if row.statuses is None and code in (EXIT_USAGE, EXIT_SOLVER):
+        # No table: the call is not valid, or the solver failed; one message says which.
+        assert out == ""
+        assert "Traceback" not in err
+        head = "dislospec: error: " if code == EXIT_USAGE else "dislospec: solver error: "
+        assert err.startswith(head) or code == EXIT_USAGE and err.startswith("usage: "), err
+        out = err
+    elif command == "--help":
+        assert out.startswith("usage: dislospec ") and err == "", out + err
+    elif command == "verify":
+        failed = {x.split()[1] for x in out.splitlines() if x.startswith("FAIL ")}
+        if row.fails is not None:
+            assert failed == set(row.fails.split()), out
+        elif row.fault:
+            # ode_residual restates the truncation condition (ROADMAP item 28).
+            assert failed - {"ode_residual"}, out
+        # The table's checks in order, each with its threshold, then their counts.
+        assert err == ""
+        *lines, summary = out.splitlines()
+        assert [(x.split()[1], float(x.split("threshold=")[1].split()[0])) for x in lines] \
+            == [(name, threshold) for name, threshold, _ in cli._VERIFY_CHECKS], out
+        statuses = [x.split()[0] for x in lines]
+        assert summary == "%d passed, %d failed, %d skipped" % tuple(
+            map(statuses.count, ("PASS", "FAIL", "SKIP")))
+    else:
+        table = json.loads(out) if out.startswith("[") else read_csv(out)
+        statuses = [r["status"] for r in table]
+        assert statuses == row.statuses.split()
+        for r in table:
+            if r["status"] != "OK":
+                assert [c for c in SOLVED_COLUMNS if r.get(c, "") not in ("", None)] == [], r
+        bad = [x for x in statuses if x != "OK"]
+        summary = f"spectrum: {len(bad)} of {len(table)} rows failed ({sorted(set(bad))})\n"
+        assert err == (summary if code == EXIT_SOLVER else "")
+    assert [x for x in row.fragments if x not in out] == []
+
+
 class TestFaultMatrix:
     """The CLI's contract, one test per CALL_ROWS row.  A call joins the table as a
     row, with the exit code, FAIL lines or statuses, and fragments a run of it shows."""
@@ -856,48 +940,11 @@ class TestFaultMatrix:
             warnings.simplefilter("always")
             try:
                 code = main(argv)
-            except SystemExit as exc:  # argparse's usage errors
+            except SystemExit as exc:  # argparse's usage errors, and --help
                 code = exc.code
-        out, err = capsys.readouterr()
-        if code != row.exit:
-            # The report is the call's output: a traceback through this long module
-            # costs about 0.1 s to format, on every strict-xfail row.
-            pytest.fail(f"exit {code}, not {row.exit}\n{out}{err}", pytrace=False)
+        _check_call(row, code, *capsys.readouterr())
         assert [str(w.message) for w in caught] == []
         assert passes <= (row.passes or 0)
-        if row.statuses is None and code in (EXIT_USAGE, EXIT_SOLVER):
-            # No table: the call is not valid, or the solver failed; one message says which.
-            assert out == ""
-            assert "Traceback" not in err
-            head = "dislospec: error: " if code == EXIT_USAGE else "dislospec: solver error: "
-            assert err.startswith(head) or code == EXIT_USAGE and err.startswith("usage: "), err
-            out = err
-        elif argv[0] == "verify":
-            failed = {x.split()[1] for x in out.splitlines() if x.startswith("FAIL ")}
-            if row.fails is not None:
-                assert failed == set(row.fails.split()), out
-            elif row.fault:
-                # ode_residual restates the truncation condition (ROADMAP item 28).
-                assert failed - {"ode_residual"}, out
-            # The table's checks in order, each with its threshold, then their counts.
-            assert err == ""
-            *lines, summary = out.splitlines()
-            assert [(x.split()[1], float(x.split("threshold=")[1].split()[0])) for x in lines] \
-                == [(name, threshold) for name, threshold, _ in cli._VERIFY_CHECKS], out
-            statuses = [x.split()[0] for x in lines]
-            assert summary == "%d passed, %d failed, %d skipped" % tuple(
-                map(statuses.count, ("PASS", "FAIL", "SKIP")))
-        else:
-            table = json.loads(out) if out.startswith("[") else read_csv(out)
-            statuses = [r["status"] for r in table]
-            assert statuses == row.statuses.split()
-            for r in table:
-                if r["status"] != "OK":
-                    assert [c for c in SOLVED_COLUMNS if r.get(c, "") not in ("", None)] == [], r
-            bad = [x for x in statuses if x != "OK"]
-            summary = f"spectrum: {len(bad)} of {len(table)} rows failed ({sorted(set(bad))})\n"
-            assert err == (summary if code == EXIT_SOLVER else "")
-        assert [x for x in row.fragments if x not in out] == []
 
     def test_rows_hold_the_generated_products(self):
         assert (len(PRINTED_FAULT_ROWS), len(DROPPED_ROOT_ROWS)) == (70, 54)
@@ -1003,29 +1050,23 @@ class TestOracleGrids:
         assert all(e < 1e-3 for e in errors), max(errors)
 
 
-# One valid value of every setting, then invalid ones: (the argv both forms share,
-# the setting's flag argv, the same value as config-file values, the UsageError
-# message or None).
+# One valid value of every setting: (the argv both forms share, the setting's flag
+# argv, the same value as config-file values).  CONTRACT_ROWS holds invalid ones.
 BY_FLAG_AND_CONFIG = [
-    ("spectrum", ["--scenario", "coulomb"], {"scenario": "coulomb"}, None),
-    ("spectrum", ["--m", "2.5"], {"m": 2.5}, None),
-    ("spectrum", ["--chi", "0.2"], {"chi": 0.2}, None),
-    ("spectrum --scenario coulomb", ["--b", "-0.1"], {"b": -0.1}, None),
-    ("spectrum --scenario ab", ["--flux", "0:1:0.5"], {"flux": "0:1:0.5"}, None),
-    ("spectrum", ["--l=-1..1"], {"l": "-1..1"}, None),
-    ("spectrum", ["--k", "0,0.7"], {"k": [0, 0.7]}, None),
-    ("spectrum", ["--n", "1..3"], {"n": "1..3"}, None),
-    ("spectrum", ["--out", "rows.csv"], {"out": "rows.csv"}, None),
-    ("spectrum", ["--format", "json"], {"format": "json"}, None),
-    ("spectrum", ["--oracle"], {"oracle": True}, None),
-    ("spectrum", ["--absolute"], {"absolute": True}, None),
-    ("current", ["--q", "-2"], {"q": -2}, None),
-    ("current", ["--branch", "minus"], {"branch": "minus"}, None),
-    ("spectrum", ["--m", "abc"], {"m": "abc"}, "m: could not convert string to float: 'abc'"),
-    ("spectrum", ["--scenario", "foo"], {"scenario": "foo"}, "unknown scenario 'foo'"),
-    ("current", ["--format", "xml"], {"format": "xml"}, "unknown format 'xml'"),
-    ("current", ["--branch", "up"], {"branch": "up"}, "branch must be plus or minus, got 'up'"),
-    ("spectrum", ["--l", "1.."], {"l": "1.."}, "l: invalid literal for int() with base 10: ''"),
+    ("spectrum", ["--scenario", "coulomb"], {"scenario": "coulomb"}),
+    ("spectrum", ["--m", "2.5"], {"m": 2.5}),
+    ("spectrum", ["--chi", "0.2"], {"chi": 0.2}),
+    ("spectrum --scenario coulomb", ["--b", "-0.1"], {"b": -0.1}),
+    ("spectrum --scenario ab", ["--flux", "0:1:0.5"], {"flux": "0:1:0.5"}),
+    ("spectrum", ["--l=-1..1"], {"l": "-1..1"}),
+    ("spectrum", ["--k", "0,0.7"], {"k": [0, 0.7]}),
+    ("spectrum", ["--n", "1..3"], {"n": "1..3"}),
+    ("spectrum", ["--out", "rows.csv"], {"out": "rows.csv"}),
+    ("spectrum", ["--format", "json"], {"format": "json"}),
+    ("spectrum", ["--oracle"], {"oracle": True}),
+    ("spectrum", ["--absolute"], {"absolute": True}),
+    ("current", ["--q", "-2"], {"q": -2}),
+    ("current", ["--branch", "minus"], {"branch": "minus"}),
 ]
 
 
@@ -1072,35 +1113,23 @@ class TestConfigAndOutput:
         assert [r["l"] for r in rows] == ["2"]
 
     @pytest.mark.parametrize(
-        "base,flag,values,message",
+        "base,flag,values",
         BY_FLAG_AND_CONFIG,
-        ids=[" ".join([base, *flag]) for base, flag, _, _ in BY_FLAG_AND_CONFIG],
+        ids=[" ".join([base, *flag]) for base, flag, _ in BY_FLAG_AND_CONFIG],
     )
-    def test_flag_and_config_share_one_converter(self, tmp_path, base, flag, values, message):
+    def test_flag_and_config_share_one_converter(self, tmp_path, base, flag, values):
         def config(*argv):
             return cli.build_config(cli.make_parser().parse_args([*base.split(), *argv]))
 
         path = tmp_path / "run.json"
         path.write_text(json.dumps(values))
-        if message is None:
-            by_flag = config(*flag)
-            assert by_flag == config("--config", str(path))
-            assert by_flag != config()
-            return
-        for argv in (flag, ["--config", str(path)]):
-            with pytest.raises(UsageError) as exc:
-                config(*argv)
-            assert str(exc.value) == message
+        by_flag = config(*flag)
+        assert by_flag == config("--config", str(path))
+        assert by_flag != config()
 
     def test_flag_and_config_table_covers_every_setting(self):
-        valid = [values for _, _, values, message in BY_FLAG_AND_CONFIG if message is None]
-        assert sorted(key for values in valid for key in values) == sorted(cli.RunConfig._fields)
-
-    def test_config_must_be_object(self, capsys, tmp_path):
-        cfg = tmp_path / "run.json"
-        cfg.write_text("[1, 2]")
-        code, _, _ = run_cli(capsys, "spectrum", "--config", str(cfg))
-        assert code == EXIT_USAGE
+        keys = [key for _, _, values in BY_FLAG_AND_CONFIG for key in values]
+        assert sorted(keys) == sorted(cli.RunConfig._fields)
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"
@@ -1192,17 +1221,9 @@ class TestConfigAndOutput:
 
 
 class TestRejectedInput:
-    @pytest.mark.parametrize("scenario", ["free", "coulomb", "ab"])
-    def test_zero_charge_is_usage_error(self, capsys, tmp_path, scenario):
-        code, _, err = run_cli(capsys, "current", "--scenario", "ab", "--q", "0")
-        assert code == EXIT_USAGE
-        assert "q must be nonzero" in err
-        # The config key q stays accepted on every subcommand, so it is checked there too.
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"q": 0}))
-        code, _, err = run_cli(capsys, "spectrum", "--scenario", scenario, "--config", str(cfg))
-        assert code == EXIT_USAGE
-        assert "q must be nonzero" in err
+    """Input tests that a CALL_ROWS row cannot make: each reads a config file whose
+    message names its path, writes --out, runs a child process, patches a function
+    other than the solver, or asserts a bound or an absence."""
 
     @pytest.mark.parametrize("q", ["-1", "-2.5"])
     def test_negative_charge_current(self, capsys, tmp_path, q):
@@ -1242,25 +1263,6 @@ class TestRejectedInput:
         assert main(["spectrum", "--l", "0", "--k", "0", "--out", str(out)]) == EXIT_USAGE
         assert "dislospec: error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
-    def test_config_flags_must_be_json_booleans(self, capsys, tmp_path, value):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"l": "0", "k": [0], "oracle": value}))
-        code, _, err = run_cli(capsys, "spectrum", "--config", str(cfg))
-        assert code == EXIT_USAGE
-        assert "true or false" in err
-        cfg.write_text(json.dumps({"l": "0", "k": [0], "absolute": value}))
-        assert run_cli(capsys, "spectrum", "--config", str(cfg))[0] == EXIT_USAGE
-
-    @pytest.mark.parametrize("key", ["m", "chi", "b", "q"])
-    def test_config_numbers_must_not_be_json_booleans(self, capsys, tmp_path, key):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"l": "0", "k": [0], key: True}))
-        code, out, err = run_cli(capsys, "spectrum", "--config", str(cfg))
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert "must be numbers" in err
-
     @pytest.mark.parametrize("values", [{"out": 1}, {"out": True}, {"scenario": ["free"]}])
     def test_config_strings_must_be_json_strings(self, tmp_path, values):
         # A child process: an integer out would name this process's fd 1.
@@ -1274,45 +1276,6 @@ class TestRejectedInput:
         assert proc.returncode == EXIT_USAGE
         assert proc.stdout == ""
         assert "must be strings" in proc.stderr
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            "verify --format json",
-            "verify --oracle",
-            "verify --absolute",
-            "current --scenario ab --oracle",
-            "current --scenario ab --absolute",
-            "spectrum --q 2",
-            "verify --q 2",
-            "spectrum --branch plus",
-            "verify --branch plus",
-        ],
-    )
-    def test_flag_the_subcommand_does_not_read_is_usage_error(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv.split())
-        assert exc.value.code == EXIT_USAGE
-        assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_detune_nu_is_not_an_option(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--detune-nu", "0.01"])
-        assert exc.value.code == EXIT_USAGE
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"detune_nu": 0.01}))
-        code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
-        assert code == EXIT_USAGE
-        assert "unknown config keys" in err
-
-    @pytest.mark.parametrize("values", [{"l": []}, {"k": None}, {"n": {}}], ids=["l", "k", "n"])
-    def test_config_value_that_is_no_list_is_usage_error(self, capsys, tmp_path, values):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps(values))
-        code, out, err = run_cli(capsys, "spectrum", "--config", str(cfg))
-        assert (code, out) == (EXIT_USAGE, "")
-        (value,) = values.values()
-        assert err == f"dislospec: error: cannot interpret config value {value!r}\n"
 
     def test_memory_error_is_solver_error(self, capsys, monkeypatch):
         # A large --n asks for dense (n+1) x (n+1) matrices; simulated, never allocated.
@@ -1345,10 +1308,8 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0].startswith("scenario,")
 
-    # One call per code path: --help and every CALL_ROWS row marked code_path, each
-    # with its exit code.
-    CODE_PATHS = [("--help", EXIT_OK),
-                  *((row.argv, row.exit) for row in CALL_ROWS if row.code_path)]
+    # One call per code path: every CALL_ROWS row marked code_path.
+    CODE_PATHS = [row for row in CALL_ROWS if row.code_path]
 
     # Runs every CODE_PATHS call through main, then the README's library example
     # and both oracles on the last state it prints, and prints the results and the
@@ -1394,14 +1355,12 @@ print(json.dumps([results, library, loaded]))
     # CODE_PATHS rows and the library results between them.
     @pytest.fixture(scope="class")
     def code_path_runs(self):
-        # argparse wraps --help at the terminal's width.
-        env = dict(os.environ, COLUMNS="80")
-        calls = json.dumps([argv for argv, _ in self.CODE_PATHS])
+        calls = json.dumps([row.argv for row in self.CODE_PATHS])
         readme = os.path.join(REPO, "README.md")
         procs = {
             mode: subprocess.Popen(
                 [sys.executable, "-c", self.RUN_CODE_PATHS, mode, readme, calls],
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             )
             for mode in ("blocked", "unblocked")
         }
@@ -1412,37 +1371,29 @@ print(json.dumps([results, library, loaded]))
             runs[mode] = json.loads(out)
         return runs
 
-    def _assert_rows_match(self, runs, capsys, monkeypatch, keep):
-        # Each kept row is the same blocked, unblocked and in process.
-        monkeypatch.setenv("COLUMNS", "80")
+    def _check_rows(self, runs, keep):
+        # Each kept row prints the same bytes blocked and unblocked, and passes the
+        # runner's checks there.
         rows = zip(self.CODE_PATHS, runs["blocked"][0], runs["unblocked"][0], strict=True)
-        kept = [(argv, want, blocked, unblocked) for (argv, want), blocked, unblocked in rows
-                if keep(argv)]
+        kept = [(row, blocked, unblocked) for row, blocked, unblocked in rows if keep(row.argv)]
         assert kept
-        for argv, want, blocked, unblocked in kept:
-            try:
-                code = main(argv.split())
-            except SystemExit as exc:
-                code = exc.code
-            captured = capsys.readouterr()
-            assert blocked == unblocked == [want, captured.out, captured.err], argv
+        for row, blocked, unblocked in kept:
+            assert blocked == unblocked, row.argv
+            _check_call(row, *blocked)
 
-    def test_import_and_help_load_no_scipy(self, code_path_runs, capsys, monkeypatch):
-        self._assert_rows_match(code_path_runs, capsys, monkeypatch,
-                                lambda argv: argv == "--help")
+    def test_import_and_help_load_no_scipy(self, code_path_runs):
+        # --help is a code-path row, checked blocked in test_solver_runs_without_numpy.
         for mode in ("blocked", "unblocked"):
             missing = code_path_runs[mode][1][0]
             assert missing == []
 
-    def test_solver_runs_without_numpy(self, code_path_runs, capsys, monkeypatch):
-        self._assert_rows_match(code_path_runs, capsys, monkeypatch,
-                                lambda argv: argv != "--help" and "--oracle" not in argv)
+    def test_solver_runs_without_numpy(self, code_path_runs):
+        self._check_rows(code_path_runs, lambda argv: "--oracle" not in argv)
         example = code_path_runs["blocked"][1][1]
         assert example and example == code_path_runs["unblocked"][1][1]
 
-    def test_oracle_runs_without_scipy(self, code_path_runs, capsys, monkeypatch):
-        self._assert_rows_match(code_path_runs, capsys, monkeypatch,
-                                lambda argv: "--oracle" in argv)
+    def test_oracle_runs_without_scipy(self, code_path_runs):
+        self._check_rows(code_path_runs, lambda argv: "--oracle" in argv)
         residual, fd_error = code_path_runs["unblocked"][1][2:]
         assert code_path_runs["blocked"][1][2:] == [residual, fd_error]
         assert residual < 1e-8
@@ -1458,28 +1409,31 @@ print(json.dumps([results, library, loaded]))
         # preloading a module, which would hide its import here.
         env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
 
-        def imported(*argv):
+        def imported(argv, code=EXIT_OK, head=""):
+            # The modules a call imports; it must exit code, its stdout starting head.
             proc = subprocess.run(
                 [sys.executable, "-S", "-X", "importtime", *argv],
                 capture_output=True, text=True, env=env,
             )
-            assert proc.returncode == 0, proc.stderr
+            assert (proc.returncode, proc.stdout[:len(head)]) == (code, head), proc.stderr
             lines = proc.stderr.splitlines()
             return {x.rsplit("|", 1)[1].strip() for x in lines if x.startswith("import time:")}
 
         heavy = {"dataclasses", "inspect", "typing", "csv"}
         lazy = {"json", "dislospec.oracle", "dislospec.observables"}
-        assert not heavy & imported("-c", "import dislospec.cli")
+        assert not heavy & imported(["-c", "import dislospec.cli"])
         spectrum = "spectrum --scenario ab --flux 0:1:0.5 --l=-1..1 --k 0.7 --n 1..3"
         calls = {
-            "--help": set(),
-            spectrum: set(),
-            spectrum + " --oracle --format json": {"json", "dislospec.oracle"},
-            "current --scenario ab --flux 0.5 --l 0 --k 0": {"dislospec.observables"},
-            "verify --scenario free": {"dislospec.oracle"},
+            "--help": (EXIT_OK, "usage: dislospec ", set()),
+            spectrum: (EXIT_OK, "scenario,", set()),
+            spectrum + " --oracle --format json": (EXIT_OK, "[", {"json", "dislospec.oracle"}),
+            "current --scenario ab --flux 0.5 --l 0 --k 0":
+                (EXIT_OK, "n,", {"dislospec.observables"}),
+            "verify --scenario free": (EXIT_OK, "PASS ", {"dislospec.oracle"}),
+            "spectrum --format xml": (EXIT_USAGE, "", set()),
         }
-        for argv, expected in calls.items():
-            loaded = imported("-m", "dislospec", *argv.split())
+        for argv, (code, head, expected) in calls.items():
+            loaded = imported(["-m", "dislospec", *argv.split()], code, head)
             assert "dislospec.cli" in loaded
             assert not heavy & loaded, argv
             assert lazy & loaded == expected, argv
